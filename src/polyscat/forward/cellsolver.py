@@ -220,8 +220,7 @@ class CellSolveResult:
         return out if len(out) > 1 else complex(out[0])
 
 
-def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, grading=3.0,
-               mesh_segments=None):
+def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, grading=3.0):
     """Assemble and solve the single-trace system for a cell medium."""
     inc.validate_against(medium.partition.hull)
     part = medium.partition

@@ -14,14 +14,27 @@ kernel that plain graded subdivision integrates; for the others it is
 assembled with a series-stabilized form of kappa H1(kappa r) near r = 0 to
 avoid catastrophic cancellation.
 
-Near interactions (target within a few panel lengths of a source panel,
-including the panel containing the target) are re-integrated on panels
-geometrically subdivided toward the closest point, with the density
-carried by barycentric Lagrange interpolation from the panel's own nodes.
+Near interactions (target within NEAR_MULT panel lengths of a source panel,
+including the panel containing the target) are re-integrated on the panel
+geometrically subdivided toward the target's closest point t*, with the
+density carried by Lagrange interpolation from the panel's own nodes.  The
+pass is batched per source panel and per side of t*: all near targets at
+once, in chunks of at most _NEAR_BUDGET (targets x fine nodes x panel
+nodes) elements, skipping the empty side of targets whose t* is a panel
+end (most neighbour-panel pairs).  A chunk builds every target's fine rule
+in one array op, evaluates the Lagrange basis through its Legendre
+expansion (coefficients cached per panel order) and contracts kernel
+values against it in one matrix product.
+
+Hankel functions come from `_hankel`: for a real positive wavenumber it
+combines the Bessel routines j0/y0/j1/y1, an order of magnitude cheaper
+than `hankel1`, which serves every complex wavenumber.
 """
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.special import hankel1, jv
+from scipy.special import hankel1, j0, j1, jv, y0, y1
 
 from ..quadrature import gauss_legendre
 
@@ -30,11 +43,29 @@ NEAR_MULT = 1.5
 _FINE_N = 10
 _FINE_LEVELS = 16
 _FINE_RATIO = 0.35
+_NEAR_BUDGET = 2**15   # (targets x fine nodes x panel nodes) elements per near batch;
+                       # small enough to keep peak RSS at the per-target level
+
+
+def _hankel(order, kappa, r):
+    """H0^(1) or H1^(1) of kappa r for a scalar kappa and real r > 0.
+
+    For real positive kappa this is J + iY from the scipy Bessel j0/y0/j1/y1
+    routines, an order of magnitude cheaper than `hankel1` and equal to it
+    to about 1e-15 relative; any other kappa goes through `hankel1`.
+    """
+    kappa = complex(kappa)
+    if kappa.imag == 0.0 and kappa.real > 0.0:
+        x = kappa.real * r
+        if order == 0:
+            return j0(x) + 1j * y0(x)
+        return j1(x) + 1j * y1(x)
+    return hankel1(order, kappa * r)
 
 
 def _kh1(kappa, r):
     """kappa * H1^(1)(kappa r), vectorized, complex-safe."""
-    return kappa * hankel1(1, kappa * r)
+    return kappa * _hankel(1, kappa, r)
 
 
 def _kh1_reg(kappa, r):
@@ -49,14 +80,13 @@ def _kh1_reg(kappa, r):
     zs = np.broadcast_to(z, out.shape)
     rs = np.broadcast_to(r, out.shape)
     if np.any(~small):
-        zb = zs[~small]
-        out[~small] = kappa * hankel1(1, zb) + 2j / (np.pi * rs[~small])
+        out[~small] = kappa * _hankel(1, kappa, rs[~small]) + 2j / (np.pi * rs[~small])
     if np.any(small):
         zb = zs[small]
         rb = rs[small]
-        j1 = jv(1, zb)
+        j1z = jv(1, zb)
         logz = np.log(zb / 2.0)
-        series = (kappa * j1) * (1.0 + 2j / np.pi * logz) - (
+        series = (kappa * j1z) * (1.0 + 2j / np.pi * logz) - (
             1j * kappa * zb / (2.0 * np.pi)
         ) * ((1.0 - 2 * _EULER) - (2.5 - 2 * _EULER) * zb**2 / 8.0)
         out[small] = series + 0j * rb
@@ -67,9 +97,9 @@ def _kernel(kind, kappa, kappa2, diff, r, src_nrm, tgt_nrm):
     """Pointwise kernel values; diff = x - y with shape (..., 2)."""
     rhat_dot_sn = (diff[..., 0] * src_nrm[..., 0] + diff[..., 1] * src_nrm[..., 1]) / r
     if kind == "S":
-        vals = 0.25j * hankel1(0, kappa * r)
+        vals = 0.25j * _hankel(0, kappa, r)
         if kappa2 is not None:
-            vals = vals - 0.25j * hankel1(0, kappa2 * r)
+            vals = vals - 0.25j * _hankel(0, kappa2, r)
         return vals
     if kind == "K":
         if kappa2 is None:
@@ -85,89 +115,57 @@ def _kernel(kind, kappa, kappa2, diff, r, src_nrm, tgt_nrm):
         nn = src_nrm[..., 0] * tgt_nrm[..., 0] + src_nrm[..., 1] * tgt_nrm[..., 1]
         ang = nn - 2.0 * rhat_dot_sn * rhat_dot_tn
         if kappa2 is None:
-            h0 = 0.25j * kappa**2 * hankel1(0, kappa * r)
+            h0 = 0.25j * kappa**2 * _hankel(0, kappa, r)
             h1r = 0.25j * _kh1(kappa, r) / r
         else:
-            h0 = 0.25j * (kappa**2 * hankel1(0, kappa * r) - kappa2**2 * hankel1(0, kappa2 * r))
+            h0 = 0.25j * (kappa**2 * _hankel(0, kappa, r) - kappa2**2 * _hankel(0, kappa2, r))
             h1r = 0.25j * (_kh1_reg(kappa, r) - _kh1_reg(kappa2, r)) / r
         # sign: rhat here is (x-y)/r; both dot products flip, their product does not
         return h0 * rhat_dot_sn * rhat_dot_tn + h1r * ang
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-def _bary_weights(t_nodes):
-    n = len(t_nodes)
-    w = np.ones(n)
-    for j in range(n):
-        for k in range(n):
-            if k != j:
-                w[j] /= t_nodes[j] - t_nodes[k]
-    return w
+@lru_cache(maxsize=8)
+def _interp_coeffs(n_gl):
+    """C[m, j] with L_j(t) = sum_m P_m(t) C[m, j]: the Lagrange basis of the
+    n_gl-point Gauss-Legendre nodes in Legendre polynomials P_m, exact by
+    the discrete orthogonality of the Gauss rule."""
+    t, w = gauss_legendre(n_gl)
+    m = np.arange(n_gl)
+    coeffs = (m + 0.5)[:, None] * np.polynomial.legendre.legvander(t, n_gl - 1).T * w
+    coeffs.setflags(write=False)
+    return coeffs
 
 
-def _lagrange_matrix(t_nodes, t_eval):
-    """L[e, j]: value of the j-th Lagrange basis (nodes t_nodes) at t_eval[e]."""
-    w = _bary_weights(t_nodes)
-    diff = t_eval[:, None] - t_nodes[None, :]
-    exact = np.isclose(diff, 0.0, atol=1e-15)
-    diff = np.where(exact, 1.0, diff)
-    terms = w[None, :] / diff
-    denom = terms.sum(axis=1)
-    L = terms / denom[:, None]
-    L[np.any(exact, axis=1)] = exact[np.any(exact, axis=1)].astype(float)
-    return L
+def _legendre_table(t, n):
+    """Legendre P_0..P_{n-1} (n >= 2) at t of shape (a, b), as (a, n, b)."""
+    P = np.empty((t.shape[0], n, t.shape[1]))
+    P[:, 0] = 1.0
+    P[:, 1] = t
+    for k in range(1, n - 1):
+        P[:, k + 1] = ((2 * k + 1) * t * P[:, k] - k * P[:, k - 1]) / (k + 1)
+    return P
 
 
-def _fine_subdivision(t_star):
-    """Panel params in [-1,1] geometrically refined toward t_star; nodes+weights."""
+def _fine_rule(t_star, end):
+    """Nodes and weights on the part of [-1, 1] between each t_star and `end`
+    (-1 or 1), geometrically refined toward t_star: (len(t_star), n_side)."""
     tg, wg = gauss_legendre(_FINE_N)
-    pts = []
-    wts = []
-    for lo, hi in ((-1.0, t_star), (t_star, 1.0)):
-        span = hi - lo
-        if span < 1e-14:
-            continue
-        # breakpoints accumulate toward the t_star end
-        fracs = _FINE_RATIO ** np.arange(_FINE_LEVELS, -1, -1.0)
-        if lo == t_star:
-            brk = np.concatenate(([lo], lo + span * fracs))
-        else:
-            brk = np.concatenate((hi - span * fracs[::-1], [hi]))
-        for i in range(len(brk) - 1):
-            mid, half = 0.5 * (brk[i] + brk[i + 1]), 0.5 * (brk[i + 1] - brk[i])
-            if half <= 0:
-                continue
-            pts.append(mid + half * tg)
-            wts.append(half * wg)
-    return np.concatenate(pts), np.concatenate(wts)
+    fracs = np.concatenate(([0.0], _FINE_RATIO ** np.arange(_FINE_LEVELS, -1, -1.0)))
+    brk = t_star[:, None] + (end - t_star)[:, None] * fracs      # from t_star to end
+    mid = 0.5 * (brk[:, 1:] + brk[:, :-1])
+    half = 0.5 * np.abs(brk[:, 1:] - brk[:, :-1])
+    nodes = mid[..., None] + half[..., None] * tg
+    weights = half[..., None] * wg
+    return nodes.reshape(len(t_star), -1), weights.reshape(len(t_star), -1)
 
 
-def _near_row_block(kind, kappa, kappa2, x, tn, panel):
-    """Quadrature row for one target against one nearby straight panel."""
-    ab = panel.b - panel.a
-    L2 = float(ab @ ab)
-    t_star = float(np.clip(2.0 * ((x - panel.a) @ ab) / L2 - 1.0, -1.0, 1.0))
-    tf, wf = _fine_subdivision(t_star)
-    mid = 0.5 * (panel.a + panel.b)
-    y = mid[None, :] + 0.5 * tf[:, None] * ab[None, :]
-    d = x[None, :] - y
-    r = np.hypot(d[:, 0], d[:, 1])
-    keep = r > 1e-15 * max(1.0, np.sqrt(L2))
-    sn = np.broadcast_to(panel.normal, y.shape)
-    tnb = None if tn is None else np.broadcast_to(tn, y.shape)
-    vals = np.zeros(len(tf), dtype=complex)
-    vals[keep] = _kernel(kind, kappa, kappa2, d[keep], r[keep], sn[keep],
-                         None if tnb is None else tnb[keep])
-    jac = 0.5 * panel.length
-    Lmat = _lagrange_matrix(panel.t_nodes, tf)
-    return (wf * jac * vals) @ Lmat
-
-
-def assemble_block(kind, kappa, src, tgt_pts, tgt_nrm=None, kappa2=None, near=True,
-                   exclude_self_node=False):
+def assemble_block(kind, kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
     """Dense operator block mapping a density on `src` (CurveMesh) to values
     at `tgt_pts`; weights are folded in, so block @ density ~ integral."""
     tgt_pts = np.atleast_2d(np.asarray(tgt_pts, dtype=float))
+    if tgt_nrm is not None:
+        tgt_nrm = np.atleast_2d(np.asarray(tgt_nrm, dtype=float))
     nt = len(tgt_pts)
     ns = src.n_nodes
     out = np.empty((nt, ns), dtype=complex)
@@ -180,15 +178,17 @@ def assemble_block(kind, kappa, src, tgt_pts, tgt_nrm=None, kappa2=None, near=Tr
         sn = np.broadcast_to(src.normals[None, :, :], d.shape)
         tn = None
         if tgt_nrm is not None:
-            tn = np.broadcast_to(np.asarray(tgt_nrm)[i0:i1, None, :], d.shape)
+            tn = np.broadcast_to(tgt_nrm[i0:i1, None, :], d.shape)
         out[i0:i1] = _kernel(kind, kappa, kappa2, d, r, sn, tn) * src.weights[None, :]
-    if near:
-        _fix_near(kind, kappa, kappa2, src, tgt_pts, tgt_nrm, out)
+    _fix_near(kind, kappa, kappa2, src, tgt_pts, tgt_nrm, out)
     return out
 
 
 def _fix_near(kind, kappa, kappa2, src, tgt_pts, tgt_nrm, out):
+    """Re-integrate every near (target, panel) pair, batched per panel and side."""
     n_gl = src.n_gl
+    coeffs = _interp_coeffs(n_gl)
+    chunk = max(1, _NEAR_BUDGET // ((_FINE_LEVELS + 1) * _FINE_N * n_gl))
     for p in src.panels:
         ab = p.b - p.a
         L2 = float(ab @ ab)
@@ -197,9 +197,27 @@ def _fix_near(kind, kappa, kappa2, src, tgt_pts, tgt_nrm, out):
         dist = np.hypot(*(tgt_pts - proj).T)
         near_idx = np.nonzero(dist < NEAR_MULT * p.length)[0]
         cols = slice(p.start, p.start + n_gl)
-        for i in near_idx:
-            tn = None if tgt_nrm is None else np.asarray(tgt_nrm)[i]
-            out[i, cols] = _near_row_block(kind, kappa, kappa2, tgt_pts[i], tn, p)
+        out[near_idx, cols] = 0.0
+        t_star = 2.0 * t[near_idx] - 1.0                 # closest point, in [-1, 1]
+        mid = 0.5 * (p.a + p.b)
+        r_min = 1e-15 * max(1.0, np.sqrt(L2))
+        for end in (-1.0, 1.0):
+            # the [t*, end] side; empty (t* clipped to end) for most neighbour panels
+            side = np.nonzero(np.abs(end - t_star) >= 1e-14)[0]
+            for i0 in range(0, len(side), chunk):
+                sel = side[i0:i0 + chunk]
+                idx = near_idx[sel]
+                tf, wf = _fine_rule(t_star[sel], end)                        # (nb, n_side)
+                d = tgt_pts[idx, None, :] - (mid + 0.5 * tf[..., None] * ab)  # (nb, n_side, 2)
+                r = np.hypot(d[..., 0], d[..., 1])
+                keep = r > r_min
+                sn = np.broadcast_to(p.normal, d.shape)
+                tn = None if tgt_nrm is None else np.broadcast_to(tgt_nrm[idx, None, :], d.shape)
+                vals = _kernel(kind, kappa, kappa2, d, np.where(keep, r, 1.0), sn, tn)
+                c = np.where(keep, wf * (0.5 * p.length) * vals, 0.0)
+                # sum_e c_e P_m(t_e) as one real matmul over (re, im), then to the nodes
+                moments = _legendre_table(tf, n_gl) @ c.view(float).reshape(len(idx), -1, 2)
+                out[idx, cols] += (moments[..., 0] + 1j * moments[..., 1]) @ coeffs
 
 
 def farfield_row(src, k, directions):

@@ -124,13 +124,15 @@ def solve_scatter(medium, inc: IncidentField, mesh: BoundaryMesh = None,
     """Solve the forward conductive scattering problem.
 
     Dispatches on the medium type; nest media use the layered combined
-    representation, cell media the single-trace formulation.
+    representation, cell media the single-trace formulation, which builds
+    its own segment meshes and so takes no `mesh`.
     """
     if isinstance(medium, CellMedium):
         from .cellsolver import solve_cell
 
-        return solve_cell(medium, inc, nodes_per_edge=nodes_per_edge, grading=grading,
-                          mesh_segments=mesh)
+        if mesh is not None:
+            raise ValueError("cell media mesh their own skeleton; pass nodes_per_edge, not mesh")
+        return solve_cell(medium, inc, nodes_per_edge=nodes_per_edge, grading=grading)
     if not isinstance(medium, NestMedium):
         raise TypeError(f"unsupported medium type {type(medium)!r}")
     if mesh is None:

@@ -308,6 +308,13 @@ def _perturbed_medium(m, target, mag):
     return CellMedium(m.partition, q, lam, m.k)
 
 
+def _unconverged(which, nodes, result):
+    print(f"{which} solve at {nodes} nodes/edge did not converge (residual "
+          f"{result.residual:.3g}, condition estimate {result.cond_estimate:.3g}); "
+          "no discrepancies reported", file=sys.stderr)
+    return EXIT_NUMERICAL
+
+
 def _run_sweep(args, sc: Scenario):
     t0 = time.perf_counter()
     spec = sc.raw.get("sweep", {})
@@ -322,6 +329,8 @@ def _run_sweep(args, sc: Scenario):
     n = sc.mesh.nodes_per_edge
 
     base = _solve(sc)
+    if not base.converged:
+        return _unconverged("base", n, base)
     adm, tau = _admissibility(sc, base)
     bad = [e for e in adm if not e["admissible"]]
     if bad:
@@ -332,6 +341,8 @@ def _run_sweep(args, sc: Scenario):
         return EXIT_REFUSED
 
     base_fine = _solve(sc, nodes=2 * n)
+    if not base_fine.converged:
+        return _unconverged("fine", 2 * n, base_fine)
     angles = uniform_directions(sc.num_angles)
     ff_base = base.far_field(angles)
     floor = farfield_diff(ff_base, base_fine.far_field(angles))
@@ -340,6 +351,8 @@ def _run_sweep(args, sc: Scenario):
     for mag in mags:
         med = _perturbed_medium(sc.medium, tgt, mag)
         res = solve_scatter(med, sc.incident, nodes_per_edge=n, grading=sc.mesh.grading)
+        if not res.converged:
+            return _unconverged(f"perturbed ({target} magnitude {mag:g})", n, res)
         d = farfield_diff(ff_base, res.far_field(angles))
         rows.append((float(mag), d, d > 10 * floor))
     by_mag = sorted(rows, key=lambda r: r[0])

@@ -158,3 +158,181 @@ def test_point_source_scattering_runs(nested_squares):
     with pytest.raises(ValueError, match="strictly outside"):
         solve_scatter(med, IncidentField("point", location=[0.2, 0.0]),
                       nodes_per_edge=16)
+
+
+# ---------------------------------------------------------------- layer operators
+
+
+_Y1_SERIES_K = np.arange(30)
+
+
+def _y1_regular(z):
+    """Y1(z) + 2/(pi z) for scalar z: full ascending series (A&S 9.1.11) for
+    |z| < 2, where subtracting the pole from scipy's Y1 would cancel digits."""
+    from scipy.special import digamma, factorial, jv, yv
+
+    if abs(z) >= 2.0:
+        return yv(1, z) + 2 / (np.pi * z)
+    k = _Y1_SERIES_K
+    coef = (digamma(k + 1) + digamma(k + 2)) / (factorial(k) * factorial(k + 1))
+    series = coef @ (-(z**2) / 4) ** k
+    return 2 / np.pi * np.log(z / 2) * jv(1, z) - z / (2 * np.pi) * series
+
+
+def _lagrange_basis(tj, t):
+    """L_j(t) = prod_{k != j} (t - t_k) / (t_j - t_k), shape (len(t), len(tj))."""
+    off = ~np.eye(len(tj), dtype=bool)
+    gap = np.where(off, tj[:, None] - tj[None, :], 1.0)
+    return np.prod(np.where(off, (np.atleast_1d(t)[:, None, None] - tj) / gap, 1.0), axis=2)
+
+
+def _ref_kernel(kind, kap, kap2, x, tn, y, sn):
+    """Helmholtz kernels from hankel1 alone; T is the difference T(kap) - T(kap2),
+    with the 2i/(pi r) parts of kap H1(kap r) cancelled analytically."""
+    from scipy.special import hankel1, jv
+
+    d = x - y
+    r = np.hypot(*d)
+    a, b = d @ tn / r, d @ sn / r
+    if kind == "S":
+        return 0.25j * hankel1(0, kap * r)
+    if kind == "K":
+        return 0.25j * kap * hankel1(1, kap * r) * b
+    if kind == "Kp":
+        return -0.25j * kap * hankel1(1, kap * r) * a
+
+    def kh1_reg(k):
+        z = complex(k * r)
+        return k * (jv(1, z) + 1j * _y1_regular(z))
+
+    h0 = 0.25j * (kap**2 * hankel1(0, kap * r) - kap2**2 * hankel1(0, kap2 * r))
+    h1r = 0.25j * (kh1_reg(kap) - kh1_reg(kap2)) / r
+    return h0 * a * b + h1r * (tn @ sn - 2 * a * b)
+
+
+def _ref_row(kind, kap, kap2, x, tn, panel):
+    """Integral of kernel x Lagrange basis over one panel by adaptive quadrature,
+    split at the parameter of the point closest to the target."""
+    from scipy.integrate import quad_vec
+
+    tj = panel.t_nodes
+    ab = panel.b - panel.a
+    mid = 0.5 * (panel.a + panel.b)
+    t_star = float(np.clip(2 * (x - panel.a) @ ab / (ab @ ab) - 1, -1, 1))
+
+    def integrand(t):
+        basis = _lagrange_basis(tj, t)[0]
+        y = mid + 0.5 * t * ab
+        val = _ref_kernel(kind, kap, kap2, x, tn, y, panel.normal) * 0.5 * panel.length
+        return np.concatenate([(val * basis).real, (val * basis).imag])
+
+    pts = [t_star] if -1 < t_star < 1 else None
+    res, _ = quad_vec(integrand, -1.0, 1.0, epsabs=1e-13, epsrel=1e-11, points=pts,
+                      limit=2000)
+    return res[: len(tj)] + 1j * res[len(tj):]
+
+
+@pytest.mark.parametrize("q", [3.0, 3.0 + 0.2j])
+@pytest.mark.parametrize("kind", ["S", "K", "Kp", "T"])
+def test_near_block_entries_match_adaptive_quadrature(kind, q):
+    from polyscat.forward.layerops import assemble_block
+
+    outer = Polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+    inner = Polygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+    mesh = build_mesh([outer, inner], 24)
+    c0, c1 = mesh.curves
+    kap = np.sqrt(complex(q))
+    kap2 = 1.0 if kind == "T" else None
+    per_edge = len(c0.panels) // 4
+    cases = [
+        # self panel: collocation node on a middle panel of the bottom edge
+        (c0, c0, 1, c0.panels[1].start + 3),
+        # across the corner (1, -1): first panel of the right edge, last node of the bottom
+        (c0, c0, per_edge, per_edge * c0.n_gl - 1),
+        # cross curve: inner-square node 0.5 above a middle panel of the outer bottom edge
+        (c0, c1, 1, c1.panels[1].start + 2),
+    ]
+    for src, tgt, pi, row in cases:
+        block = assemble_block(kind, kap, src, tgt.nodes, tgt_nrm=tgt.normals, kappa2=kap2)
+        panel = src.panels[pi]
+        ref = _ref_row(kind, kap, kap2, tgt.nodes[row], tgt.normals[row], panel)
+        got = block[row, panel.start:panel.start + src.n_gl]
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(block)), (pi, row)
+
+
+def _near_rows_per_target(kind, kap, kap2, src, x, tn):
+    """Near-pass rows one target and one panel at a time: the geometric fine
+    rule interval by interval and the Lagrange basis by its product formula."""
+    from polyscat.forward.layerops import (NEAR_MULT, _FINE_LEVELS, _FINE_N, _FINE_RATIO,
+                                           _kernel)
+    from polyscat.quadrature import gauss_legendre
+
+    tg, wg = gauss_legendre(_FINE_N)
+    fracs = _FINE_RATIO ** np.arange(_FINE_LEVELS, -1, -1.0)
+    rows = {}
+    for pi, p in enumerate(src.panels):
+        ab = p.b - p.a
+        for i in range(len(x)):
+            s = np.clip((x[i] - p.a) @ ab / (ab @ ab), 0.0, 1.0)
+            if np.hypot(*(x[i] - p.a - s * ab)) >= NEAR_MULT * p.length:
+                continue
+            t_star = 2 * s - 1
+            nodes, wts = [], []
+            for end in (-1.0, 1.0):
+                if abs(end - t_star) < 1e-14:
+                    continue
+                brk = np.concatenate(([t_star], t_star + (end - t_star) * fracs))
+                for lo, hi in zip(brk[:-1], brk[1:]):
+                    nodes.append(0.5 * (lo + hi) + 0.5 * abs(hi - lo) * tg)
+                    wts.append(0.5 * abs(hi - lo) * wg)
+            tf, wf = np.concatenate(nodes), np.concatenate(wts)
+            d = x[i] - (0.5 * (p.a + p.b) + 0.5 * tf[:, None] * ab)
+            r = np.hypot(d[:, 0], d[:, 1])
+            keep = r > 1e-15 * max(1.0, p.length)
+            vals = np.zeros(len(tf), dtype=complex)
+            vals[keep] = _kernel(kind, kap, kap2, d[keep], r[keep],
+                                 np.broadcast_to(p.normal, d[keep].shape),
+                                 None if tn is None else np.broadcast_to(tn[i], d[keep].shape))
+            rows[i, pi] = (wf * 0.5 * p.length * vals) @ _lagrange_basis(p.t_nodes, tf)
+    return rows
+
+
+@pytest.mark.parametrize("kap", [np.sqrt(3.0), np.sqrt(3 + 0.2j)])
+def test_near_pass_matches_per_target_reference(kap):
+    from polyscat.forward.layerops import assemble_block
+
+    outer = Polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+    inner = Polygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+    c0, c1 = build_mesh([outer, inner], 12).curves
+    for kind, kap2 in (("S", None), ("K", 1.0), ("Kp", None), ("T", 1.0)):
+        for src, tgt in ((c0, c0), (c0, c1)):
+            tn = tgt.normals if kind in ("Kp", "T") else None
+            block = assemble_block(kind, kap, src, tgt.nodes, tgt_nrm=tn, kappa2=kap2)
+            ref = _near_rows_per_target(kind, kap, kap2, src, tgt.nodes, tn)
+            assert ref
+            got = np.array([block[i, src.panels[pi].start:src.panels[pi].start + src.n_gl]
+                            for i, pi in ref])
+            err = np.max(np.abs(got - np.array(list(ref.values()))))
+            assert err <= 1e-12 * np.max(np.abs(block)), (kind, src is tgt)
+
+
+def test_hankel_helper_matches_hankel1(monkeypatch):
+    from scipy.special import hankel1
+
+    import polyscat.forward.layerops as lo
+
+    z = np.geomspace(1e-8, 200.0, 4001)
+    for order in (0, 1):
+        for kap in (1.0, 2.5 + 0j, np.sqrt(3.0)):
+            r = z / abs(kap)
+            ref = hankel1(order, kap * r)
+            got = lo._hankel(order, kap, r)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+    r = z
+    calls = []
+    monkeypatch.setattr(lo, "hankel1", lambda n, z: calls.append(n) or hankel1(n, z))
+    lo._hankel(0, 1.0, r)
+    assert calls == []
+    kap = np.sqrt(3 + 0.2j)
+    assert np.array_equal(lo._hankel(1, kap, r), hankel1(1, kap * r))
+    assert calls == [1]

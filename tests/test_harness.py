@@ -124,6 +124,30 @@ def test_sweep_command(tmp_path):
     assert report["noise_floor"] < report["rows"][0]["diff"] / 10
 
 
+@pytest.mark.parametrize("failing, label", [(0, "base"), (1, "fine"), (2, "perturbed")])
+def test_sweep_refuses_unconverged_solve(tmp_path, monkeypatch, capsys, failing, label):
+    import dataclasses
+
+    import polyscat.harness.cli as cli
+
+    calls = []
+    real = cli.solve_scatter
+
+    def flaky(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append(kwargs["nodes_per_edge"])
+        return dataclasses.replace(res, converged=False) if len(calls) - 1 == failing else res
+
+    monkeypatch.setattr(cli, "solve_scatter", flaky)
+    cfg = write(tmp_path, "c.json", NEST_DOC)
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert len(calls) == failing + 1
+    err = capsys.readouterr().err
+    assert err.startswith(label) and "did not converge" in err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_passive_command_and_refusals(tmp_path):
     doc = json.loads(json.dumps(NEST_DOC))
     doc["incident"] = {"kind": "point", "location": [3.0, 1.5], "amplitude": [1.0, 0.0]}
