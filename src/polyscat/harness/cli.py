@@ -406,6 +406,7 @@ def cmd_probe(args):
     s_grid = [float(v) for v in args.s_grid.split(",")]
     t0 = time.perf_counter()
     mode = spec.get("mode", "manufactured")
+    fit = {}
     if mode == "manufactured":
         sect = spec["sector"]
         sector = CornerSector([0.0, 0.0], float(sect["theta_m"]), float(sect["theta_M"]),
@@ -417,6 +418,7 @@ def cmd_probe(args):
             _cplx(spec["omega1"], "probe.omega1"), _cplx(spec["omega2"], "probe.omega2"),
             _cplx(spec["eta1"], "probe.eta1"), _cplx(spec["eta2"], "probe.eta2"),
             fit_s=s_grid)
+        fit = {k: scen.meta[k] for k in ("fit_quad_unconverged", "fit_quad_error_max")}
         u2_0, _ = scen.u2.at(sector.apex)
         if abs(u2_0) < 1e-10:
             print("refused: manufactured field vanishes at the probed corner",
@@ -430,6 +432,7 @@ def cmd_probe(args):
         raise ConfigError("probe.mode", f"unknown mode {mode!r}")
     quad_tol = min(args.tol, 1e-10)
     result = probe_mod.extract_both(scen, s_grid, tol=quad_tol)
+    diag = result.diagnostics
     reports.write_probe_csv(
         f"{args.out}/probe.csv", result,
         comments=[f"scenario={sc.digest()}", f"mode={mode}",
@@ -441,8 +444,17 @@ def cmd_probe(args):
         "eta_extrapolated": result.eta_extrapolated,
         "omega_extrapolated": result.omega_extrapolated,
         "residuals": list(result.residuals),
+        **{k: diag[k] for k in ("quad_converged", "quad_error", "eta_extrapolation_err",
+                                "omega_extrapolation_err")},
+        **fit,
         "wall_clock_s": time.perf_counter() - t0,
     })
+    unconverged = [s for (s, _), ok in zip(result.eta_estimates, diag["quad_converged"])
+                   if not ok]
+    if unconverged:
+        print("warning: extraction quadrature did not converge at s = "
+              + ", ".join(f"{s:g}" for s in unconverged)
+              + f"; quad_error in {args.out}/report.json", file=sys.stderr)
     print(f"eta1-eta2 ~ {result.eta_extrapolated:.6g}, "
           f"omega1-omega2 ~ {result.omega_extrapolated:.6g}")
     return EXIT_OK

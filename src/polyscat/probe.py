@@ -10,6 +10,15 @@ order 1/s and omega1 - omega2 at order 1/s^2.  The extractors assemble the
 measurable side at each s on a grid and extrapolate the limit in powers
 of 1/s.
 
+The area, edge and arc quadrature grids of quadrature.py depend only on
+the sector, never on s; only the weight u0(s x) does.  One extraction
+therefore samples u1 and u2 once per grid and refinement level, values
+only except on the arc nodes, where I1 needs the normal derivative, and
+reuses those samples for every s.  Each integral still refines and stops
+exactly as it would alone.  The numerator, denominator and identity
+residual are assembled once per s, and the eta and omega estimates are
+both read off them.
+
 Sign conventions: estimates are of eta1 - eta2 and omega1 - omega2.
 The exact exponential corrections of the closed-form edge integral are
 kept on the known side (inside the denominator), not bounded away.
@@ -32,6 +41,8 @@ from .quadrature import arc_integral, edge_u0_integral, sector_area_integral
 class FieldSampler:
     """Vectorized field evaluator on (n,2) world points -> (values, gradients).
 
+    values_fn, when given, returns the values alone, bit-identical to
+    fn(pts)[0] without the gradient work; values() falls back to fn.
     hoelder, when given, is an (alpha, C) pair used only to report expected
     remainder magnitudes; it is never used in the extraction itself.
     corner_value overrides pointwise evaluation at the sector apex, for
@@ -42,6 +53,7 @@ class FieldSampler:
     fn: Callable
     hoelder: tuple | None = None
     corner_value: complex | None = None
+    values_fn: Callable | None = None
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -49,7 +61,10 @@ class FieldSampler:
         return np.asarray(vals, dtype=complex), np.asarray(grads, dtype=complex)
 
     def values(self, pts):
-        return self(pts)[0]
+        if self.values_fn is None:
+            return self(pts)[0]
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return np.asarray(self.values_fn(pts), dtype=complex)
 
     def at(self, pt):
         v, g = self(np.asarray(pt, dtype=float)[None, :])
@@ -61,10 +76,13 @@ class FieldSampler:
             v2, g2 = other(pts)
             return v1 - v2, g1 - g2
 
+        def diff_values(pts):
+            return self.values(pts) - other.values(pts)
+
         cv = None
         if self.corner_value is not None and other.corner_value is not None:
             cv = self.corner_value - other.corner_value
-        return FieldSampler(diff, corner_value=cv)
+        return FieldSampler(diff, corner_value=cv, values_fn=diff_values)
 
     def shifted(self, value0):
         """Remainder sampler: self minus a constant (gradient unchanged)."""
@@ -73,7 +91,10 @@ class FieldSampler:
             v, g = self(pts)
             return v - value0, g
 
-        return FieldSampler(rem, self.hoelder)
+        def rem_values(pts):
+            return self.values(pts) - value0
+
+        return FieldSampler(rem, self.hoelder, values_fn=rem_values)
 
 
 @dataclass(frozen=True)
@@ -122,6 +143,11 @@ class AreaIntegral(NamedTuple):
     bound: float | None
 
 
+class Extrapolation(NamedTuple):
+    limit: complex
+    error: float | None   # |degree n-1 fit - degree n-2 fit| at 1/s = 0
+
+
 def _sector_frame(sector: CornerSector):
     rot = sector.rotation
     c, s = math.cos(rot), math.sin(rot)
@@ -148,20 +174,48 @@ def _canonical_values(sampler: FieldSampler, sector: CornerSector):
 def _corner_value(sampler: FieldSampler, sector: CornerSector):
     if sampler.corner_value is not None:
         return sampler.corner_value
-    return sampler.at(sector.apex)[0]
+    return complex(sampler.values(sector.apex[None, :])[0])
 
 
-def eval_I1(v: FieldSampler, sector: CornerSector, s, tol=1e-12):
-    """Arc functional: int_{Lambda_h} (dnu v u0 - dnu u0 v) dsigma."""
+def _once_per_grid(fn):
+    """fn(nodes) with a store of the node sets already sampled.
+
+    A quadrature grid met again (same level, another s or another
+    functional) is answered from the store.  The store lives as long as
+    the returned callable; callers must not write to what it returns.
+    """
+    seen = []
+
+    def f(nodes):
+        for known, out in seen:
+            if known.shape == nodes.shape and np.array_equal(known, nodes):
+                return out
+        out = fn(nodes)
+        seen.append((nodes.copy(), out))
+        return out
+
+    return f
+
+
+def _arc_values(v: FieldSampler, sector: CornerSector):
+    """thetas -> (v, dnu v) on the arc r = h, the one grid that needs gradients."""
     h = sector.h
     to_world, vec_to_world, _ = _sector_frame(sector)
 
-    def F(thetas):
+    def f(thetas):
         rad = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        pts = to_world(h * rad)
-        vals, grads = v(pts)
-        nrm = vec_to_world(rad)
-        dnu = (grads * nrm).sum(axis=1)
+        vals, grads = v(to_world(h * rad))
+        return vals, (grads * vec_to_world(rad)).sum(axis=1)
+
+    return f
+
+
+def _arc_functional(arc, sector: CornerSector, s, tol):
+    """I1 from arc samples (v, dnu v)."""
+    h = sector.h
+
+    def F(thetas):
+        vals, dnu = arc(thetas)
         u0 = cgo.u0_polar(h, thetas, s)
         du0 = cgo.u0_radial_deriv(h, thetas, s)
         return (dnu * u0 - du0 * vals) * h
@@ -169,10 +223,18 @@ def eval_I1(v: FieldSampler, sector: CornerSector, s, tol=1e-12):
     return arc_integral(F, sector.theta_m, sector.theta_M, tol)
 
 
+def eval_I1(v: FieldSampler, sector: CornerSector, s, tol=1e-12):
+    """Arc functional: int_{Lambda_h} (dnu v u0 - dnu u0 v) dsigma."""
+    return _arc_functional(_arc_values(v, sector), sector, s, tol)
+
+
+def _area_functional(f, sector: CornerSector, s, tol):
+    return sector_area_integral(f, sector.theta_m, sector.theta_M, sector.h, s, tol)
+
+
 def eval_I2(dv: FieldSampler, sector: CornerSector, s, tol=1e-11):
     """Area functional: int_{S_h} dv(x) u0(s x) dx for a remainder dv (dv(0)=0)."""
-    f = _canonical_values(dv, sector)
-    return sector_area_integral(f, sector.theta_m, sector.theta_M, sector.h, s, tol)
+    return _area_functional(_canonical_values(dv, sector), sector, s, tol)
 
 
 def _edge_theta(sector: CornerSector, side):
@@ -195,18 +257,22 @@ def _edge_values(sampler, sector, side):
     return g
 
 
+def _edge_remainder(edge, u2_0, sector: CornerSector, s, side, tol):
+    """I32: int_0^h (u2 - u2(0)) u0(s.) dr along one edge, from u2's edge values."""
+
+    def g_rem(r):
+        return edge(r) - u2_0
+
+    return edge_u0_integral(_edge_theta(sector, side), s, sector.h, g=g_rem, tol=tol)
+
+
 def eval_I3(u2: FieldSampler, sector: CornerSector, s, side, eta_diff, tol=1e-12):
     """Edge functional on Gamma_h^side, split into the closed-form part
     (value at the corner times the exact edge integral) and the remainder."""
     theta = _edge_theta(sector, side)
     u2_0 = _corner_value(u2, sector)
     i31 = cgo.edge_integral_exact(theta, s, sector.h)
-    gfun = _edge_values(u2, sector, side)
-
-    def g_rem(r):
-        return gfun(r) - u2_0
-
-    i32 = edge_u0_integral(theta, s, sector.h, g=g_rem, tol=tol).value
+    i32 = _edge_remainder(_edge_values(u2, sector, side), u2_0, sector, s, side, tol).value
     total = eta_diff * (u2_0 * i31 + i32)
     return EdgeIntegrals(total, i31, i32)
 
@@ -229,8 +295,34 @@ def eval_I5(du2: FieldSampler, sector: CornerSector, s, tol=1e-11):
     return AreaIntegral(val, bound)
 
 
-def _denominator(sc: ProbeScenario, s, u2_0, drop_exponential_corrections=False,
-                 tol=1e-12):
+class _GridSamples(NamedTuple):
+    """u1 and u2 on the quadrature grids of one sector, each grid sampled once."""
+    u1_area: Callable     # canonical (n,2) points -> u1 values
+    u2_area: Callable     # canonical (n,2) points -> u2 values
+    u2_edge: dict         # side -> (radii -> u2 values on that edge)
+    v_arc: Callable       # thetas -> (v, dnu v) on the arc, v = u1 - u2
+
+
+def _grid_samples(sc: ProbeScenario):
+    sec = sc.sector
+    return _GridSamples(
+        _once_per_grid(_canonical_values(sc.u1, sec)),
+        _once_per_grid(_canonical_values(sc.u2, sec)),
+        {side: _once_per_grid(_edge_values(sc.u2, sec, side)) for side in ("+", "-")},
+        _once_per_grid(_arc_values(sc.u1 - sc.u2, sec)))
+
+
+class _Functionals(NamedTuple):
+    """Everything one s contributes: both sides of the extraction and the
+    identity residual, with the quadratures behind them."""
+    num: complex
+    den: complex
+    residual: float
+    quads: tuple
+
+
+def _denominator(sc: ProbeScenario, edges, s, u2_0, drop_exponential_corrections,
+                 tol):
     """u2(0) (I31+ + I31-) + (I32+ + I32-); the eta-carrying known side."""
     if drop_exponential_corrections:
         i31p = 2.0 / s * cgo.mu(sc.sector.theta_M) ** -2
@@ -238,29 +330,107 @@ def _denominator(sc: ProbeScenario, s, u2_0, drop_exponential_corrections=False,
     else:
         i31p = cgo.edge_integral_exact(sc.sector.theta_M, s, sc.sector.h)
         i31m = cgo.edge_integral_exact(sc.sector.theta_m, s, sc.sector.h)
-    i32p = eval_I3(sc.u2, sc.sector, s, "+", 1.0, tol).i32
-    i32m = eval_I3(sc.u2, sc.sector, s, "-", 1.0, tol).i32
-    return u2_0 * (i31p + i31m) + (i32p + i32m)
+    qp = _edge_remainder(edges["+"], u2_0, sc.sector, s, "+", tol)
+    qm = _edge_remainder(edges["-"], u2_0, sc.sector, s, "-", tol)
+    return u2_0 * (i31p + i31m) + (qp.value + qm.value), (qp, qm)
 
 
-def _numerator(sc: ProbeScenario, s, v, v0, tol=1e-12):
-    """I1 + k^2 omega1 I2: the measurable side of the identity."""
-    i1 = eval_I1(v, sc.sector, s, tol)
-    i2 = eval_I2(v.shifted(v0), sc.sector, s, max(tol, 1e-12))
-    val = i1.value + sc.k**2 * sc.omega1 * i2.value
-    err = i1.error + abs(sc.k**2 * sc.omega1) * i2.error
-    return val, err
+def _residual(sc: ProbeScenario, grids: _GridSamples, s, i1, tol):
+    """Identity residual at one s from shared samples and I1; see identity_residual."""
+    sec = sc.sector
+    k2 = sc.k**2
+    lhs_q = _area_functional(grids.u2_area, sec, s, tol)
+    lhs = k2 * (sc.omega2 - sc.omega1) * lhs_q.value
+    rhs_v = _area_functional(lambda p: grids.u1_area(p) - grids.u2_area(p), sec, s, tol)
+    eta_d = sc.eta1 - sc.eta2
+    edge_terms = 0j
+    edge_err = 0.0
+    quads = [lhs_q, rhs_v]
+    for side in ("+", "-"):
+        q = edge_u0_integral(_edge_theta(sec, side), s, sec.h, g=grids.u2_edge[side],
+                             tol=tol)
+        edge_terms += eta_d * q.value
+        edge_err += abs(eta_d) * q.error
+        quads.append(q)
+    term_v = k2 * sc.omega1 * rhs_v.value
+    rhs = term_v + edge_terms + i1.value
+    scale = max(abs(lhs), abs(term_v), abs(edge_terms), abs(i1.value), 1e-300)
+    qerr = (abs(k2 * (sc.omega2 - sc.omega1)) * lhs_q.error
+            + abs(k2 * sc.omega1) * rhs_v.error + i1.error + edge_err)
+    return (abs(lhs - rhs) / scale, qerr / scale, scale), tuple(quads)
 
 
-def richardson_extrapolate(s_vals, estimates):
-    """Limit of estimates(s) as s -> inf assuming an expansion in powers of 1/s."""
+def _functionals(sc: ProbeScenario, grids: _GridSamples, s, u2_0, v0, tol,
+                 drop_exponential_corrections=False):
+    """Numerator I1 + k^2 omega1 I2 (the measurable side), denominator and
+    identity residual at one s; I1 is shared by the numerator and residual."""
+    sec = sc.sector
+    i1 = _arc_functional(grids.v_arc, sec, s, tol)
+    i2 = _area_functional(lambda p: grids.u1_area(p) - grids.u2_area(p) - v0, sec, s,
+                          max(tol, 1e-12))
+    num = i1.value + sc.k**2 * sc.omega1 * i2.value
+    den, den_q = _denominator(sc, grids.u2_edge, s, u2_0, drop_exponential_corrections,
+                              tol)
+    (resid, _, _), res_q = _residual(sc, grids, s, i1, tol)
+    return _Functionals(num, den, resid, (i1, i2, *den_q, *res_q))
+
+
+def richardson_extrapolate(s_vals, estimates) -> Extrapolation:
+    """Limit of estimates(s) as s -> inf assuming an expansion in powers of 1/s.
+
+    The limit is the constant term of the degree n-1 polynomial through the
+    n points in 1/s; the error estimate is its distance from the constant
+    term of the degree n-2 least-squares fit (None for a single point).
+    """
     x = 1.0 / np.asarray(s_vals, dtype=float)
     y = np.asarray(estimates, dtype=complex)
     if len(x) == 1:
-        return complex(y[0])
-    deg = len(x) - 1
-    coef = np.polynomial.polynomial.polyfit(x, y, deg)
-    return complex(coef[0])
+        return Extrapolation(complex(y[0]), None)
+    polyfit = np.polynomial.polynomial.polyfit
+    limit = complex(polyfit(x, y, len(x) - 1)[0])
+    return Extrapolation(limit, abs(limit - complex(polyfit(x, y, len(x) - 2)[0])))
+
+
+def _extract(sc: ProbeScenario, s_grid, tol, eta, omega, eta_diff=None,
+             drop_exponential_corrections=False) -> ProbeResult:
+    """The eta and/or omega pass, both read off one set of per-s functionals
+    computed from one set of grid samples.  The omega pass uses eta_diff,
+    or the eta pass's extrapolated limit when eta_diff is None."""
+    s_grid = sorted(float(s) for s in s_grid)
+    u1_0 = _corner_value(sc.u1, sc.sector)
+    u2_0 = _corner_value(sc.u2, sc.sector)
+    if eta and abs(u2_0) < 1e-12:
+        raise ValueError("u2 vanishes at the corner; eta extraction undefined")
+    if omega and abs(u1_0) < 1e-12:
+        raise ValueError("u1 vanishes at the corner; omega extraction undefined")
+    v0 = u1_0 - u2_0
+    grids = _grid_samples(sc)
+    rows = [_functionals(sc, grids, s, u2_0, v0, tol, drop_exponential_corrections)
+            for s in s_grid]
+    # per s: did every quadrature behind it converge, and its worst error estimate
+    diag = {"u1_0": u1_0, "u2_0": u2_0, "v0": v0,
+            "quad_converged": tuple(all(q.converged for q in f.quads) for f in rows),
+            "quad_error": tuple(max(q.error for q in f.quads) for f in rows)}
+    eta_ests = omega_ests = ()
+    eta_x = omega_x = None
+    if eta:
+        for s, f in zip(s_grid, rows):
+            if abs(f.den) < 1e-12 * abs(u2_0) / s:
+                raise ValueError(f"degenerate extraction denominator at s={s}")
+        eta_ests = tuple((s, -f.num / f.den) for s, f in zip(s_grid, rows))
+        eta_x, diag["eta_extrapolation_err"] = richardson_extrapolate(
+            s_grid, [e for _, e in eta_ests])
+        eta_diff = eta_x if eta_diff is None else eta_diff
+    if omega:
+        sec = cgo.SectorSpec(sc.sector.theta_m, sc.sector.theta_M)
+        lead = [sc.k**2 * u1_0 * cgo.sector_integral_exact(sec, s) for s in s_grid]
+        omega_ests = tuple((s, -((f.num + eta_diff * f.den) / ld))
+                           for s, f, ld in zip(s_grid, rows, lead))
+        omega_x, diag["omega_extrapolation_err"] = richardson_extrapolate(
+            s_grid, [e for _, e in omega_ests])
+        diag["eta_diff_input"] = eta_diff
+    return ProbeResult(eta_ests, omega_ests, eta_x, omega_x,
+                       tuple(f.residual for f in rows), diag)
 
 
 def extract_eta_diff(sc: ProbeScenario, s_grid, tol=1e-12,
@@ -270,56 +440,18 @@ def extract_eta_diff(sc: ProbeScenario, s_grid, tol=1e-12,
     Requires u2(0) away from zero; the denominator u2(0)(I31+ + I31-) is
     nonzero for every admissible sector.
     """
-    s_grid = sorted(float(s) for s in s_grid)
-    u2_0 = _corner_value(sc.u2, sc.sector)
-    if abs(u2_0) < 1e-12:
-        raise ValueError("u2 vanishes at the corner; eta extraction undefined")
-    v = sc.u1 - sc.u2
-    v0 = _corner_value(sc.u1, sc.sector) - u2_0
-    ests, resids = [], []
-    for s in s_grid:
-        den = _denominator(sc, s, u2_0, drop_exponential_corrections, tol)
-        if abs(den) < 1e-12 * abs(u2_0) / s:
-            raise ValueError(f"degenerate extraction denominator at s={s}")
-        num, _ = _numerator(sc, s, v, v0, tol)
-        ests.append((s, -num / den))
-        resids.append(identity_residual(sc, s, tol)[0])
-    extrap = richardson_extrapolate([s for s, _ in ests], [e for _, e in ests])
-    return ProbeResult(tuple(ests), (), extrap, None, tuple(resids),
-                       {"u2_0": u2_0, "v0": v0})
+    return _extract(sc, s_grid, tol, eta=True, omega=False,
+                    drop_exponential_corrections=drop_exponential_corrections)
 
 
 def extract_omega_diff(sc: ProbeScenario, s_grid, eta_diff, tol=1e-12) -> ProbeResult:
     """Per-s estimates of omega1 - omega2, given (or assuming) eta1 - eta2."""
-    s_grid = sorted(float(s) for s in s_grid)
-    u1_0 = _corner_value(sc.u1, sc.sector)
-    u2_0 = _corner_value(sc.u2, sc.sector)
-    if abs(u1_0) < 1e-12:
-        raise ValueError("u1 vanishes at the corner; omega extraction undefined")
-    sec = cgo.SectorSpec(sc.sector.theta_m, sc.sector.theta_M)
-    v = sc.u1 - sc.u2
-    v0 = u1_0 - u2_0
-    ests, resids = [], []
-    for s in s_grid:
-        num, _ = _numerator(sc, s, v, v0, tol)
-        den = _denominator(sc, s, u2_0, False, tol)
-        lead = sc.k**2 * u1_0 * cgo.sector_integral_exact(sec, s)
-        omega21 = (num + eta_diff * den) / lead
-        ests.append((s, -omega21))
-        resids.append(identity_residual(sc, s, tol)[0])
-    extrap = richardson_extrapolate([s for s, _ in ests], [e for _, e in ests])
-    return ProbeResult((), tuple(ests), None, extrap, tuple(resids),
-                       {"u1_0": u1_0, "u2_0": u2_0, "eta_diff_input": eta_diff})
+    return _extract(sc, s_grid, tol, eta=False, omega=True, eta_diff=eta_diff)
 
 
 def extract_both(sc: ProbeScenario, s_grid, tol=1e-12) -> ProbeResult:
-    """eta extraction followed by omega extraction chained on its result."""
-    eta_res = extract_eta_diff(sc, s_grid, tol)
-    om_res = extract_omega_diff(sc, s_grid, eta_res.eta_extrapolated, tol)
-    return ProbeResult(eta_res.eta_estimates, om_res.omega_estimates,
-                       eta_res.eta_extrapolated, om_res.omega_extrapolated,
-                       eta_res.residuals,
-                       {**eta_res.diagnostics, **om_res.diagnostics})
+    """eta extraction, then omega extraction chained on its extrapolated limit."""
+    return _extract(sc, s_grid, tol, eta=True, omega=True)
 
 
 def identity_residual(sc: ProbeScenario, s, tol=1e-12):
@@ -332,37 +464,16 @@ def identity_residual(sc: ProbeScenario, s, tol=1e-12):
     the scale is the largest individual term so the relative residual is
     meaningful even when one side vanishes.
     """
-    sec = sc.sector
-    v = sc.u1 - sc.u2
-    k2 = sc.k**2
-    lhs_q = sector_area_integral(_canonical_values(sc.u2, sec), sec.theta_m,
-                                 sec.theta_M, sec.h, s, tol)
-    lhs = k2 * (sc.omega2 - sc.omega1) * lhs_q.value
-    rhs_v = sector_area_integral(_canonical_values(v, sec), sec.theta_m,
-                                 sec.theta_M, sec.h, s, tol)
-    i1 = eval_I1(v, sec, s, tol)
-    eta_d = sc.eta1 - sc.eta2
-    edge_terms = 0j
-    edge_err = 0.0
-    for side in ("+", "-"):
-        theta = _edge_theta(sec, side)
-        g = _edge_values(sc.u2, sec, side)
-        q = edge_u0_integral(theta, s, sec.h, g=g, tol=tol)
-        edge_terms += eta_d * q.value
-        edge_err += abs(eta_d) * q.error
-    term_v = k2 * sc.omega1 * rhs_v.value
-    rhs = term_v + edge_terms + i1.value
-    scale = max(abs(lhs), abs(term_v), abs(edge_terms), abs(i1.value), 1e-300)
-    qerr = (abs(k2 * (sc.omega2 - sc.omega1)) * lhs_q.error
-            + abs(k2 * sc.omega1) * rhs_v.error + i1.error + edge_err)
-    return abs(lhs - rhs) / scale, qerr / scale, scale
+    grids = _grid_samples(sc)
+    i1 = _arc_functional(grids.v_arc, sc.sector, s, tol)
+    return _residual(sc, grids, s, i1, tol)[0]
 
 
 def admissibility_check(u: FieldSampler, vertices, tau):
     """Per-vertex |u(x_c)| > tau report."""
     out = []
     for xc in vertices:
-        val, _ = u.at(np.asarray(xc, dtype=float))
+        val = complex(u.values(np.asarray(xc, dtype=float)[None, :])[0])
         out.append({"vertex": tuple(np.asarray(xc, float)), "value": val,
                     "admissible": bool(abs(val) > tau)})
     return out
@@ -372,7 +483,7 @@ def default_admissibility_tau(u: FieldSampler, center, radius, n=64):
     """1e-6 times the max field magnitude on the circle of given radius."""
     th = np.arange(n) * 2 * np.pi / n
     pts = np.asarray(center, float)[None, :] + radius * np.column_stack([np.cos(th), np.sin(th)])
-    vals, _ = u(pts)
+    vals = u.values(pts)
     return 1e-6 * float(np.max(np.abs(vals)))
 
 
@@ -392,14 +503,14 @@ def vanishing_test(v: FieldSampler, w: FieldSampler, sector: CornerSector, s_gri
     edge factor gives a per-s estimate of v(0) that decays iff v(0) = 0.
     """
     s_grid = sorted(float(s) for s in s_grid)
-    d = w - v
+    w_area = _once_per_grid(_canonical_values(w, sector))
+    v_area = _once_per_grid(_canonical_values(v, sector))
+    d_arc = _once_per_grid(_arc_values(w - v, sector))
     ests, funcs = [], []
     for s in s_grid:
-        area_w = sector_area_integral(_canonical_values(w, sector), sector.theta_m,
-                                      sector.theta_M, sector.h, s, tol)
-        area_d = sector_area_integral(_canonical_values(d, sector), sector.theta_m,
-                                      sector.theta_M, sector.h, s, tol)
-        i1 = eval_I1(d, sector, s, tol)
+        area_w = _area_functional(w_area, sector, s, tol)
+        area_d = _area_functional(lambda p: w_area(p) - v_area(p), sector, s, tol)
+        i1 = _arc_functional(d_arc, sector, s, tol)
         A = k**2 * (1 - q) * area_w.value - k**2 * area_d.value - i1.value
         funcs.append((s, A))
         if lam != 0:
@@ -408,7 +519,7 @@ def vanishing_test(v: FieldSampler, w: FieldSampler, sector: CornerSector, s_gri
             ests.append((s, A / (lam * i31)))
     extrap = None
     if ests:
-        extrap = richardson_extrapolate([s for s, _ in ests], [e for _, e in ests])
+        extrap = richardson_extrapolate([s for s, _ in ests], [e for _, e in ests]).limit
     return VanishingResult(tuple(ests), tuple(funcs), extrap)
 
 
@@ -422,9 +533,12 @@ def sampler_from_solution(result, fd_step=1e-6, region=None, corner_value=None):
     residual diagnostics carry it, nothing hides it.
     """
 
+    def values(pts):
+        return np.atleast_1d(result.field_at(np.atleast_2d(pts), region=region))
+
     def fn(pts):
         pts = np.atleast_2d(pts)
-        vals = np.atleast_1d(result.field_at(pts, region=region))
+        vals = values(pts)
         grads = np.empty((len(pts), 2), dtype=complex)
         for axis in (0, 1):
             e = np.zeros(2)
@@ -434,7 +548,7 @@ def sampler_from_solution(result, fd_step=1e-6, region=None, corner_value=None):
             grads[:, axis] = (up - dn) / (2 * fd_step)
         return vals, grads
 
-    return FieldSampler(fn, corner_value=corner_value)
+    return FieldSampler(fn, corner_value=corner_value, values_fn=values)
 
 
 def series_surrogate_from_solution(result, sector: CornerSector, region, kappa,
@@ -496,7 +610,7 @@ def extrapolate_vertex_value(sampler: FieldSampler, sector: CornerSector, t0=Non
         t0 = sector.h / 8.0
     ts = t0 * 0.5 ** np.arange(levels)
     pts = sector.apex[None, :] + ts[:, None] * sector.midline_world[None, :]
-    vals, _ = sampler(pts)
+    vals = sampler.values(pts)
     coef = np.polynomial.polynomial.polyfit(ts, vals, levels - 1)
     return complex(coef[0])
 
@@ -524,37 +638,41 @@ def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | 
         to_canon = sector.to_canonical
         _, _, R = _sector_frame(sector)
 
-    def fn(pts):
+    def series(pts, grad):
         xy = to_canon(pts)
         r = np.hypot(xy[:, 0], xy[:, 1])
         th = np.arctan2(xy[:, 1], xy[:, 0])
         vals = np.zeros(len(xy), dtype=complex)
-        d_r = np.zeros(len(xy), dtype=complex)
-        d_t = np.zeros(len(xy), dtype=complex)  # (1/r) d/dtheta
+        if grad:
+            d_r = np.zeros(len(xy), dtype=complex)
+            d_t = np.zeros(len(xy), dtype=complex)  # (1/r) d/dtheta
         tiny = r < 1e-12
         rs = np.where(tiny, 1.0, r)
         for n in range(nmax):
             jn = jv(n, kappa * rs)
-            djn = kappa * jvp(n, kappa * rs)
             cn, sn = np.cos(n * th), np.sin(n * th)
             ang = a[n] * cn + b[n] * sn
-            dang = n * (-a[n] * sn + b[n] * cn)
             vals += jn * ang
-            d_r += djn * ang
-            d_t += jn / rs * dang
+            if grad:
+                djn = kappa * jvp(n, kappa * rs)
+                dang = n * (-a[n] * sn + b[n] * cn)
+                d_r += djn * ang
+                d_t += jn / rs * dang
+        # analytic limit at the corner: only the n=0,1 terms survive
+        idx = np.nonzero(tiny)[0]
+        vals[idx] = a[0]
+        if not grad:
+            return vals
         rhat = np.column_stack([np.cos(th), np.sin(th)])
         that = np.column_stack([-np.sin(th), np.cos(th)])
         grads = d_r[:, None] * rhat + d_t[:, None] * that
-        if np.any(tiny):
-            # analytic limit at the corner: only the n=0,1 terms survive
-            idx = np.nonzero(tiny)[0]
-            vals[idx] = a[0]
-            g0 = (0.5 * kappa * np.array([a[1], b[1]]) if nmax > 1
-                  else np.zeros(2, dtype=complex))
-            grads[idx] = g0
+        if len(idx):
+            grads[idx] = (0.5 * kappa * np.array([a[1], b[1]]) if nmax > 1
+                          else np.zeros(2, dtype=complex))
         return vals, grads @ R.T
 
-    return FieldSampler(fn, hoelder)
+    return FieldSampler(lambda pts: series(pts, True), hoelder,
+                        values_fn=lambda pts: series(pts, False))
 
 
 def _edge_sign(side):
@@ -577,7 +695,7 @@ def _basis_edge_moment(kappa, n, kind, sector, side, s, tol=1e-12):
         fac = sign * (-0.5j) * np.sqrt(s / r) * m
         return dnu_phi - fac * jn * ang
 
-    return edge_u0_integral(theta, s, sector.h, g=g, tol=tol).value
+    return edge_u0_integral(theta, s, sector.h, g=g, tol=tol)
 
 
 def _target_edge_moment(u2: FieldSampler, eta_diff, sector, side, s, tol=1e-12):
@@ -596,7 +714,7 @@ def _target_edge_moment(u2: FieldSampler, eta_diff, sector, side, s, tol=1e-12):
         fac = sign * (-0.5j) * np.sqrt(s / r) * m
         return (dnu + eta_diff * vals) - fac * vals
 
-    return edge_u0_integral(theta, s, sector.h, g=g, tol=tol).value
+    return edge_u0_integral(theta, s, sector.h, g=g, tol=tol)
 
 
 def _sqrt_principal_nonneg(z):
@@ -670,8 +788,9 @@ def manufactured_scenario(sector: CornerSector, k, omega1, omega2, eta1, eta2,
             mom_rows.append([_basis_edge_moment(kap1, n, kind, sector, side, s, tol)
                              for n, kind in labels])
             mom_tgt.append(_target_edge_moment(u2, eta_diff, sector, side, s, tol))
-    M = np.array(mom_rows)
-    t = np.array(mom_tgt)
+    fit_quads = [q for row in mom_rows for q in row] + mom_tgt
+    M = np.array([[q.value for q in row] for row in mom_rows])
+    t = np.array([q.value for q in mom_tgt])
 
     # pin the (n=0, cos) coefficient so that u1(0) = u2(0) exactly
     j0 = next(j for j, lab in enumerate(labels) if lab == (0, "cos"))
@@ -699,6 +818,8 @@ def manufactured_scenario(sector: CornerSector, k, omega1, omega2, eta1, eta2,
     meta = {
         "fit_moment_residual": fit_resid,
         "fit_s": tuple(fit_s),
+        "fit_quad_unconverged": sum(not q.converged for q in fit_quads),
+        "fit_quad_error_max": max(q.error for q in fit_quads),
         "eta_diff_true": eta_diff,
         "omega_diff_true": complex(omega1) - complex(omega2),
     }

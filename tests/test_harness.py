@@ -176,6 +176,25 @@ def test_probe_command_manufactured(tmp_path):
     report = json.loads((out / "report.json").read_text())
     eta = complex(*report["eta_extrapolated"])
     assert abs(eta - (0.3 + 0.1j)) < 1e-4
+    assert report["quad_converged"] == [True, True, True]
+    assert len(report["quad_error"]) == 3
+    assert report["eta_extrapolation_err"] > 0
+    assert report["omega_extrapolation_err"] > 0
+    assert report["fit_quad_unconverged"] >= 0
+    assert report["fit_quad_error_max"] > 0
+
+
+def test_probe_command_reports_unconverged_quadrature(tmp_path, capsys):
+    # at tol 1e-12 the arc integrals at s = 50 and 100 stop unconverged at
+    # 256 nodes; the exit code stays 0
+    cfg = write(tmp_path, "probe.json", PROBE_DOC)
+    out = tmp_path / "probe"
+    assert cli_main(["probe", "--config", cfg, "--out", str(out),
+                     "--s-grid", "50,100,200,400,800", "--tol", "1e-12"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["quad_converged"] == [False, False, True, True, True]
+    err = capsys.readouterr().err
+    assert "did not converge at s = 50, 100;" in err
 
 
 def test_probe_command_identical_pair(tmp_path):

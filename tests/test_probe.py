@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -219,7 +221,174 @@ def test_richardson_extrapolation_exact_for_polynomial():
     svals = [50.0, 100.0, 200.0, 400.0]
     target = 0.7 - 0.2j
     ests = [target + (3 + 1j) / s + (5 - 2j) / s**2 for s in svals]
-    assert abs(richardson_extrapolate(svals, ests) - target) < 1e-10
+    ex = richardson_extrapolate(svals, ests)
+    assert abs(ex.limit - target) < 1e-10
+    # degree n-2 data: the degree n-2 fit is exact too, so the estimate vanishes
+    assert ex.error < 1e-12
+
+
+def test_richardson_error_estimate_sees_degree_n_minus_1():
+    svals = [50.0, 100.0, 200.0, 400.0]
+    target = 0.7 - 0.2j
+    ests = [target + (3 + 1j) / s + (5 - 2j) / s**2 + (40 + 9j) / s**3 for s in svals]
+    ex = richardson_extrapolate(svals, ests)
+    assert abs(ex.limit - target) < 1e-10
+    assert ex.error > 1e-8
+    one = richardson_extrapolate([100.0], [1 + 1j])
+    assert one.limit == 1 + 1j and one.error is None
+
+
+def _counting(sm, name, log):
+    """sm with every evaluation logged as (name, with gradients?, points)."""
+
+    def fn(pts):
+        log.append((name, True, pts.copy()))
+        return sm(pts)
+
+    def values_fn(pts):
+        log.append((name, False, pts.copy()))
+        return sm.values(pts)
+
+    return FieldSampler(fn, sm.hoelder, sm.corner_value, values_fn)
+
+
+def _is_area_grid(pts, apex):
+    r = np.hypot(*(pts - apex).T)
+    ang = np.arctan2(*(pts - apex).T[::-1])
+    return np.ptp(r) > 1e-9 and np.ptp(ang) > 1e-9
+
+
+@pytest.mark.parametrize("s_grid", [[100.0], S_GRID])
+def test_extraction_samples_each_grid_once(eta_scenario, s_grid):
+    log = []
+    sc = replace(eta_scenario, u1=_counting(eta_scenario.u1, "u1", log),
+                 u2=_counting(eta_scenario.u2, "u2", log))
+    probe.extract_both(sc, s_grid)
+    apex = sc.sector.apex
+    for name in ("u1", "u2"):
+        area = [pts for n, _, pts in log if n == name and _is_area_grid(pts, apex)]
+        # sector_area_integral refines over three levels
+        assert 1 <= len(area) <= 3
+        assert len({len(p) for p in area}) == len(area)
+    # gradients are taken on the arc r = h only
+    grad_pts = [pts for _, grad, pts in log if grad]
+    assert grad_pts
+    for pts in grad_pts:
+        assert np.allclose(np.hypot(*(pts - apex).T), sc.sector.h, rtol=0, atol=1e-12)
+
+
+def test_values_path_is_bit_identical(quarter_sector, conductive_square_solution):
+    rng = np.random.default_rng(7)
+    r = np.sqrt(rng.uniform(0.0, 1.0, 40))
+    th = rng.uniform(0.0, np.pi / 2, 40)
+    pts = np.vstack([[0.0, 0.0], np.column_stack([r * np.cos(th), r * np.sin(th)])])
+    sm = bessel_series_sampler(1.4, [1.0, 0.4, 0.1], [0.0, 0.2, -0.3], quarter_sector)
+    world = bessel_series_sampler(np.sqrt(2.5), [0.3, 0.1], [0.0, 0.7])
+    for f in (sm, world, sm - world, (sm - world).shifted(0.2 - 0.1j)):
+        assert f.values(pts).tobytes() == f(pts)[0].tobytes()
+    _, res = conductive_square_solution
+    sol = probe.sampler_from_solution(res)
+    field_pts = np.array([[0.1, 0.2], [-0.3, 0.05], [0.9, -0.7], [1.5, 0.4]])
+    assert sol.values(field_pts).tobytes() == sol(field_pts)[0].tobytes()
+
+
+def _scalar_reference(sc, s_grid, tol=1e-12):
+    """extract_both assembled per s from the scalar functionals, fields
+    evaluated through their gradient path."""
+    sec = sc.sector
+    sc = replace(sc, u1=FieldSampler(sc.u1.fn), u2=FieldSampler(sc.u2.fn))
+    u1_0, u2_0 = sc.u1.at(sec.apex)[0], sc.u2.at(sec.apex)[0]
+    v = sc.u1 - sc.u2
+    nums, dens, resid = [], [], []
+    for s in s_grid:
+        nums.append(eval_I1(v, sec, s, tol).value
+                    + sc.k**2 * sc.omega1 * eval_I2(v.shifted(u1_0 - u2_0), sec, s,
+                                                     max(tol, 1e-12)).value)
+        ep, em = (eval_I3(sc.u2, sec, s, side, 1.0, tol) for side in ("+", "-"))
+        dens.append(u2_0 * (ep.i31 + em.i31) + (ep.i32 + em.i32))
+        resid.append(identity_residual(sc, s, tol)[0])
+    eta = [-n / d for n, d in zip(nums, dens)]
+    eta_x = richardson_extrapolate(s_grid, eta).limit
+    spec = cgo.SectorSpec(sec.theta_m, sec.theta_M)
+    omega = [-(n + eta_x * d) / (sc.k**2 * u1_0 * cgo.sector_integral_exact(spec, s))
+             for s, n, d in zip(s_grid, nums, dens)]
+    return eta, omega, resid, eta_x, richardson_extrapolate(s_grid, omega).limit
+
+
+@pytest.mark.parametrize("name", ["eta_scenario", "omega_scenario"])
+def test_extract_both_matches_scalar_assembly(name, request):
+    sc = request.getfixturevalue(name)
+    eta, omega, resid, eta_x, omega_x = _scalar_reference(sc, S_GRID)
+    res = probe.extract_both(sc, S_GRID)
+    assert [s for s, _ in res.eta_estimates] == S_GRID
+    assert [s for s, _ in res.omega_estimates] == S_GRID
+    for got, ref in ((res.eta_estimates, eta), (res.omega_estimates, omega)):
+        for (_, g), r in zip(got, ref):
+            assert abs(g - r) <= 1e-12 * abs(r)
+    for g, r in zip(res.residuals, resid):
+        assert abs(g - r) <= 1e-12 * abs(r)
+    assert abs(res.eta_extrapolated - eta_x) <= 1e-10
+    assert abs(res.omega_extrapolated - omega_x) <= 1e-10
+
+
+def _record_refinements(monkeypatch):
+    """Log (kind, levels evaluated, converged) for every quadrature refined."""
+    import polyscat.quadrature as quad
+
+    kinds = {3: "area", 4: "edge", 5: "arc"}
+    log = []
+    orig = quad._refine
+
+    def refine(levels, eval_fn, tol):
+        n = [0]
+
+        def counted(lv):
+            n[0] += 1
+            return eval_fn(lv)
+
+        val, err, ok = orig(levels, counted, tol)
+        log.append((kinds[len(levels)], n[0], ok, err))
+        return val, err, ok
+
+    monkeypatch.setattr(quad, "_refine", refine)
+    return log
+
+
+@pytest.mark.parametrize("name, tol, expected, converged", [
+    ("eta_scenario", 1e-12,
+     {("arc", 5): 2, ("arc", 3): 3, ("area", 3): 10, ("area", 2): 5, ("edge", 2): 20},
+     (False, False, True, True, True)),
+    ("omega_scenario", 1e-10,
+     {("arc", 2): 5, ("area", 3): 8, ("area", 2): 7, ("edge", 2): 20},
+     (True,) * 5),
+])
+def test_extraction_stop_levels_and_convergence(name, tol, expected, converged,
+                                                request, monkeypatch):
+    """Every integral stops at the refinement level it reached when each
+    functional sampled its own fields (counts of that code on this grid),
+    and per-s convergence reaches the diagnostics."""
+    import collections
+
+    sc = request.getfixturevalue(name)
+    log = _record_refinements(monkeypatch)
+    res = probe.extract_both(sc, S_GRID, tol=tol)
+    assert collections.Counter((k, n) for k, n, _, _ in log) == expected
+    assert res.diagnostics["quad_converged"] == converged
+    assert len(res.diagnostics["quad_error"]) == len(S_GRID)
+    # 8 quadratures per s, in s order: the worst error estimate of each block
+    worst = [max(e for *_, e in log[8 * j:8 * j + 8]) for j in range(len(S_GRID))]
+    assert res.diagnostics["quad_error"] == tuple(worst)
+    for key in ("eta_extrapolation_err", "omega_extrapolation_err"):
+        assert res.diagnostics[key] > 0
+
+
+def test_scenario_records_fit_quadrature_convergence(quarter_sector, monkeypatch):
+    log = _record_refinements(monkeypatch)
+    sc = manufactured_scenario(quarter_sector, 1.0, 2.0, 2.0, 0.5 + 0.1j, 0.2)
+    edges = [(ok, err) for kind, _, ok, err in log if kind == "edge"]
+    assert len(edges) == len(log)
+    assert sc.meta["fit_quad_unconverged"] == sum(not ok for ok, _ in edges)
+    assert sc.meta["fit_quad_error_max"] == max(err for _, err in edges)
 
 
 def test_admissibility_reporting(quarter_sector):
