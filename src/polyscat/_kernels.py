@@ -1,139 +1,46 @@
 """Hot numeric kernels: oscillatory-exponential sums over quadrature grids.
 
-Every kernel exists twice: a numba @njit version and a pure-numpy version.
-The numpy path is selected by setting the environment variable
-POLYSCAT_NO_NUMBA=1 before import, or automatically when numba is not
-installed.  `IMPL` records which path is active; both paths are covered by
-the test suite and the benchmark in benchmarks/bench_kernels.py.
+Each kernel is one numpy expression over the tensor grid; `IMPL` names
+that single path.  The sums call the u0 grid as `_u0_polar`, so a
+wrapper installed on the public `u0_polar` sees only outside calls.
 
 All kernels work in the polar frame of a corner sector: a point is
 (r, theta) with theta measured from the positive x1-axis, and the decaying
 test function is exp(-sqrt(s*r) * e^{i theta/2}).
 """
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("POLYSCAT_NO_NUMBA", "").strip() in ("1", "true", "yes")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
+IMPL = "numpy"
 
 
-# ---------------------------------------------------------------- numpy path
-
-def _u0_polar_np(r, theta, s):
+def u0_polar(r, theta, s):
     """u0(s*x) on the tensor grid r[:,None] x theta[None,:]."""
     sq = np.sqrt(s * np.asarray(r, dtype=float))[:, None]
     mu = np.exp(0.5j * np.asarray(theta, dtype=float))[None, :]
     return np.exp(-sq * mu)
 
 
-def _sector_quad_sum_np(r, wr, theta, wt, s):
-    vals = _u0_polar_np(r, theta, s) * r[:, None]
+_u0_polar = u0_polar
+
+
+def sector_quad_sum(r, wr, theta, wt, s):
+    vals = _u0_polar(r, theta, s) * r[:, None]
     return complex((wr[:, None] * wt[None, :] * vals).sum())
 
 
-def _sector_abs_quad_sum_np(r, wr, theta, wt, s, alpha):
+def sector_abs_quad_sum(r, wr, theta, wt, s, alpha):
     sq = np.sqrt(s * r)[:, None]
     dec = np.cos(0.5 * theta)[None, :]
     vals = np.exp(-sq * dec) * (r ** (1.0 + alpha))[:, None]
     return float((wr[:, None] * wt[None, :] * vals).sum())
 
 
-def _edge_quad_sum_np(r, wr, g, s, theta):
+def edge_quad_sum(r, wr, g, s, theta):
     mu = complex(np.cos(0.5 * theta), np.sin(0.5 * theta))
     return complex(np.sum(wr * g * np.exp(-np.sqrt(s * r) * mu)))
 
 
-def _area_quad_sum_np(r, wr, theta, wt, vals, s):
-    u0 = _u0_polar_np(r, theta, s)
+def area_quad_sum(r, wr, theta, wt, vals, s):
+    u0 = _u0_polar(r, theta, s)
     return complex((wr[:, None] * wt[None, :] * vals * u0 * r[:, None]).sum())
-
-
-# ---------------------------------------------------------------- numba path
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _u0_polar_nb(r, theta, s):
-        out = np.empty((r.shape[0], theta.shape[0]), dtype=np.complex128)
-        for i in range(r.shape[0]):
-            sq = np.sqrt(s * r[i])
-            for j in range(theta.shape[0]):
-                h = 0.5 * theta[j]
-                out[i, j] = np.exp(-sq * complex(np.cos(h), np.sin(h)))
-        return out
-
-    @njit(cache=True)
-    def _sector_quad_sum_nb(r, wr, theta, wt, s):
-        acc = 0.0 + 0.0j
-        for i in range(r.shape[0]):
-            sq = np.sqrt(s * r[i])
-            row = 0.0 + 0.0j
-            for j in range(theta.shape[0]):
-                h = 0.5 * theta[j]
-                row += wt[j] * np.exp(-sq * complex(np.cos(h), np.sin(h)))
-            acc += wr[i] * r[i] * row
-        return acc
-
-    @njit(cache=True)
-    def _sector_abs_quad_sum_nb(r, wr, theta, wt, s, alpha):
-        acc = 0.0
-        for i in range(r.shape[0]):
-            sq = np.sqrt(s * r[i])
-            row = 0.0
-            for j in range(theta.shape[0]):
-                row += wt[j] * np.exp(-sq * np.cos(0.5 * theta[j]))
-            acc += wr[i] * r[i] ** (1.0 + alpha) * row
-        return acc
-
-    @njit(cache=True)
-    def _edge_quad_sum_nb(r, wr, g, s, theta):
-        mu = complex(np.cos(0.5 * theta), np.sin(0.5 * theta))
-        acc = 0.0 + 0.0j
-        for i in range(r.shape[0]):
-            acc += wr[i] * g[i] * np.exp(-np.sqrt(s * r[i]) * mu)
-        return acc
-
-    @njit(cache=True)
-    def _area_quad_sum_nb(r, wr, theta, wt, vals, s):
-        acc = 0.0 + 0.0j
-        for i in range(r.shape[0]):
-            sq = np.sqrt(s * r[i])
-            row = 0.0 + 0.0j
-            for j in range(theta.shape[0]):
-                h = 0.5 * theta[j]
-                row += wt[j] * vals[i, j] * np.exp(-sq * complex(np.cos(h), np.sin(h)))
-            acc += wr[i] * r[i] * row
-        return acc
-
-    u0_polar = _u0_polar_nb
-    sector_quad_sum = _sector_quad_sum_nb
-    sector_abs_quad_sum = _sector_abs_quad_sum_nb
-    edge_quad_sum = _edge_quad_sum_nb
-    area_quad_sum = _area_quad_sum_nb
-    IMPL = "numba"
-else:
-    u0_polar = _u0_polar_np
-    sector_quad_sum = _sector_quad_sum_np
-    sector_abs_quad_sum = _sector_abs_quad_sum_np
-    edge_quad_sum = _edge_quad_sum_np
-    area_quad_sum = _area_quad_sum_np
-    IMPL = "numpy"
-
-NUMPY_IMPLS = {
-    "u0_polar": _u0_polar_np,
-    "sector_quad_sum": _sector_quad_sum_np,
-    "sector_abs_quad_sum": _sector_abs_quad_sum_np,
-    "edge_quad_sum": _edge_quad_sum_np,
-    "area_quad_sum": _area_quad_sum_np,
-}

@@ -1,5 +1,5 @@
 from .diskoracle import disk_series_oracle
-from .mesh import BoundaryMesh, CurveMesh, build_mesh
+from .mesh import BoundaryMesh, CurveMesh, build_mesh, polygon_edges
 from .solver import (
     FarFieldPattern,
     NestSolveResult,
@@ -14,7 +14,7 @@ from .solver import (
 )
 
 __all__ = [
-    "BoundaryMesh", "CurveMesh", "build_mesh", "FarFieldPattern",
+    "BoundaryMesh", "CurveMesh", "build_mesh", "polygon_edges", "FarFieldPattern",
     "NestSolveResult", "assemble_nest", "far_field", "farfield_diff",
     "region_wavenumbers", "solve_assembled", "solve_scatter",
     "total_field_at", "uniform_directions", "disk_series_oracle",

@@ -20,14 +20,13 @@ square.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from ..geometry import CellPartition, locate, point_segment_distance
 from ..medium import CellMedium, IncidentField, incident_eval
-from ..quadrature import gauss_legendre
 from .layerops import assemble_block, farfield_row
-from .mesh import Panel
-from .solver import COND_FLAG, TAU_SOLVE, FarFieldPattern
+from .mesh import CurveMesh, outward_normal
+from .solver import (FarFieldPattern, factor_system, field_by_region, region_wavenumbers,
+                     solve_factored)
 
 
 @dataclass
@@ -39,38 +38,11 @@ class Segment:
     normal: np.ndarray  # from owner_a toward owner_b
 
 
-class SegmentCurve:
-    """Panel mesh on one straight skeleton segment (assemble_block source)."""
+class SegmentCurve(CurveMesh):
+    """Panel mesh on one straight skeleton segment: a one-edge CurveMesh."""
 
-    def __init__(self, seg: Segment, n_nodes, grading, n_gl=None):
-        if n_gl is None:
-            n_gl = 8 if n_nodes >= 16 else max(3, n_nodes // 2)
-        m = max(2, int(round(n_nodes / n_gl)))
-        if m % 2:
-            m += 1
-        half = m // 2
-        frac = 0.5 * (np.arange(half + 1) / half) ** grading
-        breaks = np.concatenate([frac, 1.0 - frac[-2::-1]])
-        tg, wg = gauss_legendre(n_gl)
-        tang = seg.b - seg.a
-        slen = float(np.hypot(*tang))
-        panels = []
-        offset = 0
-        for i in range(m):
-            pa = seg.a + breaks[i] * tang
-            pb = seg.a + breaks[i + 1] * tang
-            plen = slen * (breaks[i + 1] - breaks[i])
-            mid, halfvec = 0.5 * (pa + pb), 0.5 * (pb - pa)
-            nodes = mid[None, :] + tg[:, None] * halfvec[None, :]
-            panels.append(Panel(pa, pb, nodes, 0.5 * plen * wg, tg, seg.normal, plen, 0, offset))
-            offset += n_gl
-        self.seg = seg
-        self.panels = panels
-        self.n_gl = n_gl
-        self.nodes = np.concatenate([p.nodes for p in panels])
-        self.weights = np.concatenate([p.weights for p in panels])
-        self.normals = np.tile(seg.normal, (len(self.weights), 1))
-        self.n_nodes = len(self.weights)
+    def __init__(self, seg: Segment, nodes_per_edge, grading):
+        super().__init__([(seg.a, seg.b, seg.normal)], nodes_per_edge, grading)
 
 
 def build_skeleton(part: CellPartition):
@@ -85,7 +57,7 @@ def build_skeleton(part: CellPartition):
             a, b = v[e], v[(e + 1) % n]
             tang = b - a
             elen = float(np.hypot(*tang))
-            outward = np.array([tang[1], -tang[0]]) / elen
+            outward = outward_normal(a, b)
             # split at endpoints of collinear edges of other cells
             params = {0.0, 1.0}
             for cj, other in enumerate(part.cells, start=1):
@@ -181,43 +153,32 @@ class CellSolveResult:
         return FarFieldPattern(np.asarray(angles, float), total)
 
     def field_at(self, pts, region=None):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        part = self.medium.partition
-        if region is not None:
-            regions = np.full(len(pts), int(region))
-        else:
-            labels = [locate(part, p) for p in pts]
-            if any(lb.kind == "interface" for lb in labels):
-                raise ValueError("field evaluation on an interface is not defined")
-            regions = np.array([0 if lb.kind == "exterior" else lb.index for lb in labels])
-        out = np.empty(len(pts), dtype=complex)
+        return field_by_region(self.medium.partition, pts, region, self._region_field)
+
+    def _region_field(self, reg, sub):
+        if reg == 0:
+            vi, _ = incident_eval(self.incident, self.medium.k, sub)
+            val = vi.astype(complex)
+            curves, phis, psis = self._hull_densities()
+            for curve, phi, psi in zip(curves, phis, psis):
+                kb = assemble_block("K", self.kappas[0], curve, sub)
+                sb = assemble_block("S", self.kappas[0], curve, sub)
+                val += kb @ phi + sb @ psi
+            return val
         lam = self.medium.lambda_star
-        for reg in np.unique(regions):
-            sel = np.nonzero(regions == reg)[0]
-            sub = pts[sel]
-            if reg == 0:
-                vi, _ = incident_eval(self.incident, self.medium.k, sub)
-                val = vi.astype(complex)
-                curves, phis, psis = self._hull_densities()
-                for curve, phi, psi in zip(curves, phis, psis):
-                    kb = assemble_block("K", self.kappas[0], curve, sub)
-                    sb = assemble_block("S", self.kappas[0], curve, sub)
-                    val += kb @ phi + sb @ psi
+        kap = self.kappas[reg]
+        val = np.zeros(len(sub), dtype=complex)
+        for seg, curve, (t, p) in zip(self.segments, self.curves, self.traces):
+            if reg == seg.owner_a:
+                s, dnu = 1.0, p
+            elif reg == seg.owner_b:
+                s, dnu = -1.0, p - lam * t
             else:
-                kap = self.kappas[reg]
-                val = np.zeros(len(sub), dtype=complex)
-                for seg, curve, (t, p) in zip(self.segments, self.curves, self.traces):
-                    if reg == seg.owner_a:
-                        s, dnu = 1.0, p
-                    elif reg == seg.owner_b:
-                        s, dnu = -1.0, p - lam * t
-                    else:
-                        continue
-                    kb = assemble_block("K", kap, curve, sub)
-                    sb = assemble_block("S", kap, curve, sub)
-                    val += s * (sb @ dnu - kb @ t)
-            out[sel] = val
-        return out if len(out) > 1 else complex(out[0])
+                continue
+            kb = assemble_block("K", kap, curve, sub)
+            sb = assemble_block("S", kap, curve, sub)
+            val += s * (sb @ dnu - kb @ t)
+        return val
 
 
 def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, grading=3.0):
@@ -228,12 +189,7 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
     curves = tuple(SegmentCurve(s, nodes_per_edge, grading) for s in segs)
     lam = medium.lambda_star
     k = medium.k
-    kappas = [complex(k)]
-    for q in medium.q:
-        root = np.sqrt(complex(q))
-        if root.imag < 0:
-            root = -root
-        kappas.append(k * root)
+    kappas = region_wavenumbers(medium)
 
     sizes = [c.n_nodes for c in curves]
     off = np.cumsum([0] + [2 * s for s in sizes])
@@ -260,7 +216,7 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
     for reg in range(nregions):
         if not bordering[reg]:
             continue
-        kap = kappas[reg] if reg > 0 else kappas[0]
+        kap = kappas[reg]
         for ti, tsign in bordering[reg]:
             tgt = curves[ti]
             x = tgt.nodes
@@ -285,17 +241,7 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
                     dnu_i = (gis * src.normals).sum(axis=1)
                     b[r] += s * (kb @ uis) - s * (sb @ dnu_i)
 
-    anorm = np.linalg.norm(A, 1)
-    lu_piv = sla.lu_factor(A)
-    gecon = sla.get_lapack_funcs("gecon", (A,))
-    rcond, _ = gecon(lu_piv[0], anorm)
-    cond = np.inf if rcond == 0 else 1.0 / rcond
-    z = sla.lu_solve(lu_piv, b)
-    resid = float(np.linalg.norm(A @ z - b) / max(np.linalg.norm(b), 1e-300))
-    traces = tuple(
-        (z[off[i]:off[i] + sizes[i]], z[off[i] + sizes[i]:off[i] + 2 * sizes[i]])
-        for i in range(len(segs))
-    )
-    converged = resid <= TAU_SOLVE and cond < COND_FLAG
+    lu_piv, cond = factor_system(A)
+    traces, resid, converged = solve_factored(A, lu_piv, cond, b, sizes)
     return CellSolveResult(traces, resid, cond, converged, curves, tuple(segs),
                            kappas, medium, inc)

@@ -1,17 +1,19 @@
-"""Panelized polygon boundaries with algebraic grading toward corners.
+"""Graded panel meshes on straight edges: the one panelizer of the solvers.
 
-Each polygon edge is split into panels whose width decreases like
-(distance to the corner)^p toward both endpoints; Gauss-Legendre nodes
-live strictly inside panels, so collocation never hits a corner.  Normals
-point out of the polygon (from the enclosed region toward the surrounding
-one).
+`CurveMesh` meshes a list of straight edges, each given with its unit
+normal.  Every edge is split into panels whose width decreases like
+(distance to the edge end)^p toward both endpoints; Gauss-Legendre nodes
+live strictly inside panels, so collocation never hits a corner.  A closed
+polygon is meshed from `polygon_edges`, with normals pointing out of the
+polygon (from the enclosed region toward the surrounding one); a skeleton
+segment of a cell partition is a one-edge mesh carrying the segment's own
+normal.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import Polygon
 from ..quadrature import gauss_legendre
 
 
@@ -22,20 +24,30 @@ class Panel:
     nodes: np.ndarray      # (m, 2)
     weights: np.ndarray    # (m,) includes the length jacobian
     t_nodes: np.ndarray    # (m,) GL nodes in [-1, 1]
-    normal: np.ndarray     # (2,) outward, constant on a straight panel
+    normal: np.ndarray     # (2,) constant on a straight panel
     length: float
-    curve: int
-    start: int             # global node offset within the curve
+    start: int             # global node offset within the mesh
+
+
+def outward_normal(a, b):
+    """Unit normal on the right of the edge a -> b: out of a counterclockwise polygon."""
+    tang = b - a
+    return np.array([tang[1], -tang[0]]) / float(np.hypot(*tang))
+
+
+def polygon_edges(poly):
+    """(a, b, outward unit normal) for every edge of `poly`, in vertex order."""
+    return [(a, b, outward_normal(a, b)) for a, b in poly.edges()]
 
 
 class CurveMesh:
-    """All panels of one closed polygon, with concatenated node arrays."""
+    """All panels of a list of straight edges (a, b, unit normal), with
+    concatenated node arrays."""
 
-    def __init__(self, poly: Polygon, nodes_per_edge, grading, curve_index=0, n_gl=None):
+    def __init__(self, edges, nodes_per_edge, grading):
         if grading < 2:
             raise ValueError("grading exponent must be >= 2")
-        if n_gl is None:
-            n_gl = 8 if nodes_per_edge >= 16 else max(3, nodes_per_edge // 2)
+        n_gl = 8 if nodes_per_edge >= 16 else max(3, nodes_per_edge // 2)
         panels_per_edge = max(2, int(round(nodes_per_edge / n_gl)))
         if panels_per_edge % 2:
             panels_per_edge += 1
@@ -45,14 +57,9 @@ class CurveMesh:
 
         tg, wg = gauss_legendre(n_gl)
         panels = []
-        offset = 0
-        v = poly.vertices
-        n = len(v)
-        for e in range(n):
-            a_e, b_e = v[e], v[(e + 1) % n]
+        for a_e, b_e, normal in edges:
             tang = b_e - a_e
             elen = float(np.hypot(*tang))
-            normal = np.array([tang[1], -tang[0]]) / elen
             for i in range(panels_per_edge):
                 pa = a_e + breaks[i] * tang
                 pb = a_e + breaks[i + 1] * tang
@@ -62,20 +69,14 @@ class CurveMesh:
                 nodes = mid[None, :] + tg[:, None] * halfvec[None, :]
                 weights = 0.5 * plen * wg
                 panels.append(
-                    Panel(pa, pb, nodes, weights, tg, normal, plen, curve_index, offset)
+                    Panel(pa, pb, nodes, weights, tg, normal, plen, len(panels) * n_gl)
                 )
-                offset += n_gl
-        self.poly = poly
         self.panels = panels
         self.n_gl = n_gl
-        self.curve_index = curve_index
         self.nodes = np.concatenate([p.nodes for p in panels])
         self.weights = np.concatenate([p.weights for p in panels])
         self.normals = np.concatenate([np.tile(p.normal, (len(p.weights), 1)) for p in panels])
         self.n_nodes = len(self.weights)
-
-    def panel_of_node(self, i):
-        return self.panels[i // self.n_gl]
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,5 @@ class BoundaryMesh:
 
 
 def build_mesh(polygons, nodes_per_edge, grading=3.0):
-    curves = tuple(
-        CurveMesh(p, nodes_per_edge, grading, curve_index=i) for i, p in enumerate(polygons)
-    )
+    curves = tuple(CurveMesh(polygon_edges(p), nodes_per_edge, grading) for p in polygons)
     return BoundaryMesh(curves, nodes_per_edge, grading)

@@ -45,8 +45,9 @@ def uniform_directions(m):
     return np.arange(m) * (2 * np.pi / m)
 
 
-def region_wavenumbers(medium: NestMedium):
-    """Exterior k followed by k sqrt(q_ell), principal branch, Im >= 0."""
+def region_wavenumbers(medium):
+    """Exterior k followed by k sqrt(q) of each layer (nest) or cell (cell
+    medium), principal branch, Im >= 0."""
     ks = [complex(medium.k)]
     for q in medium.q:
         root = np.sqrt(complex(q))
@@ -54,6 +55,52 @@ def region_wavenumbers(medium: NestMedium):
             root = -root
         ks.append(medium.k * root)
     return ks
+
+
+def factor_system(A):
+    """LU factors of A and the LAPACK gecon estimate of its 1-norm
+    condition number."""
+    anorm = np.linalg.norm(A, 1)
+    lu_piv = sla.lu_factor(A)
+    gecon = sla.get_lapack_funcs("gecon", (A,))
+    rcond, _ = gecon(lu_piv[0], anorm)
+    return lu_piv, np.inf if rcond == 0 else 1.0 / rcond
+
+
+def solve_factored(A, lu_piv, cond, b, sizes):
+    """Solve A z = b from the LU factors of A.
+
+    z holds one pair of nodal vectors per curve, `sizes` giving each
+    curve's node count.  Returns (pairs, relative residual, converged),
+    converged meaning residual <= TAU_SOLVE and cond < COND_FLAG.
+    """
+    z = sla.lu_solve(lu_piv, b)
+    resid = float(np.linalg.norm(A @ z - b) / max(np.linalg.norm(b), 1e-300))
+    off = np.cumsum([0] + [2 * s for s in sizes])
+    pairs = tuple((z[o:o + s], z[o + s:o + 2 * s]) for o, s in zip(off, sizes))
+    return pairs, resid, resid <= TAU_SOLVE and cond < COND_FLAG
+
+
+def field_by_region(partition, pts, region, region_field):
+    """Values of region_field(reg, points) at `pts`, grouped by region.
+
+    Regions come from point location (0 = exterior), which refuses
+    interface points; `region` pins every point to that one region.
+    Returns a complex scalar for a single point.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if region is not None:
+        regions = np.full(len(pts), int(region))
+    else:
+        labels = [locate(partition, p) for p in pts]
+        if any(lb.kind == "interface" for lb in labels):
+            raise ValueError("field evaluation on an interface is not defined")
+        regions = np.array([0 if lb.kind == "exterior" else lb.index for lb in labels])
+    out = np.empty(len(pts), dtype=complex)
+    for reg in np.unique(regions):
+        sel = np.nonzero(regions == reg)[0]
+        out[sel] = region_field(reg, pts[sel])
+    return out if len(out) > 1 else complex(out[0])
 
 
 @dataclass
@@ -85,38 +132,26 @@ class NestSolveResult:
         Dirichlet trace is continuous across every interface, that average
         is the physical boundary value of the total field.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.empty(len(pts), dtype=complex)
-        part = self.medium.partition
-        n = part.n_layers
-        if region is not None:
-            regions = np.full(len(pts), int(region))
+        return field_by_region(self.medium.partition, pts, region, self._region_field)
+
+    def _region_field(self, reg, sub):
+        n = self.medium.partition.n_layers
+        kap = self.kappas[reg]
+        val = np.zeros(len(sub), dtype=complex)
+        if reg == 0:
+            touching = [0]
+            vi, _ = incident_eval(self.incident, self.medium.k, sub)
+            val += vi
+        elif reg < n:
+            touching = [reg - 1, reg]
         else:
-            labels = [locate(part, p) for p in pts]
-            if any(lb.kind == "interface" for lb in labels):
-                raise ValueError("field evaluation on an interface is not defined")
-            regions = np.array([0 if lb.kind == "exterior" else lb.index for lb in labels])
-        for reg in np.unique(regions):
-            sel = np.nonzero(regions == reg)[0]
-            sub = pts[sel]
-            kap = self.kappas[reg]
-            val = np.zeros(len(sub), dtype=complex)
-            touching = []
-            if reg == 0:
-                touching = [0]
-                vi, _ = incident_eval(self.incident, self.medium.k, sub)
-                val += vi
-            elif reg < n:
-                touching = [reg - 1, reg]
-            else:
-                touching = [n - 1]
-            for ci in touching:
-                phi, psi = self.densities[ci]
-                kb = assemble_block("K", kap, self.mesh.curves[ci], sub)
-                sb = assemble_block("S", kap, self.mesh.curves[ci], sub)
-                val += kb @ phi + sb @ psi
-            out[sel] = val
-        return out if len(out) > 1 else complex(out[0])
+            touching = [n - 1]
+        for ci in touching:
+            phi, psi = self.densities[ci]
+            kb = assemble_block("K", kap, self.mesh.curves[ci], sub)
+            sb = assemble_block("S", kap, self.mesh.curves[ci], sub)
+            val += kb @ phi + sb @ psi
+        return val
 
 
 def solve_scatter(medium, inc: IncidentField, mesh: BoundaryMesh = None,
@@ -205,14 +240,10 @@ def assemble_nest(medium: NestMedium, mesh: BoundaryMesh):
             A[rn, ci_ph] -= tv
             A[rn, ci_ps] -= kpv
 
-    anorm = np.linalg.norm(A, 1)
-    lu, piv = sla.lu_factor(A)
-    gecon = sla.get_lapack_funcs("gecon", (A,))
-    rcond, _ = gecon(lu, anorm)
-    cond = np.inf if rcond == 0 else 1.0 / rcond
+    lu_piv, cond = factor_system(A)
     return {
-        "A": A, "lu": (lu, piv), "cond": cond, "mesh": mesh, "kappas": kappas,
-        "medium": medium, "sizes": sizes, "col0": col0,
+        "A": A, "lu": lu_piv, "cond": cond, "mesh": mesh, "kappas": kappas,
+        "medium": medium, "sizes": sizes,
     }
 
 
@@ -220,7 +251,6 @@ def solve_assembled(system, inc: IncidentField):
     medium = system["medium"]
     mesh = system["mesh"]
     sizes = system["sizes"]
-    n = len(sizes)
     b = np.zeros(system["A"].shape[0], dtype=complex)
     tgt = mesh.curves[0]
     ui, gi = incident_eval(inc, medium.k, tgt.nodes)
@@ -229,15 +259,9 @@ def solve_assembled(system, inc: IncidentField):
     b[:m] = -ui
     b[m:2 * m] = -((gi * tgt.normals).sum(axis=1) + lam1 * ui)
 
-    z = sla.lu_solve(system["lu"], b)
-    resid = float(np.linalg.norm(system["A"] @ z - b) / max(np.linalg.norm(b), 1e-300))
-    densities = []
-    col0 = system["col0"]
-    for i in range(n):
-        densities.append((z[col0[i]:col0[i] + sizes[i]],
-                          z[col0[i] + sizes[i]:col0[i] + 2 * sizes[i]]))
-    converged = resid <= TAU_SOLVE and system["cond"] < COND_FLAG
-    return NestSolveResult(tuple(densities), resid, system["cond"], converged,
+    densities, resid, converged = solve_factored(system["A"], system["lu"], system["cond"],
+                                                 b, sizes)
+    return NestSolveResult(densities, resid, system["cond"], converged,
                            mesh, system["kappas"], medium, inc)
 
 

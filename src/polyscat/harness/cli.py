@@ -268,15 +268,36 @@ def _admissibility(sc: Scenario, result):
     return entries, tau
 
 
+def _index(path, value, lo, hi):
+    """`value` as an int in lo..hi, else ConfigError at `path`."""
+    try:
+        idx = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(path, f"index {value!r} is not an integer") from None
+    if not lo <= idx <= hi:
+        raise ConfigError(path, f"index {idx} outside {lo}..{hi}")
+    return idx
+
+
 def _parse_target(target, medium):
+    """(kind, layer or cell index, vertex index or None), checked against the medium."""
     kind, _, rest = target.partition(":")
+    nest = isinstance(medium, NestMedium)
+    n = medium.partition.n_layers if nest else medium.partition.n_cells
     if kind == "q":
-        return ("q", int(rest), None)
+        return ("q", _index("sweep.target", rest, 1, n), None)
     if kind == "lambda":
-        return ("lambda", int(rest) if rest else 1, None)
+        # a cell medium has the single lambda*
+        return ("lambda", _index("sweep.target", rest or 1, 1, n if nest else 1), None)
     if kind == "vertex":
-        layer, idx = rest.split(":")
-        return ("vertex", int(layer), int(idx))
+        if not nest:
+            raise ConfigError("sweep.target", "vertex perturbation applies to nest media")
+        layer, sep, idx = rest.partition(":")
+        if not sep:
+            raise ConfigError("sweep.target", f"vertex target {target!r} needs vertex:L:I")
+        layer = _index("sweep.target", layer, 1, n)
+        n_vertices = medium.partition.layers[layer - 1].n_vertices
+        return ("vertex", layer, _index("sweep.target", idx, 0, n_vertices - 1))
     raise ConfigError("sweep.target", f"unknown target {target!r}")
 
 
@@ -301,10 +322,8 @@ def _perturbed_medium(m, target, mag):
     lam = m.lambda_star
     if kind == "q":
         q[idx - 1] = q[idx - 1] + mag
-    elif kind == "lambda":
-        lam = lam + mag
     else:
-        raise ConfigError("sweep.target", "vertex perturbation applies to nest media")
+        lam = lam + mag
     return CellMedium(m.partition, q, lam, m.k)
 
 
@@ -466,9 +485,11 @@ def _pair_scenario(sc: Scenario, spec, args):
     if not isinstance(med1, NestMedium):
         raise ConfigError("probe", "pair mode supports nest media")
     med2 = parse_medium(spec["medium2"], "probe.medium2")
-    iface = int(spec.get("vertex", {}).get("interface", med2.partition.n_layers))
-    vidx = int(spec.get("vertex", {}).get("index", 0))
+    vertex = spec.get("vertex", {})
+    n2 = med2.partition.n_layers
+    iface = _index("probe.vertex.interface", vertex.get("interface", n2), 1, n2)
     poly = med2.partition.layers[iface - 1]
+    vidx = _index("probe.vertex.index", vertex.get("index", 0), 0, poly.n_vertices - 1)
     h = float(spec.get("h", 0.1 * poly.bbox_diag()))
     sector = corner_sectors(poly, h)[vidx]
 

@@ -1,0 +1,51 @@
+"""perfbench/tracing.py wraps polyscat's entry points by name, from outside
+the package; a rename or a bypassed entry point must fail here, not only
+in a traced benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+import scipy.linalg
+
+from polyscat import _kernels
+from polyscat.forward import cellsolver, solve_scatter
+from polyscat.geometry import CellPartition, NestPartition, Polygon
+from polyscat.medium import CellMedium, IncidentField, NestMedium
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_on_every_name_and_restores():
+    tracing = load_tracing()
+    originals = (_kernels.sector_quad_sum, cellsolver.SegmentCurve, scipy.linalg.lu_factor)
+    tr = tracing.Tracer()
+    try:
+        tracing.install(tr)
+        hull = Polygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+        left = Polygon([[-0.5, -0.5], [0.0, -0.5], [0.0, 0.5], [-0.5, 0.5]])
+        right = Polygon([[0.0, -0.5], [0.5, -0.5], [0.5, 0.5], [0.0, 0.5]])
+        inc = IncidentField("plane", direction=[1.0, 0.0])
+        cell = solve_scatter(CellMedium(CellPartition([left, right], hull), q=[2.0, 3.0],
+                                        lambda_star=0.2j, k=1.0), inc, nodes_per_edge=8)
+        nest = solve_scatter(NestMedium(NestPartition([hull]), q=[2.0], lam=[0.5j], k=1.0),
+                             inc, nodes_per_edge=8)
+    finally:
+        tr.restore()
+    assert (_kernels.sector_quad_sum, cellsolver.SegmentCurve,
+            scipy.linalg.lu_factor) == originals
+    assert _kernels.IMPL == "numpy"
+
+    layers = tracing.summarize(tr)
+    unknowns = sum(2 * c.n_nodes for c in cell.curves + nest.mesh.curves)
+    assert layers["mesh.unknowns"] == unknowns
+    assert layers["solver.assemblies"] == 1
+    assert tr.times()["solver.lu"][0] == 2
+    assert tr.times()["cellsolver.solve"][0] == 1
+    assert layers["layerops.block_calls"] > 0

@@ -148,6 +148,28 @@ def test_sweep_refuses_unconverged_solve(tmp_path, monkeypatch, capsys, failing,
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command, bad", [
+    ("sweep", "q:0"), ("sweep", "q:3"), ("sweep", "q:x"), ("sweep", "lambda:3"),
+    ("sweep", "vertex:1"), ("sweep", "vertex:0:1"), ("sweep", "vertex:1:9"),
+    ("sweep", "vertex:1:-1"),
+    ("probe", {"interface": 0, "index": 0}), ("probe", {"interface": 3, "index": 0}),
+    ("probe", {"interface": 2, "index": 4}), ("probe", {"interface": "x", "index": 0}),
+], ids=lambda v: v if isinstance(v, str) else "vertex{interface}.{index}".format(**v))
+def test_out_of_range_indices_are_config_errors(tmp_path, capsys, command, bad):
+    # NEST_DOC has 2 layers of 4 vertices; nothing may wrap around to layers[-1]
+    doc = json.loads(json.dumps(NEST_DOC))
+    if command == "sweep":
+        argv = ["sweep", "--target", bad]
+    else:
+        doc["probe"] = {"mode": "pair", "medium2": doc["medium"], "vertex": bad, "h": 0.2}
+        argv = ["probe", "--s-grid", "50,100"]
+    cfg = write(tmp_path, "c.json", doc)
+    out = tmp_path / "out"
+    assert cli_main(argv + ["--config", cfg, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
 def test_passive_command_and_refusals(tmp_path):
     doc = json.loads(json.dumps(NEST_DOC))
     doc["incident"] = {"kind": "point", "location": [3.0, 1.5], "amplitude": [1.0, 0.0]}
