@@ -4,18 +4,15 @@ from .solver import (
     FarFieldPattern,
     NestSolveResult,
     assemble_nest,
-    far_field,
     farfield_diff,
     region_wavenumbers,
     solve_assembled,
     solve_scatter,
-    total_field_at,
     uniform_directions,
 )
 
 __all__ = [
     "BoundaryMesh", "CurveMesh", "build_mesh", "polygon_edges", "FarFieldPattern",
-    "NestSolveResult", "assemble_nest", "far_field", "farfield_diff",
-    "region_wavenumbers", "solve_assembled", "solve_scatter",
-    "total_field_at", "uniform_directions", "disk_series_oracle",
+    "NestSolveResult", "assemble_nest", "farfield_diff", "region_wavenumbers",
+    "solve_assembled", "solve_scatter", "uniform_directions", "disk_series_oracle",
 ]

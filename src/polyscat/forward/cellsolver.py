@@ -126,28 +126,13 @@ class CellSolveResult:
     kappas: list           # region id -> wavenumber (0 = exterior)
     medium: CellMedium
     incident: IncidentField
-
-    def _hull_densities(self):
-        """(phi, psi) nodal densities of the exterior representation."""
-        lam = self.medium.lambda_star
-        k = self.medium.k
-        phis, psis, curves = [], [], []
-        for seg, curve, (t, p) in zip(self.segments, self.curves, self.traces):
-            if seg.owner_b != 0:
-                continue
-            ui, gi = incident_eval(self.incident, k, curve.nodes)
-            dnu_i = (gi * curve.normals).sum(axis=1)
-            phis.append(t - ui)
-            psis.append(-(p - lam * t) + dnu_i)
-            curves.append(curve)
-        return curves, phis, psis
+    hull: tuple            # (curve, phi, psi): exterior representation per hull segment
 
     def far_field(self, angles):
         k = self.medium.k
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
         total = 0
-        curves, phis, psis = self._hull_densities()
-        for curve, phi, psi in zip(curves, phis, psis):
+        for curve, phi, psi in self.hull:
             fs, fd = farfield_row(curve, k, dirs)
             total = total + fd @ phi + fs @ psi
         return FarFieldPattern(np.asarray(angles, float), total)
@@ -159,10 +144,8 @@ class CellSolveResult:
         if reg == 0:
             vi, _ = incident_eval(self.incident, self.medium.k, sub)
             val = vi.astype(complex)
-            curves, phis, psis = self._hull_densities()
-            for curve, phi, psi in zip(curves, phis, psis):
-                kb = assemble_block("K", self.kappas[0], curve, sub)
-                sb = assemble_block("S", self.kappas[0], curve, sub)
+            for curve, phi, psi in self.hull:
+                sb, kb = assemble_block(self.kappas[0], curve, sub)
                 val += kb @ phi + sb @ psi
             return val
         lam = self.medium.lambda_star
@@ -175,8 +158,7 @@ class CellSolveResult:
                 s, dnu = -1.0, p - lam * t
             else:
                 continue
-            kb = assemble_block("K", kap, curve, sub)
-            sb = assemble_block("S", kap, curve, sub)
+            sb, kb = assemble_block(kap, curve, sub)
             val += s * (sb @ dnu - kb @ t)
         return val
 
@@ -213,6 +195,12 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
         row_of[(si, seg.owner_b)] = row
         row += sizes[si]
 
+    # incident traces (value, normal derivative) on each hull segment, once
+    incident = {}
+    for si, _ in bordering[0]:
+        ui, gi = incident_eval(inc, k, curves[si].nodes)
+        incident[si] = ui, (gi * curves[si].normals).sum(axis=1)
+
     for reg in range(nregions):
         if not bordering[reg]:
             continue
@@ -224,24 +212,25 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
             # (1/2) u(x0) term on the segment's own Dirichlet trace
             A[r, off[ti]:off[ti] + sizes[ti]] += 0.5 * np.eye(sizes[ti])
             if reg == 0:
-                ui, gi = incident_eval(inc, k, x)
-                b[r] += 0.5 * ui
+                b[r] += 0.5 * incident[ti][0]
             for si, s in bordering[reg]:
                 src = curves[si]
                 ct = slice(off[si], off[si] + sizes[si])
                 cp = slice(off[si] + sizes[si], off[si] + 2 * sizes[si])
-                kb = assemble_block("K", kap, src, x)
-                sb = assemble_block("S", kap, src, x)
+                sb, kb = assemble_block(kap, src, x)
                 A[r, ct] += s * kb
                 A[r, cp] -= s * sb
                 if s < 0:  # region on the B side: dnu u|B = p - lambda* t
                     A[r, ct] += s * lam * sb
                 if reg == 0:
-                    uis, gis = incident_eval(inc, k, src.nodes)
-                    dnu_i = (gis * src.normals).sum(axis=1)
+                    uis, dnu_i = incident[si]
                     b[r] += s * (kb @ uis) - s * (sb @ dnu_i)
 
     lu_piv, cond = factor_system(A)
     traces, resid, converged = solve_factored(A, lu_piv, cond, b, sizes)
+    hull = []
+    for si, _ in bordering[0]:
+        (t, p), (ui, dnu_i) = traces[si], incident[si]
+        hull.append((curves[si], t - ui, -(p - lam * t) + dnu_i))
     return CellSolveResult(traces, resid, cond, converged, curves, tuple(segs),
-                           kappas, medium, inc)
+                           kappas, medium, inc, tuple(hull))

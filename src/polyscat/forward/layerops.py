@@ -6,29 +6,37 @@ Kernels (outgoing fundamental solution G = (i/4) H0^(1)(kappa r)):
     Kp  single-layer normal deriv   (normal derivative at the target)
     T   double-layer normal deriv
 
-Every kind accepts an optional second wavenumber kappa2, in which case the
-assembled operator is the kernel difference op(kappa) - op(kappa2).  The
-difference is what transmission formulations need on a shared interface:
-for T it removes the hypersingular part entirely, leaving a logarithmic
-kernel that plain graded subdivision integrates; for the others it is
-assembled with a series-stabilized form of kappa H1(kappa r) near r = 0 to
-avoid catastrophic cancellation.
+One `assemble_block` call returns every kind that its targets define,
+stacked in that order: (S, K) for bare points, (S, K, Kp, T) when target
+normals are given, since Kp and T need the normal at the target and S and
+K do not.  A field evaluation thus asks for (S, K) and a collocation on a
+curve for all four, with no list of kinds to pass.  An optional second
+wavenumber kappa2 turns every kind into the kernel difference
+op(kappa) - op(kappa2).  The difference is what transmission formulations
+need on a shared interface: for T it removes the hypersingular part
+entirely, leaving a logarithmic kernel that plain graded subdivision
+integrates; for the others it is assembled with a series-stabilized form
+of kappa H1(kappa r) near r = 0 to avoid catastrophic cancellation.
 
+Each call makes one far pass over all (target, source node) pairs, in
+chunks of at most _FAR_BUDGET entries over all kinds, and one near pass.
 Near interactions (target within NEAR_MULT panel lengths of a source panel,
 including the panel containing the target) are re-integrated on the panel
 geometrically subdivided toward the target's closest point t*, with the
 density carried by Lagrange interpolation from the panel's own nodes.  The
-pass is batched per source panel and per side of t*: all near targets at
-once, in chunks of at most _NEAR_BUDGET (targets x fine nodes x panel
+near pass is batched per source panel and per side of t*: all near targets
+at once, in chunks of at most _NEAR_BUDGET (targets x fine nodes x panel
 nodes) elements, skipping the empty side of targets whose t* is a panel
 end (most neighbour-panel pairs).  A chunk builds every target's fine rule
 in one array op, evaluates the Lagrange basis through its Legendre
-expansion (coefficients cached per panel order) and contracts kernel
-values against it in one matrix product.
+expansion (coefficients cached per panel order) and contracts each kind's
+kernel values against it in one matrix product.
 
-Hankel functions come from `_hankel`: for a real positive wavenumber it
-combines the Bessel routines j0/y0/j1/y1, an order of magnitude cheaper
-than `hankel1`, which serves every complex wavenumber.
+In every far chunk and near chunk, `_kernels` evaluates H0 and H1 of each
+wavenumber once and derives all kinds from them.  Hankel functions come
+from `_hankel`: for a real positive wavenumber it combines the Bessel
+routines j0/y0/j1/y1, an order of magnitude cheaper than `hankel1`, which
+serves every complex wavenumber.
 """
 
 from functools import lru_cache
@@ -45,6 +53,7 @@ _FINE_LEVELS = 16
 _FINE_RATIO = 0.35
 _NEAR_BUDGET = 2**15   # (targets x fine nodes x panel nodes) elements per near batch;
                        # small enough to keep peak RSS at the per-target level
+_FAR_BUDGET = 2_000_000  # (kinds x targets x source nodes) entries per far chunk
 
 
 def _hankel(order, kappa, r):
@@ -63,27 +72,21 @@ def _hankel(order, kappa, r):
     return hankel1(order, kappa * r)
 
 
-def _kh1(kappa, r):
-    """kappa * H1^(1)(kappa r), vectorized, complex-safe."""
-    return kappa * _hankel(1, kappa, r)
-
-
-def _kh1_reg(kappa, r):
-    """kappa H1^(1)(kappa r) + 2i/(pi r): the part regular at r = 0.
+def _kh1_reg(kappa, r, h1):
+    """kappa H1^(1)(kappa r) + 2i/(pi r), the part regular at r = 0, from
+    h1 = H1^(1)(kappa r).
 
     Direct subtraction below |kappa| r ~ 1e-3 loses most digits; there a
     five-term ascending series is used instead.
     """
     z = kappa * r
     small = np.abs(z) < 1e-3
-    out = np.empty(np.broadcast(z, r).shape, dtype=complex)
-    zs = np.broadcast_to(z, out.shape)
-    rs = np.broadcast_to(r, out.shape)
+    out = np.empty(r.shape, dtype=complex)
     if np.any(~small):
-        out[~small] = kappa * _hankel(1, kappa, rs[~small]) + 2j / (np.pi * rs[~small])
+        out[~small] = kappa * h1[~small] + 2j / (np.pi * r[~small])
     if np.any(small):
-        zb = zs[small]
-        rb = rs[small]
+        zb = z[small]
+        rb = r[small]
         j1z = jv(1, zb)
         logz = np.log(zb / 2.0)
         series = (kappa * j1z) * (1.0 + 2j / np.pi * logz) - (
@@ -93,36 +96,35 @@ def _kh1_reg(kappa, r):
     return out
 
 
-def _kernel(kind, kappa, kappa2, diff, r, src_nrm, tgt_nrm):
-    """Pointwise kernel values; diff = x - y with shape (..., 2)."""
+def _kernels(kappa, kappa2, diff, r, src_nrm, tgt_nrm):
+    """Pointwise (S, K), or (S, K, Kp, T) when tgt_nrm is given; diff = x - y
+    with shape (..., 2).  H0 and H1 of each wavenumber are evaluated once,
+    on all of r, and shared by every kind."""
     rhat_dot_sn = (diff[..., 0] * src_nrm[..., 0] + diff[..., 1] * src_nrm[..., 1]) / r
-    if kind == "S":
-        vals = 0.25j * _hankel(0, kappa, r)
-        if kappa2 is not None:
-            vals = vals - 0.25j * _hankel(0, kappa2, r)
-        return vals
-    if kind == "K":
-        if kappa2 is None:
-            return 0.25j * _kh1(kappa, r) * rhat_dot_sn
-        return 0.25j * (_kh1_reg(kappa, r) - _kh1_reg(kappa2, r)) * rhat_dot_sn
-    if kind == "Kp":
-        rhat_dot_tn = (diff[..., 0] * tgt_nrm[..., 0] + diff[..., 1] * tgt_nrm[..., 1]) / r
-        if kappa2 is None:
-            return -0.25j * _kh1(kappa, r) * rhat_dot_tn
-        return -0.25j * (_kh1_reg(kappa, r) - _kh1_reg(kappa2, r)) * rhat_dot_tn
-    if kind == "T":
-        rhat_dot_tn = (diff[..., 0] * tgt_nrm[..., 0] + diff[..., 1] * tgt_nrm[..., 1]) / r
-        nn = src_nrm[..., 0] * tgt_nrm[..., 0] + src_nrm[..., 1] * tgt_nrm[..., 1]
-        ang = nn - 2.0 * rhat_dot_sn * rhat_dot_tn
-        if kappa2 is None:
-            h0 = 0.25j * kappa**2 * _hankel(0, kappa, r)
-            h1r = 0.25j * _kh1(kappa, r) / r
-        else:
-            h0 = 0.25j * (kappa**2 * _hankel(0, kappa, r) - kappa2**2 * _hankel(0, kappa2, r))
-            h1r = 0.25j * (_kh1_reg(kappa, r) - _kh1_reg(kappa2, r)) / r
-        # sign: rhat here is (x-y)/r; both dot products flip, their product does not
-        return h0 * rhat_dot_sn * rhat_dot_tn + h1r * ang
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    h0 = _hankel(0, kappa, r)
+    if kappa2 is None:
+        kh1 = kappa * _hankel(1, kappa, r)
+        S = 0.25j * h0
+    else:
+        h0_2 = _hankel(0, kappa2, r)
+        # kappa H1(kappa r) - kappa2 H1(kappa2 r), whose 2i/(pi r) poles cancel
+        kh1 = _kh1_reg(kappa, r, _hankel(1, kappa, r)) - _kh1_reg(kappa2, r, _hankel(1, kappa2, r))
+        S = 0.25j * h0 - 0.25j * h0_2
+    K = 0.25j * kh1 * rhat_dot_sn
+    if tgt_nrm is None:
+        return S, K
+    rhat_dot_tn = (diff[..., 0] * tgt_nrm[..., 0] + diff[..., 1] * tgt_nrm[..., 1]) / r
+    nn = src_nrm[..., 0] * tgt_nrm[..., 0] + src_nrm[..., 1] * tgt_nrm[..., 1]
+    ang = nn - 2.0 * rhat_dot_sn * rhat_dot_tn
+    Kp = -0.25j * kh1 * rhat_dot_tn
+    if kappa2 is None:
+        t0 = 0.25j * kappa**2 * h0
+    else:
+        t0 = 0.25j * (kappa**2 * h0 - kappa2**2 * h0_2)
+    t1 = 0.25j * kh1 / r
+    # sign: rhat here is (x-y)/r; both dot products flip, their product does not
+    T = t0 * rhat_dot_sn * rhat_dot_tn + t1 * ang
+    return S, K, Kp, T
 
 
 @lru_cache(maxsize=8)
@@ -160,16 +162,18 @@ def _fine_rule(t_star, end):
     return nodes.reshape(len(t_star), -1), weights.reshape(len(t_star), -1)
 
 
-def assemble_block(kind, kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
-    """Dense operator block mapping a density on `src` (CurveMesh) to values
-    at `tgt_pts`; weights are folded in, so block @ density ~ integral."""
+def assemble_block(kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
+    """Dense operator blocks mapping a density on `src` (CurveMesh) to values
+    at `tgt_pts`, stacked as (S, K), or (S, K, Kp, T) when target normals
+    are given: shape (kinds, targets, source nodes).  Weights are folded in,
+    so block @ density ~ integral."""
     tgt_pts = np.atleast_2d(np.asarray(tgt_pts, dtype=float))
     if tgt_nrm is not None:
         tgt_nrm = np.atleast_2d(np.asarray(tgt_nrm, dtype=float))
     nt = len(tgt_pts)
     ns = src.n_nodes
-    out = np.empty((nt, ns), dtype=complex)
-    chunk = max(1, int(2e6) // max(ns, 1))
+    out = np.empty((2 if tgt_nrm is None else 4, nt, ns), dtype=complex)
+    chunk = max(1, _FAR_BUDGET // (len(out) * max(ns, 1)))
     for i0 in range(0, nt, chunk):
         i1 = min(nt, i0 + chunk)
         d = tgt_pts[i0:i1, None, :] - src.nodes[None, :, :]
@@ -179,13 +183,15 @@ def assemble_block(kind, kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
         tn = None
         if tgt_nrm is not None:
             tn = np.broadcast_to(tgt_nrm[i0:i1, None, :], d.shape)
-        out[i0:i1] = _kernel(kind, kappa, kappa2, d, r, sn, tn) * src.weights[None, :]
-    _fix_near(kind, kappa, kappa2, src, tgt_pts, tgt_nrm, out)
+        for blk, vals in zip(out, _kernels(kappa, kappa2, d, r, sn, tn)):
+            blk[i0:i1] = vals * src.weights[None, :]
+    _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out)
     return out
 
 
-def _fix_near(kind, kappa, kappa2, src, tgt_pts, tgt_nrm, out):
-    """Re-integrate every near (target, panel) pair, batched per panel and side."""
+def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out):
+    """Re-integrate every near (target, panel) pair, batched per panel and side;
+    every kind shares the chunk's fine rule, Legendre table and kernel pass."""
     n_gl = src.n_gl
     coeffs = _interp_coeffs(n_gl)
     chunk = max(1, _NEAR_BUDGET // ((_FINE_LEVELS + 1) * _FINE_N * n_gl))
@@ -197,7 +203,7 @@ def _fix_near(kind, kappa, kappa2, src, tgt_pts, tgt_nrm, out):
         dist = np.hypot(*(tgt_pts - proj).T)
         near_idx = np.nonzero(dist < NEAR_MULT * p.length)[0]
         cols = slice(p.start, p.start + n_gl)
-        out[near_idx, cols] = 0.0
+        out[:, near_idx, cols] = 0.0
         t_star = 2.0 * t[near_idx] - 1.0                 # closest point, in [-1, 1]
         mid = 0.5 * (p.a + p.b)
         r_min = 1e-15 * max(1.0, np.sqrt(L2))
@@ -213,11 +219,14 @@ def _fix_near(kind, kappa, kappa2, src, tgt_pts, tgt_nrm, out):
                 keep = r > r_min
                 sn = np.broadcast_to(p.normal, d.shape)
                 tn = None if tgt_nrm is None else np.broadcast_to(tgt_nrm[idx, None, :], d.shape)
-                vals = _kernel(kind, kappa, kappa2, d, np.where(keep, r, 1.0), sn, tn)
-                c = np.where(keep, wf * (0.5 * p.length) * vals, 0.0)
-                # sum_e c_e P_m(t_e) as one real matmul over (re, im), then to the nodes
-                moments = _legendre_table(tf, n_gl) @ c.view(float).reshape(len(idx), -1, 2)
-                out[idx, cols] += (moments[..., 0] + 1j * moments[..., 1]) @ coeffs
+                wl = wf * (0.5 * p.length)
+                table = _legendre_table(tf, n_gl)
+                kinds = _kernels(kappa, kappa2, d, np.where(keep, r, 1.0), sn, tn)
+                for blk, vals in zip(out, kinds):
+                    c = np.where(keep, wl * vals, 0.0)
+                    # sum_e c_e P_m(t_e) as one real matmul over (re, im), then to the nodes
+                    moments = table @ c.view(float).reshape(len(idx), -1, 2)
+                    blk[idx, cols] += (moments[..., 0] + 1j * moments[..., 1]) @ coeffs
 
 
 def farfield_row(src, k, directions):

@@ -148,8 +148,7 @@ class NestSolveResult:
             touching = [n - 1]
         for ci in touching:
             phi, psi = self.densities[ci]
-            kb = assemble_block("K", kap, self.mesh.curves[ci], sub)
-            sb = assemble_block("S", kap, self.mesh.curves[ci], sub)
+            sb, kb = assemble_block(kap, self.mesh.curves[ci], sub)
             val += kb @ phi + sb @ psi
         return val
 
@@ -201,17 +200,13 @@ def assemble_nest(medium: NestMedium, mesh: BoundaryMesh):
         cph = slice(col0[i], col0[i] + m)
         cps = slice(col0[i] + m, col0[i] + 2 * m)
         eye = np.eye(m)
-        kd = assemble_block("K", kout, tgt, x, kappa2=kin)
-        sd = assemble_block("S", kout, tgt, x, kappa2=kin)
-        td = assemble_block("T", kout, tgt, x, tgt_nrm=tn, kappa2=kin)
-        kpd = assemble_block("Kp", kout, tgt, x, tgt_nrm=tn, kappa2=kin)
+        sd, kd, kpd, td = assemble_block(kout, tgt, x, tn, kappa2=kin)
         A[rd, cph] = eye + kd
         A[rd, cps] = sd
         A[rn, cph] = td
         A[rn, cps] = -eye + kpd
         if lam != 0:
-            ko = assemble_block("K", kout, tgt, x)
-            so = assemble_block("S", kout, tgt, x)
+            so, ko = assemble_block(kout, tgt, x)
             A[rn, cph] += lam * (0.5 * eye + ko)
             A[rn, cps] += lam * so
 
@@ -219,10 +214,7 @@ def assemble_nest(medium: NestMedium, mesh: BoundaryMesh):
             src = mesh.curves[i - 1]
             co_ph = slice(col0[i - 1], col0[i - 1] + sizes[i - 1])
             co_ps = slice(col0[i - 1] + sizes[i - 1], col0[i - 1] + 2 * sizes[i - 1])
-            kv = assemble_block("K", kout, src, x)
-            sv = assemble_block("S", kout, src, x)
-            tv = assemble_block("T", kout, src, x, tgt_nrm=tn)
-            kpv = assemble_block("Kp", kout, src, x, tgt_nrm=tn)
+            sv, kv, kpv, tv = assemble_block(kout, src, x, tn)
             A[rd, co_ph] += kv
             A[rd, co_ps] += sv
             A[rn, co_ph] += tv + lam * kv
@@ -231,10 +223,7 @@ def assemble_nest(medium: NestMedium, mesh: BoundaryMesh):
             src = mesh.curves[i + 1]
             ci_ph = slice(col0[i + 1], col0[i + 1] + sizes[i + 1])
             ci_ps = slice(col0[i + 1] + sizes[i + 1], col0[i + 1] + 2 * sizes[i + 1])
-            kv = assemble_block("K", kin, src, x)
-            sv = assemble_block("S", kin, src, x)
-            tv = assemble_block("T", kin, src, x, tgt_nrm=tn)
-            kpv = assemble_block("Kp", kin, src, x, tgt_nrm=tn)
+            sv, kv, kpv, tv = assemble_block(kin, src, x, tn)
             A[rd, ci_ph] -= kv
             A[rd, ci_ps] -= sv
             A[rn, ci_ph] -= tv
@@ -263,16 +252,6 @@ def solve_assembled(system, inc: IncidentField):
                                                  b, sizes)
     return NestSolveResult(densities, resid, system["cond"], converged,
                            mesh, system["kappas"], medium, inc)
-
-
-def total_field_at(medium, inc, result, x):
-    """Total field at x: incident + scattered outside, region field inside."""
-    return result.field_at(x)
-
-
-def far_field(medium, inc, result, angles):
-    """Far-field pattern of the scattered field at the given angles."""
-    return result.far_field(np.asarray(angles, dtype=float))
 
 
 def farfield_diff(p1: FarFieldPattern, p2: FarFieldPattern, eps=1e-300):

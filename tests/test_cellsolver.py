@@ -79,3 +79,20 @@ def test_interior_conductive_jump(split_square, plane_inc):
     assert abs(u_b - u_a) < 1e-5
     assert abs(dn_b + lam * u_b - dn_a) < 1e-3 * max(abs(dn_a), 1.0)
     assert res.converged
+
+
+def test_incident_field_evaluated_once_per_hull_segment(split_square, plane_inc,
+                                                       monkeypatch):
+    from polyscat.forward import cellsolver
+
+    calls = []
+    incident_eval = cellsolver.incident_eval
+    monkeypatch.setattr(cellsolver, "incident_eval",
+                        lambda *args: calls.append(args) or incident_eval(*args))
+    med = CellMedium(split_square, q=[2.0, 3.0], lambda_star=0.2j, k=1.0)
+    res = solve_scatter(med, plane_inc, nodes_per_edge=16)
+    assert len(calls) == 6                     # one per hull segment
+    assert len(res.hull) == 6
+    calls.clear()
+    res.field_at(np.array([[2.0, 0.3], [-1.5, 1.0]]))
+    assert len(calls) == 1                     # the incident part at the points

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from polyscat.forward import (FarFieldPattern, assemble_nest, build_mesh, far_field,
-                              farfield_diff, solve_assembled, solve_scatter,
-                              total_field_at, uniform_directions)
+from polyscat.forward import (FarFieldPattern, assemble_nest, build_mesh, farfield_diff,
+                              solve_assembled, solve_scatter, uniform_directions)
 from polyscat.geometry import NestPartition, Polygon
 from polyscat.medium import IncidentField, NestMedium, incident_eval
 
@@ -21,7 +20,7 @@ def _cauchy_fit(result, x0, nrm, side):
 def test_zero_contrast_scatters_nothing(unit_square, plane_inc):
     med = NestMedium(NestPartition([unit_square]), q=[1.0], lam=[0.0], k=1.0)
     res = solve_scatter(med, plane_inc, nodes_per_edge=32)
-    ff = far_field(med, plane_inc, res, ANGLES)
+    ff = res.far_field(ANGLES)
     assert np.max(np.abs(ff.values)) < 1e-10
     # total field equals the incident field everywhere
     pts = np.array([[0.1, 0.2], [0.0, 0.0], [2.0, 1.0]])
@@ -142,9 +141,9 @@ def test_farfield_pattern_validation():
         FarFieldPattern(np.array([0.5, 0.1]), np.array([1.0 + 0j, 2.0]))
 
 
-def test_total_field_operation_signature(conductive_square_solution, plane_inc):
-    med, res = conductive_square_solution
-    v = total_field_at(med, plane_inc, res, np.array([2.0, 0.5]))
+def test_total_field_operation_signature(conductive_square_solution):
+    _, res = conductive_square_solution
+    v = res.field_at(np.array([2.0, 0.5]))
     assert isinstance(v, complex)
 
 
@@ -164,6 +163,7 @@ def test_point_source_scattering_runs(nested_squares):
 
 
 _Y1_SERIES_K = np.arange(30)
+KINDS = ("S", "K", "Kp", "T")   # stacking order of assemble_block
 
 
 def _y1_regular(z):
@@ -253,7 +253,7 @@ def test_near_block_entries_match_adaptive_quadrature(kind, q):
         (c0, c1, 1, c1.panels[1].start + 2),
     ]
     for src, tgt, pi, row in cases:
-        block = assemble_block(kind, kap, src, tgt.nodes, tgt_nrm=tgt.normals, kappa2=kap2)
+        block = assemble_block(kap, src, tgt.nodes, tgt.normals, kappa2=kap2)[KINDS.index(kind)]
         panel = src.panels[pi]
         ref = _ref_row(kind, kap, kap2, tgt.nodes[row], tgt.normals[row], panel)
         got = block[row, panel.start:panel.start + src.n_gl]
@@ -264,7 +264,7 @@ def _near_rows_per_target(kind, kap, kap2, src, x, tn):
     """Near-pass rows one target and one panel at a time: the geometric fine
     rule interval by interval and the Lagrange basis by its product formula."""
     from polyscat.forward.layerops import (NEAR_MULT, _FINE_LEVELS, _FINE_N, _FINE_RATIO,
-                                           _kernel)
+                                           _kernels)
     from polyscat.quadrature import gauss_legendre
 
     tg, wg = gauss_legendre(_FINE_N)
@@ -290,9 +290,10 @@ def _near_rows_per_target(kind, kap, kap2, src, x, tn):
             r = np.hypot(d[:, 0], d[:, 1])
             keep = r > 1e-15 * max(1.0, p.length)
             vals = np.zeros(len(tf), dtype=complex)
-            vals[keep] = _kernel(kind, kap, kap2, d[keep], r[keep],
-                                 np.broadcast_to(p.normal, d[keep].shape),
-                                 None if tn is None else np.broadcast_to(tn[i], d[keep].shape))
+            kinds = _kernels(kap, kap2, d[keep], r[keep],
+                             np.broadcast_to(p.normal, d[keep].shape),
+                             None if tn is None else np.broadcast_to(tn[i], d[keep].shape))
+            vals[keep] = kinds[KINDS.index(kind)]
             rows[i, pi] = (wf * 0.5 * p.length * vals) @ _lagrange_basis(p.t_nodes, tf)
     return rows
 
@@ -307,13 +308,20 @@ def test_near_pass_matches_per_target_reference(kap):
     for kind, kap2 in (("S", None), ("K", 1.0), ("Kp", None), ("T", 1.0)):
         for src, tgt in ((c0, c0), (c0, c1)):
             tn = tgt.normals if kind in ("Kp", "T") else None
-            block = assemble_block(kind, kap, src, tgt.nodes, tgt_nrm=tn, kappa2=kap2)
+            block = assemble_block(kap, src, tgt.nodes, tn, kappa2=kap2)[KINDS.index(kind)]
             ref = _near_rows_per_target(kind, kap, kap2, src, tgt.nodes, tn)
             assert ref
             got = np.array([block[i, src.panels[pi].start:src.panels[pi].start + src.n_gl]
                             for i, pi in ref])
             err = np.max(np.abs(got - np.array(list(ref.values()))))
             assert err <= 1e-12 * np.max(np.abs(block)), (kind, src is tgt)
+    # without target normals: the same S and K, bit for bit
+    for kap2 in (None, 1.0):
+        for src, tgt in ((c0, c0), (c0, c1)):
+            plain = assemble_block(kap, src, tgt.nodes, kappa2=kap2)
+            full = assemble_block(kap, src, tgt.nodes, tgt.normals, kappa2=kap2)
+            assert plain.shape == (2, tgt.n_nodes, src.n_nodes)
+            assert np.array_equal(plain, full[:2]), (kap2, src is tgt)
 
 
 def test_hankel_helper_matches_hankel1(monkeypatch):
@@ -336,3 +344,28 @@ def test_hankel_helper_matches_hankel1(monkeypatch):
     kap = np.sqrt(3 + 0.2j)
     assert np.array_equal(lo._hankel(1, kap, r), hankel1(1, kap * r))
     assert calls == [1]
+
+
+def test_hankel_values_shared_by_all_kinds(monkeypatch):
+    """One assemble_block call evaluates each Hankel order of the complex
+    wavenumber once per pass: the far pass and each near chunk."""
+    from scipy.special import hankel1
+
+    import polyscat.forward.layerops as lo
+
+    outer = Polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+    inner = Polygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+    c0, c1 = build_mesh([outer, inner], 12).curves
+    orders, chunks = [], []
+    monkeypatch.setattr(lo, "hankel1", lambda n, z: orders.append(n) or hankel1(n, z))
+    fine_rule = lo._fine_rule
+    monkeypatch.setattr(lo, "_fine_rule", lambda *a: chunks.append(a) or fine_rule(*a))
+    for src, tgt in ((c0, c0), (c0, c1)):
+        assert 4 * tgt.n_nodes * src.n_nodes <= lo._FAR_BUDGET   # one far chunk
+        orders.clear()
+        chunks.clear()
+        block = lo.assemble_block(np.sqrt(3 + 0.2j), src, tgt.nodes, tgt.normals, kappa2=1.0)
+        assert block.shape == (4, tgt.n_nodes, src.n_nodes)
+        passes = 1 + len(chunks)
+        assert len(chunks) > 0
+        assert sorted(orders) == [0] * passes + [1] * passes, src is tgt
