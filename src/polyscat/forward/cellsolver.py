@@ -25,8 +25,8 @@ from ..geometry import CellPartition, locate, point_segment_distance
 from ..medium import CellMedium, IncidentField, incident_eval
 from .layerops import assemble_block, farfield_row
 from .mesh import CurveMesh, outward_normal
-from .solver import (FarFieldPattern, factor_system, field_by_region, region_wavenumbers,
-                     solve_factored)
+from .solver import (FarFieldPattern, _block, factor_system, field_by_region,
+                     region_wavenumbers, solve_factored)
 
 
 @dataclass
@@ -163,8 +163,10 @@ class CellSolveResult:
         return val
 
 
-def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, grading=3.0):
-    """Assemble and solve the single-trace system for a cell medium."""
+def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, grading=3.0,
+               blocks=None):
+    """Assemble and solve the single-trace system for a cell medium; operator
+    blocks go through the store `blocks` (see `solver`) when one is given."""
     inc.validate_against(medium.partition.hull)
     part = medium.partition
     segs = build_skeleton(part)
@@ -217,7 +219,7 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
                 src = curves[si]
                 ct = slice(off[si], off[si] + sizes[si])
                 cp = slice(off[si] + sizes[si], off[si] + 2 * sizes[si])
-                sb, kb = assemble_block(kap, src, x)
+                sb, kb = _block(blocks, kap, src, x)
                 A[r, ct] += s * kb
                 A[r, cp] -= s * sb
                 if s < 0:  # region on the B side: dnu u|B = p - lambda* t

@@ -9,6 +9,16 @@ the conductive Neumann jump
     u_out = u_in,   dnu u_out + lambda u_out = dnu u_in
 at collocation nodes yields a square second-kind system whose diagonal
 operators are kernel differences (weakly singular at worst).
+
+Block store: both solvers take an optional caller-owned dict `blocks` and
+fetch every operator block through `_block`.  Its key is everything
+`assemble_block` reads: the wavenumber(s), whether target normals were
+given, and the exact bytes of the source mesh and of the target points
+and normals.  A moved curve or a changed wavenumber therefore misses, and
+a hit is the very array a fresh assembly would give, so every output is
+bitwise unchanged.  `None` stores nothing.  A sweep fills a store on its
+base solve and hands each perturbed solve a shallow copy, which reads the
+base blocks and drops the perturbed solve's own blocks with it.
 """
 
 from dataclasses import dataclass
@@ -79,6 +89,26 @@ def solve_factored(A, lu_piv, cond, b, sizes):
     off = np.cumsum([0] + [2 * s for s in sizes])
     pairs = tuple((z[o:o + s], z[o + s:o + 2 * s]) for o, s in zip(off, sizes))
     return pairs, resid, resid <= TAU_SOLVE and cond < COND_FLAG
+
+
+def _block(blocks, kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
+    """`assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2)`, served from the
+    store `blocks` when it holds that block and stored there otherwise;
+    `blocks=None` only assembles.  Stored blocks are read-only."""
+    if blocks is None:
+        return assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2=kappa2)
+    # every array assemble_block reads, panel ends and lengths for the near pass
+    arrays = [src.nodes, src.weights, src.normals,
+              [[*p.a, *p.b, p.length] for p in src.panels], tgt_pts]
+    if tgt_nrm is not None:
+        arrays.append(tgt_nrm)
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    # repr, unlike ==, tells a float from a complex and 0.0 from -0.0
+    key = (repr(kappa), repr(kappa2), *((a.shape, a.tobytes()) for a in arrays))
+    if key not in blocks:
+        blocks[key] = assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2=kappa2)
+        blocks[key].flags.writeable = False
+    return blocks[key]
 
 
 def field_by_region(partition, pts, region, region_field):
@@ -154,30 +184,38 @@ class NestSolveResult:
 
 
 def solve_scatter(medium, inc: IncidentField, mesh: BoundaryMesh = None,
-                  nodes_per_edge=32, grading=3.0):
+                  nodes_per_edge=32, grading=3.0, blocks=None):
     """Solve the forward conductive scattering problem.
 
     Dispatches on the medium type; nest media use the layered combined
     representation, cell media the single-trace formulation, which builds
     its own segment meshes and so takes no `mesh`.
+
+    `blocks` is an optional caller-owned dict of operator blocks keyed by
+    wavenumber(s), target normals given or not, and the exact bytes of the
+    source mesh and targets: hits are reused, misses assembled and added.
+    Passing `dict(store)` reads `store` without growing it, so a sweep
+    holds one base set between solves; `None` stores nothing.
     """
     if isinstance(medium, CellMedium):
         from .cellsolver import solve_cell
 
         if mesh is not None:
             raise ValueError("cell media mesh their own skeleton; pass nodes_per_edge, not mesh")
-        return solve_cell(medium, inc, nodes_per_edge=nodes_per_edge, grading=grading)
+        return solve_cell(medium, inc, nodes_per_edge=nodes_per_edge, grading=grading,
+                          blocks=blocks)
     if not isinstance(medium, NestMedium):
         raise TypeError(f"unsupported medium type {type(medium)!r}")
     if mesh is None:
         mesh = build_mesh([layer for layer in medium.partition.layers], nodes_per_edge, grading)
     inc.validate_against(medium.partition.layers[0])
-    system = assemble_nest(medium, mesh)
+    system = assemble_nest(medium, mesh, blocks=blocks)
     return solve_assembled(system, inc)
 
 
-def assemble_nest(medium: NestMedium, mesh: BoundaryMesh):
-    """Build and factor the block system once; reusable across incident fields."""
+def assemble_nest(medium: NestMedium, mesh: BoundaryMesh, blocks=None):
+    """Build and factor the block system once; reusable across incident fields.
+    Operator blocks go through the store `blocks` when one is given."""
     n = medium.partition.n_layers
     if mesh.n_curves != n:
         raise ValueError("mesh does not match the number of interfaces")
@@ -200,13 +238,13 @@ def assemble_nest(medium: NestMedium, mesh: BoundaryMesh):
         cph = slice(col0[i], col0[i] + m)
         cps = slice(col0[i] + m, col0[i] + 2 * m)
         eye = np.eye(m)
-        sd, kd, kpd, td = assemble_block(kout, tgt, x, tn, kappa2=kin)
+        sd, kd, kpd, td = _block(blocks, kout, tgt, x, tn, kappa2=kin)
         A[rd, cph] = eye + kd
         A[rd, cps] = sd
         A[rn, cph] = td
         A[rn, cps] = -eye + kpd
         if lam != 0:
-            so, ko = assemble_block(kout, tgt, x)
+            so, ko = _block(blocks, kout, tgt, x)
             A[rn, cph] += lam * (0.5 * eye + ko)
             A[rn, cps] += lam * so
 
@@ -214,7 +252,7 @@ def assemble_nest(medium: NestMedium, mesh: BoundaryMesh):
             src = mesh.curves[i - 1]
             co_ph = slice(col0[i - 1], col0[i - 1] + sizes[i - 1])
             co_ps = slice(col0[i - 1] + sizes[i - 1], col0[i - 1] + 2 * sizes[i - 1])
-            sv, kv, kpv, tv = assemble_block(kout, src, x, tn)
+            sv, kv, kpv, tv = _block(blocks, kout, src, x, tn)
             A[rd, co_ph] += kv
             A[rd, co_ps] += sv
             A[rn, co_ph] += tv + lam * kv
@@ -223,7 +261,7 @@ def assemble_nest(medium: NestMedium, mesh: BoundaryMesh):
             src = mesh.curves[i + 1]
             ci_ph = slice(col0[i + 1], col0[i + 1] + sizes[i + 1])
             ci_ps = slice(col0[i + 1] + sizes[i + 1], col0[i + 1] + 2 * sizes[i + 1])
-            sv, kv, kpv, tv = assemble_block(kin, src, x, tn)
+            sv, kv, kpv, tv = _block(blocks, kin, src, x, tn)
             A[rd, ci_ph] -= kv
             A[rd, ci_ps] -= sv
             A[rn, ci_ph] -= tv

@@ -96,3 +96,22 @@ def test_incident_field_evaluated_once_per_hull_segment(split_square, plane_inc,
     calls.clear()
     res.field_at(np.array([[2.0, 0.3], [-1.5, 1.0]]))
     assert len(calls) == 1                     # the incident part at the points
+
+
+@pytest.mark.parametrize("q, lam", [([2.0, 3.0], 0.1 + 0.2j), ([2.1, 3.0], 0.2j)],
+                         ids=["lambda*", "q:1"])
+def test_block_store_reuse_is_bitwise(split_square, plane_inc, q, lam):
+    """A perturbed cell solve reading a copy of the base solve's block store
+    equals a fresh solve bit for bit, and leaves the base store as it was."""
+    store = {}
+    solve_scatter(CellMedium(split_square, q=[2.0, 3.0], lambda_star=0.2j, k=1.0), plane_inc,
+                  nodes_per_edge=16, blocks=store)
+    kept = dict(store)
+    med = CellMedium(split_square, q=q, lambda_star=lam, k=1.0)
+    reused = solve_scatter(med, plane_inc, nodes_per_edge=16, blocks=dict(store))
+    fresh = solve_scatter(med, plane_inc, nodes_per_edge=16)
+    assert store.keys() == kept.keys()
+    assert all(store[key] is blk for key, blk in kept.items())
+    for (t, p), (t0, p0) in zip(reused.traces, fresh.traces):
+        assert t.tobytes() == t0.tobytes() and p.tobytes() == p0.tobytes()
+    assert reused.far_field(ANGLES).values.tobytes() == fresh.far_field(ANGLES).values.tobytes()

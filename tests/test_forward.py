@@ -369,3 +369,33 @@ def test_hankel_values_shared_by_all_kinds(monkeypatch):
         passes = 1 + len(chunks)
         assert len(chunks) > 0
         assert sorted(orders) == [0] * passes + [1] * passes, src is tgt
+
+
+INNER_MOVED = [[-0.5 - 0.1 / np.sqrt(2), -0.5 - 0.1 / np.sqrt(2)], [0.5, -0.5], [0.5, 0.5],
+               [-0.5, 0.5]]
+
+
+@pytest.mark.parametrize("target, q, lam, inner", [
+    ("lambda:1", [2.0, 3.0], [0.1 + 0.5j, 0.0], None),
+    ("lambda:2", [2.0, 3.0], [0.5j, 0.1], None),       # base lambda_2 = 0: new plain block
+    ("q:1", [2.1, 3.0], [0.5j, 0.0], None),
+    ("q:2", [2.0, 3.1], [0.5j, 0.0], None),
+    ("vertex:2:0", [2.0, 3.0], [0.5j, 0.0], INNER_MOVED),
+], ids=["lambda:1", "lambda:2", "q:1", "q:2", "vertex:2:0"])
+def test_block_store_reuse_is_bitwise(nested_squares, plane_inc, target, q, lam, inner):
+    """A perturbed solve reading a copy of the base solve's block store equals
+    a fresh solve bit for bit, and leaves the base store as it was."""
+    base = NestMedium(nested_squares, q=[2.0, 3.0], lam=[0.5j, 0.0], k=1.0)
+    part = nested_squares if inner is None else NestPartition(
+        [nested_squares.layers[0], Polygon(inner)])
+    med = NestMedium(part, q=q, lam=lam, k=1.0)
+    store = {}
+    solve_scatter(base, plane_inc, nodes_per_edge=12, blocks=store)
+    kept = dict(store)
+    reused = solve_scatter(med, plane_inc, nodes_per_edge=12, blocks=dict(store))
+    fresh = solve_scatter(med, plane_inc, nodes_per_edge=12)
+    assert store.keys() == kept.keys()
+    assert all(store[key] is blk for key, blk in kept.items())
+    for (phi, psi), (phi0, psi0) in zip(reused.densities, fresh.densities):
+        assert phi.tobytes() == phi0.tobytes() and psi.tobytes() == psi0.tobytes()
+    assert reused.far_field(ANGLES).values.tobytes() == fresh.far_field(ANGLES).values.tobytes()

@@ -122,6 +122,8 @@ def test_sweep_command(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["rows"][0]["above"] is True
     assert report["noise_floor"] < report["rows"][0]["diff"] / 10
+    # q:2 changes the one block that carries q_2: the inner self difference
+    assert report["operator_blocks"] == {"base": 5, "assembled": [1]}
 
 
 @pytest.mark.parametrize("failing, label", [(0, "base"), (1, "fine"), (2, "perturbed")])
@@ -278,6 +280,41 @@ def test_cell_config_validate_and_forward(tmp_path):
     assert cli_main(["forward", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["solver"]["converged"]
+
+
+@pytest.mark.parametrize("doc, target, base, new", [
+    (NEST_DOC, "lambda:1", 5, 0),
+    (NEST_DOC, "q:2", 5, 1),          # the inner self difference carries q_2
+    (NEST_DOC, "lambda:2", 5, 1),     # the plain inner self block, unbuilt at lambda_2 = 0
+    (NEST_DOC, "vertex:2:0", 5, 3),   # every block with the inner curve as source or target
+    (CELL_DOC, "lambda", 68, 0),
+], ids=["lambda:1", "q:2", "lambda:2", "vertex:2:0", "cell-lambda*"])
+def test_sweep_assembles_only_the_blocks_a_perturbation_changes(tmp_path, monkeypatch,
+                                                                 doc, target, base, new):
+    import polyscat.forward.solver as solver
+    import polyscat.harness.cli as cli
+
+    calls = []
+    per_solve = []
+    assemble_block = solver.assemble_block
+    solve_scatter = cli.solve_scatter
+
+    def counted_solve(*args, **kwargs):
+        n0 = len(calls)
+        res = solve_scatter(*args, **kwargs)
+        per_solve.append(len(calls) - n0)
+        return res
+
+    monkeypatch.setattr(solver, "assemble_block",
+                        lambda *a, **kw: calls.append(a) or assemble_block(*a, **kw))
+    monkeypatch.setattr(cli, "solve_scatter", counted_solve)
+    cfg = write(tmp_path, "c.json", doc)
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--target", target,
+                     "--magnitudes", "0.1,0.01"]) == 0
+    assert per_solve == [base, base, new, new]   # base, fine (no store), two perturbed
+    report = json.loads((out / "report.json").read_text())
+    assert report["operator_blocks"] == {"base": base, "assembled": [new, new]}
 
 
 def test_cell_roundtrip_bit_exact():
