@@ -220,16 +220,19 @@ class CornerSector:
         return np.array([math.cos(ang), math.sin(ang)])
 
     def to_world(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        rot = np.array([[c, -s], [s, c]])
-        return self.apex + pts @ rot.T
+        return self.apex + self.vec_to_world(np.asarray(pts, dtype=float))
+
+    def vec_to_world(self, vecs):
+        """Canonical-frame vectors, real or complex, in the world frame."""
+        return vecs @ _rotation(self.rotation).T
 
     def to_canonical(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        c, s = math.cos(-self.rotation), math.sin(-self.rotation)
-        rot = np.array([[c, -s], [s, c]])
-        return (pts - self.apex) @ rot.T
+        return (np.asarray(pts, dtype=float) - self.apex) @ _rotation(-self.rotation).T
+
+
+def _rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
 
 
 @dataclass(frozen=True)

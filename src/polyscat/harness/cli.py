@@ -13,11 +13,13 @@ import numpy as np
 
 from .. import cgo, probe as probe_mod
 from ..forward import farfield_diff, solve_scatter, uniform_directions
+from ..forward.solver import region_wavenumbers
 from ..geometry import (CornerSector, NestPartition, Polygon, corner_sectors,
-                        locate, validate_cell, validate_nest)
+                        locate, max_sector_radius, validate_cell, validate_nest)
 from ..medium import CellMedium, NestMedium
 from . import reports
-from .config import ConfigError, Scenario, load_scenario, parse_medium, parse_scenario
+from .config import (ConfigError, Scenario, _cplx, load_scenario, parse_medium,
+                     parse_scenario)
 
 EXIT_OK, EXIT_REFUSED, EXIT_NUMERICAL = 0, 1, 2
 
@@ -258,8 +260,6 @@ def _admissibility(sc: Scenario, result):
         polys = [m.partition.hull]
     entries = []
     for li, poly in enumerate(polys, start=1):
-        from ..geometry import max_sector_radius
-
         h = min(0.9 * max_sector_radius(poly), 0.1 * diam)
         for vi, sec in enumerate(corner_sectors(poly, h)):
             val = probe_mod.extrapolate_vertex_value(sampler, sec)
@@ -433,19 +433,17 @@ def cmd_probe(args):
     s_grid = [float(v) for v in args.s_grid.split(",")]
     t0 = time.perf_counter()
     mode = spec.get("mode", "manufactured")
-    fit = {}
     if mode == "manufactured":
         sect = spec["sector"]
         sector = CornerSector([0.0, 0.0], float(sect["theta_m"]), float(sect["theta_M"]),
                               float(sect.get("h", 1.0)))
-        from .config import _cplx
-
         scen = probe_mod.manufactured_scenario(
             sector, _cplx(spec.get("k", 1.0), "probe.k"),
             _cplx(spec["omega1"], "probe.omega1"), _cplx(spec["omega2"], "probe.omega2"),
             _cplx(spec["eta1"], "probe.eta1"), _cplx(spec["eta2"], "probe.eta2"),
             fit_s=s_grid)
-        fit = {k: scen.meta[k] for k in ("fit_quad_unconverged", "fit_quad_error_max")}
+        fit = {k: scen.meta[k] for k in ("fit_moment_residual", "fit_quad_unconverged",
+                                         "fit_quad_error_max")}
         u2_0, _ = scen.u2.at(sector.apex)
         if abs(u2_0) < 1e-10:
             print("refused: manufactured field vanishes at the probed corner",
@@ -455,6 +453,7 @@ def cmd_probe(args):
         scen = _pair_scenario(sc, spec, args)
         if scen is None:
             return EXIT_REFUSED
+        fit = {"surrogate_fit_residuals": scen.meta["surrogate_fit_residuals"]}
     else:
         raise ConfigError("probe.mode", f"unknown mode {mode!r}")
     quad_tol = min(args.tol, 1e-10)
@@ -505,12 +504,10 @@ def _pair_scenario(sc: Scenario, spec, args):
     if locate(med2.partition, sector.apex + 0.5 * sector.h * sector.midline_world
               ).index != iface:
         raise ConfigError("probe.h", "sector does not stay inside a single region")
-    r1 = _solve(Scenario(med1, sc.incident, sc.mesh, sc.num_angles, sc.raw))
+    r1 = _solve(sc)
     r2 = solve_scatter(med2, sc.incident, nodes_per_edge=sc.mesh.nodes_per_edge,
                        grading=sc.mesh.grading)
     reg1 = min(iface, med1.partition.n_layers)
-    from ..forward.solver import region_wavenumbers
-
     kap1 = region_wavenumbers(med1)[reg1]
     kap2 = region_wavenumbers(med2)[iface]
     u1, fit1 = probe_mod.series_surrogate_from_solution(r1, sector, reg1, kap1)

@@ -17,7 +17,9 @@ only except on the arc nodes, where I1 needs the normal derivative, and
 reuses those samples for every s.  Each integral still refines and stops
 exactly as it would alone.  The numerator, denominator and identity
 residual are assembled once per s, and the eta and omega estimates are
-both read off them.
+both read off them.  The manufactured scenario's fit shares its edge
+samples the same way: J_n(kappa r) and the u2 Cauchy data are taken once
+per edge grid and serve every fit s and every basis element.
 
 Sign conventions: estimates are of eta1 - eta2 and omega1 - omega2.
 The exact exponential corrections of the closed-form edge integral are
@@ -148,27 +150,8 @@ class Extrapolation(NamedTuple):
     error: float | None   # |degree n-1 fit - degree n-2 fit| at 1/s = 0
 
 
-def _sector_frame(sector: CornerSector):
-    rot = sector.rotation
-    c, s = math.cos(rot), math.sin(rot)
-    R = np.array([[c, -s], [s, c]])
-
-    def to_world(pts):
-        return sector.apex[None, :] + pts @ R.T
-
-    def vec_to_world(vecs):
-        return vecs @ R.T
-
-    return to_world, vec_to_world, R
-
-
 def _canonical_values(sampler: FieldSampler, sector: CornerSector):
-    to_world, _, _ = _sector_frame(sector)
-
-    def f(pts):
-        return sampler.values(to_world(pts))
-
-    return f
+    return lambda pts: sampler.values(sector.to_world(pts))
 
 
 def _corner_value(sampler: FieldSampler, sector: CornerSector):
@@ -200,12 +183,11 @@ def _once_per_grid(fn):
 def _arc_values(v: FieldSampler, sector: CornerSector):
     """thetas -> (v, dnu v) on the arc r = h, the one grid that needs gradients."""
     h = sector.h
-    to_world, vec_to_world, _ = _sector_frame(sector)
 
     def f(thetas):
         rad = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        vals, grads = v(to_world(h * rad))
-        return vals, (grads * vec_to_world(rad)).sum(axis=1)
+        vals, grads = v(sector.to_world(h * rad))
+        return vals, (grads * sector.vec_to_world(rad)).sum(axis=1)
 
     return f
 
@@ -237,42 +219,48 @@ def eval_I2(dv: FieldSampler, sector: CornerSector, s, tol=1e-11):
     return _area_functional(_canonical_values(dv, sector), sector, s, tol)
 
 
-def _edge_theta(sector: CornerSector, side):
-    if side == "+":
-        return sector.theta_M
-    if side == "-":
-        return sector.theta_m
-    raise ValueError("side must be '+' or '-'")
+class _Edge(NamedTuple):
+    theta: float            # canonical angle of the edge ray
+    sign: float             # outward normal = sign * theta-hat: +1 on '+', -1 on '-'
+    direction: np.ndarray   # canonical unit vector along the ray
+    normal: np.ndarray      # outward unit normal in the world frame
 
 
-def _edge_values(sampler, sector, side):
-    theta = _edge_theta(sector, side)
-    to_world, _, _ = _sector_frame(sector)
-    direction = np.array([math.cos(theta), math.sin(theta)])
+def _edge(sector: CornerSector, side):
+    if side not in ("+", "-"):
+        raise ValueError("side must be '+' or '-'")
+    theta, sign = (sector.theta_M, 1.0) if side == "+" else (sector.theta_m, -1.0)
+    return _Edge(theta, sign, np.array([math.cos(theta), math.sin(theta)]),
+                 sector.vec_to_world(sign * np.array([-math.sin(theta), math.cos(theta)])))
 
-    def g(r):
-        pts = to_world(np.asarray(r)[:, None] * direction[None, :])
-        return sampler.values(pts)
 
-    return g
+def _edge_trace(u: FieldSampler, sector: CornerSector, side, grad=False):
+    """radii -> u on one edge, each grid sampled once: its values, or with
+    grad the pair (values, dnu u)."""
+    e = _edge(sector, side)
+
+    def f(r):
+        pts = sector.to_world(np.asarray(r)[:, None] * e.direction[None, :])
+        if not grad:
+            return u.values(pts)
+        vals, grads = u(pts)
+        return vals, grads @ e.normal
+
+    return _once_per_grid(f)
 
 
 def _edge_remainder(edge, u2_0, sector: CornerSector, s, side, tol):
     """I32: int_0^h (u2 - u2(0)) u0(s.) dr along one edge, from u2's edge values."""
-
-    def g_rem(r):
-        return edge(r) - u2_0
-
-    return edge_u0_integral(_edge_theta(sector, side), s, sector.h, g=g_rem, tol=tol)
+    return edge_u0_integral(_edge(sector, side).theta, s, sector.h,
+                            g=lambda r: edge(r) - u2_0, tol=tol)
 
 
 def eval_I3(u2: FieldSampler, sector: CornerSector, s, side, eta_diff, tol=1e-12):
     """Edge functional on Gamma_h^side, split into the closed-form part
     (value at the corner times the exact edge integral) and the remainder."""
-    theta = _edge_theta(sector, side)
     u2_0 = _corner_value(u2, sector)
-    i31 = cgo.edge_integral_exact(theta, s, sector.h)
-    i32 = _edge_remainder(_edge_values(u2, sector, side), u2_0, sector, s, side, tol).value
+    i31 = cgo.edge_integral_exact(_edge(sector, side).theta, s, sector.h)
+    i32 = _edge_remainder(_edge_trace(u2, sector, side), u2_0, sector, s, side, tol).value
     total = eta_diff * (u2_0 * i31 + i32)
     return EdgeIntegrals(total, i31, i32)
 
@@ -308,7 +296,7 @@ def _grid_samples(sc: ProbeScenario):
     return _GridSamples(
         _once_per_grid(_canonical_values(sc.u1, sec)),
         _once_per_grid(_canonical_values(sc.u2, sec)),
-        {side: _once_per_grid(_edge_values(sc.u2, sec, side)) for side in ("+", "-")},
+        {side: _edge_trace(sc.u2, sec, side) for side in ("+", "-")},
         _once_per_grid(_arc_values(sc.u1 - sc.u2, sec)))
 
 
@@ -347,7 +335,7 @@ def _residual(sc: ProbeScenario, grids: _GridSamples, s, i1, tol):
     edge_err = 0.0
     quads = [lhs_q, rhs_v]
     for side in ("+", "-"):
-        q = edge_u0_integral(_edge_theta(sec, side), s, sec.h, g=grids.u2_edge[side],
+        q = edge_u0_integral(_edge(sec, side).theta, s, sec.h, g=grids.u2_edge[side],
                              tol=tol)
         edge_terms += eta_d * q.value
         edge_err += abs(eta_d) * q.error
@@ -551,6 +539,42 @@ def sampler_from_solution(result, fd_step=1e-6, region=None, corner_value=None):
     return FieldSampler(fn, corner_value=corner_value, values_fn=values)
 
 
+class _BesselBasis(NamedTuple):
+    """J_n(kappa r){cos, sin}(n theta) for n < size, in a sector's canonical
+    polar frame: the label list, the J_n rows and the coefficient packing."""
+    kappa: complex
+    size: int
+
+    @property
+    def labels(self):
+        return [(n, kind) for n in range(self.size)
+                for kind in (("cos",) if n == 0 else ("cos", "sin"))]
+
+    def bessel(self, r):
+        """J_n(kappa r) for n < size, a row at a time: a series summed over the
+        rows never holds the whole (size, len(r)) table."""
+        z = self.kappa * np.asarray(r)
+        return (jv(n, z) for n in range(self.size))
+
+    def angular(self, theta):
+        """Per label, the angular factor at theta and its theta-derivative."""
+        ang, dang = [], []
+        for n, kind in self.labels:
+            c, s = np.cos(n * theta), np.sin(n * theta)
+            ang.append(c if kind == "cos" else s)
+            dang.append(-n * s if kind == "cos" else n * c)
+        return ang, dang
+
+    def columns(self, table, factors):
+        """One column per label: its row of a (size, m) table times its factor."""
+        return np.column_stack([table[n] * f for (n, _), f in zip(self.labels, factors)])
+
+    def unpack(self, c):
+        """Coefficients in label order, (0, cos) then (n, cos), (n, sin) for
+        n >= 1, as the (cos, sin) coefficient arrays."""
+        return np.r_[c[0], c[1::2]], np.r_[0, c[2::2]]
+
+
 def series_surrogate_from_solution(result, sector: CornerSector, region, kappa,
                                    basis_n=10, n_r=14, n_t=12):
     """Local Fourier-Bessel surrogate of a solver field on a corner sector.
@@ -570,32 +594,16 @@ def series_surrogate_from_solution(result, sector: CornerSector, region, kappa,
     tt = np.linspace(sector.theta_m + pad, sector.theta_M - pad, n_t)
     R, T = np.meshgrid(rr, tt, indexing="ij")
     canon = np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])
-    world = sector.to_world(canon)
-    vals = np.atleast_1d(result.field_at(world, region=region))
+    vals = np.atleast_1d(result.field_at(sector.to_world(canon), region=region))
 
-    labels = [(n, kind) for n in range(basis_n)
-              for kind in (("cos",) if n == 0 else ("cos", "sin"))]
-    cols = []
-    rflat = np.hypot(canon[:, 0], canon[:, 1])
-    tflat = np.arctan2(canon[:, 1], canon[:, 0])
-    for n, kind in labels:
-        jn = jv(n, kappa * rflat)
-        ang = np.cos(n * tflat) if kind == "cos" else np.sin(n * tflat)
-        cols.append(jn * ang)
-    A = np.column_stack(cols)
+    basis = _BesselBasis(kappa, basis_n)
+    A = basis.columns([*basis.bessel(np.hypot(canon[:, 0], canon[:, 1]))],
+                      basis.angular(np.arctan2(canon[:, 1], canon[:, 0]))[0])
     scale = np.maximum(np.abs(A).max(axis=0), 1e-30)
     c, *_ = np.linalg.lstsq(A / scale[None, :], vals, rcond=1e-10)
     c = c / scale
     resid = float(np.linalg.norm(A @ c - vals) / max(np.linalg.norm(vals), 1e-300))
-    a = np.zeros(basis_n, dtype=complex)
-    b = np.zeros(basis_n, dtype=complex)
-    for cj, (n, kind) in zip(c, labels):
-        if kind == "cos":
-            a[n] = cj
-        else:
-            b[n] = cj
-    sampler = bessel_series_sampler(kappa, a, b, sector)
-    return sampler, resid
+    return bessel_series_sampler(kappa, *basis.unpack(c), sector), resid
 
 
 def extrapolate_vertex_value(sampler: FieldSampler, sector: CornerSector, t0=None, levels=4):
@@ -626,30 +634,23 @@ def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | 
     Coordinates are the sector's canonical frame when a sector is given
     (sampler still takes world points), otherwise the world frame itself.
     """
-    a = np.asarray(cos_coeffs, dtype=complex)
-    b = np.asarray(sin_coeffs, dtype=complex)
-    nmax = max(len(a), len(b))
-    a = np.pad(a, (0, nmax - len(a)))
-    b = np.pad(b, (0, nmax - len(b)))
+    nmax = max(len(cos_coeffs), len(sin_coeffs))
+    a, b = (np.pad(np.asarray(c, dtype=complex), (0, nmax - len(c)))
+            for c in (cos_coeffs, sin_coeffs))
+    basis = _BesselBasis(kappa, nmax)
     if sector is None:
-        to_canon = lambda pts: np.atleast_2d(pts)
-        R = np.eye(2)
+        to_canon, vec_to_world = np.atleast_2d, lambda vecs: vecs
     else:
-        to_canon = sector.to_canonical
-        _, _, R = _sector_frame(sector)
+        to_canon, vec_to_world = sector.to_canonical, sector.vec_to_world
 
     def series(pts, grad):
         xy = to_canon(pts)
         r = np.hypot(xy[:, 0], xy[:, 1])
         th = np.arctan2(xy[:, 1], xy[:, 0])
-        vals = np.zeros(len(xy), dtype=complex)
-        if grad:
-            d_r = np.zeros(len(xy), dtype=complex)
-            d_t = np.zeros(len(xy), dtype=complex)  # (1/r) d/dtheta
+        vals = d_r = d_t = 0j  # d_t: (1/r) d/dtheta
         tiny = r < 1e-12
         rs = np.where(tiny, 1.0, r)
-        for n in range(nmax):
-            jn = jv(n, kappa * rs)
+        for n, jn in enumerate(basis.bessel(rs)):
             cn, sn = np.cos(n * th), np.sin(n * th)
             ang = a[n] * cn + b[n] * sn
             vals += jn * ang
@@ -669,52 +670,23 @@ def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | 
         if len(idx):
             grads[idx] = (0.5 * kappa * np.array([a[1], b[1]]) if nmax > 1
                           else np.zeros(2, dtype=complex))
-        return vals, grads @ R.T
+        return vals, vec_to_world(grads)
 
     return FieldSampler(lambda pts: series(pts, True), hoelder,
                         values_fn=lambda pts: series(pts, False))
 
 
-def _edge_sign(side):
-    """Outward sector normal on an edge: +theta-hat on '+', -theta-hat on '-'."""
-    return 1.0 if side == "+" else -1.0
-
-
-def _basis_edge_moment(kappa, n, kind, sector, side, s, tol=1e-12):
-    """Green moment of one basis element J_n(kappa r){cos,sin}(n theta) on an
-    edge: int_0^h [dnu phi - (dnu u0 / u0) phi] u0(s.) dr."""
-    theta = _edge_theta(sector, side)
-    sign = _edge_sign(side)
-    ang = math.cos(n * theta) if kind == "cos" else math.sin(n * theta)
-    dang = -n * math.sin(n * theta) if kind == "cos" else n * math.cos(n * theta)
-    m = cgo.mu(theta)
+def _edge_moment(sector: CornerSector, edge: _Edge, s, cauchy, tol, scale=1.0):
+    """Green moment int_0^h [flux - (dnu u0 / u0) scale trace] u0(s.) dr of the
+    edge Cauchy data cauchy(r) -> (trace, flux), scale a constant trace factor."""
+    m = cgo.mu(edge.theta)
 
     def g(r):
-        jn = jv(n, kappa * r)
-        dnu_phi = 0.0 if n == 0 else sign * (jn / r) * dang
-        fac = sign * (-0.5j) * np.sqrt(s / r) * m
-        return dnu_phi - fac * jn * ang
+        trace, flux = cauchy(r)
+        fac = edge.sign * (-0.5j) * np.sqrt(s / r) * m
+        return flux - fac * trace * scale
 
-    return edge_u0_integral(theta, s, sector.h, g=g, tol=tol)
-
-
-def _target_edge_moment(u2: FieldSampler, eta_diff, sector, side, s, tol=1e-12):
-    """Green moment of the prescribed Cauchy data (u2-trace, dnu u2 + d_eta u2)."""
-    theta = _edge_theta(sector, side)
-    sign = _edge_sign(side)
-    to_world, vec_to_world, _ = _sector_frame(sector)
-    direction = np.array([math.cos(theta), math.sin(theta)])
-    n_world = vec_to_world(sign * np.array([-math.sin(theta), math.cos(theta)]))
-    m = cgo.mu(theta)
-
-    def g(r):
-        pts = to_world(np.asarray(r)[:, None] * direction[None, :])
-        vals, grads = u2(pts)
-        dnu = grads @ n_world
-        fac = sign * (-0.5j) * np.sqrt(s / r) * m
-        return (dnu + eta_diff * vals) - fac * vals
-
-    return edge_u0_integral(theta, s, sector.h, g=g, tol=tol)
+    return edge_u0_integral(edge.theta, s, sector.h, g=g, tol=tol)
 
 
 def _sqrt_principal_nonneg(z):
@@ -753,68 +725,54 @@ def manufactured_scenario(sector: CornerSector, k, omega1, omega2, eta1, eta2,
     if fit_s is None:
         fit_s = [50.0 * 2**j for j in range(5)]
 
-    labels = [(n, kind) for n in range(basis_n)
-              for kind in (("cos",) if n == 0 else ("cos", "sin"))]
+    basis = _BesselBasis(kap1, basis_n)
+    # J_n(kap1 r) once per edge grid; the grids are the same on both edges
+    bessel = _once_per_grid(lambda r: np.array([*basis.bessel(r)]))
 
     h = sector.h
     rr = h * np.geomspace(1e-6, 1.0, 64)
-    rows, rhs = [], []
-    to_world, vec_to_world, _ = _sector_frame(sector)
+    wn = 0.3 * h
+    rows, rhs, mom_rows, mom_tgt = [], [], [], []
     for side in ("+", "-"):
-        theta = _edge_theta(sector, side)
-        sign = _edge_sign(side)
-        direction = np.array([math.cos(theta), math.sin(theta)])
-        n_world = vec_to_world(sign * np.array([-math.sin(theta), math.cos(theta)]))
-        pts = to_world(rr[:, None] * direction[None, :])
-        v2, g2 = u2(pts)
-        dnu2 = g2 @ n_world
-        val_cols, dnu_cols = [], []
-        for n, kind in labels:
-            jn = jv(n, kap1 * rr)
-            ang = math.cos(n * theta) if kind == "cos" else math.sin(n * theta)
-            dang = -n * math.sin(n * theta) if kind == "cos" else n * math.cos(n * theta)
-            val_cols.append(jn * ang)
-            dnu_cols.append(np.zeros_like(jn) if n == 0 else sign * jn / rr * dang)
-        rows.append(np.column_stack(val_cols))
-        rhs.append(v2)
-        wn = 0.3 * h
-        rows.append(wn * np.column_stack(dnu_cols))
-        rhs.append(wn * (dnu2 + eta_diff * v2))
+        e = _edge(sector, side)
+        u2_edge = _edge_trace(u2, sector, side, grad=True)
+        ang, dang = basis.angular(e.theta)
+        v2, dnu2 = u2_edge(rr)
+        jn = bessel(rr)
+        rows += [basis.columns(jn, ang), wn * basis.columns(e.sign * jn / rr, dang)]
+        rhs += [v2, wn * (dnu2 + eta_diff * v2)]
+
+        def target(r):
+            vals, dnu = u2_edge(r)
+            return vals, dnu + eta_diff * vals
+
+        def element(n, d):
+            def cauchy(r):
+                jn = bessel(r)[n]
+                return jn, e.sign * (jn / r) * d
+            return cauchy
+
+        for s in fit_s:
+            mom_rows.append([_edge_moment(sector, e, s, element(n, d), tol, scale=a)
+                             for (n, _), a, d in zip(basis.labels, ang, dang)])
+            mom_tgt.append(_edge_moment(sector, e, s, target, tol))
     A = np.vstack(rows)
     y = np.concatenate(rhs)
-    mom_rows, mom_tgt = [], []
-    for side in ("+", "-"):
-        for s in fit_s:
-            mom_rows.append([_basis_edge_moment(kap1, n, kind, sector, side, s, tol)
-                             for n, kind in labels])
-            mom_tgt.append(_target_edge_moment(u2, eta_diff, sector, side, s, tol))
     fit_quads = [q for row in mom_rows for q in row] + mom_tgt
     M = np.array([[q.value for q in row] for row in mom_rows])
     t = np.array([q.value for q in mom_tgt])
 
-    # pin the (n=0, cos) coefficient so that u1(0) = u2(0) exactly
-    j0 = next(j for j, lab in enumerate(labels) if lab == (0, "cos"))
-    free = [j for j in range(len(labels)) if j != j0]
-    Af, yf = A[:, free], y - u2_0 * A[:, j0]
-    Mf, tf = M[:, free], t - u2_0 * M[:, j0]
+    # pin the first coefficient, (n=0, cos), so that u1(0) = u2(0) exactly
+    free = np.arange(1, len(basis.labels))
+    Af, yf = A[:, free], y - u2_0 * A[:, 0]
+    Mf, tf = M[:, free], t - u2_0 * M[:, 0]
     scale = np.maximum(np.abs(Af).max(axis=0), 1e-30)
     c0, *_ = np.linalg.lstsq(Af / scale[None, :], yf, rcond=1e-12)
     c0 = c0 / scale
     delta, *_ = np.linalg.lstsq(Mf / scale[None, :], tf - Mf @ c0, rcond=1e-13)
-    cf = c0 + delta / scale
-    c = np.zeros(len(labels), dtype=complex)
-    c[j0] = u2_0
-    c[free] = cf
+    c = np.r_[u2_0, c0 + delta / scale]
     fit_resid = float(np.abs(M @ c - t).max())
-
-    a1 = np.zeros(basis_n, dtype=complex)
-    b1 = np.zeros(basis_n, dtype=complex)
-    for cj, (n, kind) in zip(c, labels):
-        if kind == "cos":
-            a1[n] = cj
-        else:
-            b1[n] = cj
-    u1 = bessel_series_sampler(kap1, a1, b1, sector)
+    u1 = bessel_series_sampler(kap1, *basis.unpack(c), sector)
     meta = {
         "fit_moment_residual": fit_resid,
         "fit_s": tuple(fit_s),

@@ -77,45 +77,39 @@ def _refine(levels, eval_fn, tol):
     return prev, err, False
 
 
-def sector_u0_integral(theta_m, theta_M, s, rmax, tol=1e-10):
-    """Integral of u0(s x) over the truncated sector W cap B_rmax."""
+def _polar_integral(breaks, theta_m, theta_M, kernel, tol):
+    """Tensor rule of radial panels over `breaks` times angular Gauss nodes,
+    summed by kernel(r, wr, theta, wt) and refined over one level list."""
 
     def eval_fn(lv):
         nr, nt = lv
-        r, wr = panel_rule(graded_breaks(0.0, rmax), nr)
+        r, wr = panel_rule(breaks, nr)
         t, wt = _theta_rule(theta_m, theta_M, nt)
-        return _kernels.sector_quad_sum(r, wr, t, wt, float(s))
+        return kernel(r, wr, t, wt)
 
-    val, err, ok = _refine([(12, 12), (16, 24), (24, 48), (32, 96)], eval_fn, tol)
-    return QuadResult(val, err, ok)
+    return QuadResult(*_refine([(12, 12), (16, 24), (24, 48), (32, 96)], eval_fn, tol))
+
+
+def sector_u0_integral(theta_m, theta_M, s, rmax, tol=1e-10):
+    """Integral of u0(s x) over the truncated sector W cap B_rmax."""
+    return _polar_integral(graded_breaks(0.0, rmax), theta_m, theta_M,
+                           lambda *rule: _kernels.sector_quad_sum(*rule, float(s)), tol)
 
 
 def sector_u0_abs_integral(theta_m, theta_M, s, alpha, rmax, tol=1e-10):
     """Integral of |u0(s x)| |x|^alpha over W cap B_rmax."""
-
-    def eval_fn(lv):
-        nr, nt = lv
-        r, wr = panel_rule(graded_breaks(0.0, rmax), nr)
-        t, wt = _theta_rule(theta_m, theta_M, nt)
-        return _kernels.sector_abs_quad_sum(r, wr, t, wt, float(s), float(alpha))
-
-    val, err, ok = _refine([(12, 12), (16, 24), (24, 48), (32, 96)], eval_fn, tol)
-    return QuadResult(val, err, ok)
+    return _polar_integral(
+        graded_breaks(0.0, rmax), theta_m, theta_M,
+        lambda *rule: _kernels.sector_abs_quad_sum(*rule, float(s), float(alpha)), tol)
 
 
 def annulus_u0_abs_integral(theta_m, theta_M, s, h, rmax, tol=1e-10):
     """Integral of |u0(s x)| over the annular sector W cap (B_rmax \\ B_h)."""
     if rmax <= h:
         return QuadResult(0.0, 0.0, True)
-
-    def eval_fn(lv):
-        nr, nt = lv
-        r, wr = panel_rule(graded_breaks(h, rmax), nr)
-        t, wt = _theta_rule(theta_m, theta_M, nt)
-        return _kernels.sector_abs_quad_sum(r, wr, t, wt, float(s), 0.0)
-
-    val, err, ok = _refine([(12, 12), (16, 24), (24, 48), (32, 96)], eval_fn, tol)
-    return QuadResult(val, err, ok)
+    return _polar_integral(graded_breaks(h, rmax), theta_m, theta_M,
+                           lambda *rule: _kernels.sector_abs_quad_sum(*rule, float(s), 0.0),
+                           tol)
 
 
 def edge_u0_integral(theta, s, h, g=None, tol=1e-12):

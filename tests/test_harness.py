@@ -206,6 +206,8 @@ def test_probe_command_manufactured(tmp_path):
     assert report["omega_extrapolation_err"] > 0
     assert report["fit_quad_unconverged"] >= 0
     assert report["fit_quad_error_max"] > 0
+    # the edge-moment correction closes the fit to rounding
+    assert 0 <= report["fit_moment_residual"] < 1e-12
 
 
 def test_probe_command_reports_unconverged_quadrature(tmp_path, capsys):
@@ -237,6 +239,10 @@ def test_probe_command_identical_pair(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert abs(complex(*report["eta_extrapolated"])) < 1e-4
     assert abs(complex(*report["omega_extrapolated"])) < 1e-3
+    # one medium solved twice: both surrogates fit the same field
+    fit1, fit2 = report["surrogate_fit_residuals"]
+    assert fit1 == fit2
+    assert 0 < fit1 < 1e-5
 
 
 def test_cgo_verify_and_negative_control(tmp_path):

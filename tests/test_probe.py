@@ -436,3 +436,43 @@ def test_probe_result_requires_increasing_s(quarter_sector, eta_scenario):
 
     with pytest.raises(ValueError):
         ProbeResult(((100.0, 0j), (50.0, 0j)), (), None, None, (), {})
+
+
+def test_scenario_samples_u2_gradients_once_per_edge_grid(quarter_sector, monkeypatch):
+    log = []
+    call = FieldSampler.__call__
+
+    def logged(self, pts):
+        log.append(np.atleast_2d(np.asarray(pts, dtype=float)).copy())
+        return call(self, pts)
+
+    monkeypatch.setattr(FieldSampler, "__call__", logged)
+    manufactured_scenario(quarter_sector, 1.0, 2.0, 2.0, 0.5 + 0.1j, 0.2)
+    # the apex, then per edge the pointwise fit grid and at most the four
+    # levels of edge_u0_integral, shared by every fit s and basis element
+    assert 7 <= len(log) <= 1 + 2 * (1 + 4)
+    for i, pts in enumerate(log):
+        assert not any(p.shape == pts.shape and np.array_equal(p, pts) for p in log[:i])
+        on_edge = np.isclose(pts[:, 1], 0.0, atol=1e-15) | np.isclose(pts[:, 0], 0.0,
+                                                                       atol=1e-15)
+        assert on_edge.all()
+
+
+def test_series_surrogate_recovers_an_exact_series():
+    sector = CornerSector([0.3, -0.2], -2.0, 0.5, 0.7, rotation=2.1)
+    kappa = 1.3
+    exact = bessel_series_sampler(kappa, [0.8, 0.3, -0.2], [0.0, 0.4, 0.1j], sector)
+
+    class Result:
+        def field_at(self, pts, region=None):
+            return exact.values(pts)
+
+    sm, resid = probe.series_surrogate_from_solution(Result(), sector, 1, kappa)
+    assert resid < 1e-10
+    rng = np.random.default_rng(5)
+    r = sector.h * np.sqrt(rng.uniform(0.0, 1.0, 30))
+    th = rng.uniform(sector.theta_m, sector.theta_M, 30)
+    pts = sector.to_world(np.column_stack([r * np.cos(th), r * np.sin(th)]))
+    (v, g), (v_ref, g_ref) = sm(pts), exact(pts)
+    assert np.abs(v - v_ref).max() < 1e-10
+    assert np.abs(g - g_ref).max() < 1e-9
