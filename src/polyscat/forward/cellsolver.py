@@ -25,7 +25,7 @@ from ..geometry import CellPartition, locate, point_segment_distance
 from ..medium import CellMedium, IncidentField, incident_eval
 from .layerops import assemble_block, farfield_row
 from .mesh import CurveMesh, outward_normal
-from .solver import (FarFieldPattern, _block, factor_system, field_by_region,
+from .solver import (FarFieldPattern, _block, _stored, factor_system, field_by_region,
                      region_wavenumbers, solve_factored)
 
 
@@ -127,13 +127,16 @@ class CellSolveResult:
     medium: CellMedium
     incident: IncidentField
     hull: tuple            # (curve, phi, psi): exterior representation per hull segment
+    blocks: dict = None    # the block store of the solve; also holds far-field rows
 
     def far_field(self, angles):
         k = self.medium.k
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
         total = 0
         for curve, phi, psi in self.hull:
-            fs, fd = farfield_row(curve, k, dirs)
+            fs, fd = _stored(self.blocks, ("farfield", k),
+                             [curve.nodes, curve.weights, curve.normals, dirs],
+                             lambda: farfield_row(curve, k, dirs))
             total = total + fd @ phi + fs @ psi
         return FarFieldPattern(np.asarray(angles, float), total)
 
@@ -235,4 +238,4 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
         (t, p), (ui, dnu_i) = traces[si], incident[si]
         hull.append((curves[si], t - ui, -(p - lam * t) + dnu_i))
     return CellSolveResult(traces, resid, cond, converged, curves, tuple(segs),
-                           kappas, medium, inc, tuple(hull))
+                           kappas, medium, inc, tuple(hull), blocks)

@@ -18,7 +18,10 @@ and normals.  A moved curve or a changed wavenumber therefore misses, and
 a hit is the very array a fresh assembly would give, so every output is
 bitwise unchanged.  `None` stores nothing.  A sweep fills a store on its
 base solve and hands each perturbed solve a shallow copy, which reads the
-base blocks and drops the perturbed solve's own blocks with it.
+base blocks and drops the perturbed solve's own blocks with it.  A result
+keeps the store it was solved with and fetches its far-field rows through
+it, keyed by k, the exterior mesh and the directions, so solves on the
+same exterior curves share them.
 """
 
 from dataclasses import dataclass
@@ -91,24 +94,33 @@ def solve_factored(A, lu_piv, cond, b, sizes):
     return pairs, resid, resid <= TAU_SOLVE and cond < COND_FLAG
 
 
-def _block(blocks, kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
-    """`assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2)`, served from the
-    store `blocks` when it holds that block and stored there otherwise;
-    `blocks=None` only assembles.  Stored blocks are read-only."""
+def _stored(blocks, scalars, arrays, build):
+    """build(), served from the store `blocks` when it holds the result for
+    these exact scalars and arrays and stored there otherwise; `blocks=None`
+    only builds.  Stored arrays are read-only."""
     if blocks is None:
-        return assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2=kappa2)
-    # every array assemble_block reads, panel ends and lengths for the near pass
+        return build()
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    # repr, unlike ==, tells a float from a complex and 0.0 from -0.0
+    key = (*map(repr, scalars), *((a.shape, a.tobytes()) for a in arrays))
+    if key not in blocks:
+        value = build()
+        for a in value if isinstance(value, tuple) else (value,):
+            a.flags.writeable = False
+        blocks[key] = value
+    return blocks[key]
+
+
+def _block(blocks, kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
+    """`assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2)` through the store
+    `blocks`, keyed by every array assemble_block reads: the mesh, its panel
+    ends and lengths for the near pass, and the targets."""
     arrays = [src.nodes, src.weights, src.normals,
               [[*p.a, *p.b, p.length] for p in src.panels], tgt_pts]
     if tgt_nrm is not None:
         arrays.append(tgt_nrm)
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
-    # repr, unlike ==, tells a float from a complex and 0.0 from -0.0
-    key = (repr(kappa), repr(kappa2), *((a.shape, a.tobytes()) for a in arrays))
-    if key not in blocks:
-        blocks[key] = assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2=kappa2)
-        blocks[key].flags.writeable = False
-    return blocks[key]
+    return _stored(blocks, (kappa, kappa2), arrays,
+                   lambda: assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2=kappa2))
 
 
 def field_by_region(partition, pts, region, region_field):
@@ -122,7 +134,7 @@ def field_by_region(partition, pts, region, region_field):
     if region is not None:
         regions = np.full(len(pts), int(region))
     else:
-        labels = [locate(partition, p) for p in pts]
+        labels = locate(partition, pts)
         if any(lb.kind == "interface" for lb in labels):
             raise ValueError("field evaluation on an interface is not defined")
         regions = np.array([0 if lb.kind == "exterior" else lb.index for lb in labels])
@@ -143,11 +155,14 @@ class NestSolveResult:
     kappas: list
     medium: NestMedium
     incident: IncidentField
+    blocks: dict = None       # the block store of the solve; also holds far-field rows
 
     def far_field(self, angles):
         k = self.medium.k
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-        fs, fd = farfield_row(self.mesh.curves[0], k, dirs)
+        src = self.mesh.curves[0]
+        fs, fd = _stored(self.blocks, ("farfield", k), [src.nodes, src.weights, src.normals, dirs],
+                         lambda: farfield_row(src, k, dirs))
         phi1, psi1 = self.densities[0]
         return FarFieldPattern(np.asarray(angles, float), fd @ phi1 + fs @ psi1)
 
@@ -270,7 +285,7 @@ def assemble_nest(medium: NestMedium, mesh: BoundaryMesh, blocks=None):
     lu_piv, cond = factor_system(A)
     return {
         "A": A, "lu": lu_piv, "cond": cond, "mesh": mesh, "kappas": kappas,
-        "medium": medium, "sizes": sizes,
+        "medium": medium, "sizes": sizes, "blocks": blocks,
     }
 
 
@@ -289,7 +304,7 @@ def solve_assembled(system, inc: IncidentField):
     densities, resid, converged = solve_factored(system["A"], system["lu"], system["cond"],
                                                  b, sizes)
     return NestSolveResult(densities, resid, system["cond"], converged,
-                           mesh, system["kappas"], medium, inc)
+                           mesh, system["kappas"], medium, inc, system["blocks"])
 
 
 def farfield_diff(p1: FarFieldPattern, p2: FarFieldPattern, eps=1e-300):

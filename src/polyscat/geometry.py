@@ -45,13 +45,15 @@ def _segments_properly_intersect(p1, p2, q1, q2, eps):
 
 
 def point_segment_distance(pt, a, b):
+    """Distance from a point (2,) to the segment a-b, or from each row of an
+    (n, 2) array of points as an (n,) array."""
+    pt = np.asarray(pt, dtype=float)
+    pts = np.atleast_2d(pt)
     ab = b - a
     denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*(pt - a)))
-    t = float(np.clip((pt - a) @ ab / denom, 0.0, 1.0))
-    proj = a + t * ab
-    return float(np.hypot(*(pt - proj)))
+    t = np.zeros(len(pts)) if denom == 0.0 else np.clip((pts - a) @ ab / denom, 0.0, 1.0)
+    dist = np.hypot(*(pts - (a + t[:, None] * ab)).T)
+    return float(dist[0]) if pt.ndim == 1 else dist
 
 
 @dataclass(frozen=True)
@@ -112,23 +114,27 @@ class Polygon:
         return all(c > 0 for c in cross)
 
     def contains(self, pt, tol):
-        """'inside' | 'outside' | 'boundary' with absolute tolerance tol."""
+        """'inside' | 'outside' | 'boundary' with absolute tolerance tol, for a
+        point (2,), or an array of these labels for each row of an (n, 2) array."""
         pt = np.asarray(pt, dtype=float)
+        pts = np.atleast_2d(pt)
         v = self.vertices
         n = len(v)
+        boundary = np.zeros(len(pts), dtype=bool)
         for i in range(n):
-            if point_segment_distance(pt, v[i], v[(i + 1) % n]) <= tol:
-                return "boundary"
-        inside = False
-        x, y = pt
+            boundary |= point_segment_distance(pts, v[i], v[(i + 1) % n]) <= tol
+        inside = np.zeros(len(pts), dtype=bool)
+        x, y = pts.T
         j = n - 1
         for i in range(n):
             xi, yi = v[i]
             xj, yj = v[j]
-            if (yi > y) != (yj > y) and x < (xj - xi) * (y - yi) / (yj - yi) + xi:
-                inside = not inside
+            with np.errstate(divide="ignore", invalid="ignore"):  # yi == yj never crosses
+                cross = (yi > y) != (yj > y)
+                inside ^= cross & (x < (xj - xi) * (y - yi) / (yj - yi) + xi)
             j = i
-        return "inside" if inside else "outside"
+        labels = np.where(boundary, "boundary", np.where(inside, "inside", "outside"))
+        return str(labels[0]) if pt.ndim == 1 else labels
 
     def boundary_distance(self, pt):
         v = self.vertices
@@ -389,31 +395,34 @@ def corner_sectors(poly: Polygon, h: float):
     return sectors
 
 
-def locate(partition, x, tol=None) -> RegionLabel:
-    """Deterministic region label for a point.
+def locate(partition, x, tol=None):
+    """Deterministic region label for a point (2,), or a list of labels for
+    each row of an (n, 2) array.
 
     Nest partitions: region index ell means the annulus between layer ell
     and layer ell+1 (layer N = the innermost core).  Cell partitions:
-    region index is the cell index.  Indices are 1-based.
+    region index is the cell index.  Indices are 1-based.  A point within
+    tol of an interface is labelled by the first such interface, checking
+    nest layers innermost first and cells in order.
     """
     x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
     if tol is None:
         tol = partition.geo_tol()
     if isinstance(partition, NestPartition):
-        for ell in range(partition.n_layers, 0, -1):
-            status = partition.layers[ell - 1].contains(x, tol)
-            if status == "boundary":
-                return RegionLabel("interface", ell)
-        for ell in range(partition.n_layers, 0, -1):
-            if partition.layers[ell - 1].contains(x, tol) == "inside":
-                return RegionLabel("region", ell)
-        return RegionLabel("exterior")
-    if isinstance(partition, CellPartition):
-        for i, cell in enumerate(partition.cells, start=1):
-            if cell.contains(x, tol) == "boundary":
-                return RegionLabel("interface", i)
-        for i, cell in enumerate(partition.cells, start=1):
-            if cell.contains(x, tol) == "inside":
-                return RegionLabel("region", i)
-        return RegionLabel("exterior")
-    raise TypeError(f"unsupported partition type {type(partition)!r}")
+        order = [(ell, partition.layers[ell - 1]) for ell in range(partition.n_layers, 0, -1)]
+    elif isinstance(partition, CellPartition):
+        order = list(enumerate(partition.cells, start=1))
+    else:
+        raise TypeError(f"unsupported partition type {type(partition)!r}")
+    status = [(i, poly.contains(pts, tol)) for i, poly in order]
+    kinds = np.full(len(pts), "exterior", dtype=object)
+    index = np.zeros(len(pts), dtype=int)
+    for want, kind in (("boundary", "interface"), ("inside", "region")):
+        for i, st in status:
+            hit = (st == want) & (kinds == "exterior")
+            kinds[hit] = kind
+            index[hit] = i
+    labels = [RegionLabel(k) if k == "exterior" else RegionLabel(k, int(i))
+              for k, i in zip(kinds, index)]
+    return labels[0] if x.ndim == 1 else labels

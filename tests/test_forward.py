@@ -187,15 +187,16 @@ def _lagrange_basis(tj, t):
 
 
 def _ref_kernel(kind, kap, kap2, x, tn, y, sn):
-    """Helmholtz kernels from hankel1 alone; T is the difference T(kap) - T(kap2),
-    with the 2i/(pi r) parts of kap H1(kap r) cancelled analytically."""
+    """Helmholtz kernels from hankel1 alone; S is the difference S(kap) - S(kap2)
+    when kap2 is given, T always the difference T(kap) - T(kap2), with the
+    2i/(pi r) parts of kap H1(kap r) cancelled analytically."""
     from scipy.special import hankel1, jv
 
     d = x - y
     r = np.hypot(*d)
     a, b = d @ tn / r, d @ sn / r
     if kind == "S":
-        return 0.25j * hankel1(0, kap * r)
+        return 0.25j * (hankel1(0, kap * r) - (0 if kap2 is None else hankel1(0, kap2 * r)))
     if kind == "K":
         return 0.25j * kap * hankel1(1, kap * r) * b
     if kind == "Kp":
@@ -233,54 +234,124 @@ def _ref_row(kind, kap, kap2, x, tn, panel):
 
 
 @pytest.mark.parametrize("q", [3.0, 3.0 + 0.2j])
-@pytest.mark.parametrize("kind", ["S", "K", "Kp", "T"])
+@pytest.mark.parametrize("kind", ["S", "S-diff", "K", "Kp", "T"])
 def test_near_block_entries_match_adaptive_quadrature(kind, q):
-    from polyscat.forward.layerops import assemble_block
+    """Near entries against adaptive quadrature on the 24- and the 8-nodes/edge
+    nested squares (n_gl = 8 and 4); T is the difference T(kap) - T(1)."""
+    from polyscat.forward.layerops import _OWN_M, assemble_block
+    from polyscat.quadrature import gauss_legendre
 
     outer = Polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
     inner = Polygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
-    mesh = build_mesh([outer, inner], 24)
-    c0, c1 = mesh.curves
     kap = np.sqrt(complex(q))
-    kap2 = 1.0 if kind == "T" else None
-    per_edge = len(c0.panels) // 4
-    cases = [
-        # self panel: collocation node on a middle panel of the bottom edge
-        (c0, c0, 1, c0.panels[1].start + 3),
-        # across the corner (1, -1): first panel of the right edge, last node of the bottom
-        (c0, c0, per_edge, per_edge * c0.n_gl - 1),
-        # cross curve: inner-square node 0.5 above a middle panel of the outer bottom edge
-        (c0, c1, 1, c1.panels[1].start + 2),
-    ]
-    for src, tgt, pi, row in cases:
-        block = assemble_block(kap, src, tgt.nodes, tgt.normals, kappa2=kap2)[KINDS.index(kind)]
-        panel = src.panels[pi]
-        ref = _ref_row(kind, kap, kap2, tgt.nodes[row], tgt.normals[row], panel)
-        got = block[row, panel.start:panel.start + src.n_gl]
-        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(block)), (pi, row)
+    kap2 = 1.0 if kind in ("S-diff", "T") else None
+    kind = kind.removesuffix("-diff")
+    for nodes_per_edge in (24, 8):
+        c0, c1 = build_mesh([outer, inner], nodes_per_edge).curves
+        per_edge = len(c0.panels) // 4
+        own = c0.panels[1]
+        # two more targets inside a middle panel of the bottom edge: at t = 0.3,
+        # off every node, and exactly on a node of the product rule
+        extra = [own.a + (0.5 + 0.5 * t) * (own.b - own.a)
+                 for t in (0.3, gauss_legendre(_OWN_M)[0][5])]
+        pts, nrm = np.vstack([c0.nodes, extra]), np.vstack([c0.normals, [own.normal] * 2])
+        cases = [
+            # self panel: collocation node on a middle panel of the bottom edge
+            (pts, nrm, 1, own.start + 3),
+            # across the corner (1, -1): first panel of the right edge, last node of the bottom
+            (pts, nrm, per_edge, per_edge * c0.n_gl - 1),
+            # self panel, off the collocation nodes and on a product-rule node
+            (pts, nrm, 1, c0.n_nodes),
+            (pts, nrm, 1, c0.n_nodes + 1),
+            # cross curve: inner-square node 0.5 above a middle panel of the outer bottom edge
+            (c1.nodes, c1.normals, 1, c1.panels[1].start + 2),
+        ]
+        for x, tn, pi, row in cases:
+            block = assemble_block(kap, c0, x, tn, kappa2=kap2)[KINDS.index(kind)]
+            panel = c0.panels[pi]
+            ref = _ref_row(kind, kap, kap2, x[row], tn[row], panel)
+            got = block[row, panel.start:panel.start + c0.n_gl]
+            err = np.max(np.abs(got - ref))
+            assert err <= 1e-11 * np.max(np.abs(block)), (nodes_per_edge, pi, row)
+
+
+def _own_log_weights(t0, m):
+    """Integrals of log|t - t0| times each Lagrange basis polynomial of the
+    m Gauss nodes over [-1, 1]: 200 Gauss points on each side of t0 after
+    t = t0 + (end - t0) u^6, which leaves a bounded smooth-enough integrand."""
+    from polyscat.quadrature import gauss_legendre
+
+    tj, _ = gauss_legendre(m)
+    u, wu = gauss_legendre(200)
+    u, wu = 0.5 * (u + 1), 0.5 * wu
+    total = 0.0
+    for end in (-1.0, 1.0):
+        span = abs(end - t0)
+        t = t0 + (end - t0) * u**6
+        total = total + (wu * span * 6 * u**5 * np.log(span * u**6)) @ _lagrange_basis(tj, t)
+    return total
+
+
+def _own_panel_row(kind, kap, kap2, p, x, tn):
+    """Product-rule row of a target x inside panel p: kernel = A log|t - t0| + B~
+    with A in closed form from scipy's jv, B~ sampled at the Gauss nodes."""
+    from scipy.special import jv
+
+    from polyscat.forward.layerops import _OWN_M, _kernels
+    from polyscat.quadrature import gauss_legendre
+
+    if kind in ("K", "Kp"):
+        return np.zeros(len(p.t_nodes), dtype=complex)
+    ab = p.b - p.a
+    t0 = 2 * (x - p.a) @ ab / (ab @ ab) - 1
+    to, wo = gauss_legendre(_OWN_M)
+    d = x - (0.5 * (p.a + p.b) + 0.5 * to[:, None] * ab)
+    r = np.hypot(d[:, 0], d[:, 1])
+    vals = _kernels(kap, kap2, d, r, np.broadcast_to(p.normal, d.shape),
+                    None if tn is None else np.broadcast_to(tn, d.shape))[KINDS.index(kind)]
+    k2 = 0.0 if kap2 is None else kap2
+    if kind == "S":
+        a = -(jv(0, kap * r) - (0.0 if kap2 is None else jv(0, k2 * r))) / (2 * np.pi)
+    else:
+        a = -(kap * jv(1, kap * r) - k2 * jv(1, k2 * r)) / (2 * np.pi * r) * (p.normal @ tn)
+    smooth = vals - a * np.log(np.abs(to - t0))
+    c = 0.5 * p.length * (wo * smooth + _own_log_weights(t0, _OWN_M) * a)
+    return c @ _lagrange_basis(p.t_nodes, to)
 
 
 def _near_rows_per_target(kind, kap, kap2, src, x, tn):
-    """Near-pass rows one target and one panel at a time: the geometric fine
-    rule interval by interval and the Lagrange basis by its product formula."""
-    from polyscat.forward.layerops import (NEAR_MULT, _FINE_LEVELS, _FINE_N, _FINE_RATIO,
-                                           _kernels)
+    """Near-pass rows one target and one panel at a time: on the target's own
+    panel the product rule, elsewhere the geometric fine rule with its level
+    count sized to the distance, interval by interval, and the Lagrange basis
+    by its product formula."""
+    from polyscat.forward.layerops import (_FINE_LEVELS, _FINE_N, _FINE_RATIO, _NEAR_FRAC,
+                                           NEAR_MULT, _kernels)
     from polyscat.quadrature import gauss_legendre
 
     tg, wg = gauss_legendre(_FINE_N)
-    fracs = _FINE_RATIO ** np.arange(_FINE_LEVELS, -1, -1.0)
     rows = {}
     for pi, p in enumerate(src.panels):
         ab = p.b - p.a
         for i in range(len(x)):
             s = np.clip((x[i] - p.a) @ ab / (ab @ ab), 0.0, 1.0)
-            if np.hypot(*(x[i] - p.a - s * ab)) >= NEAR_MULT * p.length:
+            dist = np.hypot(*(x[i] - p.a - s * ab))
+            if dist >= NEAR_MULT * p.length:
                 continue
             t_star = 2 * s - 1
+            if dist <= 1e-14 * p.length and abs(t_star) < 1:
+                rows[i, pi] = _own_panel_row(kind, kap, kap2, p, x[i],
+                                             None if tn is None else tn[i])
+                continue
             nodes, wts = [], []
             for end in (-1.0, 1.0):
                 if abs(end - t_star) < 1e-14:
                     continue
+                span = 0.5 * p.length * abs(end - t_star)
+                levels = _FINE_LEVELS
+                if dist > 0:
+                    ratio = np.log(_NEAR_FRAC * dist / span) / np.log(_FINE_RATIO)
+                    levels = int(np.clip(np.ceil(ratio), 0, _FINE_LEVELS))
+                fracs = _FINE_RATIO ** np.arange(levels, -1, -1.0)
                 brk = np.concatenate(([t_star], t_star + (end - t_star) * fracs))
                 for lo, hi in zip(brk[:-1], brk[1:]):
                     nodes.append(0.5 * (lo + hi) + 0.5 * abs(hi - lo) * tg)
@@ -288,13 +359,10 @@ def _near_rows_per_target(kind, kap, kap2, src, x, tn):
             tf, wf = np.concatenate(nodes), np.concatenate(wts)
             d = x[i] - (0.5 * (p.a + p.b) + 0.5 * tf[:, None] * ab)
             r = np.hypot(d[:, 0], d[:, 1])
-            keep = r > 1e-15 * max(1.0, p.length)
-            vals = np.zeros(len(tf), dtype=complex)
-            kinds = _kernels(kap, kap2, d[keep], r[keep],
-                             np.broadcast_to(p.normal, d[keep].shape),
-                             None if tn is None else np.broadcast_to(tn[i], d[keep].shape))
-            vals[keep] = kinds[KINDS.index(kind)]
-            rows[i, pi] = (wf * 0.5 * p.length * vals) @ _lagrange_basis(p.t_nodes, tf)
+            vals = _kernels(kap, kap2, d, r, np.broadcast_to(p.normal, d.shape),
+                            None if tn is None else np.broadcast_to(tn[i], d.shape))
+            rows[i, pi] = (wf * 0.5 * p.length * vals[KINDS.index(kind)]) @ _lagrange_basis(
+                p.t_nodes, tf)
     return rows
 
 
@@ -348,7 +416,7 @@ def test_hankel_helper_matches_hankel1(monkeypatch):
 
 def test_hankel_values_shared_by_all_kinds(monkeypatch):
     """One assemble_block call evaluates each Hankel order of the complex
-    wavenumber once per pass: the far pass and each near chunk."""
+    wavenumber once per pass: the far pass and each flat near chunk."""
     from scipy.special import hankel1
 
     import polyscat.forward.layerops as lo
@@ -356,19 +424,77 @@ def test_hankel_values_shared_by_all_kinds(monkeypatch):
     outer = Polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
     inner = Polygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
     c0, c1 = build_mesh([outer, inner], 12).curves
-    orders, chunks = [], []
+    orders, passes = [], []
     monkeypatch.setattr(lo, "hankel1", lambda n, z: orders.append(n) or hankel1(n, z))
-    fine_rule = lo._fine_rule
-    monkeypatch.setattr(lo, "_fine_rule", lambda *a: chunks.append(a) or fine_rule(*a))
+    kernels = lo._kernels
+    monkeypatch.setattr(lo, "_kernels", lambda *a: passes.append(a[3].shape) or kernels(*a))
     for src, tgt in ((c0, c0), (c0, c1)):
         assert 4 * tgt.n_nodes * src.n_nodes <= lo._FAR_BUDGET   # one far chunk
         orders.clear()
-        chunks.clear()
+        passes.clear()
         block = lo.assemble_block(np.sqrt(3 + 0.2j), src, tgt.nodes, tgt.normals, kappa2=1.0)
         assert block.shape == (4, tgt.n_nodes, src.n_nodes)
-        passes = 1 + len(chunks)
-        assert len(chunks) > 0
-        assert sorted(orders) == [0] * passes + [1] * passes, src is tgt
+        near = passes[1:]
+        assert passes[0] == (tgt.n_nodes, src.n_nodes) and near
+        # flat chunks hold whole pairs: each at most one pair (2 x 170 nodes) past the chunk size
+        assert all(len(shape) == 1 and shape[0] < lo._NEAR_CHUNK + 340 for shape in near)
+        assert sorted(orders) == [0] * len(passes) + [1] * len(passes), src is tgt
+
+
+def _near_pair_count(src, tgt_pts):
+    from polyscat.forward.layerops import NEAR_MULT
+
+    count = 0
+    for p in src.panels:
+        ab = p.b - p.a
+        s = np.clip((tgt_pts - p.a) @ ab / (ab @ ab), 0.0, 1.0)
+        count += np.sum(np.hypot(*(tgt_pts - p.a - s[:, None] * ab).T) < NEAR_MULT * p.length)
+    return int(count)
+
+
+def test_near_pass_kernel_points_fit_the_distance(nested_squares, monkeypatch):
+    """The near pass evaluates at least 3x fewer kernel points than a fixed
+    16-level rule (2 sides x 17 sub-intervals x 10 points per near pair) on
+    the 24-nodes/edge nested squares."""
+    import polyscat.forward.layerops as lo
+
+    c0, c1 = build_mesh(list(nested_squares.layers), 24).curves
+    points = []
+    kernels = lo._kernels
+    monkeypatch.setattr(lo, "_kernels", lambda *a: points.append(a[3].size) or kernels(*a))
+    for src, tgt in ((c0, c0), (c0, c1), (c1, c0), (c1, c1)):
+        points.clear()
+        lo.assemble_block(np.sqrt(2.0), src, tgt.nodes, tgt.normals, kappa2=1.0)
+        near_points = sum(points) - tgt.n_nodes * src.n_nodes   # minus the far pass
+        assert 3 * near_points <= 2 * 170 * _near_pair_count(src, tgt.nodes), (src is tgt)
+
+
+def test_plain_T_is_nan_on_own_panels_and_systems_are_finite(nested_squares, plane_inc,
+                                                               monkeypatch):
+    import polyscat.forward.cellsolver as cellsolver
+    from polyscat.forward.layerops import assemble_block
+    from polyscat.geometry import CellPartition
+    from polyscat.medium import CellMedium
+
+    c0 = build_mesh(list(nested_squares.layers), 12).curves[0]
+    T = assemble_block(np.sqrt(2.0), c0, c0.nodes, c0.normals)[KINDS.index("T")]
+    own = np.zeros(T.shape, dtype=bool)
+    for p in c0.panels:
+        own[p.start:p.start + c0.n_gl, p.start:p.start + c0.n_gl] = True
+    assert np.all(np.isnan(T[own])) and np.all(np.isfinite(T[~own]))
+
+    med = NestMedium(nested_squares, q=[2.0, 3.0 + 0.2j], lam=[0.5j, 0.3], k=1.0)
+    assert np.all(np.isfinite(assemble_nest(med, build_mesh(list(nested_squares.layers),
+                                                            12))["A"]))
+    systems = []
+    factor = cellsolver.factor_system
+    monkeypatch.setattr(cellsolver, "factor_system", lambda A: systems.append(A) or factor(A))
+    hull = Polygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+    cells = [Polygon([[-0.5, -0.5], [0.0, -0.5], [0.0, 0.5], [-0.5, 0.5]]),
+             Polygon([[0.0, -0.5], [0.5, -0.5], [0.5, 0.5], [0.0, 0.5]])]
+    solve_scatter(CellMedium(CellPartition(cells, hull), q=[2.0, 3.0], lambda_star=0.5j, k=1.0),
+                  plane_inc, nodes_per_edge=12)
+    assert len(systems) == 1 and np.all(np.isfinite(systems[0]))
 
 
 INNER_MOVED = [[-0.5 - 0.1 / np.sqrt(2), -0.5 - 0.1 / np.sqrt(2)], [0.5, -0.5], [0.5, 0.5],

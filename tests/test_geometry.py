@@ -147,6 +147,65 @@ def test_cell_locate():
     assert locate(part, (2.0, 0.0)).kind == "exterior"
 
 
+def _contains_per_point(poly, pt, tol):
+    """Point-in-polygon one point at a time: distance to every edge, then the
+    even-odd crossing rule."""
+    v = poly.vertices
+    n = len(v)
+    for i in range(n):
+        a, b = v[i], v[(i + 1) % n]
+        ab = b - a
+        t = float(np.clip((pt - a) @ ab / float(ab @ ab), 0.0, 1.0))
+        if float(np.hypot(*(pt - (a + t * ab)))) <= tol:
+            return "boundary"
+    inside = False
+    x, y = pt
+    j = n - 1
+    for i in range(n):
+        (xi, yi), (xj, yj) = v[i], v[j]
+        if (yi > y) != (yj > y) and x < (xj - xi) * (y - yi) / (yj - yi) + xi:
+            inside = not inside
+        j = i
+    return "inside" if inside else "outside"
+
+
+def _locate_per_point(polys, pt, tol):
+    for i, poly in polys:
+        if _contains_per_point(poly, pt, tol) == "boundary":
+            return ("interface", i)
+    for i, poly in polys:
+        if _contains_per_point(poly, pt, tol) == "inside":
+            return ("region", i)
+    return ("exterior", None)
+
+
+def test_vectorized_locate_matches_per_point_labels(nested_squares):
+    """Labels of a grid crossing every interface, with points on them and
+    just inside and outside the tolerance, equal the one-point-at-a-time
+    labels; a single point is the one-row case."""
+    hull = square(1)
+    cells = CellPartition([Polygon([[-0.5, -0.5], [0.0, -0.5], [0.0, 0.5], [-0.5, 0.5]]),
+                           Polygon([[0.0, -0.5], [0.5, -0.5], [0.5, 0.5], [0.0, 0.5]])], hull)
+    g = np.linspace(-1.5, 1.5, 31)
+    grid = np.array([(x, y) for y in g for x in g])
+    for part, polys in ((nested_squares, [(2, nested_squares.layers[1]),
+                                          (1, nested_squares.layers[0])]),
+                        (cells, list(enumerate(cells.cells, start=1)))):
+        tol = part.geo_tol()
+        near = [(c + s * tol, y) for c in (-1.0, -0.5, 0.0, 0.5, 1.0) for s in (0.5, 2.0)
+                for y in (0.1, 0.3)]
+        pts = np.vstack([grid, near])
+        labels = locate(part, pts)
+        ref = [_locate_per_point(polys, p, tol) for p in pts]
+        assert [(lb.kind, lb.index) for lb in labels] == ref
+        assert {"interface", "region", "exterior"} <= {k for k, _ in ref}
+        assert all(locate(part, p) == lb for p, lb in zip(pts[::37], labels[::37]))
+        for _, poly in polys:
+            status = poly.contains(pts, tol)
+            assert list(status) == [_contains_per_point(poly, p, tol) for p in pts]
+            assert poly.contains(pts[5], tol) == status[5]
+
+
 def test_sector_world_canonical_roundtrip():
     sec = CornerSector([1.0, 2.0], -0.5, 0.9, 0.3, rotation=2.2)
     pts = np.array([[0.1, 0.05], [0.2, -0.1], [0.0, 0.0]])

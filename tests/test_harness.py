@@ -115,6 +115,30 @@ def test_forward_determinism(tmp_path):
     assert (out1 / "farfield.csv").read_bytes() == (out2 / "farfield.csv").read_bytes()
 
 
+def test_forward_nearfield_grid(tmp_path):
+    """nearfield.csv: NaN on the interfaces, and elsewhere the total field of
+    the solved medium at each grid point."""
+    from polyscat.forward import solve_scatter
+    from polyscat.geometry import locate
+
+    doc = json.loads(json.dumps(NEST_DOC))
+    doc["nearfield"] = {"bounds": [-1.5, 1.5, -1.0, 1.0], "nx": 7, "ny": 5}
+    cfg = write(tmp_path, "c.json", doc)
+    out = tmp_path / "fw"
+    assert cli_main(["forward", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "nearfield.csv").read_text().splitlines()
+    data = np.array([[float(v) for v in ln.split(",")]
+                     for ln in [ln for ln in lines if not ln.startswith("#")][1:]])
+    assert data.shape == (35, 4)
+    sc = parse_scenario(doc)
+    labels = locate(sc.medium.partition, data[:, :2])
+    on = np.array([lb.kind == "interface" for lb in labels])
+    assert on.sum() >= 5 and np.all(np.isnan(data[on, 2:])) and not np.isnan(data[~on]).any()
+    res = solve_scatter(sc.medium, sc.incident, nodes_per_edge=12, grading=3.0)
+    got = data[~on, 2] + 1j * data[~on, 3]
+    assert np.allclose(got, res.field_at(data[~on, :2]), rtol=1e-12, atol=1e-14)
+
+
 def test_sweep_command(tmp_path):
     cfg = write(tmp_path, "c.json", NEST_DOC)
     out = tmp_path / "sweep"
@@ -321,6 +345,38 @@ def test_sweep_assembles_only_the_blocks_a_perturbation_changes(tmp_path, monkey
     assert per_solve == [base, base, new, new]   # base, fine (no store), two perturbed
     report = json.loads((out / "report.json").read_text())
     assert report["operator_blocks"] == {"base": base, "assembled": [new, new]}
+
+
+@pytest.mark.parametrize("doc, target, solver_module, rows_built", [
+    (NEST_DOC, "lambda:1", "solver", 2),          # the base and the fine solve
+    (CELL_DOC, "lambda", "cellsolver", 12),       # the same, for 6 hull segments each
+], ids=["nest", "cell"])
+def test_sweep_shares_far_field_rows(tmp_path, monkeypatch, doc, target, solver_module,
+                                     rows_built):
+    """The base solve's store keeps its far-field rows: a lambda-only sweep
+    builds them for the base and the fine solve only, and the perturbed far
+    fields equal store-free ones bit for bit."""
+    import importlib
+
+    from polyscat.forward import solve_scatter, uniform_directions
+    from polyscat.harness.cli import _parse_target, _perturbed_medium
+
+    module = importlib.import_module(f"polyscat.forward.{solver_module}")
+    rows = []
+    farfield_row = module.farfield_row
+    monkeypatch.setattr(module, "farfield_row", lambda *a: rows.append(a) or farfield_row(*a))
+    cfg = write(tmp_path, "c.json", doc)
+    assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--target",
+                     target, "--magnitudes", "0.1,0.01,0.001"]) == 0
+    assert len(rows) == rows_built
+    sc = parse_scenario(doc)
+    angles = uniform_directions(32)
+    store = {}
+    solve_scatter(sc.medium, sc.incident, nodes_per_edge=12, blocks=store).far_field(angles)
+    med = _perturbed_medium(sc.medium, _parse_target(target, sc.medium), 0.01)
+    shared = solve_scatter(med, sc.incident, nodes_per_edge=12, blocks=dict(store))
+    fresh = solve_scatter(med, sc.incident, nodes_per_edge=12)
+    assert shared.far_field(angles).values.tobytes() == fresh.far_field(angles).values.tobytes()
 
 
 def test_cell_roundtrip_bit_exact():
