@@ -230,15 +230,19 @@ class CornerSector:
 
     def vec_to_world(self, vecs):
         """Canonical-frame vectors, real or complex, in the world frame."""
-        return vecs @ _rotation(self.rotation).T
+        return _rotate(vecs, self.rotation)
 
     def to_canonical(self, pts):
-        return (np.asarray(pts, dtype=float) - self.apex) @ _rotation(-self.rotation).T
+        return _rotate(np.asarray(pts, dtype=float) - self.apex, -self.rotation)
 
 
-def _rotation(angle):
+def _rotate(vecs, angle):
+    """(..., 2) vectors turned by angle, one point at a time: a matrix
+    product would round a point differently in different batch sizes."""
     c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
+    vecs = np.asarray(vecs)
+    x, y = vecs[..., 0], vecs[..., 1]
+    return np.stack([c * x - s * y, s * x + c * y], axis=-1)
 
 
 @dataclass(frozen=True)

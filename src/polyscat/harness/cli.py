@@ -22,6 +22,9 @@ from .config import (ConfigError, Scenario, _cplx, load_scenario, parse_medium,
                      parse_scenario)
 
 EXIT_OK, EXIT_REFUSED, EXIT_NUMERICAL = 0, 1, 2
+# pair mode refuses when a Fourier-Bessel surrogate's relative pointwise fit
+# residual exceeds this: the extraction would read the surrogate's error
+SURROGATE_FIT_BOUND = 1e-4
 
 
 def main(argv=None):
@@ -441,7 +444,8 @@ def cmd_probe(args):
             _cplx(spec["omega1"], "probe.omega1"), _cplx(spec["omega2"], "probe.omega2"),
             _cplx(spec["eta1"], "probe.eta1"), _cplx(spec["eta2"], "probe.eta2"),
             fit_s=s_grid)
-        fit = {k: scen.meta[k] for k in ("fit_moment_residual", "fit_quad_unconverged",
+        fit = {k: scen.meta[k] for k in ("fit_moment_residual", "fit_cond_pointwise",
+                                         "fit_cond_moments", "fit_quad_unconverged",
                                          "fit_quad_error_max")}
         u2_0, _ = scen.u2.at(sector.apex)
         if abs(u2_0) < 1e-10:
@@ -511,6 +515,10 @@ def _pair_scenario(sc: Scenario, spec, args):
     kap2 = region_wavenumbers(med2)[iface]
     u1, fit1 = probe_mod.series_surrogate_from_solution(r1, sector, reg1, kap1)
     u2, fit2 = probe_mod.series_surrogate_from_solution(r2, sector, iface, kap2)
+    if max(fit1, fit2) > SURROGATE_FIT_BOUND:
+        print(f"refused: surrogate fit residual {max(fit1, fit2):.3g} exceeds "
+              f"{SURROGATE_FIT_BOUND:g} (u1 {fit1:.3g}, u2 {fit2:.3g})", file=sys.stderr)
+        return None
     u2_0, _ = u2.at(sector.apex)
     hull = _hull_of(med2)
     tau = probe_mod.default_admissibility_tau(

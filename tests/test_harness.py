@@ -232,6 +232,9 @@ def test_probe_command_manufactured(tmp_path):
     assert report["fit_quad_error_max"] > 0
     # the edge-moment correction closes the fit to rounding
     assert 0 <= report["fit_moment_residual"] < 1e-12
+    # the fit's sensitivity to rounding is on record
+    for key in ("fit_cond_pointwise", "fit_cond_moments"):
+        assert np.isfinite(report[key]) and report[key] >= 1
 
 
 def test_probe_command_reports_unconverged_quadrature(tmp_path, capsys):
@@ -267,6 +270,29 @@ def test_probe_command_identical_pair(tmp_path):
     fit1, fit2 = report["surrogate_fit_residuals"]
     assert fit1 == fit2
     assert 0 < fit1 < 1e-5
+
+
+def test_probe_pair_refuses_a_poor_surrogate(tmp_path, capsys, monkeypatch):
+    from polyscat import probe
+    from polyscat.harness import cli
+
+    fit = probe.series_surrogate_from_solution
+    poor = 10 * cli.SURROGATE_FIT_BOUND
+
+    def poor_fit(*args, **kwargs):
+        return fit(*args, **kwargs)[0], poor
+
+    monkeypatch.setattr(probe, "series_surrogate_from_solution", poor_fit)
+    doc = json.loads(json.dumps(NEST_DOC))
+    doc["mesh"]["nodes_per_edge"] = 12
+    doc["probe"] = {"mode": "pair", "medium2": doc["medium"],
+                    "vertex": {"interface": 2, "index": 0}, "h": 0.2}
+    cfg = write(tmp_path, "pair.json", doc)
+    out = tmp_path / "pair"
+    assert cli_main(["probe", "--config", cfg, "--out", str(out),
+                     "--s-grid", "50,100"]) == cli.EXIT_REFUSED
+    assert f"surrogate fit residual {poor:.3g}" in capsys.readouterr().err
+    assert not (out / "probe.csv").exists()
 
 
 def test_cgo_verify_and_negative_control(tmp_path):

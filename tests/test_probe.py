@@ -292,6 +292,57 @@ def test_values_path_is_bit_identical(quarter_sector, conductive_square_solution
     assert sol.values(field_pts).tobytes() == sol(field_pts)[0].tobytes()
 
 
+def test_bessel_rows_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    size = 21
+    for kappa in (np.sqrt(2), np.sqrt(2.5), 12.0, np.sqrt(3 + 0.2j), 30 + 1j):
+        # r = 0, tiny r, and |kappa r| up to 30
+        r = np.r_[0.0, np.geomspace(1e-18, 1.0, 25),
+                  np.linspace(0, 30, 61)[1:] / abs(kappa)]
+        got = probe._bessel_rows(kappa, r, size)
+        with mpmath.workdps(30):
+            ref = np.array([[complex(mpmath.besselj(n, mpmath.mpc(kappa) * mpmath.mpf(x)))
+                             for x in r] for n in range(size)])
+        assert got.shape == ref.shape
+        assert (got[:, 0] == np.eye(size)[:, 0]).all()
+        assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
+
+
+def test_bessel_sampler_bits_do_not_depend_on_batch():
+    from scipy.special import jv, jvp
+
+    sector = CornerSector([0.3, -0.2], -2.0, 0.5, 0.7, rotation=2.1)
+    a, b = [0.8, 0.3, -0.2, 0.1j], [0.0, 0.4, 0.1j, -0.05]
+    # an area grid of more points than one Bessel chunk, and the apex
+    rr = sector.h * np.geomspace(1e-3, 1.0, 70)
+    tt = np.linspace(sector.theta_m, sector.theta_M, 66)
+    R, T = np.meshgrid(rr, tt, indexing="ij")
+    canon = np.vstack([[0.0, 0.0],
+                       np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])])
+    assert len(canon) > probe._CHUNK
+    pts = sector.to_world(canon)
+    for kappa in (1.4, np.sqrt(3 + 0.2j)):
+        sm = bessel_series_sampler(kappa, a, b, sector)
+        vals, grads = sm(pts)
+        assert sm.values(pts).tobytes() == vals.tobytes()
+        for i, p in enumerate(pts):
+            v, g = sm(p[None, :])
+            assert v.tobytes() == vals[i:i + 1].tobytes()
+            assert g.tobytes() == grads[i:i + 1].tobytes()
+        # the gradient against the series with scipy's jv and jvp
+        r, th = np.hypot(*canon[1:].T), np.arctan2(canon[1:, 1], canon[1:, 0])
+        d_r = d_t = 0j
+        for n in range(len(a)):
+            ang = a[n] * np.cos(n * th) + b[n] * np.sin(n * th)
+            dang = n * (-a[n] * np.sin(n * th) + b[n] * np.cos(n * th))
+            d_r += kappa * jvp(n, kappa * r) * ang
+            d_t += jv(n, kappa * r) / r * dang
+        rhat = np.column_stack([np.cos(th), np.sin(th)])
+        that = np.column_stack([-np.sin(th), np.cos(th)])
+        ref = sector.vec_to_world(d_r[:, None] * rhat + d_t[:, None] * that)
+        assert np.abs(grads[1:] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def _scalar_reference(sc, s_grid, tol=1e-12):
     """extract_both assembled per s from the scalar functionals, fields
     evaluated through their gradient path."""
