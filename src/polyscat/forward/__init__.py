@@ -3,6 +3,7 @@ from .mesh import BoundaryMesh, CurveMesh, build_mesh, polygon_edges
 from .solver import (
     FarFieldPattern,
     NestSolveResult,
+    Solution,
     assemble_nest,
     farfield_diff,
     region_wavenumbers,
@@ -13,6 +14,6 @@ from .solver import (
 
 __all__ = [
     "BoundaryMesh", "CurveMesh", "build_mesh", "polygon_edges", "FarFieldPattern",
-    "NestSolveResult", "assemble_nest", "farfield_diff", "region_wavenumbers",
+    "NestSolveResult", "Solution", "assemble_nest", "farfield_diff", "region_wavenumbers",
     "solve_assembled", "solve_scatter", "uniform_directions", "disk_series_oracle",
 ]

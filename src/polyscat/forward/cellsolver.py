@@ -14,7 +14,10 @@ lambda*, which is the price of the single-jump reading of shared edges.
 
 Each region contributes its Green-identity trace equation collocated at
 its boundary nodes; every node borders two regions, so the system is
-square.
+square.  The solved traces become the layers of a `solver.Solution`: a
+segment's owner A gets (curve, -t, p), an interior owner B gets
+(curve, t, -(p - lambda* t)), and the exterior gets the scattered part,
+(curve, t - u_inc, -(p - lambda* t) + dnu u_inc).
 """
 
 from dataclasses import dataclass
@@ -23,10 +26,10 @@ import numpy as np
 
 from ..geometry import CellPartition, locate, point_segment_distance
 from ..medium import CellMedium, IncidentField, incident_eval
-from .layerops import assemble_block, farfield_row
+# unused here, but perfbench/tracing.py wraps both names in this module too
+from .layerops import assemble_block, farfield_row  # noqa: F401
 from .mesh import CurveMesh, outward_normal
-from .solver import (FarFieldPattern, _block, _stored, factor_system, field_by_region,
-                     region_wavenumbers, solve_factored)
+from .solver import Solution, _block, factor_system, region_wavenumbers, solve_factored
 
 
 @dataclass
@@ -49,7 +52,9 @@ def build_skeleton(part: CellPartition):
     """Split cell boundaries into segments, each bordered by two regions."""
     tol = part.geo_tol()
     probe_eps = max(1e-8 * part.hull.bbox_diag(), 10 * tol)
-    raw = []
+    snap = max(tol, 1e-300)
+    segs = []
+    seen = set()   # snapped endpoint pairs: each interior segment comes once from each side
     for ci, cell in enumerate(part.cells, start=1):
         v = cell.vertices
         n = len(v)
@@ -58,22 +63,17 @@ def build_skeleton(part: CellPartition):
             tang = b - a
             elen = float(np.hypot(*tang))
             outward = outward_normal(a, b)
-            # split at endpoints of collinear edges of other cells
+            # split at the vertices of other cells lying strictly inside the edge
             params = {0.0, 1.0}
             for cj, other in enumerate(part.cells, start=1):
                 if cj == ci:
                     continue
-                for c, dpt in other.edges():
-                    if (
-                        point_segment_distance(c, a, b) < 10 * tol
-                        or point_segment_distance(dpt, a, b) < 10 * tol
-                    ):
-                        for pt in (c, dpt):
-                            t = float((pt - a) @ tang / (elen * elen))
-                            if 1e-12 < t < 1 - 1e-12:
-                                if point_segment_distance(pt, a, b) < 10 * tol:
-                                    params.add(round(t, 12))
-            for t0, t1 in zip(*(lambda ps: (ps[:-1], ps[1:]))(sorted(params))):
+                for pt in other.vertices:
+                    t = float((pt - a) @ tang / (elen * elen))
+                    if 1e-12 < t < 1 - 1e-12 and point_segment_distance(pt, a, b) < 10 * tol:
+                        params.add(round(t, 12))
+            ts = sorted(params)
+            for t0, t1 in zip(ts[:-1], ts[1:]):
                 pa, pb = a + t0 * tang, a + t1 * tang
                 mid = 0.5 * (pa + pb)
                 side = locate(part, mid + probe_eps * outward, tol)
@@ -83,87 +83,26 @@ def build_skeleton(part: CellPartition):
                     other_region = side.index
                 else:
                     raise ValueError("skeleton probe landed on an interface; geometry too fine")
-                raw.append((pa, pb, ci, other_region, outward))
-
-    # deduplicate: every interior segment is produced once from each side
-    segs = []
-    used = [False] * len(raw)
-    snap = max(tol, 1e-300)
-
-    def endpoints_key(pa, pb):
-        ka = (round(pa[0] / snap), round(pa[1] / snap))
-        kb = (round(pb[0] / snap), round(pb[1] / snap))
-        return (ka, kb) if ka <= kb else (kb, ka)
-
-    seen = {}
-    for idx, (pa, pb, ci, other, outward) in enumerate(raw):
-        ek = endpoints_key(pa, pb)
-        if ek in seen:
-            used[idx] = True
-            continue
-        seen[ek] = idx
-    for idx, (pa, pb, ci, other, outward) in enumerate(raw):
-        if used[idx]:
-            continue
-        if other == 0:
-            segs.append(Segment(pa, pb, owner_a=ci, owner_b=0, normal=outward))
-        else:
-            if ci <= other:
-                segs.append(Segment(pa, pb, owner_a=ci, owner_b=other, normal=outward))
-            else:
-                segs.append(Segment(pb, pa, owner_a=other, owner_b=ci, normal=-outward))
+                key = tuple(sorted((round(p[0] / snap), round(p[1] / snap)) for p in (pa, pb)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                # interior segments point from the lower cell index to the higher
+                if other_region == 0 or ci <= other_region:
+                    segs.append(Segment(pa, pb, ci, other_region, outward))
+                else:
+                    segs.append(Segment(pb, pa, other_region, ci, -outward))
     return segs
 
 
 @dataclass
-class CellSolveResult:
+class CellSolveResult(Solution):
     traces: tuple          # (t_sigma, p_sigma) per segment
-    residual: float
-    cond_estimate: float
-    converged: bool
     curves: tuple          # SegmentCurve per segment
     segments: tuple
-    kappas: list           # region id -> wavenumber (0 = exterior)
-    medium: CellMedium
-    incident: IncidentField
-    hull: tuple            # (curve, phi, psi): exterior representation per hull segment
-    blocks: dict = None    # the block store of the solve; also holds far-field rows
 
-    def far_field(self, angles):
-        k = self.medium.k
-        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-        total = 0
-        for curve, phi, psi in self.hull:
-            fs, fd = _stored(self.blocks, ("farfield", k),
-                             [curve.nodes, curve.weights, curve.normals, dirs],
-                             lambda: farfield_row(curve, k, dirs))
-            total = total + fd @ phi + fs @ psi
-        return FarFieldPattern(np.asarray(angles, float), total)
-
-    def field_at(self, pts, region=None):
-        return field_by_region(self.medium.partition, pts, region, self._region_field)
-
-    def _region_field(self, reg, sub):
-        if reg == 0:
-            vi, _ = incident_eval(self.incident, self.medium.k, sub)
-            val = vi.astype(complex)
-            for curve, phi, psi in self.hull:
-                sb, kb = assemble_block(self.kappas[0], curve, sub)
-                val += kb @ phi + sb @ psi
-            return val
-        lam = self.medium.lambda_star
-        kap = self.kappas[reg]
-        val = np.zeros(len(sub), dtype=complex)
-        for seg, curve, (t, p) in zip(self.segments, self.curves, self.traces):
-            if reg == seg.owner_a:
-                s, dnu = 1.0, p
-            elif reg == seg.owner_b:
-                s, dnu = -1.0, p - lam * t
-            else:
-                continue
-            sb, kb = assemble_block(kap, curve, sub)
-            val += s * (sb @ dnu - kb @ t)
-        return val
+    # perfbench/tracing.py wraps field_at in each result class's own __dict__
+    field_at = Solution.field_at
 
 
 def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, grading=3.0,
@@ -191,15 +130,6 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
         bordering[seg.owner_a].append((si, +1.0))
         bordering[seg.owner_b].append((si, -1.0))
 
-    # row bookkeeping: for each segment, its A-owner equation block comes first
-    row_of = {}
-    row = 0
-    for si, seg in enumerate(segs):
-        row_of[(si, seg.owner_a)] = row
-        row += sizes[si]
-        row_of[(si, seg.owner_b)] = row
-        row += sizes[si]
-
     # incident traces (value, normal derivative) on each hull segment, once
     incident = {}
     for si, _ in bordering[0]:
@@ -207,13 +137,12 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
         incident[si] = ui, (gi * curves[si].normals).sum(axis=1)
 
     for reg in range(nregions):
-        if not bordering[reg]:
-            continue
         kap = kappas[reg]
         for ti, tsign in bordering[reg]:
-            tgt = curves[ti]
-            x = tgt.nodes
-            r = slice(row_of[(ti, reg)], row_of[(ti, reg)] + sizes[ti])
+            x = curves[ti].nodes
+            # a segment's rows: its A owner's equation first, then its B owner's
+            r0 = off[ti] + (0 if tsign > 0 else sizes[ti])
+            r = slice(r0, r0 + sizes[ti])
             # (1/2) u(x0) term on the segment's own Dirichlet trace
             A[r, off[ti]:off[ti] + sizes[ti]] += 0.5 * np.eye(sizes[ti])
             if reg == 0:
@@ -233,9 +162,13 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
 
     lu_piv, cond = factor_system(A)
     traces, resid, converged = solve_factored(A, lu_piv, cond, b, sizes)
-    hull = []
-    for si, _ in bordering[0]:
-        (t, p), (ui, dnu_i) = traces[si], incident[si]
-        hull.append((curves[si], t - ui, -(p - lam * t) + dnu_i))
-    return CellSolveResult(traces, resid, cond, converged, curves, tuple(segs),
-                           kappas, medium, inc, tuple(hull), blocks)
+    layers = [[] for _ in range(nregions)]   # the triples of the module notes
+    for si, (seg, curve, (t, p)) in enumerate(zip(segs, curves, traces)):
+        layers[seg.owner_a].append((curve, -t, p))
+        if seg.owner_b:
+            layers[seg.owner_b].append((curve, t, -(p - lam * t)))
+        else:
+            ui, dnu_i = incident[si]
+            layers[0].append((curve, t - ui, -(p - lam * t) + dnu_i))
+    return CellSolveResult(resid, cond, converged, kappas, medium, inc,
+                           tuple(map(tuple, layers)), blocks, traces, curves, tuple(segs))

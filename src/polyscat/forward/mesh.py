@@ -42,7 +42,12 @@ def polygon_edges(poly):
 
 class CurveMesh:
     """All panels of a list of straight edges (a, b, unit normal), with
-    concatenated node arrays."""
+    concatenated node arrays.
+
+    The requested `nodes_per_edge` is rounded to an even number of panels
+    of `n_gl` nodes each (24 builds 32); `nodes_per_edge` records the count
+    built.
+    """
 
     def __init__(self, edges, nodes_per_edge, grading):
         if grading < 2:
@@ -73,6 +78,7 @@ class CurveMesh:
                 )
         self.panels = panels
         self.n_gl = n_gl
+        self.nodes_per_edge = panels_per_edge * n_gl
         self.nodes = np.concatenate([p.nodes for p in panels])
         self.weights = np.concatenate([p.weights for p in panels])
         self.normals = np.concatenate([np.tile(p.normal, (len(p.weights), 1)) for p in panels])

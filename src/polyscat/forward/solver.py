@@ -10,6 +10,12 @@ the conductive Neumann jump
 at collocation nodes yields a square second-kind system whose diagonal
 operators are kernel differences (weakly singular at worst).
 
+Solved layers: both solvers end as a `Solution`.  In region `reg`
+(0 = exterior) the field is the sum of D phi + S psi over the
+(curve, phi, psi) triples of `layers[reg]`, at `kappas[reg]`, plus the
+incident field in region 0.  A nest region lists its bounding interfaces,
+outer first; a cell medium's triples come from its segment traces.
+
 Block store: both solvers take an optional caller-owned dict `blocks` and
 fetch every operator block through `_block`.  Its key is everything
 `assemble_block` reads: the wavenumber(s), whether target normals were
@@ -123,79 +129,71 @@ def _block(blocks, kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
                    lambda: assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2=kappa2))
 
 
-def field_by_region(partition, pts, region, region_field):
-    """Values of region_field(reg, points) at `pts`, grouped by region.
-
-    Regions come from point location (0 = exterior), which refuses
-    interface points; `region` pins every point to that one region.
-    Returns a complex scalar for a single point.
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if region is not None:
-        regions = np.full(len(pts), int(region))
-    else:
-        labels = locate(partition, pts)
-        if any(lb.kind == "interface" for lb in labels):
-            raise ValueError("field evaluation on an interface is not defined")
-        regions = np.array([0 if lb.kind == "exterior" else lb.index for lb in labels])
-    out = np.empty(len(pts), dtype=complex)
-    for reg in np.unique(regions):
-        sel = np.nonzero(regions == reg)[0]
-        out[sel] = region_field(reg, pts[sel])
-    return out if len(out) > 1 else complex(out[0])
-
-
 @dataclass
-class NestSolveResult:
-    densities: tuple          # (phi_ell, psi_ell) per interface
+class Solution:
+    """A solved medium as layer potentials (see the module notes); `blocks` is
+    the block store of the solve, which also holds the far-field rows."""
+
     residual: float
     cond_estimate: float
     converged: bool
-    mesh: BoundaryMesh
     kappas: list
-    medium: NestMedium
+    medium: object            # NestMedium or CellMedium
     incident: IncidentField
-    blocks: dict = None       # the block store of the solve; also holds far-field rows
+    layers: tuple             # per region: ((curve, phi, psi), ...)
+    blocks: dict
 
     def far_field(self, angles):
         k = self.medium.k
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-        src = self.mesh.curves[0]
-        fs, fd = _stored(self.blocks, ("farfield", k), [src.nodes, src.weights, src.normals, dirs],
-                         lambda: farfield_row(src, k, dirs))
-        phi1, psi1 = self.densities[0]
-        return FarFieldPattern(np.asarray(angles, float), fd @ phi1 + fs @ psi1)
+        total = 0
+        for curve, phi, psi in self.layers[0]:
+            fs, fd = _stored(self.blocks, ("farfield", k),
+                             [curve.nodes, curve.weights, curve.normals, dirs],
+                             lambda: farfield_row(curve, k, dirs))
+            total = total + fd @ phi + fs @ psi
+        return FarFieldPattern(np.asarray(angles, float), total)
 
     def field_at(self, pts, region=None):
         """Total field at points; `region` pins the representation used.
 
-        Unpinned evaluation refuses interface points (the value is not
-        single-valued there).  Pinning a region evaluates that region's
-        layer representation everywhere it makes sense, including on the
-        region's own boundary, where the double-layer principal value
-        yields the average of the two one-sided limits; since the
-        Dirichlet trace is continuous across every interface, that average
-        is the physical boundary value of the total field.
+        Regions come from point location, which refuses interface points
+        (the value is not single-valued there).  On a nest, pinning a region
+        evaluates that region's layer representation everywhere it makes
+        sense, including on the region's own boundary, where the
+        double-layer principal value yields the average of the two one-sided
+        limits; since the Dirichlet trace is continuous across every
+        interface, that average is the physical boundary value of the total
+        field.  Returns a complex scalar for a single point.
         """
-        return field_by_region(self.medium.partition, pts, region, self._region_field)
-
-    def _region_field(self, reg, sub):
-        n = self.medium.partition.n_layers
-        kap = self.kappas[reg]
-        val = np.zeros(len(sub), dtype=complex)
-        if reg == 0:
-            touching = [0]
-            vi, _ = incident_eval(self.incident, self.medium.k, sub)
-            val += vi
-        elif reg < n:
-            touching = [reg - 1, reg]
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if region is not None:
+            regions = np.full(len(pts), int(region))
         else:
-            touching = [n - 1]
-        for ci in touching:
-            phi, psi = self.densities[ci]
-            sb, kb = assemble_block(kap, self.mesh.curves[ci], sub)
-            val += kb @ phi + sb @ psi
-        return val
+            labels = locate(self.medium.partition, pts)
+            if any(lb.kind == "interface" for lb in labels):
+                raise ValueError("field evaluation on an interface is not defined")
+            regions = np.array([0 if lb.kind == "exterior" else lb.index for lb in labels])
+        out = np.empty(len(pts), dtype=complex)
+        for reg in np.unique(regions):
+            sel = np.nonzero(regions == reg)[0]
+            val = np.zeros(len(sel), dtype=complex)
+            if reg == 0:
+                val += incident_eval(self.incident, self.medium.k, pts[sel])[0]
+            for curve, phi, psi in self.layers[reg]:
+                sb, kb = assemble_block(self.kappas[reg], curve, pts[sel])
+                val += kb @ phi + sb @ psi
+            out[sel] = val
+        return out if len(out) > 1 else complex(out[0])
+
+
+@dataclass
+class NestSolveResult(Solution):
+    densities: tuple          # (phi_ell, psi_ell) per interface
+    mesh: BoundaryMesh
+
+    # perfbench/tracing.py wraps field_at in each result class's own __dict__
+    field_at = Solution.field_at
 
 
 def solve_scatter(medium, inc: IncidentField, mesh: BoundaryMesh = None,
@@ -303,8 +301,13 @@ def solve_assembled(system, inc: IncidentField):
 
     densities, resid, converged = solve_factored(system["A"], system["lu"], system["cond"],
                                                  b, sizes)
-    return NestSolveResult(densities, resid, system["cond"], converged,
-                           mesh, system["kappas"], medium, inc, system["blocks"])
+    # interface ell bounds regions ell and ell + 1 (region 0 is the exterior)
+    layers = [[] for _ in range(len(densities) + 1)]
+    for ell, (curve, (phi, psi)) in enumerate(zip(mesh.curves, densities)):
+        layers[ell].append((curve, phi, psi))
+        layers[ell + 1].append((curve, phi, psi))
+    return NestSolveResult(resid, system["cond"], converged, system["kappas"], medium, inc,
+                           tuple(map(tuple, layers)), system["blocks"], densities, mesh)
 
 
 def farfield_diff(p1: FarFieldPattern, p2: FarFieldPattern, eps=1e-300):

@@ -315,15 +315,14 @@ def validate_cell(p: CellPartition) -> ValidationReport:
                     or ci.contains(cj.vertices.mean(axis=0), tol) == "inside"
                 )
             if overlap:
-                violations.append(f"cells {i},{j} overlap")
+                violations.append(f"cells {i + 1},{j + 1} overlap")
             else:
-                shared_pts = sum(
-                    1
-                    for v in ci.vertices
-                    if cj.contains(v, tol) == "boundary"
-                )
-                if shared_pts == 1:
-                    info.append(f"cells {i},{j} may touch at a single point")
+                # distinct points of either cell's vertices on the other's boundary
+                shared = [v for v in ci.vertices if cj.contains(v, tol) == "boundary"]
+                shared += [v for v in cj.vertices if ci.contains(v, tol) == "boundary"
+                           and all(np.hypot(*(v - w)) > tol for w in shared)]
+                if len(shared) == 1:
+                    info.append(f"cells {i + 1},{j + 1} may touch at a single point")
 
     total = sum(c.area() for c in p.cells)
     if abs(total - hull.area()) > 1e-9 * hull.area():

@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import cgo, probe as probe_mod
 from ..forward import farfield_diff, solve_scatter, uniform_directions
-from ..forward.solver import region_wavenumbers
+from ..forward.solver import TAU_SOLVE, region_wavenumbers
 from ..geometry import (CornerSector, NestPartition, Polygon, corner_sectors,
                         locate, max_sector_radius, validate_cell, validate_nest)
 from ..medium import CellMedium, NestMedium
@@ -124,6 +124,12 @@ def _solve(sc: Scenario, nodes=None, blocks=None):
                          grading=sc.mesh.grading, blocks=blocks)
 
 
+def _built_nodes(result):
+    """Nodes per edge the solve's meshes were built with (every curve of a
+    solve has the same count)."""
+    return result.layers[0][0][0].nodes_per_edge
+
+
 def cmd_forward(args):
     sc = _load(args)
     t0 = time.perf_counter()
@@ -134,7 +140,7 @@ def cmd_forward(args):
     reports.write_farfield_csv(
         f"{out}/farfield.csv", ff,
         comments=[f"scenario={sc.digest()}",
-                  f"solver_residual={result.residual!r} tol={1e-8!r}",
+                  f"solver_residual={result.residual!r} tol={TAU_SOLVE!r}",
                   f"condition_estimate={result.cond_estimate!r}"])
     near = sc.raw.get("nearfield")
     if near:
@@ -155,8 +161,9 @@ def cmd_forward(args):
         "scenario": sc.digest(),
         "command": "forward",
         "solver": {"residual": result.residual, "cond_estimate": result.cond_estimate,
-                   "converged": bool(result.converged), "tau_solve": 1e-8},
-        "mesh": {"nodes_per_edge": sc.mesh.nodes_per_edge, "grading": sc.mesh.grading},
+                   "converged": bool(result.converged), "tau_solve": TAU_SOLVE},
+        "mesh": {"nodes_per_edge": sc.mesh.nodes_per_edge, "grading": sc.mesh.grading,
+                 "built_nodes_per_edge": _built_nodes(result)},
         "wall_clock_s": time.perf_counter() - t0,
     })
     if not result.converged:
@@ -367,6 +374,7 @@ def _run_sweep(args, sc: Scenario):
     base_fine = _solve(sc, nodes=2 * n)
     if not base_fine.converged:
         return _unconverged("fine", 2 * n, base_fine)
+    built = {"base": _built_nodes(base), "fine": _built_nodes(base_fine)}
     angles = uniform_directions(sc.num_angles)
     ff_base = base.far_field(angles)
     floor = farfield_diff(ff_base, base_fine.far_field(angles))
@@ -392,7 +400,7 @@ def _run_sweep(args, sc: Scenario):
         f"{args.out}/sweep.csv", ["magnitude", "farfield_diff", "above_10x_floor"],
         [(m, d, str(f)) for m, d, f in rows],
         comments=[f"scenario={sc.digest()}", f"target={target}",
-                  f"noise_floor={floor!r} (mesh {n} vs {2*n})"])
+                  f"noise_floor={floor!r} (mesh {built['base']} vs {built['fine']} nodes/edge)"])
     reports.write_report_json(f"{args.out}/report.json", {
         "scenario": sc.digest(), "command": "sweep", "target": target,
         "noise_floor": floor, "rows": [{"magnitude": m, "diff": d, "above": f}
@@ -400,6 +408,7 @@ def _run_sweep(args, sc: Scenario):
         "monotone_nonincreasing_flagged": not mono_ok,
         "admissibility": {"tau": tau, "entries": adm},
         "operator_blocks": {"base": n_base, "assembled": assembled},
+        "built_nodes_per_edge": built,
         "wall_clock_s": time.perf_counter() - t0,
     })
     print(f"noise floor {floor:.3e}; discrepancies "

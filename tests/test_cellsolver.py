@@ -17,6 +17,40 @@ def split_square():
     return CellPartition([left, right], hull)
 
 
+@pytest.fixture(scope="module")
+def t_junction():
+    """Left half, top-right and bottom-right quarters of the unit square: the
+    left cell's right edge is split where the two quarters meet."""
+    def rect(x0, y0, x1, y1):
+        return Polygon([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+
+    return CellPartition([rect(-0.5, -0.5, 0.0, 0.5), rect(0.0, 0.0, 0.5, 0.5),
+                          rect(0.0, -0.5, 0.5, 0.0)], rect(-0.5, -0.5, 0.5, 0.5))
+
+
+def test_skeleton_splits_edge_at_t_junction(t_junction):
+    segs = build_skeleton(t_junction)
+    assert len(segs) == 10                       # 7 on the hull, 3 interior
+    interior = {(s.owner_a, s.owner_b): s for s in segs if s.owner_b != 0}
+    assert sorted(interior) == [(1, 2), (1, 3), (2, 3)]
+    centroids = [None] + [c.vertices.mean(axis=0) for c in t_junction.cells]
+    for (i, j), seg in interior.items():
+        # normals point from the lower cell index to the higher
+        assert seg.normal @ (centroids[j] - centroids[i]) > 0
+        assert np.hypot(*(seg.b - seg.a)) == pytest.approx(0.5)
+
+
+def test_t_junction_zero_contrast_and_equal_cells(t_junction, unit_square, plane_inc):
+    zero = CellMedium(t_junction, q=[1.0, 1.0, 1.0], lambda_star=0.0, k=1.0)
+    res = solve_scatter(zero, IncidentField("plane", direction=[0.6, 0.8]), nodes_per_edge=16)
+    assert np.max(np.abs(res.far_field(ANGLES).values)) < 1e-10
+    cm = CellMedium(t_junction, q=[2.0, 2.0, 2.0], lambda_star=0.0, k=1.0)
+    rc = solve_scatter(cm, plane_inc, nodes_per_edge=20)
+    nm = NestMedium(NestPartition([unit_square]), q=[2.0], lam=[0.0], k=1.0)
+    rn = solve_scatter(nm, plane_inc, nodes_per_edge=40)
+    assert farfield_diff(rc.far_field(ANGLES), rn.far_field(ANGLES)) < 1e-6
+
+
 def test_skeleton_segments(split_square):
     segs = build_skeleton(split_square)
     # 3 hull segments per rectangle-side structure: left cell contributes
@@ -62,6 +96,19 @@ def test_single_cell_conductive_matches_nest(unit_square, plane_inc):
     assert farfield_diff(rc.far_field(ANGLES), rn.far_field(ANGLES)) < 1e-5
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5j])
+def test_single_cell_fields_match_nest(unit_square, plane_inc, lam):
+    """Both solvers' fields, inside and outside, through the one layer
+    representation."""
+    pts = np.array([[0.0, 0.0], [0.1, -0.2], [-0.3, 0.35],
+                    [0.9, 0.1], [-0.2, 0.8], [1.5, -1.2]])
+    cm = CellMedium(CellPartition([unit_square], unit_square), q=[2.0], lambda_star=lam, k=1.0)
+    uc = solve_scatter(cm, plane_inc, nodes_per_edge=24).field_at(pts)
+    nm = NestMedium(NestPartition([unit_square]), q=[2.0], lam=[lam], k=1.0)
+    un = solve_scatter(nm, plane_inc, nodes_per_edge=48).field_at(pts)
+    assert np.max(np.abs(uc - un)) <= 1e-6 * np.max(np.abs(un))
+
+
 def test_interior_conductive_jump(split_square, plane_inc):
     lam = 0.2j
     med = CellMedium(split_square, q=[2.0, 3.0], lambda_star=lam, k=1.0)
@@ -83,16 +130,17 @@ def test_interior_conductive_jump(split_square, plane_inc):
 
 def test_incident_field_evaluated_once_per_hull_segment(split_square, plane_inc,
                                                        monkeypatch):
-    from polyscat.forward import cellsolver
+    from polyscat.forward import cellsolver, solver
 
     calls = []
     incident_eval = cellsolver.incident_eval
-    monkeypatch.setattr(cellsolver, "incident_eval",
-                        lambda *args: calls.append(args) or incident_eval(*args))
+    for module in (cellsolver, solver):
+        monkeypatch.setattr(module, "incident_eval",
+                            lambda *args: calls.append(args) or incident_eval(*args))
     med = CellMedium(split_square, q=[2.0, 3.0], lambda_star=0.2j, k=1.0)
     res = solve_scatter(med, plane_inc, nodes_per_edge=16)
     assert len(calls) == 6                     # one per hull segment
-    assert len(res.hull) == 6
+    assert len(res.layers[0]) == 6
     calls.clear()
     res.field_at(np.array([[2.0, 0.3], [-1.5, 1.0]]))
     assert len(calls) == 1                     # the incident part at the points

@@ -67,7 +67,29 @@ def test_validate_cell_overlap():
     b = Polygon([[-0.2, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.2, 0.5]])
     rep = validate_cell(CellPartition([a, b], hull))
     assert not rep.ok
-    assert any("overlap" in v for v in rep.violations)
+    assert any("cells 1,2 overlap" in v for v in rep.violations)
+
+
+def rect(x0, y0, x1, y1):
+    return Polygon([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+
+
+def test_validate_cell_t_junction_shares_an_edge():
+    """The left half shares an edge with each right quarter, though only one
+    of its own vertices lies on either quarter's boundary."""
+    tee = [rect(0, 0, 0.5, 1), rect(0.5, 0.5, 1, 1), rect(0.5, 0, 1, 0.5)]
+    rep = validate_cell(CellPartition(tee, rect(0, 0, 1, 1)))
+    assert rep.ok, rep.violations
+    assert rep.info == ()
+
+
+def test_validate_cell_notes_corner_contact():
+    grid = [rect(0, 0, 0.5, 0.5), rect(0.5, 0, 1, 0.5), rect(0, 0.5, 0.5, 1),
+            rect(0.5, 0.5, 1, 1)]
+    rep = validate_cell(CellPartition(grid, rect(0, 0, 1, 1)))
+    assert rep.ok, rep.violations
+    assert rep.info == ("cells 1,4 may touch at a single point",
+                        "cells 2,3 may touch at a single point")
 
 
 def test_corner_sectors_square():

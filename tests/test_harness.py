@@ -105,6 +105,7 @@ def test_forward_command_writes_csv(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["solver"]["converged"]
     assert report["solver"]["tau_solve"] == 1e-8
+    assert report["mesh"]["built_nodes_per_edge"] == 12
 
 
 def test_forward_determinism(tmp_path):
@@ -148,6 +149,9 @@ def test_sweep_command(tmp_path):
     assert report["noise_floor"] < report["rows"][0]["diff"] / 10
     # q:2 changes the one block that carries q_2: the inner self difference
     assert report["operator_blocks"] == {"base": 5, "assembled": [1]}
+    # the mesh rounds the fine level's request of 24 nodes/edge up to 32
+    assert report["built_nodes_per_edge"] == {"base": 12, "fine": 32}
+    assert "(mesh 12 vs 32 nodes/edge)" in (out / "sweep.csv").read_text()
 
 
 @pytest.mark.parametrize("failing, label", [(0, "base"), (1, "fine"), (2, "perturbed")])
@@ -373,24 +377,20 @@ def test_sweep_assembles_only_the_blocks_a_perturbation_changes(tmp_path, monkey
     assert report["operator_blocks"] == {"base": base, "assembled": [new, new]}
 
 
-@pytest.mark.parametrize("doc, target, solver_module, rows_built", [
-    (NEST_DOC, "lambda:1", "solver", 2),          # the base and the fine solve
-    (CELL_DOC, "lambda", "cellsolver", 12),       # the same, for 6 hull segments each
+@pytest.mark.parametrize("doc, target, rows_built", [
+    (NEST_DOC, "lambda:1", 2),          # the base and the fine solve
+    (CELL_DOC, "lambda", 12),           # the same, for 6 hull segments each
 ], ids=["nest", "cell"])
-def test_sweep_shares_far_field_rows(tmp_path, monkeypatch, doc, target, solver_module,
-                                     rows_built):
+def test_sweep_shares_far_field_rows(tmp_path, monkeypatch, doc, target, rows_built):
     """The base solve's store keeps its far-field rows: a lambda-only sweep
     builds them for the base and the fine solve only, and the perturbed far
     fields equal store-free ones bit for bit."""
-    import importlib
-
-    from polyscat.forward import solve_scatter, uniform_directions
+    from polyscat.forward import solve_scatter, solver, uniform_directions
     from polyscat.harness.cli import _parse_target, _perturbed_medium
 
-    module = importlib.import_module(f"polyscat.forward.{solver_module}")
     rows = []
-    farfield_row = module.farfield_row
-    monkeypatch.setattr(module, "farfield_row", lambda *a: rows.append(a) or farfield_row(*a))
+    farfield_row = solver.farfield_row
+    monkeypatch.setattr(solver, "farfield_row", lambda *a: rows.append(a) or farfield_row(*a))
     cfg = write(tmp_path, "c.json", doc)
     assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--target",
                      target, "--magnitudes", "0.1,0.01,0.001"]) == 0

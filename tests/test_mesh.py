@@ -45,6 +45,13 @@ def test_node_count_tracks_request(unit_square):
         assert 0.5 * n <= per_edge <= 2 * n
 
 
+@pytest.mark.parametrize("requested, built", [(4, 6), (12, 12), (20, 16), (24, 32), (40, 48)])
+def test_mesh_records_built_node_count(unit_square, requested, built):
+    for mesh, n_edges, _ in mesh_cases(unit_square, requested, 3.0):
+        assert mesh.nodes_per_edge == built
+        assert mesh.n_nodes == n_edges * built
+
+
 def test_build_mesh_rejects_weak_grading(unit_square):
     with pytest.raises(ValueError):
         CurveMesh(polygon_edges(unit_square), nodes_per_edge=16, grading=1.0)
