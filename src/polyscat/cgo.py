@@ -21,12 +21,8 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import gammaincc as _gammaincc
 
-from .quadrature import (
-    QuadResult,
-    annulus_u0_abs_integral,
-    sector_u0_abs_integral,
-    sector_u0_integral,
-)
+from . import _kernels
+from .quadrature import QuadResult, graded_breaks, polar_integral
 
 _CUT_TOL = 1e-14
 
@@ -72,15 +68,6 @@ class SectorSpec:
     def exp_pair_diff(self):
         """e^{-2 i theta_M} - e^{-2 i theta_m}; nonzero for any valid sector."""
         return np.exp(-2j * self.theta_M) - np.exp(-2j * self.theta_m)
-
-
-@dataclass(frozen=True)
-class CgoParams:
-    s: float
-
-    def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError("scaling parameter s must be > 0")
 
 
 def u0_eval(x, s):
@@ -174,7 +161,8 @@ def sector_integral_quad(sec: SectorSpec, s, rmax=None, tol=1e-10):
     """
     if rmax is None:
         rmax = default_rmax(sec, s, tol)
-    res = sector_u0_integral(sec.theta_m, sec.theta_M, s, rmax, tol)
+    res = polar_integral(graded_breaks(0.0, rmax), sec.theta_m, sec.theta_M,
+                         lambda *rule: _kernels.sector_quad_sum(*rule, float(s)), tol)
     trunc = min(tail_bound(sec, s, rmax), tail_bound_sharp(sec, s, rmax))
     err = res.error + trunc
     return QuadResult(res.value, err, res.converged and err <= tol)
@@ -192,19 +180,22 @@ def weighted_lhs_quad(sec: SectorSpec, alpha, s, tol=1e-10):
             break
         tau *= 1.25
     rmax = (tau / d) ** 2 / s
-    res = sector_u0_abs_integral(sec.theta_m, sec.theta_M, s, alpha, rmax, tol)
+    res = polar_integral(
+        graded_breaks(0.0, rmax), sec.theta_m, sec.theta_M,
+        lambda *rule: _kernels.sector_abs_quad_sum(*rule, float(s), float(alpha)), tol)
     return QuadResult(res.value, res.error + tail, res.converged)
 
 
-def tail_lhs_quad(sec: SectorSpec, s, h, tol=1e-10, cutoff=1e-16):
+def tail_lhs_quad(sec: SectorSpec, s, h, tol=1e-10):
     """Quadrature of the absolute u0 integral over W \\ B_h (oracle for tail_bound).
 
     The outer truncation radius is pushed until the integrand is below
-    `cutoff` relative to its value at r = h on the slowest-decaying ray.
+    1e-16 relative to its value at r = h on the slowest-decaying ray.
     """
     d = sec.delta_w
-    # exp(-d sqrt(s r)) <= cutoff * exp(-d sqrt(s h))
-    sq = d * math.sqrt(s * h) - math.log(cutoff)
+    # exp(-d sqrt(s r)) <= 1e-16 * exp(-d sqrt(s h)); rmax > h always
+    sq = d * math.sqrt(s * h) - math.log(1e-16)
     rmax = max((sq / d) ** 2 / s, 4.0 * h)
-    res = annulus_u0_abs_integral(sec.theta_m, sec.theta_M, s, h, rmax, tol)
-    return res
+    return polar_integral(graded_breaks(h, rmax), sec.theta_m, sec.theta_M,
+                          lambda *rule: _kernels.sector_abs_quad_sum(*rule, float(s), 0.0),
+                          tol)

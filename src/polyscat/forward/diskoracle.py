@@ -14,9 +14,9 @@ from scipy.special import h1vp, hankel1, jv, jvp, yv, yvp
 from .solver import FarFieldPattern
 
 
-def disk_series_oracle(radii, q, lam, k, direction, m_trunc=None, amplitude=1.0,
-                       angles=None):
-    """Far-field pattern for plane-wave scattering from concentric disks.
+def disk_series_oracle(radii, q, lam, k, direction, m_trunc=None, angles=None):
+    """Far-field pattern for a unit-amplitude plane wave scattered by
+    concentric disks.
 
     radii strictly decreasing; q[i], lam[i] attach to the annulus inside
     radii[i] and the circle of radius radii[i].  Truncation default obeys
@@ -93,7 +93,7 @@ def disk_series_oracle(radii, q, lam, k, direction, m_trunc=None, amplitude=1.0,
     angles = np.asarray(angles, dtype=float)
     ns = np.arange(-m_trunc, m_trunc + 1)
     phase = np.exp(1j * np.outer(angles - theta_d, ns))
-    vals = amplitude * np.sqrt(2.0 / (np.pi * k)) * np.exp(-1j * np.pi / 4) * (phase @ cs)
+    vals = np.sqrt(2.0 / (np.pi * k)) * np.exp(-1j * np.pi / 4) * (phase @ cs)
     return FarFieldPattern(angles, vals)
 
 

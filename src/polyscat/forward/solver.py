@@ -196,13 +196,11 @@ class NestSolveResult(Solution):
     field_at = Solution.field_at
 
 
-def solve_scatter(medium, inc: IncidentField, mesh: BoundaryMesh = None,
-                  nodes_per_edge=32, grading=3.0, blocks=None):
+def solve_scatter(medium, inc: IncidentField, nodes_per_edge=32, grading=3.0, blocks=None):
     """Solve the forward conductive scattering problem.
 
     Dispatches on the medium type; nest media use the layered combined
-    representation, cell media the single-trace formulation, which builds
-    its own segment meshes and so takes no `mesh`.
+    representation, cell media the single-trace formulation.
 
     `blocks` is an optional caller-owned dict of operator blocks keyed by
     wavenumber(s), target normals given or not, and the exact bytes of the
@@ -213,14 +211,11 @@ def solve_scatter(medium, inc: IncidentField, mesh: BoundaryMesh = None,
     if isinstance(medium, CellMedium):
         from .cellsolver import solve_cell
 
-        if mesh is not None:
-            raise ValueError("cell media mesh their own skeleton; pass nodes_per_edge, not mesh")
         return solve_cell(medium, inc, nodes_per_edge=nodes_per_edge, grading=grading,
                           blocks=blocks)
     if not isinstance(medium, NestMedium):
         raise TypeError(f"unsupported medium type {type(medium)!r}")
-    if mesh is None:
-        mesh = build_mesh([layer for layer in medium.partition.layers], nodes_per_edge, grading)
+    mesh = build_mesh(medium.partition.layers, nodes_per_edge, grading)
     inc.validate_against(medium.partition.layers[0])
     system = assemble_nest(medium, mesh, blocks=blocks)
     return solve_assembled(system, inc)
@@ -310,10 +305,10 @@ def solve_assembled(system, inc: IncidentField):
                            tuple(map(tuple, layers)), system["blocks"], densities, mesh)
 
 
-def farfield_diff(p1: FarFieldPattern, p2: FarFieldPattern, eps=1e-300):
+def farfield_diff(p1: FarFieldPattern, p2: FarFieldPattern):
     """Relative L2 distance of two patterns on the same angular grid."""
     if p1.angles.shape != p2.angles.shape or not np.allclose(p1.angles, p2.angles):
         raise ValueError("far-field patterns live on different angular grids")
     num = np.linalg.norm(p1.values - p2.values)
-    den = max(np.linalg.norm(p1.values), eps)
+    den = max(np.linalg.norm(p1.values), 1e-300)
     return float(num / den)

@@ -8,7 +8,7 @@ simple with positive area, or nothing downstream is meaningful.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,7 +198,6 @@ class CornerSector:
     theta_M: float
     h: float
     rotation: float = 0.0
-    degenerate: bool = field(default=False)
 
     def __init__(self, apex, theta_m, theta_M, h, rotation=0.0):
         if not h > 0:
@@ -214,7 +213,6 @@ class CornerSector:
         object.__setattr__(self, "theta_M", float(theta_M))
         object.__setattr__(self, "h", float(h))
         object.__setattr__(self, "rotation", float(rotation))
-        object.__setattr__(self, "degenerate", bool(abs(opening - math.pi) < 1e-12))
 
     @property
     def opening(self):
@@ -342,19 +340,18 @@ def validate_cell(p: CellPartition) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations), info=tuple(info))
 
 
-def max_sector_radius(poly: Polygon):
-    """Largest h valid for corner_sectors: half the worst vertex clearance."""
+def _clearances(poly: Polygon):
+    """Per vertex, its distance to the nearest edge not incident to it."""
     v = poly.vertices
     n = len(v)
-    worst = np.inf
-    for i in range(n):
-        dmin = min(
-            point_segment_distance(v[i], v[j], v[(j + 1) % n])
-            for j in range(n)
-            if j != i and (j + 1) % n != i
-        )
-        worst = min(worst, dmin)
-    return 0.5 * worst
+    return [min(point_segment_distance(v[i], v[j], v[(j + 1) % n])
+                for j in range(n) if j != i and (j + 1) % n != i)
+            for i in range(n)]
+
+
+def max_sector_radius(poly: Polygon):
+    """Largest h valid for corner_sectors: half the worst vertex clearance."""
+    return 0.5 * min(_clearances(poly))
 
 
 def corner_sectors(poly: Polygon, h: float):
@@ -370,13 +367,8 @@ def corner_sectors(poly: Polygon, h: float):
     v = poly.vertices
     n = len(v)
     sectors = []
-    for i in range(n):
+    for i, dmin in enumerate(_clearances(poly)):
         apex = v[i]
-        dmin = min(
-            point_segment_distance(apex, v[j], v[(j + 1) % n])
-            for j in range(n)
-            if j != i and (j + 1) % n != i
-        )
         if h > 0.5 * dmin:
             raise ValueError(
                 f"h={h} exceeds half the clearance {0.5 * dmin:.3g} of vertex {i}"

@@ -32,15 +32,14 @@ def main(argv=None):
                                 description="conductive polygonal scattering toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True):
-        if config:
-            sp.add_argument("--config", required=True, help="scenario JSON path")
+    def common(sp):
+        sp.add_argument("--config", required=True, help="scenario JSON path")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--mesh-level", type=int, default=None,
                         help="override nodes per edge")
-        sp.add_argument("--tol", type=float, default=1e-10)
 
-    common(sub.add_parser("validate", help="validate a scenario configuration"))
+    sp = sub.add_parser("validate", help="validate a scenario configuration")
+    sp.add_argument("--config", required=True, help="scenario JSON path")
     common(sub.add_parser("forward", help="solve and write the far-field pattern"))
     sp = sub.add_parser("cgo-verify", help="verify test-function identities and bounds")
     sp.add_argument("--out", default="out")
@@ -55,6 +54,7 @@ def main(argv=None):
     sp = sub.add_parser("probe", help="corner extraction of parameter differences")
     common(sp)
     sp.add_argument("--s-grid", default="50,100,200,400,800")
+    sp.add_argument("--tol", type=float, default=1e-10)
     sp = sub.add_parser("passive", help="uniqueness sweep with point-source excitation")
     common(sp)
     sp.add_argument("--target", default=None)
@@ -88,7 +88,7 @@ def _load(args) -> Scenario:
 
 def cmd_validate(args):
     try:
-        sc = _load(args)
+        sc = load_scenario(args.config)
     except ConfigError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_REFUSED
@@ -130,6 +130,13 @@ def _built_nodes(result):
     return result.layers[0][0][0].nodes_per_edge
 
 
+def _unknowns(result):
+    """N, the size of the solve's system: two per node of each distinct curve
+    of its layers (a curve bounds two regions, so it is listed twice)."""
+    curves = {id(c): c for layer in result.layers for c, _, _ in layer}
+    return 2 * sum(c.n_nodes for c in curves.values())
+
+
 def cmd_forward(args):
     sc = _load(args)
     t0 = time.perf_counter()
@@ -163,7 +170,8 @@ def cmd_forward(args):
         "solver": {"residual": result.residual, "cond_estimate": result.cond_estimate,
                    "converged": bool(result.converged), "tau_solve": TAU_SOLVE},
         "mesh": {"nodes_per_edge": sc.mesh.nodes_per_edge, "grading": sc.mesh.grading,
-                 "built_nodes_per_edge": _built_nodes(result)},
+                 "built_nodes_per_edge": _built_nodes(result),
+                 "unknowns": _unknowns(result)},
         "wall_clock_s": time.perf_counter() - t0,
     })
     if not result.converged:
@@ -255,22 +263,17 @@ def cmd_cgo_verify(args):
 
 
 def _admissibility(sc: Scenario, result):
-    """Vertex field values by midline extrapolation, against the 1e-6 threshold."""
+    """Vertex field values by midline extrapolation, against the admissibility tau."""
     m = sc.medium
-    sampler = probe_mod.sampler_from_solution(result)
     hull = _hull_of(m)
     diam = hull.bbox_diag()
-    centroid = hull.vertices.mean(axis=0)
-    tau = probe_mod.default_admissibility_tau(sampler, centroid, 2.0 * diam)
-    if isinstance(m, NestMedium):
-        polys = list(m.partition.layers)
-    else:
-        polys = [m.partition.hull]
+    tau = probe_mod.admissibility_tau(result.field_at, hull)
+    polys = list(m.partition.layers) if isinstance(m, NestMedium) else [hull]
     entries = []
     for li, poly in enumerate(polys, start=1):
         h = min(0.9 * max_sector_radius(poly), 0.1 * diam)
         for vi, sec in enumerate(corner_sectors(poly, h)):
-            val = probe_mod.extrapolate_vertex_value(sampler, sec)
+            val = probe_mod.extrapolate_vertex_value(result.field_at, sec)
             entries.append({"interface": li, "vertex": vi, "value": val,
                             "abs": abs(val), "admissible": bool(abs(val) > tau)})
     return entries, tau
@@ -375,6 +378,7 @@ def _run_sweep(args, sc: Scenario):
     if not base_fine.converged:
         return _unconverged("fine", 2 * n, base_fine)
     built = {"base": _built_nodes(base), "fine": _built_nodes(base_fine)}
+    unknowns = {"base": _unknowns(base), "fine": _unknowns(base_fine)}
     angles = uniform_directions(sc.num_angles)
     ff_base = base.far_field(angles)
     floor = farfield_diff(ff_base, base_fine.far_field(angles))
@@ -409,6 +413,7 @@ def _run_sweep(args, sc: Scenario):
         "admissibility": {"tau": tau, "entries": adm},
         "operator_blocks": {"base": n_base, "assembled": assembled},
         "built_nodes_per_edge": built,
+        "unknowns": unknowns,
         "wall_clock_s": time.perf_counter() - t0,
     })
     print(f"noise floor {floor:.3e}; discrepancies "
@@ -465,7 +470,8 @@ def cmd_probe(args):
         scen = _pair_scenario(sc, spec, args)
         if scen is None:
             return EXIT_REFUSED
-        fit = {"surrogate_fit_residuals": scen.meta["surrogate_fit_residuals"]}
+        fit = {k: scen.meta[k] for k in ("surrogate_fit_residuals", "built_nodes_per_edge",
+                                         "unknowns")}
     else:
         raise ConfigError("probe.mode", f"unknown mode {mode!r}")
     quad_tol = min(args.tol, 1e-10)
@@ -516,9 +522,11 @@ def _pair_scenario(sc: Scenario, spec, args):
     if locate(med2.partition, sector.apex + 0.5 * sector.h * sector.midline_world
               ).index != iface:
         raise ConfigError("probe.h", "sector does not stay inside a single region")
-    r1 = _solve(sc)
+    # one block store: blocks the two media share are assembled once
+    store = {}
+    r1 = _solve(sc, blocks=store)
     r2 = solve_scatter(med2, sc.incident, nodes_per_edge=sc.mesh.nodes_per_edge,
-                       grading=sc.mesh.grading)
+                       grading=sc.mesh.grading, blocks=store)
     reg1 = min(iface, med1.partition.n_layers)
     kap1 = region_wavenumbers(med1)[reg1]
     kap2 = region_wavenumbers(med2)[iface]
@@ -529,15 +537,11 @@ def _pair_scenario(sc: Scenario, spec, args):
               f"{SURROGATE_FIT_BOUND:g} (u1 {fit1:.3g}, u2 {fit2:.3g})", file=sys.stderr)
         return None
     u2_0, _ = u2.at(sector.apex)
-    hull = _hull_of(med2)
-    tau = probe_mod.default_admissibility_tau(
-        probe_mod.sampler_from_solution(r2),
-        hull.vertices.mean(axis=0), 2.0 * hull.bbox_diag())
+    tau = probe_mod.admissibility_tau(r2.field_at, _hull_of(med2))
     if abs(u2_0) <= tau:
         print(f"refused: total field vanishes at the probed vertex "
               f"(|u|={abs(u2_0):.3g} <= {tau:.3g})", file=sys.stderr)
         return None
-    om_plus = med2.q[iface - 2] if iface >= 2 else 1.0
     return probe_mod.ProbeScenario(
         sector, complex(med2.k),
         complex(med1.q[reg1 - 1]),
@@ -545,8 +549,9 @@ def _pair_scenario(sc: Scenario, spec, args):
         complex(med1.lam[reg1 - 1]),
         complex(med2.lam[iface - 1]),
         u1, u2,
-        meta={"mode": "pair", "omega_plus": om_plus,
-              "surrogate_fit_residuals": (fit1, fit2)})
+        meta={"mode": "pair", "surrogate_fit_residuals": (fit1, fit2),
+              "built_nodes_per_edge": {"u1": _built_nodes(r1), "u2": _built_nodes(r2)},
+              "unknowns": {"u1": _unknowns(r1), "u2": _unknowns(r2)}})
 
 
 if __name__ == "__main__":

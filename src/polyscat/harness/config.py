@@ -96,9 +96,9 @@ def parse_medium(node, path="medium"):
     raise ConfigError(f"{path}.kind", f"unknown medium kind {kind!r} (nest | cell)")
 
 
-def parse_incident(node, path="incident"):
+def parse_incident(node):
     kind = node.get("kind", "plane")
-    amp = _cplx(node.get("amplitude", 1.0), f"{path}.amplitude")
+    amp = _cplx(node.get("amplitude", 1.0), "incident.amplitude")
     try:
         if kind == "plane":
             return IncidentField("plane", direction=node.get("direction"), amplitude=amp)
@@ -107,13 +107,13 @@ def parse_incident(node, path="incident"):
         if kind == "none":
             return IncidentField("none", amplitude=amp)
     except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
-    raise ConfigError(f"{path}.kind", f"unknown incident kind {kind!r}")
+        raise ConfigError("incident", str(exc)) from None
+    raise ConfigError("incident.kind", f"unknown incident kind {kind!r}")
 
 
-def parse_scenario(doc, path="") -> Scenario:
+def parse_scenario(doc) -> Scenario:
     if not isinstance(doc, dict):
-        raise ConfigError(path or "<root>", "configuration must be a JSON object")
+        raise ConfigError("<root>", "configuration must be a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")

@@ -129,7 +129,7 @@ def potential_at(m, x):
     return m.q[label.index - 1]
 
 
-def lambda_at(m, interface_id, arclength=0.0):
+def lambda_at(m, interface_id):
     """Constant conductive parameter of the given interface (1-based id)."""
     if isinstance(m, NestMedium):
         if not 1 <= interface_id <= m.n_interfaces:

@@ -55,14 +55,10 @@ class FieldSampler:
     fn(pts)[0] without the gradient work; values() falls back to fn.
     hoelder, when given, is an (alpha, C) pair used only to report expected
     remainder magnitudes; it is never used in the extraction itself.
-    corner_value overrides pointwise evaluation at the sector apex, for
-    samplers (e.g. solver fields) that cannot be trusted exactly on a
-    boundary corner and supply an extrapolated limit instead.
     """
 
     fn: Callable
     hoelder: tuple | None = None
-    corner_value: complex | None = None
     values_fn: Callable | None = None
 
     def __call__(self, pts):
@@ -89,10 +85,7 @@ class FieldSampler:
         def diff_values(pts):
             return self.values(pts) - other.values(pts)
 
-        cv = None
-        if self.corner_value is not None and other.corner_value is not None:
-            cv = self.corner_value - other.corner_value
-        return FieldSampler(diff, corner_value=cv, values_fn=diff_values)
+        return FieldSampler(diff, values_fn=diff_values)
 
     def shifted(self, value0):
         """Remainder sampler: self minus a constant (gradient unchanged)."""
@@ -163,8 +156,6 @@ def _canonical_values(sampler: FieldSampler, sector: CornerSector):
 
 
 def _corner_value(sampler: FieldSampler, sector: CornerSector):
-    if sampler.corner_value is not None:
-        return sampler.corner_value
     return complex(sampler.values(sector.apex[None, :])[0])
 
 
@@ -465,22 +456,15 @@ def identity_residual(sc: ProbeScenario, s, tol=1e-12):
     return _residual(sc, grids, s, i1, tol)[0]
 
 
-def admissibility_check(u: FieldSampler, vertices, tau):
-    """Per-vertex |u(x_c)| > tau report."""
-    out = []
-    for xc in vertices:
-        val = complex(u.values(np.asarray(xc, dtype=float)[None, :])[0])
-        out.append({"vertex": tuple(np.asarray(xc, float)), "value": val,
-                    "admissible": bool(abs(val) > tau)})
-    return out
-
-
-def default_admissibility_tau(u: FieldSampler, center, radius, n=64):
-    """1e-6 times the max field magnitude on the circle of given radius."""
-    th = np.arange(n) * 2 * np.pi / n
-    pts = np.asarray(center, float)[None, :] + radius * np.column_stack([np.cos(th), np.sin(th)])
-    vals = u.values(pts)
-    return 1e-6 * float(np.max(np.abs(vals)))
+def admissibility_tau(field_at, hull):
+    """The refusal threshold of the vertex values of a solved field:
+    1e-6 times the largest |field_at| on 64 points of the circle about the
+    hull's vertex mean whose radius is twice the hull's bounding-box
+    diagonal.  field_at maps (n, 2) points to values."""
+    th = np.arange(64) * 2 * np.pi / 64
+    center = hull.vertices.mean(axis=0)
+    pts = center[None, :] + 2.0 * hull.bbox_diag() * np.column_stack([np.cos(th), np.sin(th)])
+    return 1e-6 * float(np.max(np.abs(field_at(pts))))
 
 
 @dataclass(frozen=True)
@@ -517,34 +501,6 @@ def vanishing_test(v: FieldSampler, w: FieldSampler, sector: CornerSector, s_gri
     if ests:
         extrap = richardson_extrapolate([s for s, _ in ests], [e for _, e in ests]).limit
     return VanishingResult(tuple(ests), tuple(funcs), extrap)
-
-
-def sampler_from_solution(result, fd_step=1e-6, region=None, corner_value=None):
-    """FieldSampler over a forward-solve result, gradients by central differences.
-
-    `region` pins the solver representation (needed when sampling up to an
-    interface, e.g. on the edges of a corner sector).  Pair-mode
-    extractions built on solver fields inherit an error term of order
-    (solver residual) * s on top of the finite-difference error; the per-s
-    residual diagnostics carry it, nothing hides it.
-    """
-
-    def values(pts):
-        return np.atleast_1d(result.field_at(np.atleast_2d(pts), region=region))
-
-    def fn(pts):
-        pts = np.atleast_2d(pts)
-        vals = values(pts)
-        grads = np.empty((len(pts), 2), dtype=complex)
-        for axis in (0, 1):
-            e = np.zeros(2)
-            e[axis] = fd_step
-            up = np.atleast_1d(result.field_at(pts + e, region=region))
-            dn = np.atleast_1d(result.field_at(pts - e, region=region))
-            grads[:, axis] = (up - dn) / (2 * fd_step)
-        return vals, grads
-
-    return FieldSampler(fn, corner_value=corner_value, values_fn=values)
 
 
 _CHUNK = 4096   # points per Bessel table in bessel_series_sampler
@@ -626,28 +582,27 @@ class _BesselBasis(NamedTuple):
         return np.r_[c[0], c[1::2]], np.r_[0, c[2::2]]
 
 
-def series_surrogate_from_solution(result, sector: CornerSector, region, kappa,
-                                   basis_n=10, n_r=14, n_t=12):
+def series_surrogate_from_solution(result, sector: CornerSector, region, kappa):
     """Local Fourier-Bessel surrogate of a solver field on a corner sector.
 
     The solver field inside one region solves a constant-coefficient
     Helmholtz equation, so on the closed sector it is approximated by a
-    truncated J_n(kappa r) series fitted on an interior tensor grid of
-    solver evaluations.  The surrogate is cheap to sample inside the
-    extraction quadratures and carries analytic gradients; its pointwise
-    fit residual is returned alongside so nothing is hidden.  Corner
-    singular parts of the true field are not in the basis; the realized
-    fit residual is the honest measure of that.
+    truncated J_n(kappa r) series, n < 10, fitted on an interior tensor grid
+    of 14 radii by 12 angles of solver evaluations.  The surrogate is cheap
+    to sample inside the extraction quadratures and carries analytic
+    gradients; its pointwise fit residual is returned alongside so nothing
+    is hidden.  Corner singular parts of the true field are not in the
+    basis; the realized fit residual is the honest measure of that.
     """
     h = sector.h
-    rr = h * np.geomspace(5e-3, 0.98, n_r)
+    rr = h * np.geomspace(5e-3, 0.98, 14)
     pad = 0.02 * sector.opening
-    tt = np.linspace(sector.theta_m + pad, sector.theta_M - pad, n_t)
+    tt = np.linspace(sector.theta_m + pad, sector.theta_M - pad, 12)
     R, T = np.meshgrid(rr, tt, indexing="ij")
     canon = np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])
     vals = np.atleast_1d(result.field_at(sector.to_world(canon), region=region))
 
-    basis = _BesselBasis(kappa, basis_n)
+    basis = _BesselBasis(kappa, 10)
     A = basis.columns(basis.bessel(np.hypot(canon[:, 0], canon[:, 1])),
                       basis.angular(np.arctan2(canon[:, 1], canon[:, 0]))[0])
     scale = np.maximum(np.abs(A).max(axis=0), 1e-30)
@@ -657,20 +612,17 @@ def series_surrogate_from_solution(result, sector: CornerSector, region, kappa,
     return bessel_series_sampler(kappa, *basis.unpack(c), sector), resid
 
 
-def extrapolate_vertex_value(sampler: FieldSampler, sector: CornerSector, t0=None, levels=4):
+def extrapolate_vertex_value(field_at, sector: CornerSector):
     """Field value at the sector apex by extrapolation along the midline.
 
     Boundary collocation cannot be evaluated on the corner itself; sampling
-    at h*(1/8, 1/16, ...) along the bisector and fitting a low-order
-    polynomial in the offset recovers the corner limit of a field that is
-    continuous up to the corner.
+    field_at, a map of (n, 2) points to values, at h*(1/8, 1/16, 1/32, 1/64)
+    along the bisector and fitting a cubic in the offset recovers the corner
+    limit of a field that is continuous up to the corner.
     """
-    if t0 is None:
-        t0 = sector.h / 8.0
-    ts = t0 * 0.5 ** np.arange(levels)
+    ts = sector.h / 8.0 * 0.5 ** np.arange(4)
     pts = sector.apex[None, :] + ts[:, None] * sector.midline_world[None, :]
-    vals = sampler.values(pts)
-    coef = np.polynomial.polynomial.polyfit(ts, vals, levels - 1)
+    coef = np.polynomial.polynomial.polyfit(ts, field_at(pts), 3)
     return complex(coef[0])
 
 
@@ -678,8 +630,7 @@ def extrapolate_vertex_value(sampler: FieldSampler, sector: CornerSector, t0=Non
 # manufactured corner scenarios
 
 
-def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | None = None,
-                          hoelder=None):
+def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | None = None):
     """Exact Helmholtz field sum_n J_n(kappa r)(a_n cos n th + b_n sin n th).
 
     Coordinates are the sector's canonical frame when a sector is given
@@ -732,13 +683,14 @@ def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | 
             chunk(xy[part], vals[part], None if grads is None else grads[part])
         return (vals, vec_to_world(grads)) if grad else vals
 
-    return FieldSampler(lambda pts: series(pts, True), hoelder,
+    return FieldSampler(lambda pts: series(pts, True),
                         values_fn=lambda pts: series(pts, False))
 
 
-def _edge_moment(sector: CornerSector, edge: _Edge, s, cauchy, tol, scale=1.0):
+def _edge_moment(sector: CornerSector, edge: _Edge, s, cauchy, scale=1.0):
     """Green moment int_0^h [flux - (dnu u0 / u0) scale trace] u0(s.) dr of the
-    edge Cauchy data cauchy(r) -> (trace, flux), scale a constant trace factor."""
+    edge Cauchy data cauchy(r) -> (trace, flux), scale a constant trace factor,
+    to quadrature tolerance 1e-12."""
     m = cgo.mu(edge.theta)
 
     def g(r):
@@ -746,7 +698,7 @@ def _edge_moment(sector: CornerSector, edge: _Edge, s, cauchy, tol, scale=1.0):
         fac = edge.sign * (-0.5j) * np.sqrt(s / r) * m
         return flux - fac * trace * scale
 
-    return edge_u0_integral(edge.theta, s, sector.h, g=g, tol=tol)
+    return edge_u0_integral(edge.theta, s, sector.h, g=g, tol=1e-12)
 
 
 def _sqrt_principal_nonneg(z):
@@ -759,8 +711,7 @@ DEFAULT_U2_SIN = (0.0, 0.12, 0.06)
 
 
 def manufactured_scenario(sector: CornerSector, k, omega1, omega2, eta1, eta2,
-                          u2_cos=DEFAULT_U2_COS, u2_sin=DEFAULT_U2_SIN,
-                          basis_n=13, fit_s=None, tol=1e-12):
+                          u2_cos=DEFAULT_U2_COS, u2_sin=DEFAULT_U2_SIN, fit_s=None):
     """Manufactured field pair with prescribed parameter differences.
 
     u2 is an explicit Bessel series solving the omega2 Helmholtz equation;
@@ -785,7 +736,7 @@ def manufactured_scenario(sector: CornerSector, k, omega1, omega2, eta1, eta2,
     if fit_s is None:
         fit_s = [50.0 * 2**j for j in range(5)]
 
-    basis = _BesselBasis(kap1, basis_n)
+    basis = _BesselBasis(kap1, 13)
     # J_n(kap1 r) once per edge grid; the grids are the same on both edges
     bessel = _once_per_grid(basis.bessel)
 
@@ -813,9 +764,9 @@ def manufactured_scenario(sector: CornerSector, k, omega1, omega2, eta1, eta2,
             return cauchy
 
         for s in fit_s:
-            mom_rows.append([_edge_moment(sector, e, s, element(n, d), tol, scale=a)
+            mom_rows.append([_edge_moment(sector, e, s, element(n, d), scale=a)
                              for (n, _), a, d in zip(basis.labels, ang, dang)])
-            mom_tgt.append(_edge_moment(sector, e, s, target, tol))
+            mom_tgt.append(_edge_moment(sector, e, s, target))
     A = np.vstack(rows)
     y = np.concatenate(rhs)
     fit_quads = [q for row in mom_rows for q in row] + mom_tgt

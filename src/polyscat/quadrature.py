@@ -45,14 +45,15 @@ def panel_rule(breaks, n):
     return nodes, weights
 
 
-def graded_breaks(r_lo, r_hi, ratio=0.5, tiny=1e-16):
-    """Breakpoints from r_hi down toward r_lo (geometric when r_lo ~ 0)."""
-    if r_lo > tiny * r_hi:
+def graded_breaks(r_lo, r_hi):
+    """Breakpoints from r_hi down toward r_lo: log-uniform when r_lo > 1e-16 r_hi,
+    otherwise halving from r_hi until below 1e-16 r_hi, then 0."""
+    if r_lo > 1e-16 * r_hi:
         # log-uniform between r_lo and r_hi
         m = max(8, int(np.ceil(np.log(r_hi / r_lo) / np.log(2.0))) * 2)
         return r_lo * (r_hi / r_lo) ** (np.arange(m + 1) / m)
-    levels = int(np.ceil(np.log(tiny) / np.log(ratio)))
-    pts = r_hi * ratio ** np.arange(levels, -1, -1)
+    levels = int(np.ceil(np.log(1e-16) / np.log(0.5)))
+    pts = r_hi * 0.5 ** np.arange(levels, -1, -1)
     return np.concatenate(([0.0], pts))
 
 
@@ -77,7 +78,7 @@ def _refine(levels, eval_fn, tol):
     return prev, err, False
 
 
-def _polar_integral(breaks, theta_m, theta_M, kernel, tol):
+def polar_integral(breaks, theta_m, theta_M, kernel, tol):
     """Tensor rule of radial panels over `breaks` times angular Gauss nodes,
     summed by kernel(r, wr, theta, wt) and refined over one level list."""
 
@@ -88,28 +89,6 @@ def _polar_integral(breaks, theta_m, theta_M, kernel, tol):
         return kernel(r, wr, t, wt)
 
     return QuadResult(*_refine([(12, 12), (16, 24), (24, 48), (32, 96)], eval_fn, tol))
-
-
-def sector_u0_integral(theta_m, theta_M, s, rmax, tol=1e-10):
-    """Integral of u0(s x) over the truncated sector W cap B_rmax."""
-    return _polar_integral(graded_breaks(0.0, rmax), theta_m, theta_M,
-                           lambda *rule: _kernels.sector_quad_sum(*rule, float(s)), tol)
-
-
-def sector_u0_abs_integral(theta_m, theta_M, s, alpha, rmax, tol=1e-10):
-    """Integral of |u0(s x)| |x|^alpha over W cap B_rmax."""
-    return _polar_integral(
-        graded_breaks(0.0, rmax), theta_m, theta_M,
-        lambda *rule: _kernels.sector_abs_quad_sum(*rule, float(s), float(alpha)), tol)
-
-
-def annulus_u0_abs_integral(theta_m, theta_M, s, h, rmax, tol=1e-10):
-    """Integral of |u0(s x)| over the annular sector W cap (B_rmax \\ B_h)."""
-    if rmax <= h:
-        return QuadResult(0.0, 0.0, True)
-    return _polar_integral(graded_breaks(h, rmax), theta_m, theta_M,
-                           lambda *rule: _kernels.sector_abs_quad_sum(*rule, float(s), 0.0),
-                           tol)
 
 
 def edge_u0_integral(theta, s, h, g=None, tol=1e-12):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyscat.forward import build_mesh, farfield_diff, solve_scatter, uniform_directions
+from polyscat.forward import farfield_diff, solve_scatter, uniform_directions
 from polyscat.forward.cellsolver import build_skeleton
 from polyscat.geometry import CellPartition, NestPartition, Polygon
 from polyscat.medium import CellMedium, IncidentField, NestMedium
@@ -71,12 +71,6 @@ def test_zero_contrast_cell(split_square):
     res = solve_scatter(med, IncidentField("plane", direction=[0.6, 0.8]),
                         nodes_per_edge=16)
     assert np.max(np.abs(res.far_field(ANGLES).values)) < 1e-8
-
-
-def test_cell_solve_rejects_nest_mesh(split_square, plane_inc):
-    med = CellMedium(split_square, q=[2.0, 3.0], lambda_star=0.0, k=1.0)
-    with pytest.raises(ValueError, match="mesh"):
-        solve_scatter(med, plane_inc, mesh=build_mesh([split_square.hull], 16))
 
 
 def test_equal_cells_match_single_nest(split_square, plane_inc):

@@ -78,8 +78,6 @@ def test_sector_spec_invariants():
         cgo.SectorSpec(-np.pi / 2, np.pi / 2)  # opening exactly pi
     with pytest.raises(ValueError):
         cgo.SectorSpec(0.5, 0.4)
-    with pytest.raises(ValueError):
-        cgo.CgoParams(-1.0)
 
 
 def test_sector_integral_symmetric_value():

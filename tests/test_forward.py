@@ -159,6 +159,93 @@ def test_point_source_scattering_runs(nested_squares):
                       nodes_per_edge=16)
 
 
+# Exact transmission solutions: the field of region R is a sum of point
+# sources c (i/4) H0(kappa_R |x - z|), each at least 0.45 from the boundary
+# of R, so every region field solves its Helmholtz equation and the exterior
+# one radiates.  The jumps of these fields across the interfaces are the
+# data; the solved layer potentials must reproduce every field and the far
+# field of the exterior sources.
+OUTER = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+INNER = [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
+EXTERIOR_SOURCES = [((0.05, 0.1), 1.0), ((-0.1, -0.05), 0.6 - 0.4j)]
+ANNULUS_SOURCES = [((0.0, 0.05), 0.8 + 0.3j), ((3.0, 1.0), -0.5 + 0.7j)]
+CORE_SOURCES = [((2.5, -1.5), 0.9 - 0.2j), ((-2.0, 2.2), 0.4 + 0.5j)]
+_D = 1e-6 / np.sqrt(2)   # a vertex offset of 1e-6 along the diagonal
+# per region: interior points and points 1e-6 from a vertex and from an edge
+EXTERIOR_PTS = [(1.7, 0.4), (-2.0, 3.0), (1 + _D, 1 + _D), (1 + 1e-6, 0.3)]
+NEST_PTS = [EXTERIOR_PTS,
+            [(0.8, 0.1), (-0.7, -0.75), (1 - _D, 1 - _D), (0.5 + _D, 0.5 + _D),
+             (1 - 1e-6, 0.3), (0.5 + 1e-6, 0.1)],
+            [(0.1, -0.2), (0.5 - _D, 0.5 - _D), (0.5 - 1e-6, 0.1)]]
+SINGLE_PTS = [EXTERIOR_PTS, [(0.1, -0.2), (0.8, 0.1), (1 - _D, 1 - _D), (1 - 1e-6, 0.3)]]
+
+
+def _sources_field(kappa, sources, x):
+    """Value and gradient of sum c (i/4) H0(kappa |x - z|) at points x."""
+    from scipy.special import hankel1
+
+    u = np.zeros(len(x), dtype=complex)
+    grad = np.zeros((len(x), 2), dtype=complex)
+    for z, c in sources:
+        d = x - np.asarray(z)
+        r = np.hypot(d[:, 0], d[:, 1])
+        u += c * 0.25j * hankel1(0, kappa * r)
+        grad += (c * 0.25j * -kappa * hankel1(1, kappa * r) / r)[:, None] * d
+    return u, grad
+
+
+def _solve_jumps(layers, q, lam, sources, nodes_per_edge):
+    """Solution of the nest with the jumps of the exact region fields as data:
+    f = u_out - u_in and g = dnu u_out + lambda u_out - dnu u_in per interface."""
+    from polyscat.forward.solver import Solution, solve_factored
+
+    med = NestMedium(NestPartition([Polygon(v) for v in layers]), q=q, lam=lam, k=1.0)
+    mesh = build_mesh(med.partition.layers, nodes_per_edge)
+    system = assemble_nest(med, mesh)
+    kap = system["kappas"]
+    b = []
+    for i, curve in enumerate(mesh.curves):
+        u_out, g_out = _sources_field(kap[i], sources[i], curve.nodes)
+        u_in, g_in = _sources_field(kap[i + 1], sources[i + 1], curve.nodes)
+        dnu_out = (g_out * curve.normals).sum(axis=1)
+        dnu_in = (g_in * curve.normals).sum(axis=1)
+        b += [u_out - u_in, dnu_out + lam[i] * u_out - dnu_in]
+    densities, resid, converged = solve_factored(system["A"], system["lu"], system["cond"],
+                                                 np.concatenate(b), system["sizes"])
+    assert converged
+    regions = [[] for _ in range(len(layers) + 1)]
+    for ell, (curve, (phi, psi)) in enumerate(zip(mesh.curves, densities)):
+        regions[ell].append((curve, phi, psi))
+        regions[ell + 1].append((curve, phi, psi))
+    return Solution(resid, system["cond"], converged, kap, med, IncidentField("none"),
+                    tuple(map(tuple, regions)), None)
+
+
+@pytest.mark.parametrize("layers, q, lam, sources, pts", [
+    ([OUTER, INNER], [2.0, 3.0], [0.5j, 0.3 + 0.1j],
+     [EXTERIOR_SOURCES, ANNULUS_SOURCES, CORE_SOURCES], NEST_PTS),
+    ([OUTER, INNER], [2.0, 3.0], [0.0, 0.0],
+     [EXTERIOR_SOURCES, ANNULUS_SOURCES, CORE_SOURCES], NEST_PTS),
+    ([OUTER], [2.0], [0.5j], [EXTERIOR_SOURCES, CORE_SOURCES], SINGLE_PTS),
+], ids=["nest-conductive", "nest-lambda0", "single-conductive"])
+def test_exact_point_source_transmission_solution(layers, q, lam, sources, pts):
+    dirs = np.column_stack([np.cos(ANGLES), np.sin(ANGLES)])
+    # far field of c (i/4) H0(k |x - z|): c e^{i pi/4} / sqrt(8 pi k) e^{-i k xhat.z}, k = 1
+    exact = sum(c * np.exp(1j * np.pi / 4) / np.sqrt(8 * np.pi) * np.exp(-1j * dirs @ z)
+                for z, c in sources[0])
+    errs = []
+    for n in (16, 32, 64):
+        sol = _solve_jumps(layers, q, lam, sources, n)
+        got = sol.far_field(ANGLES).values
+        errs.append(np.linalg.norm(got - exact) / np.linalg.norm(exact))
+    assert errs[2] <= 2e-9
+    assert errs[0] / errs[1] >= 30 and errs[1] / errs[2] >= 30
+    for reg, region_pts in enumerate(pts):
+        x = np.array(region_pts)
+        u = _sources_field(sol.kappas[reg], sources[reg], x)[0]
+        assert np.abs(sol.field_at(x) - u).max() <= 1e-7 * np.abs(u).max()
+
+
 # ---------------------------------------------------------------- layer operators
 
 

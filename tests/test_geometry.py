@@ -101,7 +101,6 @@ def test_corner_sectors_square():
     assert s0.rotation == 0.0
     for s in secs:
         assert s.opening == pytest.approx(np.pi / 2)
-        assert not s.degenerate
 
 
 def test_corner_sectors_triangle_opening():
@@ -109,11 +108,6 @@ def test_corner_sectors_triangle_opening():
     secs = corner_sectors(tri, 0.05)
     for s in secs:
         assert s.opening == pytest.approx(np.pi / 3)
-
-
-def test_corner_sector_degenerate_flagged():
-    s = CornerSector([0.0, 0.0], -np.pi / 2, np.pi / 2, 0.5)
-    assert s.degenerate
 
 
 def test_corner_sectors_h_clearance():

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -106,6 +107,8 @@ def test_forward_command_writes_csv(tmp_path):
     assert report["solver"]["converged"]
     assert report["solver"]["tau_solve"] == 1e-8
     assert report["mesh"]["built_nodes_per_edge"] == 12
+    # two curves of 4 edges of 12 nodes, two unknowns per node
+    assert report["mesh"]["unknowns"] == 192
 
 
 def test_forward_determinism(tmp_path):
@@ -151,7 +154,20 @@ def test_sweep_command(tmp_path):
     assert report["operator_blocks"] == {"base": 5, "assembled": [1]}
     # the mesh rounds the fine level's request of 24 nodes/edge up to 32
     assert report["built_nodes_per_edge"] == {"base": 12, "fine": 32}
+    assert report["unknowns"] == {"base": 192, "fine": 512}
     assert "(mesh 12 vs 32 nodes/edge)" in (out / "sweep.csv").read_text()
+
+
+def test_sweep_refuses_a_vanishing_vertex_field(tmp_path, monkeypatch, capsys):
+    from polyscat import probe
+
+    monkeypatch.setattr(probe, "extrapolate_vertex_value", lambda field_at, sector: 0j)
+    cfg = write(tmp_path, "c.json", NEST_DOC)
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert ("refused: total field vanishes at interface 1 vertex 0"
+            in capsys.readouterr().err)
+    assert not (out / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("failing, label", [(0, "base"), (1, "fine"), (2, "perturbed")])
@@ -254,7 +270,31 @@ def test_probe_command_reports_unconverged_quadrature(tmp_path, capsys):
     assert "did not converge at s = 50, 100;" in err
 
 
-def test_probe_command_identical_pair(tmp_path):
+def _blocks_per_solve(monkeypatch):
+    """The list, filled as the CLI runs, of the operator blocks each of its
+    solves assembles."""
+    import polyscat.forward.solver as solver
+    import polyscat.harness.cli as cli
+
+    calls = []
+    per_solve = []
+    assemble_block = solver.assemble_block
+    solve_scatter = cli.solve_scatter
+
+    def counted_solve(*args, **kwargs):
+        n0 = len(calls)
+        res = solve_scatter(*args, **kwargs)
+        per_solve.append(len(calls) - n0)
+        return res
+
+    monkeypatch.setattr(solver, "assemble_block",
+                        lambda *a, **kw: calls.append(a) or assemble_block(*a, **kw))
+    monkeypatch.setattr(cli, "solve_scatter", counted_solve)
+    return per_solve
+
+
+def test_probe_command_identical_pair(tmp_path, monkeypatch):
+    per_solve = _blocks_per_solve(monkeypatch)
     doc = json.loads(json.dumps(NEST_DOC))
     doc["mesh"]["nodes_per_edge"] = 12
     doc["probe"] = {
@@ -274,6 +314,28 @@ def test_probe_command_identical_pair(tmp_path):
     fit1, fit2 = report["surrogate_fit_residuals"]
     assert fit1 == fit2
     assert 0 < fit1 < 1e-5
+    # both solves read one block store: the second medium, the same as the
+    # first, assembles no operator block of its own
+    assert per_solve == [5, 0]
+    assert report["built_nodes_per_edge"] == {"u1": 12, "u2": 12}
+    assert report["unknowns"] == {"u1": 192, "u2": 192}
+
+
+def test_probe_pair_refuses_a_vanishing_vertex_field(tmp_path, capsys, monkeypatch):
+    from polyscat import probe
+
+    tau = probe.admissibility_tau
+    monkeypatch.setattr(probe, "admissibility_tau",
+                        lambda field_at, hull: 1e12 * tau(field_at, hull))
+    doc = json.loads(json.dumps(NEST_DOC))
+    doc["probe"] = {"mode": "pair", "medium2": doc["medium"],
+                    "vertex": {"interface": 2, "index": 0}, "h": 0.2}
+    cfg = write(tmp_path, "pair.json", doc)
+    out = tmp_path / "pair"
+    assert cli_main(["probe", "--config", cfg, "--out", str(out),
+                     "--s-grid", "50,100"]) == 1
+    assert "refused: total field vanishes at the probed vertex" in capsys.readouterr().err
+    assert not (out / "probe.csv").exists()
 
 
 def test_probe_pair_refuses_a_poor_surrogate(tmp_path, capsys, monkeypatch):
@@ -305,6 +367,32 @@ def test_cgo_verify_and_negative_control(tmp_path):
     rows = (out / "cgo_verify.csv").read_text().splitlines()
     assert any("sector_integral" in r for r in rows)
     assert cli_main(["cgo-verify", "--out", str(tmp_path / "bad"), "--corrupt"]) == 2
+
+
+OPTIONS = {
+    "validate": {"--config"},
+    "forward": {"--config", "--out", "--mesh-level"},
+    "cgo-verify": {"--out", "--tol", "--seed", "--corrupt"},
+    "sweep": {"--config", "--out", "--mesh-level", "--target", "--magnitudes"},
+    "probe": {"--config", "--out", "--mesh-level", "--s-grid", "--tol"},
+    "passive": {"--config", "--out", "--mesh-level", "--target", "--magnitudes"},
+}
+
+
+def test_cli_option_sets(tmp_path, capsys):
+    """Each subcommand takes exactly the options it reads."""
+    for command, options in OPTIONS.items():
+        with pytest.raises(SystemExit):
+            cli_main([command, "--help"])
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"} \
+            == options, command
+    cfg = write(tmp_path, "c.json", NEST_DOC)
+    for command, option in (("validate", "--tol"), ("validate", "--mesh-level"),
+                            ("forward", "--tol"), ("sweep", "--tol"), ("passive", "--tol")):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", cfg, option, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_cli_entrypoint_runs():
@@ -340,6 +428,8 @@ def test_cell_config_validate_and_forward(tmp_path):
     assert cli_main(["forward", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["solver"]["converged"]
+    # 6 hull segments and 1 interior segment of 10 nodes, two unknowns per node
+    assert report["mesh"]["unknowns"] == 140
 
 
 @pytest.mark.parametrize("doc, target, base, new", [
@@ -351,23 +441,7 @@ def test_cell_config_validate_and_forward(tmp_path):
 ], ids=["lambda:1", "q:2", "lambda:2", "vertex:2:0", "cell-lambda*"])
 def test_sweep_assembles_only_the_blocks_a_perturbation_changes(tmp_path, monkeypatch,
                                                                  doc, target, base, new):
-    import polyscat.forward.solver as solver
-    import polyscat.harness.cli as cli
-
-    calls = []
-    per_solve = []
-    assemble_block = solver.assemble_block
-    solve_scatter = cli.solve_scatter
-
-    def counted_solve(*args, **kwargs):
-        n0 = len(calls)
-        res = solve_scatter(*args, **kwargs)
-        per_solve.append(len(calls) - n0)
-        return res
-
-    monkeypatch.setattr(solver, "assemble_block",
-                        lambda *a, **kw: calls.append(a) or assemble_block(*a, **kw))
-    monkeypatch.setattr(cli, "solve_scatter", counted_solve)
+    per_solve = _blocks_per_solve(monkeypatch)
     cfg = write(tmp_path, "c.json", doc)
     out = tmp_path / "sweep"
     assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--target", target,
