@@ -14,8 +14,13 @@ lambda*, which is the price of the single-jump reading of shared edges.
 
 Each region contributes its Green-identity trace equation collocated at
 its boundary nodes; every node borders two regions, so the system is
-square.  The solved traces become the layers of a `solver.Solution`: a
-segment's owner A gets (curve, -t, p), an interior owner B gets
+square.  A region's operator blocks come from one `assemble_block` call per
+source segment, on the stacked nodes of all its bordering segments (14
+calls on a square split in two); each target segment's rows are a slice
+of that block, bitwise equal to a call on the segment's own nodes.
+
+The solved traces become the layers of a `solver.Solution`: a segment's
+owner A gets (curve, -t, p), an interior owner B gets
 (curve, t, -(p - lambda* t)), and the exterior gets the scattered part,
 (curve, t - u_inc, -(p - lambda* t) + dnu u_inc).
 """
@@ -138,20 +143,25 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
 
     for reg in range(nregions):
         kap = kappas[reg]
+        # a segment's rows: its A owner's equation first, then its B owner's
+        rows = []
         for ti, tsign in bordering[reg]:
-            x = curves[ti].nodes
-            # a segment's rows: its A owner's equation first, then its B owner's
             r0 = off[ti] + (0 if tsign > 0 else sizes[ti])
             r = slice(r0, r0 + sizes[ti])
+            rows.append(r)
             # (1/2) u(x0) term on the segment's own Dirichlet trace
             A[r, off[ti]:off[ti] + sizes[ti]] += 0.5 * np.eye(sizes[ti])
             if reg == 0:
                 b[r] += 0.5 * incident[ti][0]
-            for si, s in bordering[reg]:
-                src = curves[si]
-                ct = slice(off[si], off[si] + sizes[si])
-                cp = slice(off[si] + sizes[si], off[si] + 2 * sizes[si])
-                sb, kb = _block(blocks, kap, src, x)
+        # one block per source segment, on the nodes of every bordering segment
+        x = np.concatenate([curves[ti].nodes for ti, _ in bordering[reg]])
+        cuts = np.cumsum([0] + [sizes[ti] for ti, _ in bordering[reg]])
+        for si, s in bordering[reg]:
+            ct = slice(off[si], off[si] + sizes[si])
+            cp = slice(off[si] + sizes[si], off[si] + 2 * sizes[si])
+            sbs, kbs = _block(blocks, kap, curves[si], x)
+            for r, j0, j1 in zip(rows, cuts[:-1], cuts[1:]):
+                sb, kb = sbs[j0:j1], kbs[j0:j1]
                 A[r, ct] += s * kb
                 A[r, cp] -= s * sb
                 if s < 0:  # region on the B side: dnu u|B = p - lambda* t
@@ -159,6 +169,7 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
                 if reg == 0:
                     uis, dnu_i = incident[si]
                     b[r] += s * (kb @ uis) - s * (sb @ dnu_i)
+    del sbs, kbs, sb, kb   # no stacked block stays alive through the LU
 
     lu_piv, cond = factor_system(A)
     traces, resid, converged = solve_factored(A, lu_piv, cond, b, sizes)

@@ -385,7 +385,7 @@ def farfield_row(src, k, directions):
     """
     directions = np.atleast_2d(directions)
     c = np.exp(1j * np.pi / 4) / np.sqrt(8 * np.pi * k)
-    phase = np.exp(-1j * k * directions @ src.nodes.T)
+    phase = np.exp(-1j * k * (directions @ src.nodes.T))
     fs = c * phase * src.weights[None, :]
     nd = directions @ src.normals.T
     fd = fs * (-1j * k * nd)

@@ -25,6 +25,7 @@ EXIT_OK, EXIT_REFUSED, EXIT_NUMERICAL = 0, 1, 2
 # pair mode refuses when a Fourier-Bessel surrogate's relative pointwise fit
 # residual exceeds this: the extraction would read the surrogate's error
 SURROGATE_FIT_BOUND = 1e-4
+PROBE_TOL_CAP = 1e-10   # the loosest extraction quadrature tolerance `probe` takes
 
 
 def main(argv=None):
@@ -54,13 +55,15 @@ def main(argv=None):
     sp = sub.add_parser("probe", help="corner extraction of parameter differences")
     common(sp)
     sp.add_argument("--s-grid", default="50,100,200,400,800")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=PROBE_TOL_CAP)
     sp = sub.add_parser("passive", help="uniqueness sweep with point-source excitation")
     common(sp)
     sp.add_argument("--target", default=None)
     sp.add_argument("--magnitudes", default=None)
 
     args = p.parse_args(argv)
+    if args.command == "probe" and not args.tol <= PROBE_TOL_CAP:
+        p.error(f"--tol {args.tol!r} is above the extraction quadrature cap {PROBE_TOL_CAP!r}")
     handler = {
         "validate": cmd_validate,
         "forward": cmd_forward,
@@ -474,14 +477,13 @@ def cmd_probe(args):
                                          "unknowns")}
     else:
         raise ConfigError("probe.mode", f"unknown mode {mode!r}")
-    quad_tol = min(args.tol, 1e-10)
-    result = probe_mod.extract_both(scen, s_grid, tol=quad_tol)
+    result = probe_mod.extract_both(scen, s_grid, tol=args.tol)
     diag = result.diagnostics
     reports.write_probe_csv(
         f"{args.out}/probe.csv", result,
         comments=[f"scenario={sc.digest()}", f"mode={mode}",
                   "estimates of eta1-eta2 and omega1-omega2",
-                  f"quad_tol={quad_tol!r}"])
+                  f"quad_tol={args.tol!r}"])
     reports.write_report_json(f"{args.out}/report.json", {
         "scenario": sc.digest(), "command": "probe", "mode": mode,
         "s_grid": s_grid,

@@ -15,7 +15,6 @@ tests/test_cgo.py::test_published_tail_bound_fails_at_small_arguments.
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import quad as scipy_quad
 
 from polyscat import cgo, probe
@@ -23,7 +22,7 @@ from polyscat.forward import (assemble_nest, build_mesh, disk_series_oracle,
                               farfield_diff, solve_assembled, solve_scatter,
                               uniform_directions)
 from polyscat.forward.layerops import farfield_row
-from polyscat.geometry import CornerSector, NestPartition, Polygon, corner_sectors
+from polyscat.geometry import NestPartition, Polygon, corner_sectors
 from polyscat.medium import IncidentField, NestMedium
 
 SECTORS = [(0.0, np.pi / 2), (-np.pi / 4, np.pi / 4), (-np.pi / 3, np.pi / 6)]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from polyscat.forward import farfield_diff, solve_scatter, uniform_directions
-from polyscat.forward.cellsolver import build_skeleton
+from polyscat.forward import farfield_diff, region_wavenumbers, solve_scatter, uniform_directions
+from polyscat.forward.cellsolver import SegmentCurve, build_skeleton
+from polyscat.forward.layerops import assemble_block
 from polyscat.geometry import CellPartition, NestPartition, Polygon
 from polyscat.medium import CellMedium, IncidentField, NestMedium
 
@@ -157,3 +158,25 @@ def test_block_store_reuse_is_bitwise(split_square, plane_inc, q, lam):
     for (t, p), (t0, p0) in zip(reused.traces, fresh.traces):
         assert t.tobytes() == t0.tobytes() and p.tobytes() == p0.tobytes()
     assert reused.far_field(ANGLES).values.tobytes() == fresh.far_field(ANGLES).values.tobytes()
+
+
+@pytest.mark.parametrize("nodes_per_edge", [16, 64])
+def test_stacked_targets_give_the_single_segment_blocks_bitwise(split_square, nodes_per_edge):
+    """`solve_cell` assembles one block per (region, source segment) on the
+    stacked nodes of all the region's segments and slices it per target
+    segment: every slice must be the single-segment block bit for bit,
+    signs of zeros included."""
+    med = CellMedium(split_square, q=[2.0, 3.0 + 0.5j], lambda_star=0.2j, k=1.0)
+    segs = build_skeleton(split_square)
+    curves = [SegmentCurve(s, nodes_per_edge, 3.0) for s in segs]
+    for reg, kap in enumerate(region_wavenumbers(med)):
+        bordering = [si for si, s in enumerate(segs) if reg in (s.owner_a, s.owner_b)]
+        x = np.concatenate([curves[ti].nodes for ti in bordering])
+        for si in bordering:
+            stacked = assemble_block(kap, curves[si], x)
+            j0 = 0
+            for ti in bordering:
+                j1 = j0 + curves[ti].n_nodes
+                single = assemble_block(kap, curves[si], curves[ti].nodes)
+                assert np.array_equal(stacked[:, j0:j1].view(np.uint64), single.view(np.uint64))
+                j0 = j1

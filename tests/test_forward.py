@@ -105,6 +105,26 @@ def _uinf_at(res, ang):
     return (fd @ phi + fs @ psi)[0]
 
 
+@pytest.mark.parametrize("k", [1.0, 1.7])
+def test_farfield_row_matches_a_per_direction_loop(nested_squares, k):
+    """The (FS, FD) rows on a nest curve and on a cell segment against one
+    direction at a time: c e^{-ik d.y} w and its -ik (d.n) multiple."""
+    from polyscat.forward.cellsolver import Segment, SegmentCurve
+    from polyscat.forward.layerops import farfield_row
+
+    seg = Segment(np.array([0.0, -0.5]), np.array([0.0, 0.5]), 1, 2, np.array([1.0, 0.0]))
+    angles = uniform_directions(256)
+    c = np.exp(1j * np.pi / 4) / np.sqrt(8 * np.pi * k)
+    for src in (build_mesh(nested_squares.layers, 16).curves[0], SegmentCurve(seg, 32, 3.0)):
+        fs, fd = farfield_row(src, k, np.column_stack([np.cos(angles), np.sin(angles)]))
+        for j, a in enumerate(angles):
+            d = np.array([np.cos(a), np.sin(a)])
+            fs_j = c * np.exp(-1j * k * (src.nodes @ d)) * src.weights
+            fd_j = -1j * k * (src.normals @ d) * fs_j
+            assert np.max(np.abs(fs[j] - fs_j)) <= 1e-15 * np.max(np.abs(fs_j))
+            assert np.max(np.abs(fd[j] - fd_j)) <= 1e-15 * np.max(np.abs(fd_j))
+
+
 def test_farfield_linear_in_amplitude(unit_square):
     med = NestMedium(NestPartition([unit_square]), q=[2.0], lam=[0.5j], k=1.0)
     mesh = build_mesh([unit_square], 16)

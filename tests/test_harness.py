@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from polyscat.harness import ConfigError, load_scenario, parse_scenario, scenario_to_doc
+from polyscat.harness import ConfigError, parse_scenario, scenario_to_doc
 from polyscat.harness.cli import main as cli_main
 
 NEST_DOC = {
@@ -393,6 +393,11 @@ def test_cli_option_sets(tmp_path, capsys):
             cli_main([command, "--config", cfg, option, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    # probe's extraction tolerance is capped: a looser one is refused, not replaced
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["probe", "--config", cfg, "--tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "--tol 1e-08 is above the extraction quadrature cap 1e-10" in capsys.readouterr().err
 
 
 def test_cli_entrypoint_runs():
@@ -437,7 +442,7 @@ def test_cell_config_validate_and_forward(tmp_path):
     (NEST_DOC, "q:2", 5, 1),          # the inner self difference carries q_2
     (NEST_DOC, "lambda:2", 5, 1),     # the plain inner self block, unbuilt at lambda_2 = 0
     (NEST_DOC, "vertex:2:0", 5, 3),   # every block with the inner curve as source or target
-    (CELL_DOC, "lambda", 68, 0),
+    (CELL_DOC, "lambda", 14, 0),      # one block per (region, source segment)
 ], ids=["lambda:1", "q:2", "lambda:2", "vertex:2:0", "cell-lambda*"])
 def test_sweep_assembles_only_the_blocks_a_perturbation_changes(tmp_path, monkeypatch,
                                                                  doc, target, base, new):

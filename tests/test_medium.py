@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyscat.geometry import CellPartition, NestPartition, Polygon
+from polyscat.geometry import CellPartition, Polygon
 from polyscat.medium import (CellMedium, IncidentField, NestMedium, incident_eval,
                              lambda_at, potential_at)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from polyscat.forward.mesh import CurveMesh, build_mesh, polygon_edges
-from polyscat.geometry import Polygon
 
 # an open one-edge mesh, as a cell-skeleton segment: unit length, and a
 # normal opposite to the right-hand one, so it must come from the edge
