@@ -100,12 +100,7 @@ def build_skeleton(part: CellPartition):
     return segs
 
 
-@dataclass
 class CellSolveResult(Solution):
-    traces: tuple          # (t_sigma, p_sigma) per segment
-    curves: tuple          # SegmentCurve per segment
-    segments: tuple
-
     # perfbench/tracing.py wraps field_at in each result class's own __dict__
     field_at = Solution.field_at
 
@@ -182,4 +177,4 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
             ui, dnu_i = incident[si]
             layers[0].append((curve, t - ui, -(p - lam * t) + dnu_i))
     return CellSolveResult(resid, cond, converged, kappas, medium, inc,
-                           tuple(map(tuple, layers)), blocks, traces, curves, tuple(segs))
+                           tuple(map(tuple, layers)), blocks)

@@ -11,6 +11,7 @@ many vertices approximates each circle.
 import numpy as np
 from scipy.special import h1vp, hankel1, jv, jvp, yv, yvp
 
+from ..medium import sqrt_im_nonneg
 from .solver import FarFieldPattern
 
 
@@ -35,7 +36,7 @@ def disk_series_oracle(radii, q, lam, k, direction, m_trunc=None, angles=None):
     d = np.asarray(direction, dtype=float)
     theta_d = np.arctan2(d[1], d[0])
 
-    kap = [k * _sqrt_im_nonneg(qq) for qq in q]
+    kap = [k * sqrt_im_nonneg(qq) for qq in q]
     lam = [complex(l) for l in lam]
 
     # unknown layout: [c, (alpha_1, beta_1), ..., (alpha_{N-1}, beta_{N-1}), gamma]
@@ -95,8 +96,3 @@ def disk_series_oracle(radii, q, lam, k, direction, m_trunc=None, angles=None):
     phase = np.exp(1j * np.outer(angles - theta_d, ns))
     vals = np.sqrt(2.0 / (np.pi * k)) * np.exp(-1j * np.pi / 4) * (phase @ cs)
     return FarFieldPattern(angles, vals)
-
-
-def _sqrt_im_nonneg(q):
-    root = np.sqrt(complex(q))
-    return -root if root.imag < 0 else root

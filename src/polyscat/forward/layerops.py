@@ -22,7 +22,9 @@ Each call makes one far pass over all (target, source node) pairs, in
 chunks of at most _FAR_BUDGET entries over all kinds, and one near pass.
 The near pass re-integrates every near (target, panel) pair, the target
 within NEAR_MULT panel lengths of the panel, with the density carried by
-Lagrange interpolation from the panel's own nodes:
+Lagrange interpolation from the panel's own nodes.  It reads the panels
+from the mesh arrays: ends `pa`, `pb`, lengths `plen`, and panel i's
+normal and nodes at rows i * n_gl onward of `normals` and `nodes`.
 
 - The pairs of a call are found at once, vectorized over panels and
   chunked over targets (_PAIR_BUDGET targets x panels per chunk).
@@ -300,11 +302,7 @@ def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out):
     batch: the product rule on the target's own panel, sized geometric rules
     elsewhere, one kernel pass per chunk of whole pairs."""
     n_gl = src.n_gl
-    pa = np.array([p.a for p in src.panels])
-    ab = np.array([p.b for p in src.panels]) - pa
-    length = np.array([p.length for p in src.panels])
-    normal = np.array([p.normal for p in src.panels])
-    start = np.array([p.start for p in src.panels])
+    pa, ab, length, normal = src.pa, src.pb - src.pa, src.plen, src.normals[::n_gl]
     ti, pi, t_star, dist = _near_pairs(pa, ab, length, tgt_pts)
     if not len(ti):
         return
@@ -343,7 +341,7 @@ def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out):
                           0.5 * length[pn[q]], nn)
         vals *= wf * (0.5 * length[pn])
         table = _legendre_table(tf, n_gl)
-        rows, cols = ti[p0:p1, None], start[pi[p0:p1], None] + np.arange(n_gl)
+        rows, cols = ti[p0:p1, None], n_gl * pi[p0:p1, None] + np.arange(n_gl)
         for blk, v in zip(out, vals):   # one kind at a time keeps peak RSS flat
             moments = np.add.reduceat(v * table, pair_off[p0:p1] - pair_off[p0], axis=1)
             blk[rows, cols] = moments.T @ coeffs

@@ -17,18 +17,6 @@ import numpy as np
 from ..quadrature import gauss_legendre
 
 
-@dataclass(frozen=True)
-class Panel:
-    a: np.ndarray
-    b: np.ndarray
-    nodes: np.ndarray      # (m, 2)
-    weights: np.ndarray    # (m,) includes the length jacobian
-    t_nodes: np.ndarray    # (m,) GL nodes in [-1, 1]
-    normal: np.ndarray     # (2,) constant on a straight panel
-    length: float
-    start: int             # global node offset within the mesh
-
-
 def outward_normal(a, b):
     """Unit normal on the right of the edge a -> b: out of a counterclockwise polygon."""
     tang = b - a
@@ -41,12 +29,15 @@ def polygon_edges(poly):
 
 
 class CurveMesh:
-    """All panels of a list of straight edges (a, b, unit normal), with
-    concatenated node arrays.
+    """All panels of a list of straight edges (a, b, unit normal), as arrays.
 
-    The requested `nodes_per_edge` is rounded to an even number of panels
-    of `n_gl` nodes each (24 builds 32); `nodes_per_edge` records the count
-    built.
+    Panels come in edge order, one row each in `pa`, `pb` (ends) and `plen`
+    (lengths); panel i owns nodes i * n_gl to (i + 1) * n_gl - 1 of
+    `nodes`, `weights` (which include the length jacobian) and `normals`,
+    its Gauss nodes on [-1, 1] are `gauss_legendre(n_gl)` and its normal is
+    `normals[i * n_gl]`.  The requested `nodes_per_edge` is rounded to an
+    even number of panels of `n_gl` nodes each (24 builds 32);
+    `nodes_per_edge` records the count built.
     """
 
     def __init__(self, edges, nodes_per_edge, grading):
@@ -61,27 +52,18 @@ class CurveMesh:
         breaks = np.concatenate([frac, 1.0 - frac[-2::-1]])
 
         tg, wg = gauss_legendre(n_gl)
-        panels = []
-        for a_e, b_e, normal in edges:
-            tang = b_e - a_e
-            elen = float(np.hypot(*tang))
-            for i in range(panels_per_edge):
-                pa = a_e + breaks[i] * tang
-                pb = a_e + breaks[i + 1] * tang
-                plen = elen * (breaks[i + 1] - breaks[i])
-                mid = 0.5 * (pa + pb)
-                halfvec = 0.5 * (pb - pa)
-                nodes = mid[None, :] + tg[:, None] * halfvec[None, :]
-                weights = 0.5 * plen * wg
-                panels.append(
-                    Panel(pa, pb, nodes, weights, tg, normal, plen, len(panels) * n_gl)
-                )
-        self.panels = panels
+        a, b, normal = (np.array(col, dtype=float) for col in zip(*edges))
+        tang = (b - a)[:, None, :]                                # (edges, 1, 2)
+        self.pa = (a[:, None, :] + breaks[:-1, None] * tang).reshape(-1, 2)
+        self.pb = (a[:, None, :] + breaks[1:, None] * tang).reshape(-1, 2)
+        self.plen = (np.hypot(tang[..., 0], tang[..., 1]) * np.diff(breaks)).ravel()
+        mid = 0.5 * (self.pa + self.pb)
+        halfvec = 0.5 * (self.pb - self.pa)
+        self.nodes = (mid[:, None, :] + tg[:, None] * halfvec[:, None, :]).reshape(-1, 2)
+        self.weights = ((0.5 * self.plen)[:, None] * wg).ravel()
+        self.normals = np.repeat(normal, panels_per_edge * n_gl, axis=0)
         self.n_gl = n_gl
         self.nodes_per_edge = panels_per_edge * n_gl
-        self.nodes = np.concatenate([p.nodes for p in panels])
-        self.weights = np.concatenate([p.weights for p in panels])
-        self.normals = np.concatenate([np.tile(p.normal, (len(p.weights), 1)) for p in panels])
         self.n_nodes = len(self.weights)
 
 
@@ -90,14 +72,8 @@ class BoundaryMesh:
     """Meshes of every interface of a medium, outermost first."""
 
     curves: tuple
-    nodes_per_edge: int
-    grading: float
-
-    @property
-    def n_curves(self):
-        return len(self.curves)
 
 
 def build_mesh(polygons, nodes_per_edge, grading=3.0):
     curves = tuple(CurveMesh(polygon_edges(p), nodes_per_edge, grading) for p in polygons)
-    return BoundaryMesh(curves, nodes_per_edge, grading)
+    return BoundaryMesh(curves)

@@ -19,10 +19,11 @@ outer first; a cell medium's triples come from its segment traces.
 Block store: both solvers take an optional caller-owned dict `blocks` and
 fetch every operator block through `_block`.  Its key is everything
 `assemble_block` reads: the wavenumber(s), whether target normals were
-given, and the exact bytes of the source mesh and of the target points
-and normals.  A moved curve or a changed wavenumber therefore misses, and
-a hit is the very array a fresh assembly would give, so every output is
-bitwise unchanged.  `None` stores nothing.  A sweep fills a store on its
+given, and the exact bytes of the source mesh arrays (nodes, weights,
+normals, panel ends and lengths) and of the target points and normals.
+A moved curve or a changed wavenumber therefore misses, and a hit is the
+very array a fresh assembly would give, so every output is bitwise
+unchanged.  `None` stores nothing.  A sweep fills a store on its
 base solve and hands each perturbed solve a shallow copy, which reads the
 base blocks and drops the perturbed solve's own blocks with it.  A result
 keeps the store it was solved with and fetches its far-field rows through
@@ -36,7 +37,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ..geometry import locate
-from ..medium import CellMedium, IncidentField, NestMedium, incident_eval
+from ..medium import CellMedium, IncidentField, NestMedium, incident_eval, sqrt_im_nonneg
 from .layerops import assemble_block, farfield_row
 from .mesh import BoundaryMesh, build_mesh
 
@@ -67,13 +68,7 @@ def uniform_directions(m):
 def region_wavenumbers(medium):
     """Exterior k followed by k sqrt(q) of each layer (nest) or cell (cell
     medium), principal branch, Im >= 0."""
-    ks = [complex(medium.k)]
-    for q in medium.q:
-        root = np.sqrt(complex(q))
-        if root.imag < 0:
-            root = -root
-        ks.append(medium.k * root)
-    return ks
+    return [complex(medium.k), *(medium.k * sqrt_im_nonneg(q) for q in medium.q)]
 
 
 def factor_system(A):
@@ -121,8 +116,7 @@ def _block(blocks, kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
     """`assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2)` through the store
     `blocks`, keyed by every array assemble_block reads: the mesh, its panel
     ends and lengths for the near pass, and the targets."""
-    arrays = [src.nodes, src.weights, src.normals,
-              [[*p.a, *p.b, p.length] for p in src.panels], tgt_pts]
+    arrays = [src.nodes, src.weights, src.normals, src.pa, src.pb, src.plen, tgt_pts]
     if tgt_nrm is not None:
         arrays.append(tgt_nrm)
     return _stored(blocks, (kappa, kappa2), arrays,
@@ -187,11 +181,7 @@ class Solution:
         return out if len(out) > 1 else complex(out[0])
 
 
-@dataclass
 class NestSolveResult(Solution):
-    densities: tuple          # (phi_ell, psi_ell) per interface
-    mesh: BoundaryMesh
-
     # perfbench/tracing.py wraps field_at in each result class's own __dict__
     field_at = Solution.field_at
 
@@ -225,7 +215,7 @@ def assemble_nest(medium: NestMedium, mesh: BoundaryMesh, blocks=None):
     """Build and factor the block system once; reusable across incident fields.
     Operator blocks go through the store `blocks` when one is given."""
     n = medium.partition.n_layers
-    if mesh.n_curves != n:
+    if len(mesh.curves) != n:
         raise ValueError("mesh does not match the number of interfaces")
     kappas = region_wavenumbers(medium)
     sizes = [c.n_nodes for c in mesh.curves]
@@ -302,7 +292,7 @@ def solve_assembled(system, inc: IncidentField):
         layers[ell].append((curve, phi, psi))
         layers[ell + 1].append((curve, phi, psi))
     return NestSolveResult(resid, system["cond"], converged, system["kappas"], medium, inc,
-                           tuple(map(tuple, layers)), system["blocks"], densities, mesh)
+                           tuple(map(tuple, layers)), system["blocks"])
 
 
 def farfield_diff(p1: FarFieldPattern, p2: FarFieldPattern):

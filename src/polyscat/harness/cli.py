@@ -6,6 +6,7 @@ Exit codes: 0 pass, 1 validation or refusal, 2 numerical failure.
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -18,7 +19,7 @@ from ..geometry import (CornerSector, NestPartition, Polygon, corner_sectors,
                         locate, max_sector_radius, validate_cell, validate_nest)
 from ..medium import CellMedium, NestMedium
 from . import reports
-from .config import (ConfigError, Scenario, _cplx, load_scenario, parse_medium,
+from .config import (ConfigError, Scenario, _cplx, _number, load_scenario, parse_medium,
                      parse_scenario)
 
 EXIT_OK, EXIT_REFUSED, EXIT_NUMERICAL = 0, 1, 2
@@ -26,6 +27,24 @@ EXIT_OK, EXIT_REFUSED, EXIT_NUMERICAL = 0, 1, 2
 # residual exceeds this: the extraction would read the surrogate's error
 SURROGATE_FIT_BOUND = 1e-4
 PROBE_TOL_CAP = 1e-10   # the loosest extraction quadrature tolerance `probe` takes
+
+
+def _numbers(positive):
+    """argparse type: a comma-separated list of finite floats, each > 0 when
+    `positive`."""
+    def parse(text):
+        try:
+            values = [float(v) for v in text.split(",")]
+        except ValueError:
+            values = []
+        if not values or not all(math.isfinite(v) and (v > 0 or not positive)
+                                 for v in values):
+            need = "positive" if positive else "finite"
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {need} numbers, got {text!r}")
+        return values
+
+    return parse
 
 
 def main(argv=None):
@@ -51,15 +70,16 @@ def main(argv=None):
     sp = sub.add_parser("sweep", help="far-field discrepancy under parameter perturbations")
     common(sp)
     sp.add_argument("--target", default=None, help="q:L | lambda:L | vertex:L:I")
-    sp.add_argument("--magnitudes", default=None, help="comma-separated magnitudes")
+    sp.add_argument("--magnitudes", type=_numbers(False), default=None,
+                    help="comma-separated magnitudes")
     sp = sub.add_parser("probe", help="corner extraction of parameter differences")
     common(sp)
-    sp.add_argument("--s-grid", default="50,100,200,400,800")
+    sp.add_argument("--s-grid", type=_numbers(True), default="50,100,200,400,800")
     sp.add_argument("--tol", type=float, default=PROBE_TOL_CAP)
     sp = sub.add_parser("passive", help="uniqueness sweep with point-source excitation")
     common(sp)
     sp.add_argument("--target", default=None)
-    sp.add_argument("--magnitudes", default=None)
+    sp.add_argument("--magnitudes", type=_numbers(False), default=None)
 
     args = p.parse_args(argv)
     if args.command == "probe" and not args.tol <= PROBE_TOL_CAP:
@@ -354,10 +374,8 @@ def _run_sweep(args, sc: Scenario):
     target = args.target or spec.get("target")
     if target is None:
         raise ConfigError("sweep.target", "missing (config sweep.target or --target)")
-    mags = (
-        [float(v) for v in args.magnitudes.split(",")] if args.magnitudes
-        else [float(v) for v in spec.get("magnitudes", [0.1, 0.01, 0.001])]
-    )
+    mags = args.magnitudes or [_number(v, f"sweep.magnitudes[{i}]")
+                               for i, v in enumerate(spec.get("magnitudes", [0.1, 0.01, 0.001]))]
     tgt = _parse_target(target, sc.medium)
     n = sc.mesh.nodes_per_edge
 
@@ -449,22 +467,27 @@ def cmd_probe(args):
     spec = sc.raw.get("probe")
     if not spec:
         raise ConfigError("probe", "missing probe section")
-    s_grid = [float(v) for v in args.s_grid.split(",")]
+    s_grid = args.s_grid
     t0 = time.perf_counter()
     mode = spec.get("mode", "manufactured")
     if mode == "manufactured":
-        sect = spec["sector"]
-        sector = CornerSector([0.0, 0.0], float(sect["theta_m"]), float(sect["theta_M"]),
-                              float(sect.get("h", 1.0)))
-        scen = probe_mod.manufactured_scenario(
-            sector, _cplx(spec.get("k", 1.0), "probe.k"),
-            _cplx(spec["omega1"], "probe.omega1"), _cplx(spec["omega2"], "probe.omega2"),
-            _cplx(spec["eta1"], "probe.eta1"), _cplx(spec["eta2"], "probe.eta2"),
-            fit_s=s_grid)
+        sect = spec.get("sector", {})
+        angles = [_number(sect.get(a), f"probe.sector.{a}") for a in ("theta_m", "theta_M")]
+        h = _number(sect.get("h", 1.0), "probe.sector.h")
+        try:
+            sector = CornerSector([0.0, 0.0], *angles, h)
+            cgo.SectorSpec(*angles)   # the CGO function's own limits on the angles
+        except ValueError as exc:
+            raise ConfigError("probe.sector", str(exc)) from None
+        k = _cplx(spec.get("k", 1.0), "probe.k")
+        if k == 0:
+            raise ConfigError("probe.k", "wavenumber must be nonzero")
+        params = [_cplx(spec.get(p), f"probe.{p}") for p in ("omega1", "omega2", "eta1", "eta2")]
+        scen = probe_mod.manufactured_scenario(sector, k, *params, fit_s=s_grid)
         fit = {k: scen.meta[k] for k in ("fit_moment_residual", "fit_cond_pointwise",
                                          "fit_cond_moments", "fit_quad_unconverged",
                                          "fit_quad_error_max")}
-        u2_0, _ = scen.u2.at(sector.apex)
+        u2_0 = probe_mod.corner_value(scen.u2, sector)
         if abs(u2_0) < 1e-10:
             print("refused: manufactured field vanishes at the probed corner",
                   file=sys.stderr)
@@ -538,7 +561,7 @@ def _pair_scenario(sc: Scenario, spec, args):
         print(f"refused: surrogate fit residual {max(fit1, fit2):.3g} exceeds "
               f"{SURROGATE_FIT_BOUND:g} (u1 {fit1:.3g}, u2 {fit2:.3g})", file=sys.stderr)
         return None
-    u2_0, _ = u2.at(sector.apex)
+    u2_0 = probe_mod.corner_value(u2, sector)
     tau = probe_mod.admissibility_tau(r2.field_at, _hull_of(med2))
     if abs(u2_0) <= tau:
         print(f"refused: total field vanishes at the probed vertex "

@@ -8,6 +8,7 @@ offending field path.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,17 @@ class Scenario:
         ).hexdigest()[:16]
 
 
+def _number(node, path, kind=float):
+    """`node` read as a finite `kind` (float or int), else ConfigError at `path`."""
+    try:
+        value = kind(node)
+        if math.isfinite(value):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(path, f"expected a finite number, got {node!r}")
+
+
 def _cplx(node, path):
     if isinstance(node, (int, float)):
         return complex(node)
@@ -75,7 +87,7 @@ def parse_medium(node, path="medium"):
         part = NestPartition(polys)
         q = [_cplx(v, f"{path}.q[{i}]") for i, v in enumerate(node.get("q", []))]
         lam = [_cplx(v, f"{path}.lambda[{i}]") for i, v in enumerate(node.get("lambda", []))]
-        k = node.get("k")
+        k = _number(node.get("k"), f"{path}.k")
         try:
             return NestMedium(part, q, lam, k)
         except ValueError as exc:
@@ -89,8 +101,9 @@ def parse_medium(node, path="medium"):
         part = CellPartition(cells, hull)
         q = [_cplx(v, f"{path}.q[{i}]") for i, v in enumerate(node.get("q", []))]
         lam = _cplx(node.get("lambda_star", 0.0), f"{path}.lambda_star")
+        k = _number(node.get("k"), f"{path}.k")
         try:
-            return CellMedium(part, q, lam, node.get("k"))
+            return CellMedium(part, q, lam, k)
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from None
     raise ConfigError(f"{path}.kind", f"unknown medium kind {kind!r} (nest | cell)")
@@ -122,11 +135,12 @@ def parse_scenario(doc) -> Scenario:
     medium = parse_medium(doc["medium"])
     incident = parse_incident(doc.get("incident", {"kind": "none"}))
     mesh_node = doc.get("mesh", {})
-    mesh = MeshSpec(int(mesh_node.get("nodes_per_edge", 32)),
-                    float(mesh_node.get("grading", 3.0)))
+    mesh = MeshSpec(_number(mesh_node.get("nodes_per_edge", 32), "mesh.nodes_per_edge", int),
+                    _number(mesh_node.get("grading", 3.0), "mesh.grading"))
     if mesh.grading < 2:
         raise ConfigError("mesh.grading", "grading exponent must be >= 2")
-    num_angles = int(doc.get("farfield", {}).get("num_angles", 256))
+    num_angles = _number(doc.get("farfield", {}).get("num_angles", 256), "farfield.num_angles",
+                         int)
     if num_angles < 2:
         raise ConfigError("farfield.num_angles", "need at least 2 angles")
     return Scenario(medium, incident, mesh, num_angles, raw=doc)

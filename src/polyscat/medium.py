@@ -14,6 +14,13 @@ from scipy.special import hankel1
 from .geometry import CellPartition, NestPartition, locate
 
 
+def sqrt_im_nonneg(z):
+    """The square root of z with Im >= 0: sqrt(q) of a potential, so that
+    k sqrt(q) is the wavenumber of a region."""
+    root = np.sqrt(complex(z))
+    return -root if root.imag < 0 else root
+
+
 def _check_potentials(q, require_im_nonneg=False):
     q = tuple(complex(x) for x in q)
     for i, qi in enumerate(q, start=1):

@@ -35,7 +35,6 @@ The exact exponential corrections of the closed-form edge integral are
 kept on the known side (inside the denominator), not bounded away.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -44,6 +43,7 @@ import numpy as np
 
 from . import cgo
 from .geometry import CornerSector
+from .medium import sqrt_im_nonneg
 from .quadrature import arc_integral, edge_u0_integral, sector_area_integral
 
 
@@ -71,10 +71,6 @@ class FieldSampler:
             return self(pts)[0]
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.asarray(self.values_fn(pts), dtype=complex)
-
-    def at(self, pt):
-        v, g = self(np.asarray(pt, dtype=float)[None, :])
-        return complex(v[0]), g[0]
 
     def __sub__(self, other):
         def diff(pts):
@@ -155,7 +151,8 @@ def _canonical_values(sampler: FieldSampler, sector: CornerSector):
     return lambda pts: sampler.values(sector.to_world(pts))
 
 
-def _corner_value(sampler: FieldSampler, sector: CornerSector):
+def corner_value(sampler: FieldSampler, sector: CornerSector):
+    """The sampled field at the sector's apex, through the values path."""
     return complex(sampler.values(sector.apex[None, :])[0])
 
 
@@ -257,7 +254,7 @@ def _edge_remainder(edge, u2_0, sector: CornerSector, s, side, tol):
 def eval_I3(u2: FieldSampler, sector: CornerSector, s, side, eta_diff, tol=1e-12):
     """Edge functional on Gamma_h^side, split into the closed-form part
     (value at the corner times the exact edge integral) and the remainder."""
-    u2_0 = _corner_value(u2, sector)
+    u2_0 = corner_value(u2, sector)
     i31 = cgo.edge_integral_exact(_edge(sector, side).theta, s, sector.h)
     i32 = _edge_remainder(_edge_trace(u2, sector, side), u2_0, sector, s, side, tol).value
     total = eta_diff * (u2_0 * i31 + i32)
@@ -308,15 +305,10 @@ class _Functionals(NamedTuple):
     quads: tuple
 
 
-def _denominator(sc: ProbeScenario, edges, s, u2_0, drop_exponential_corrections,
-                 tol):
+def _denominator(sc: ProbeScenario, edges, s, u2_0, tol):
     """u2(0) (I31+ + I31-) + (I32+ + I32-); the eta-carrying known side."""
-    if drop_exponential_corrections:
-        i31p = 2.0 / s * cgo.mu(sc.sector.theta_M) ** -2
-        i31m = 2.0 / s * cgo.mu(sc.sector.theta_m) ** -2
-    else:
-        i31p = cgo.edge_integral_exact(sc.sector.theta_M, s, sc.sector.h)
-        i31m = cgo.edge_integral_exact(sc.sector.theta_m, s, sc.sector.h)
+    i31p = cgo.edge_integral_exact(sc.sector.theta_M, s, sc.sector.h)
+    i31m = cgo.edge_integral_exact(sc.sector.theta_m, s, sc.sector.h)
     qp = _edge_remainder(edges["+"], u2_0, sc.sector, s, "+", tol)
     qm = _edge_remainder(edges["-"], u2_0, sc.sector, s, "-", tol)
     return u2_0 * (i31p + i31m) + (qp.value + qm.value), (qp, qm)
@@ -347,8 +339,7 @@ def _residual(sc: ProbeScenario, grids: _GridSamples, s, i1, tol):
     return (abs(lhs - rhs) / scale, qerr / scale, scale), tuple(quads)
 
 
-def _functionals(sc: ProbeScenario, grids: _GridSamples, s, u2_0, v0, tol,
-                 drop_exponential_corrections=False):
+def _functionals(sc: ProbeScenario, grids: _GridSamples, s, u2_0, v0, tol):
     """Numerator I1 + k^2 omega1 I2 (the measurable side), denominator and
     identity residual at one s; I1 is shared by the numerator and residual."""
     sec = sc.sector
@@ -356,8 +347,7 @@ def _functionals(sc: ProbeScenario, grids: _GridSamples, s, u2_0, v0, tol,
     i2 = _area_functional(lambda p: grids.u1_area(p) - grids.u2_area(p) - v0, sec, s,
                           max(tol, 1e-12))
     num = i1.value + sc.k**2 * sc.omega1 * i2.value
-    den, den_q = _denominator(sc, grids.u2_edge, s, u2_0, drop_exponential_corrections,
-                              tol)
+    den, den_q = _denominator(sc, grids.u2_edge, s, u2_0, tol)
     (resid, _, _), res_q = _residual(sc, grids, s, i1, tol)
     return _Functionals(num, den, resid, (i1, i2, *den_q, *res_q))
 
@@ -378,22 +368,20 @@ def richardson_extrapolate(s_vals, estimates) -> Extrapolation:
     return Extrapolation(limit, abs(limit - complex(polyfit(x, y, len(x) - 2)[0])))
 
 
-def _extract(sc: ProbeScenario, s_grid, tol, eta, omega, eta_diff=None,
-             drop_exponential_corrections=False) -> ProbeResult:
+def _extract(sc: ProbeScenario, s_grid, tol, eta, omega, eta_diff=None) -> ProbeResult:
     """The eta and/or omega pass, both read off one set of per-s functionals
     computed from one set of grid samples.  The omega pass uses eta_diff,
     or the eta pass's extrapolated limit when eta_diff is None."""
     s_grid = sorted(float(s) for s in s_grid)
-    u1_0 = _corner_value(sc.u1, sc.sector)
-    u2_0 = _corner_value(sc.u2, sc.sector)
+    u1_0 = corner_value(sc.u1, sc.sector)
+    u2_0 = corner_value(sc.u2, sc.sector)
     if eta and abs(u2_0) < 1e-12:
         raise ValueError("u2 vanishes at the corner; eta extraction undefined")
     if omega and abs(u1_0) < 1e-12:
         raise ValueError("u1 vanishes at the corner; omega extraction undefined")
     v0 = u1_0 - u2_0
     grids = _grid_samples(sc)
-    rows = [_functionals(sc, grids, s, u2_0, v0, tol, drop_exponential_corrections)
-            for s in s_grid]
+    rows = [_functionals(sc, grids, s, u2_0, v0, tol) for s in s_grid]
     # per s: did every quadrature behind it converge, and its worst error estimate
     diag = {"u1_0": u1_0, "u2_0": u2_0, "v0": v0,
             "quad_converged": tuple(all(q.converged for q in f.quads) for f in rows),
@@ -420,15 +408,13 @@ def _extract(sc: ProbeScenario, s_grid, tol, eta, omega, eta_diff=None,
                        tuple(f.residual for f in rows), diag)
 
 
-def extract_eta_diff(sc: ProbeScenario, s_grid, tol=1e-12,
-                     drop_exponential_corrections=False) -> ProbeResult:
+def extract_eta_diff(sc: ProbeScenario, s_grid, tol=1e-12) -> ProbeResult:
     """Per-s estimates of eta1 - eta2 and their extrapolated limit.
 
     Requires u2(0) away from zero; the denominator u2(0)(I31+ + I31-) is
     nonzero for every admissible sector.
     """
-    return _extract(sc, s_grid, tol, eta=True, omega=False,
-                    drop_exponential_corrections=drop_exponential_corrections)
+    return _extract(sc, s_grid, tol, eta=True, omega=False)
 
 
 def extract_omega_diff(sc: ProbeScenario, s_grid, eta_diff, tol=1e-12) -> ProbeResult:
@@ -701,11 +687,6 @@ def _edge_moment(sector: CornerSector, edge: _Edge, s, cauchy, scale=1.0):
     return edge_u0_integral(edge.theta, s, sector.h, g=g, tol=1e-12)
 
 
-def _sqrt_principal_nonneg(z):
-    root = cmath.sqrt(complex(z))
-    return -root if root.imag < 0 else root
-
-
 DEFAULT_U2_COS = (1.0, 0.25, 0.15, 0.08)
 DEFAULT_U2_SIN = (0.0, 0.12, 0.06)
 
@@ -729,10 +710,10 @@ def manufactured_scenario(sector: CornerSector, k, omega1, omega2, eta1, eta2,
     integrate through it, which is part of what the scenario tests.
     """
     eta_diff = complex(eta1) - complex(eta2)
-    kap1 = k * _sqrt_principal_nonneg(omega1)
-    kap2 = k * _sqrt_principal_nonneg(omega2)
+    kap1 = k * sqrt_im_nonneg(omega1)
+    kap2 = k * sqrt_im_nonneg(omega2)
     u2 = bessel_series_sampler(kap2, u2_cos, u2_sin, sector)
-    u2_0, _ = u2.at(sector.apex)
+    u2_0 = corner_value(u2, sector)
     if fit_s is None:
         fit_s = [50.0 * 2**j for j in range(5)]
 

@@ -135,7 +135,7 @@ def test_criterion_06_reciprocity(unit_square):
     def uinf(res, ang):
         dirs = np.array([[np.cos(ang), np.sin(ang)]])
         fs, fd = farfield_row(mesh.curves[0], med.k, dirs)
-        phi, psi = res.densities[0]
+        _, phi, psi = res.layers[0][0]
         return (fd @ phi + fs @ psi)[0]
 
     rng = np.random.default_rng(7)

@@ -11,7 +11,7 @@ import scipy.linalg
 from polyscat import _kernels
 from polyscat.forward import cellsolver, solve_scatter
 from polyscat.geometry import CellPartition, NestPartition, Polygon
-from polyscat.harness.cli import main as cli_main
+from polyscat.harness.cli import _unknowns, main as cli_main
 from polyscat.medium import CellMedium, IncidentField, NestMedium
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -45,8 +45,7 @@ def test_tracer_installs_on_every_name_and_restores():
     assert _kernels.IMPL == "numpy"
 
     layers = tracing.summarize(tr)
-    unknowns = sum(2 * c.n_nodes for c in cell.curves + nest.mesh.curves)
-    assert layers["mesh.unknowns"] == unknowns
+    assert layers["mesh.unknowns"] == _unknowns(cell) + _unknowns(nest)
     assert layers["solver.assemblies"] == 1
     assert tr.times()["solver.lu"][0] == 2
     assert tr.times()["cellsolver.solve"][0] == 1

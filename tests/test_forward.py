@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -100,8 +102,8 @@ def _uinf_at(res, ang):
     from polyscat.forward.layerops import farfield_row
 
     dirs = np.array([[np.cos(ang), np.sin(ang)]])
-    fs, fd = farfield_row(res.mesh.curves[0], res.medium.k, dirs)
-    phi, psi = res.densities[0]
+    curve, phi, psi = res.layers[0][0]
+    fs, fd = farfield_row(curve, res.medium.k, dirs)
     return (fd @ phi + fs @ psi)[0]
 
 
@@ -273,6 +275,24 @@ _Y1_SERIES_K = np.arange(30)
 KINDS = ("S", "K", "Kp", "T")   # stacking order of assemble_block
 
 
+class _Panel(NamedTuple):
+    a: np.ndarray
+    b: np.ndarray
+    normal: np.ndarray
+    length: float
+    start: int              # index of the panel's first node in the mesh
+    t_nodes: np.ndarray     # its Gauss nodes on [-1, 1]
+
+
+def _panels(mesh):
+    """Per-panel view of a mesh's arrays, for the one-panel-at-a-time references."""
+    from polyscat.quadrature import gauss_legendre
+
+    t = gauss_legendre(mesh.n_gl)[0]
+    return [_Panel(a, b, mesh.normals[i * mesh.n_gl], length, i * mesh.n_gl, t)
+            for i, (a, b, length) in enumerate(zip(mesh.pa, mesh.pb, mesh.plen))]
+
+
 def _y1_regular(z):
     """Y1(z) + 2/(pi z) for scalar z: full ascending series (A&S 9.1.11) for
     |z| < 2, where subtracting the pole from scipy's Y1 would cancel digits."""
@@ -355,8 +375,9 @@ def test_near_block_entries_match_adaptive_quadrature(kind, q):
     kind = kind.removesuffix("-diff")
     for nodes_per_edge in (24, 8):
         c0, c1 = build_mesh([outer, inner], nodes_per_edge).curves
-        per_edge = len(c0.panels) // 4
-        own = c0.panels[1]
+        panels = _panels(c0)
+        per_edge = len(panels) // 4
+        own = panels[1]
         # two more targets inside a middle panel of the bottom edge: at t = 0.3,
         # off every node, and exactly on a node of the product rule
         extra = [own.a + (0.5 + 0.5 * t) * (own.b - own.a)
@@ -371,11 +392,11 @@ def test_near_block_entries_match_adaptive_quadrature(kind, q):
             (pts, nrm, 1, c0.n_nodes),
             (pts, nrm, 1, c0.n_nodes + 1),
             # cross curve: inner-square node 0.5 above a middle panel of the outer bottom edge
-            (c1.nodes, c1.normals, 1, c1.panels[1].start + 2),
+            (c1.nodes, c1.normals, 1, c1.n_gl + 2),
         ]
         for x, tn, pi, row in cases:
             block = assemble_block(kap, c0, x, tn, kappa2=kap2)[KINDS.index(kind)]
-            panel = c0.panels[pi]
+            panel = panels[pi]
             ref = _ref_row(kind, kap, kap2, x[row], tn[row], panel)
             got = block[row, panel.start:panel.start + c0.n_gl]
             err = np.max(np.abs(got - ref))
@@ -437,7 +458,7 @@ def _near_rows_per_target(kind, kap, kap2, src, x, tn):
 
     tg, wg = gauss_legendre(_FINE_N)
     rows = {}
-    for pi, p in enumerate(src.panels):
+    for pi, p in enumerate(_panels(src)):
         ab = p.b - p.a
         for i in range(len(x)):
             s = np.clip((x[i] - p.a) @ ab / (ab @ ab), 0.0, 1.0)
@@ -486,7 +507,7 @@ def test_near_pass_matches_per_target_reference(kap):
             block = assemble_block(kap, src, tgt.nodes, tn, kappa2=kap2)[KINDS.index(kind)]
             ref = _near_rows_per_target(kind, kap, kap2, src, tgt.nodes, tn)
             assert ref
-            got = np.array([block[i, src.panels[pi].start:src.panels[pi].start + src.n_gl]
+            got = np.array([block[i, pi * src.n_gl:(pi + 1) * src.n_gl]
                             for i, pi in ref])
             err = np.max(np.abs(got - np.array(list(ref.values()))))
             assert err <= 1e-12 * np.max(np.abs(block)), (kind, src is tgt)
@@ -552,7 +573,7 @@ def _near_pair_count(src, tgt_pts):
     from polyscat.forward.layerops import NEAR_MULT
 
     count = 0
-    for p in src.panels:
+    for p in _panels(src):
         ab = p.b - p.a
         s = np.clip((tgt_pts - p.a) @ ab / (ab @ ab), 0.0, 1.0)
         count += np.sum(np.hypot(*(tgt_pts - p.a - s[:, None] * ab).T) < NEAR_MULT * p.length)
@@ -586,8 +607,8 @@ def test_plain_T_is_nan_on_own_panels_and_systems_are_finite(nested_squares, pla
     c0 = build_mesh(list(nested_squares.layers), 12).curves[0]
     T = assemble_block(np.sqrt(2.0), c0, c0.nodes, c0.normals)[KINDS.index("T")]
     own = np.zeros(T.shape, dtype=bool)
-    for p in c0.panels:
-        own[p.start:p.start + c0.n_gl, p.start:p.start + c0.n_gl] = True
+    for i0 in range(0, c0.n_nodes, c0.n_gl):
+        own[i0:i0 + c0.n_gl, i0:i0 + c0.n_gl] = True
     assert np.all(np.isnan(T[own])) and np.all(np.isfinite(T[~own]))
 
     med = NestMedium(nested_squares, q=[2.0, 3.0 + 0.2j], lam=[0.5j, 0.3], k=1.0)
@@ -606,6 +627,11 @@ def test_plain_T_is_nan_on_own_panels_and_systems_are_finite(nested_squares, pla
 
 INNER_MOVED = [[-0.5 - 0.1 / np.sqrt(2), -0.5 - 0.1 / np.sqrt(2)], [0.5, -0.5], [0.5, 0.5],
                [-0.5, 0.5]]
+
+
+def _layer_bytes(result):
+    """The bytes of every (phi, psi) of every region's layers."""
+    return [[(phi.tobytes(), psi.tobytes()) for _, phi, psi in layer] for layer in result.layers]
 
 
 @pytest.mark.parametrize("target, q, lam, inner", [
@@ -629,6 +655,5 @@ def test_block_store_reuse_is_bitwise(nested_squares, plane_inc, target, q, lam,
     fresh = solve_scatter(med, plane_inc, nodes_per_edge=12)
     assert store.keys() == kept.keys()
     assert all(store[key] is blk for key, blk in kept.items())
-    for (phi, psi), (phi0, psi0) in zip(reused.densities, fresh.densities):
-        assert phi.tobytes() == phi0.tobytes() and psi.tobytes() == psi0.tobytes()
+    assert _layer_bytes(reused) == _layer_bytes(fresh)
     assert reused.far_field(ANGLES).values.tobytes() == fresh.far_field(ANGLES).values.tobytes()

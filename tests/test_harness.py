@@ -216,6 +216,40 @@ def test_out_of_range_indices_are_config_errors(tmp_path, capsys, command, bad):
     assert not list(tmp_path.glob("out/*.csv"))
 
 
+@pytest.mark.parametrize("command, edit, extra, code, field", [
+    ("sweep", None, ["--magnitudes", "abc"], 2, "--magnitudes"),
+    ("sweep", lambda d: d["sweep"].update(magnitudes=["x"]), [], 1, "sweep.magnitudes[0]"),
+    ("probe", None, ["--s-grid", "50,abc"], 2, "--s-grid"),
+    ("probe", None, ["--s-grid=0,100"], 2, "--s-grid"),
+    ("probe", None, ["--s-grid=-5,100"], 2, "--s-grid"),
+    ("probe", lambda d: d["probe"].pop("omega1"), [], 1, "probe.omega1"),
+    ("probe", lambda d: d["probe"]["sector"].update(theta_M=3.5), [], 1, "probe.sector"),
+    ("probe", lambda d: d["probe"].update(k=0), [], 1, "probe.k"),
+    ("forward", lambda d: d["mesh"].update(nodes_per_edge="abc"), [], 1, "mesh.nodes_per_edge"),
+    ("forward", lambda d: d["medium"].update(k=None), [], 1, "medium.k"),
+], ids=["magnitudes-flag", "magnitudes-config", "s-grid-text", "s-grid-zero",
+        "s-grid-negative", "omega1-missing", "theta_M", "probe-k-zero", "nodes_per_edge",
+        "k-null"])
+def test_malformed_input_is_refused_with_its_field(tmp_path, capsys, command, edit, extra,
+                                                   code, field):
+    """A malformed option is a usage error (exit 2) and a malformed config
+    value a config error (exit 1), each naming the field, never a traceback."""
+    doc = json.loads(json.dumps(PROBE_DOC if command == "probe" else NEST_DOC))
+    if edit is not None:
+        edit(doc)
+    argv = [command, "--config", write(tmp_path, "c.json", doc), "--out",
+            str(tmp_path / "out"), *extra]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert f"argument {field}: " in capsys.readouterr().err
+    else:
+        assert cli_main(argv) == 1
+        assert f"config error: {field}: " in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*"))
+
+
 def test_passive_command_and_refusals(tmp_path):
     doc = json.loads(json.dumps(NEST_DOC))
     doc["incident"] = {"kind": "point", "location": [3.0, 1.5], "amplitude": [1.0, 0.0]}

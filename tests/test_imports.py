@@ -1,10 +1,13 @@
-"""Every name a module in src/ or tests/ imports is used in it."""
+"""Every name a module in src/ or tests/ imports is used in it, and every
+private module-level name in src/ is referenced somewhere."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*ROOT.joinpath("src").rglob("*.py"), *ROOT.joinpath("tests").rglob("*.py")])
+SRC = sorted(ROOT.joinpath("src").rglob("*.py"))
+READERS = [*FILES, *sorted(ROOT.joinpath("perfbench").rglob("*.py"))]
 
 
 def unused_imports(text):
@@ -39,3 +42,61 @@ def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in FILES for line, name in unused_imports(path.read_text())]
     assert found == []
+
+
+def private_definitions(text):
+    """(line, name) of each module-level function, class or constant whose
+    name starts with one underscore."""
+    found = []
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
+    return found
+
+
+def references(text):
+    """Every name a module reads: loaded names, attributes, imported names and
+    identifier strings (names patched by string, as monkeypatch.setattr does)."""
+    refs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            refs.add(node.value)
+    return refs
+
+
+def unreferenced_private_names(sources, readers):
+    """'path:line: name' for each private definition of `sources` (path -> text)
+    that no text of `readers` references."""
+    refs = set().union(*map(references, readers))
+    return [f"{path}:{line}: {name}" for path, text in sources.items()
+            for line, name in private_definitions(text) if name not in refs]
+
+
+def test_scan_finds_an_unreferenced_private_name():
+    mesh = ROOT.joinpath("src", "polyscat", "forward", "mesh.py").read_text()
+    readers = [path.read_text() for path in READERS]
+    assert unreferenced_private_names({"mesh.py": mesh}, readers) == []
+    dead = mesh + "\n\ndef _helper(x):\n    return 2 * x\n"
+    assert unreferenced_private_names({"mesh.py": dead}, [dead, *readers]) == [
+        f"mesh.py:{len(mesh.splitlines()) + 3}: _helper"]
+    text = "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    pass\n"
+    assert unreferenced_private_names({"m": text}, [text, "x._C", "setattr(m, '_B', 3)"]) == [
+        "m:4: _f"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in SRC}
+    assert unreferenced_private_names(sources, [path.read_text() for path in READERS]) == []

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from polyscat.forward.mesh import CurveMesh, build_mesh, polygon_edges
+from polyscat.geometry import Polygon
+from polyscat.quadrature import gauss_legendre
 
 # an open one-edge mesh, as a cell-skeleton segment: unit length, and a
 # normal opposite to the right-hand one, so it must come from the edge
@@ -19,8 +21,8 @@ def mesh_cases(unit_square, nodes_per_edge, grading):
 
 def test_panel_lengths_graded_toward_corners(unit_square):
     for mesh, n_edges, _ in mesh_cases(unit_square, 64, 3.0):
-        per_edge = len(mesh.panels) // n_edges
-        lengths = np.array([p.length for p in mesh.panels[:per_edge]])
+        per_edge = len(mesh.plen) // n_edges
+        lengths = mesh.plen[:per_edge]
         half = per_edge // 2
         assert np.all(np.diff(lengths[:half]) > 0)       # growing away from the corner
         assert np.all(np.diff(lengths[half:]) < 0)       # shrinking toward the next
@@ -30,11 +32,10 @@ def test_panel_lengths_graded_toward_corners(unit_square):
 
 def test_normals_point_outward(unit_square):
     for mesh, _, behind in mesh_cases(unit_square, 16, 2.0):
-        for p in mesh.panels:
-            mid = 0.5 * (p.a + p.b)
-            assert p.normal @ (mid - behind) > 0
-            assert np.array_equal(mesh.normals[p.start:p.start + mesh.n_gl],
-                                  np.tile(p.normal, (mesh.n_gl, 1)))
+        for i, mid in enumerate(0.5 * (mesh.pa + mesh.pb)):
+            normals = mesh.normals[i * mesh.n_gl:(i + 1) * mesh.n_gl]
+            assert normals[0] @ (mid - behind) > 0
+            assert np.array_equal(normals, np.tile(normals[0], (mesh.n_gl, 1)))
 
 
 def test_node_count_tracks_request(unit_square):
@@ -58,5 +59,47 @@ def test_build_mesh_rejects_weak_grading(unit_square):
 
 def test_mesh_multi_curve(nested_squares):
     mesh = build_mesh(list(nested_squares.layers), 16)
-    assert mesh.n_curves == 2
+    assert len(mesh.curves) == 2
     assert mesh.curves[0].n_nodes == mesh.curves[1].n_nodes
+
+
+def _panel_loop(edges, nodes_per_edge, grading):
+    """The mesh arrays built one panel at a time, in edge order: the
+    reference construction of CurveMesh."""
+    n_gl = 8 if nodes_per_edge >= 16 else max(3, nodes_per_edge // 2)
+    panels_per_edge = max(2, int(round(nodes_per_edge / n_gl)))
+    panels_per_edge += panels_per_edge % 2
+    half = panels_per_edge // 2
+    frac = 0.5 * (np.arange(half + 1) / half) ** grading
+    breaks = np.concatenate([frac, 1.0 - frac[-2::-1]])
+    tg, wg = gauss_legendre(n_gl)
+    out = {key: [] for key in ("pa", "pb", "plen", "nodes", "weights", "normals")}
+    for a_e, b_e, normal in edges:
+        tang = b_e - a_e
+        elen = float(np.hypot(*tang))
+        for i in range(panels_per_edge):
+            pa = a_e + breaks[i] * tang
+            pb = a_e + breaks[i + 1] * tang
+            plen = elen * (breaks[i + 1] - breaks[i])
+            mid = 0.5 * (pa + pb)
+            halfvec = 0.5 * (pb - pa)
+            out["pa"].append(pa)
+            out["pb"].append(pb)
+            out["plen"].append(plen)
+            out["nodes"].append(mid[None, :] + tg[:, None] * halfvec[None, :])
+            out["weights"].append(0.5 * plen * wg)
+            out["normals"].append(np.tile(normal, (n_gl, 1)))
+    return {key: np.concatenate(v) if key in ("nodes", "weights", "normals") else np.array(v)
+            for key, v in out.items()}
+
+
+@pytest.mark.parametrize("nodes_per_edge", [4, 12, 64])
+def test_mesh_arrays_match_a_per_panel_loop_bitwise(nodes_per_edge):
+    """The broadcast construction gives the panel loop's arrays bit for bit,
+    on a polygon and on a one-edge segment mesh."""
+    poly = Polygon([[0.1, -0.7], [1.3, -0.2], [0.9, 1.1], [-0.6, 0.8], [-0.9, -0.3]])
+    for edges in (polygon_edges(poly), SEGMENT):
+        mesh = CurveMesh(edges, nodes_per_edge, 3.0)
+        for key, ref in _panel_loop(edges, nodes_per_edge, 3.0).items():
+            got = getattr(mesh, key)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), key

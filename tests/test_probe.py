@@ -166,10 +166,15 @@ def test_eta_extraction_scale_invariant(eta_scenario, quarter_sector):
 
 
 def test_exponential_corrections_matter(eta_scenario):
+    """At s = 50 the exact edge integral of each sector edge differs from its
+    2/(s mu^2) limit by more than 10x the identity residual, relative to the
+    integral, so the extraction has to keep the exponential corrections."""
+    sec = eta_scenario.sector
     kept = extract_eta_diff(eta_scenario, [50.0])
-    dropped = extract_eta_diff(eta_scenario, [50.0], drop_exponential_corrections=True)
-    shift = abs(kept.eta_estimates[0][1] - dropped.eta_estimates[0][1])
-    assert shift > 10 * max(kept.residuals[0], 1e-12)
+    for theta in (sec.theta_m, sec.theta_M):
+        exact = cgo.edge_integral_exact(theta, 50.0, sec.h)
+        limit = 2.0 / 50.0 * cgo.mu(theta) ** -2
+        assert abs(exact - limit) > 10 * max(kept.residuals[0], 1e-12) * abs(exact)
 
 
 def test_omega_recovery_manufactured(omega_scenario):
@@ -343,7 +348,7 @@ def _scalar_reference(sc, s_grid, tol=1e-12):
     evaluated through their gradient path."""
     sec = sc.sector
     sc = replace(sc, u1=FieldSampler(sc.u1.fn), u2=FieldSampler(sc.u2.fn))
-    u1_0, u2_0 = sc.u1.at(sec.apex)[0], sc.u2.at(sec.apex)[0]
+    u1_0, u2_0 = probe.corner_value(sc.u1, sec), probe.corner_value(sc.u2, sec)
     v = sc.u1 - sc.u2
     nums, dens, resid = [], [], []
     for s in s_grid:
