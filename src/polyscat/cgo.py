@@ -61,10 +61,6 @@ class SectorSpec:
     def opening(self):
         return self.theta_M - self.theta_m
 
-    def mu_pair_sum(self):
-        """mu(theta_M)^-2 + mu(theta_m)^-2; nonzero for any valid sector."""
-        return mu(self.theta_M) ** -2 + mu(self.theta_m) ** -2
-
     def exp_pair_diff(self):
         """e^{-2 i theta_M} - e^{-2 i theta_m}; nonzero for any valid sector."""
         return np.exp(-2j * self.theta_M) - np.exp(-2j * self.theta_m)

@@ -41,6 +41,8 @@ class CurveMesh:
     """
 
     def __init__(self, edges, nodes_per_edge, grading):
+        if nodes_per_edge < 1:
+            raise ValueError("need at least 1 node per edge")
         if grading < 2:
             raise ValueError("grading exponent must be >= 2")
         n_gl = 8 if nodes_per_edge >= 16 else max(3, nodes_per_edge // 2)

@@ -272,17 +272,30 @@ def assemble_nest(medium: NestMedium, mesh: BoundaryMesh, blocks=None):
     }
 
 
-def solve_assembled(system, inc: IncidentField):
-    medium = system["medium"]
+def incident_jumps(system, inc: IncidentField):
+    """The jump data of an incident field, one (f_i, g_i) per interface:
+    f_1 = -u_inc and g_1 = -(dnu u_inc + lambda_1 u_inc) on the outermost
+    interface, zero elsewhere."""
+    curve = system["mesh"].curves[0]
+    ui, gi = incident_eval(inc, system["medium"].k, curve.nodes)
+    g1 = -((gi * curve.normals).sum(axis=1) + system["medium"].lam[0] * ui)
+    return [(-ui, g1)] + [(0, 0)] * (len(system["sizes"]) - 1)
+
+
+def solve_assembled(system, inc: IncidentField, jumps=None):
+    """Solve the assembled nest for the jump data `jumps`, one (f_i, g_i)
+    per interface, outermost first, for the layer-potential fields:
+        u_out - u_in = f_i,   dnu u_out + lambda_i u_out - dnu u_in = g_i.
+    The result adds `inc` to the exterior field; `jumps=None` takes the
+    jumps of `inc` (incident_jumps), so that the total field has none."""
     mesh = system["mesh"]
     sizes = system["sizes"]
+    if jumps is None:
+        jumps = incident_jumps(system, inc)
     b = np.zeros(system["A"].shape[0], dtype=complex)
-    tgt = mesh.curves[0]
-    ui, gi = incident_eval(inc, medium.k, tgt.nodes)
-    lam1 = medium.lam[0]
-    m = sizes[0]
-    b[:m] = -ui
-    b[m:2 * m] = -((gi * tgt.normals).sum(axis=1) + lam1 * ui)
+    for o, m, (f, g) in zip(np.cumsum([0] + [2 * s for s in sizes]), sizes, jumps):
+        b[o:o + m] = f
+        b[o + m:o + 2 * m] = g
 
     densities, resid, converged = solve_factored(system["A"], system["lu"], system["cond"],
                                                  b, sizes)
@@ -291,8 +304,8 @@ def solve_assembled(system, inc: IncidentField):
     for ell, (curve, (phi, psi)) in enumerate(zip(mesh.curves, densities)):
         layers[ell].append((curve, phi, psi))
         layers[ell + 1].append((curve, phi, psi))
-    return NestSolveResult(resid, system["cond"], converged, system["kappas"], medium, inc,
-                           tuple(map(tuple, layers)), system["blocks"])
+    return NestSolveResult(resid, system["cond"], converged, system["kappas"],
+                           system["medium"], inc, tuple(map(tuple, layers)), system["blocks"])
 
 
 def farfield_diff(p1: FarFieldPattern, p2: FarFieldPattern):

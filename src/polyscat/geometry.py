@@ -261,17 +261,9 @@ def validate_nest(p: NestPartition) -> ValidationReport:
     for i in range(len(p.layers) - 1):
         outer, inner = p.layers[i], p.layers[i + 1]
         # 'boundary' (within tol of an edge) is reported before 'inside'
-        bad = any(outer.contains(v, tol) != "inside" for v in inner.vertices)
-        if bad:
+        if (outer.contains(inner.vertices, tol) != "inside").any():
             violations.append(f"layer {i + 2} not inside layer {i + 1}")
     return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def _edge_on_hull(hull: Polygon, a, b, tol):
-    for pt in (a, b, 0.5 * (a + b)):
-        if hull.contains(pt, tol) != "boundary":
-            return False
-    return True
 
 
 def validate_cell(p: CellPartition) -> ValidationReport:
@@ -283,35 +275,29 @@ def validate_cell(p: CellPartition) -> ValidationReport:
     hull = p.hull
     eps = tol * hull.bbox_diag()
 
+    # per cell, its vertices and then its edge midpoints against the hull
+    on_hull = []
     for i, cell in enumerate(p.cells, start=1):
-        for v in cell.vertices:
-            if hull.contains(v, tol) == "outside":
-                violations.append(f"cell {i} leaves the hull")
-                break
+        mids = 0.5 * (cell.vertices + np.roll(cell.vertices, -1, axis=0))
+        on_hull.append(hull.contains(np.vstack([cell.vertices, mids]), tol))
+        if (on_hull[-1][:cell.n_vertices] == "outside").any():
+            violations.append(f"cell {i} leaves the hull")
 
     for i in range(len(p.cells)):
         for j in range(i + 1, len(p.cells)):
             ci, cj = p.cells[i], p.cells[j]
-            overlap = False
-            for a, b in ci.edges():
-                for c, d in cj.edges():
-                    if _segments_properly_intersect(a, b, c, d, eps):
-                        overlap = True
-            if not overlap:
-                # vertex or centroid strictly interior to the other cell
-                overlap = (
-                    any(cj.contains(v, tol) == "inside" for v in ci.vertices)
-                    or any(ci.contains(v, tol) == "inside" for v in cj.vertices)
-                    or cj.contains(ci.vertices.mean(axis=0), tol) == "inside"
-                    or ci.contains(cj.vertices.mean(axis=0), tol) == "inside"
-                )
-            if overlap:
+            overlap = any(_segments_properly_intersect(a, b, c, d, eps)
+                          for a, b in ci.edges() for c, d in cj.edges())
+            # each cell's vertices and then its centroid against the other cell
+            in_j = cj.contains(np.vstack([ci.vertices, ci.vertices.mean(axis=0)]), tol)
+            in_i = ci.contains(np.vstack([cj.vertices, cj.vertices.mean(axis=0)]), tol)
+            if overlap or (in_j == "inside").any() or (in_i == "inside").any():
                 violations.append(f"cells {i + 1},{j + 1} overlap")
             else:
                 # distinct points of either cell's vertices on the other's boundary
-                shared = [v for v in ci.vertices if cj.contains(v, tol) == "boundary"]
-                shared += [v for v in cj.vertices if ci.contains(v, tol) == "boundary"
-                           and all(np.hypot(*(v - w)) > tol for w in shared)]
+                shared = list(ci.vertices[in_j[:-1] == "boundary"])
+                shared += [v for v in cj.vertices[in_i[:-1] == "boundary"]
+                           if all(np.hypot(*(v - w)) > tol for w in shared)]
                 if len(shared) == 1:
                     info.append(f"cells {i + 1},{j + 1} may touch at a single point")
 
@@ -319,15 +305,12 @@ def validate_cell(p: CellPartition) -> ValidationReport:
     if abs(total - hull.area()) > 1e-9 * hull.area():
         violations.append("cell areas do not sum to the hull area")
 
-    for i, cell in enumerate(p.cells, start=1):
-        v = cell.vertices
-        n = len(v)
-        has_hull_vertex = any(
-            _edge_on_hull(hull, v[k], v[(k + 1) % n], tol)
-            and _edge_on_hull(hull, v[k - 1], v[k], tol)
-            for k in range(n)
-        )
-        if not has_hull_vertex:
+    for i, (cell, labels) in enumerate(zip(p.cells, on_hull), start=1):
+        n = cell.n_vertices
+        on = labels == "boundary"
+        # edge k runs from vertex k to vertex k + 1
+        edge = on[:n] & np.roll(on[:n], -1) & on[n:]
+        if not (edge & np.roll(edge, 1)).any():
             violations.append(f"cell {i} has no hull vertex")
 
     return ValidationReport(ok=not violations, violations=tuple(violations), info=tuple(info))

@@ -1,5 +1,3 @@
-from .config import (ConfigError, MeshSpec, Scenario, load_scenario,
-                     parse_scenario, scenario_to_doc)
+from .config import ConfigError, MeshSpec, Scenario, load_scenario, parse_scenario
 
-__all__ = ["ConfigError", "MeshSpec", "Scenario", "load_scenario",
-           "parse_scenario", "scenario_to_doc"]
+__all__ = ["ConfigError", "MeshSpec", "Scenario", "load_scenario", "parse_scenario"]

@@ -19,8 +19,8 @@ from ..geometry import (CornerSector, NestPartition, Polygon, corner_sectors,
                         locate, max_sector_radius, validate_cell, validate_nest)
 from ..medium import CellMedium, NestMedium
 from . import reports
-from .config import (ConfigError, Scenario, _cplx, _number, load_scenario, parse_medium,
-                     parse_scenario)
+from .config import (ConfigError, Scenario, _cplx, _number, _object, load_scenario,
+                     parse_medium, parse_scenario)
 
 EXIT_OK, EXIT_REFUSED, EXIT_NUMERICAL = 0, 1, 2
 # pair mode refuses when a Fourier-Bessel surrogate's relative pointwise fit
@@ -100,13 +100,35 @@ def main(argv=None):
 
 
 def _load(args) -> Scenario:
+    """The scenario of a solving command, refused (ConfigError) where
+    `validate` rejects it."""
     sc = load_scenario(args.config)
     if args.mesh_level is not None:
         doc = dict(sc.raw)
         doc["mesh"] = {"nodes_per_edge": args.mesh_level,
                        "grading": sc.mesh.grading}
         sc = parse_scenario(doc)
+    _check_partition(sc.medium, "medium")
+    try:
+        sc.incident.validate_against(_hull_of(sc.medium))
+    except ValueError as exc:
+        raise ConfigError("incident", str(exc)) from None
     return sc
+
+
+def _partition_report(medium):
+    """The partition's validation report: nesting and convexity of a nest,
+    tiling and disjointness of a cell medium."""
+    if isinstance(medium, NestMedium):
+        return validate_nest(medium.partition)
+    return validate_cell(medium.partition)
+
+
+def _check_partition(medium, path):
+    """ConfigError at `path` naming every violation of the medium's partition."""
+    violations = _partition_report(medium).violations
+    if violations:
+        raise ConfigError(path, "; ".join(violations))
 
 
 def cmd_validate(args):
@@ -116,10 +138,7 @@ def cmd_validate(args):
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     m = sc.medium
-    if isinstance(m, NestMedium):
-        report = validate_nest(m.partition)
-    else:
-        report = validate_cell(m.partition)
+    report = _partition_report(m)
     for v in report.violations:
         print(f"violation: {v}")
     for i in report.info:
@@ -160,8 +179,27 @@ def _unknowns(result):
     return 2 * sum(c.n_nodes for c in curves.values())
 
 
+def _nearfield_grid(sc: Scenario):
+    """The (n, 2) points of the config's `nearfield` grid, or None."""
+    near = sc.raw.get("nearfield")
+    if not near:
+        return None
+    near = _object(near, "nearfield")
+    bounds = near.get("bounds")
+    if not isinstance(bounds, list) or len(bounds) != 4:
+        raise ConfigError("nearfield.bounds", f"expected [x0, x1, y0, y1], got {bounds!r}")
+    x0, x1, y0, y1 = (_number(v, f"nearfield.bounds[{i}]") for i, v in enumerate(bounds))
+    for key in ("nx", "ny"):
+        n = near.get(key)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ConfigError(f"nearfield.{key}", f"expected a positive integer, got {n!r}")
+    gx, gy = np.meshgrid(np.linspace(x0, x1, near["nx"]), np.linspace(y0, y1, near["ny"]))
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
 def cmd_forward(args):
     sc = _load(args)
+    pts = _nearfield_grid(sc)
     t0 = time.perf_counter()
     result = _solve(sc)
     angles = uniform_directions(sc.num_angles)
@@ -172,12 +210,7 @@ def cmd_forward(args):
         comments=[f"scenario={sc.digest()}",
                   f"solver_residual={result.residual!r} tol={TAU_SOLVE!r}",
                   f"condition_estimate={result.cond_estimate!r}"])
-    near = sc.raw.get("nearfield")
-    if near:
-        x0, x1, y0, y1 = near["bounds"]
-        nx, ny = int(near["nx"]), int(near["ny"])
-        gx, gy = np.meshgrid(np.linspace(x0, x1, nx), np.linspace(y0, y1, ny))
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
+    if pts is not None:
         # interface points get NaN; all others go through one field evaluation
         off = np.array([lb.kind != "interface" for lb in locate(sc.medium.partition, pts)])
         vals = np.full(len(pts), complex(np.nan, np.nan))
@@ -370,12 +403,18 @@ def _unconverged(which, nodes, result):
 
 def _run_sweep(args, sc: Scenario):
     t0 = time.perf_counter()
-    spec = sc.raw.get("sweep", {})
+    spec = _object(sc.raw.get("sweep", {}), "sweep")
     target = args.target or spec.get("target")
     if target is None:
         raise ConfigError("sweep.target", "missing (config sweep.target or --target)")
-    mags = args.magnitudes or [_number(v, f"sweep.magnitudes[{i}]")
-                               for i, v in enumerate(spec.get("magnitudes", [0.1, 0.01, 0.001]))]
+    if not isinstance(target, str):
+        raise ConfigError("sweep.target", f"expected a string, got {target!r}")
+    mags = args.magnitudes
+    if mags is None:
+        mags = spec.get("magnitudes", [0.1, 0.01, 0.001])
+        if not isinstance(mags, list) or not mags:
+            raise ConfigError("sweep.magnitudes", f"expected a list of numbers, got {mags!r}")
+        mags = [_number(v, f"sweep.magnitudes[{i}]") for i, v in enumerate(mags)]
     tgt = _parse_target(target, sc.medium)
     n = sc.mesh.nodes_per_edge
 
@@ -454,11 +493,6 @@ def cmd_passive(args):
         print("refused: passive mode needs a point-source incident field",
               file=sys.stderr)
         return EXIT_REFUSED
-    try:
-        sc.incident.validate_against(_hull_of(sc.medium))
-    except ValueError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
     return _run_sweep(args, sc)
 
 
@@ -467,11 +501,12 @@ def cmd_probe(args):
     spec = sc.raw.get("probe")
     if not spec:
         raise ConfigError("probe", "missing probe section")
+    spec = _object(spec, "probe")
     s_grid = args.s_grid
     t0 = time.perf_counter()
     mode = spec.get("mode", "manufactured")
     if mode == "manufactured":
-        sect = spec.get("sector", {})
+        sect = _object(spec.get("sector", {}), "probe.sector")
         angles = [_number(sect.get(a), f"probe.sector.{a}") for a in ("theta_m", "theta_M")]
         h = _number(sect.get("h", 1.0), "probe.sector.h")
         try:
@@ -534,14 +569,18 @@ def _pair_scenario(sc: Scenario, spec, args):
     med1 = sc.medium
     if not isinstance(med1, NestMedium):
         raise ConfigError("probe", "pair mode supports nest media")
-    med2 = parse_medium(spec["medium2"], "probe.medium2")
-    vertex = spec.get("vertex", {})
+    med2 = parse_medium(spec.get("medium2"), "probe.medium2")
+    _check_partition(med2, "probe.medium2")
+    vertex = _object(spec.get("vertex", {}), "probe.vertex")
     n2 = med2.partition.n_layers
     iface = _index("probe.vertex.interface", vertex.get("interface", n2), 1, n2)
     poly = med2.partition.layers[iface - 1]
     vidx = _index("probe.vertex.index", vertex.get("index", 0), 0, poly.n_vertices - 1)
-    h = float(spec.get("h", 0.1 * poly.bbox_diag()))
-    sector = corner_sectors(poly, h)[vidx]
+    h = _number(spec.get("h", 0.1 * poly.bbox_diag()), "probe.h")
+    try:
+        sector = corner_sectors(poly, h)[vidx]
+    except ValueError as exc:
+        raise ConfigError("probe.h", str(exc)) from None
 
     # the sector lives just inside interface `iface`, i.e. region `iface`
     if locate(med2.partition, sector.apex + 0.5 * sector.h * sector.midline_world

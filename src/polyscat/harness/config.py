@@ -1,4 +1,4 @@
-"""Scenario configuration: JSON schema, parsing, validation, round-trip.
+"""Scenario configuration: JSON schema, parsing and validation.
 
 Complex numbers are [re, im] pairs; geometry is explicit vertex lists
 (outermost layer first for nests).  Parsing is strict: unknown medium
@@ -65,6 +65,13 @@ def _cplx(node, path):
     raise ConfigError(path, f"expected a number or [re, im] pair, got {node!r}")
 
 
+def _object(node, path):
+    """`node` if it is a JSON object, else ConfigError at `path`."""
+    if not isinstance(node, dict):
+        raise ConfigError(path, f"expected an object, got {node!r}")
+    return node
+
+
 def _vertices(node, path):
     try:
         arr = np.asarray(node, dtype=float)
@@ -77,13 +84,20 @@ def _vertices(node, path):
     return arr
 
 
+def _polygon(node, path):
+    try:
+        return Polygon(_vertices(node, path))
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def parse_medium(node, path="medium"):
-    kind = node.get("kind")
+    kind = _object(node, path).get("kind")
     if kind == "nest":
         layers = node.get("layers")
         if not isinstance(layers, list) or not layers:
             raise ConfigError(f"{path}.layers", "expected a non-empty list of polygons")
-        polys = [Polygon(_vertices(v, f"{path}.layers[{i}]")) for i, v in enumerate(layers)]
+        polys = [_polygon(v, f"{path}.layers[{i}]") for i, v in enumerate(layers)]
         part = NestPartition(polys)
         q = [_cplx(v, f"{path}.q[{i}]") for i, v in enumerate(node.get("q", []))]
         lam = [_cplx(v, f"{path}.lambda[{i}]") for i, v in enumerate(node.get("lambda", []))]
@@ -93,11 +107,11 @@ def parse_medium(node, path="medium"):
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from None
     if kind == "cell":
-        hull = Polygon(_vertices(node.get("hull"), f"{path}.hull"))
+        hull = _polygon(node.get("hull"), f"{path}.hull")
         cells_node = node.get("cells")
         if not isinstance(cells_node, list) or not cells_node:
             raise ConfigError(f"{path}.cells", "expected a non-empty list of polygons")
-        cells = [Polygon(_vertices(v, f"{path}.cells[{i}]")) for i, v in enumerate(cells_node)]
+        cells = [_polygon(v, f"{path}.cells[{i}]") for i, v in enumerate(cells_node)]
         part = CellPartition(cells, hull)
         q = [_cplx(v, f"{path}.q[{i}]") for i, v in enumerate(node.get("q", []))]
         lam = _cplx(node.get("lambda_star", 0.0), f"{path}.lambda_star")
@@ -110,7 +124,7 @@ def parse_medium(node, path="medium"):
 
 
 def parse_incident(node):
-    kind = node.get("kind", "plane")
+    kind = _object(node, "incident").get("kind", "plane")
     amp = _cplx(node.get("amplitude", 1.0), "incident.amplitude")
     try:
         if kind == "plane":
@@ -134,13 +148,15 @@ def parse_scenario(doc) -> Scenario:
         raise ConfigError("medium", "missing section")
     medium = parse_medium(doc["medium"])
     incident = parse_incident(doc.get("incident", {"kind": "none"}))
-    mesh_node = doc.get("mesh", {})
+    mesh_node = _object(doc.get("mesh", {}), "mesh")
     mesh = MeshSpec(_number(mesh_node.get("nodes_per_edge", 32), "mesh.nodes_per_edge", int),
                     _number(mesh_node.get("grading", 3.0), "mesh.grading"))
+    if mesh.nodes_per_edge < 1:
+        raise ConfigError("mesh.nodes_per_edge", "need at least 1 node per edge")
     if mesh.grading < 2:
         raise ConfigError("mesh.grading", "grading exponent must be >= 2")
-    num_angles = _number(doc.get("farfield", {}).get("num_angles", 256), "farfield.num_angles",
-                         int)
+    num_angles = _number(_object(doc.get("farfield", {}), "farfield").get("num_angles", 256),
+                         "farfield.num_angles", int)
     if num_angles < 2:
         raise ConfigError("farfield.num_angles", "need at least 2 angles")
     return Scenario(medium, incident, mesh, num_angles, raw=doc)
@@ -154,42 +170,3 @@ def load_scenario(path) -> Scenario:
             raise ConfigError(str(path), f"JSON parse error at line {exc.lineno}, "
                                          f"column {exc.colno}: {exc.msg}") from None
     return parse_scenario(doc)
-
-
-def _poly_to_list(poly: Polygon):
-    return [[float(x), float(y)] for x, y in poly.vertices]
-
-
-def scenario_to_doc(sc: Scenario) -> dict:
-    """Serialize back to the config format; parse(serialize(x)) is exact."""
-    m = sc.medium
-    if isinstance(m, NestMedium):
-        med = {
-            "kind": "nest",
-            "layers": [_poly_to_list(p) for p in m.partition.layers],
-            "q": [[z.real, z.imag] for z in m.q],
-            "lambda": [[z.real, z.imag] for z in m.lam],
-            "k": m.k,
-        }
-    else:
-        med = {
-            "kind": "cell",
-            "hull": _poly_to_list(m.partition.hull),
-            "cells": [_poly_to_list(p) for p in m.partition.cells],
-            "q": [[z.real, z.imag] for z in m.q],
-            "lambda_star": [m.lambda_star.real, m.lambda_star.imag],
-            "k": m.k,
-        }
-    inc = {"kind": sc.incident.kind,
-           "amplitude": [sc.incident.amplitude.real, sc.incident.amplitude.imag]}
-    if sc.incident.kind == "plane":
-        inc["direction"] = [float(v) for v in sc.incident.direction]
-    elif sc.incident.kind == "point":
-        inc["location"] = [float(v) for v in sc.incident.location]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "medium": med,
-        "incident": inc,
-        "mesh": {"nodes_per_edge": sc.mesh.nodes_per_edge, "grading": sc.mesh.grading},
-        "farfield": {"num_angles": sc.num_angles},
-    }

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import hankel1
 
-from .geometry import CellPartition, NestPartition, locate
+from .geometry import CellPartition, NestPartition
 
 
 def sqrt_im_nonneg(z):
@@ -56,10 +56,6 @@ class NestMedium:
         object.__setattr__(self, "q", _check_potentials(q))
         object.__setattr__(self, "lam", tuple(_check_lambda(l, f"interface {i+1}") for i, l in enumerate(lam)))
         object.__setattr__(self, "k", float(np.real(k)))
-
-    @property
-    def n_interfaces(self):
-        return self.partition.n_layers
 
 
 @dataclass(frozen=True)
@@ -120,33 +116,6 @@ class IncidentField:
             tol = 0.0 if hull is None else 1e-12 * hull.bbox_diag()
             if hull is not None and hull.contains(self.location, tol) != "outside":
                 raise ValueError("point source must lie strictly outside the medium")
-
-
-def potential_at(m, x):
-    """q(x): the region potential at x, 1 in the exterior.
-
-    Raises on interface points (within the geometric tolerance): the value
-    is not single-valued there.
-    """
-    label = locate(m.partition, x)
-    if label.kind == "interface":
-        raise ValueError(f"ambiguous interface point {tuple(np.asarray(x, float))}")
-    if label.kind == "exterior":
-        return 1.0 + 0.0j
-    return m.q[label.index - 1]
-
-
-def lambda_at(m, interface_id):
-    """Constant conductive parameter of the given interface (1-based id)."""
-    if isinstance(m, NestMedium):
-        if not 1 <= interface_id <= m.n_interfaces:
-            raise ValueError(f"unknown interface id {interface_id}")
-        return m.lam[interface_id - 1]
-    if isinstance(m, CellMedium):
-        if not 1 <= interface_id <= m.partition.n_cells:
-            raise ValueError(f"unknown interface id {interface_id}")
-        return m.lambda_star
-    raise TypeError(f"unsupported medium type {type(m)!r}")
 
 
 def incident_eval(f: IncidentField, k, x):

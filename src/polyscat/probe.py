@@ -53,12 +53,9 @@ class FieldSampler:
 
     values_fn, when given, returns the values alone, bit-identical to
     fn(pts)[0] without the gradient work; values() falls back to fn.
-    hoelder, when given, is an (alpha, C) pair used only to report expected
-    remainder magnitudes; it is never used in the extraction itself.
     """
 
     fn: Callable
-    hoelder: tuple | None = None
     values_fn: Callable | None = None
 
     def __call__(self, pts):
@@ -82,18 +79,6 @@ class FieldSampler:
             return self.values(pts) - other.values(pts)
 
         return FieldSampler(diff, values_fn=diff_values)
-
-    def shifted(self, value0):
-        """Remainder sampler: self minus a constant (gradient unchanged)."""
-
-        def rem(pts):
-            v, g = self(pts)
-            return v - value0, g
-
-        def rem_values(pts):
-            return self.values(pts) - value0
-
-        return FieldSampler(rem, self.hoelder, values_fn=rem_values)
 
 
 @dataclass(frozen=True)
@@ -129,17 +114,6 @@ class ProbeResult:
             svals = [s for s, _ in seq]
             if any(b <= a for a, b in zip(svals, svals[1:])):
                 raise ValueError("s values must be strictly increasing")
-
-
-class EdgeIntegrals(NamedTuple):
-    total: complex
-    i31: complex
-    i32: complex
-
-
-class AreaIntegral(NamedTuple):
-    value: complex
-    bound: float | None
 
 
 class Extrapolation(NamedTuple):
@@ -201,18 +175,8 @@ def _arc_functional(arc, sector: CornerSector, s, tol):
     return arc_integral(F, sector.theta_m, sector.theta_M, tol)
 
 
-def eval_I1(v: FieldSampler, sector: CornerSector, s, tol=1e-12):
-    """Arc functional: int_{Lambda_h} (dnu v u0 - dnu u0 v) dsigma."""
-    return _arc_functional(_arc_values(v, sector), sector, s, tol)
-
-
 def _area_functional(f, sector: CornerSector, s, tol):
     return sector_area_integral(f, sector.theta_m, sector.theta_M, sector.h, s, tol)
-
-
-def eval_I2(dv: FieldSampler, sector: CornerSector, s, tol=1e-11):
-    """Area functional: int_{S_h} dv(x) u0(s x) dx for a remainder dv (dv(0)=0)."""
-    return _area_functional(_canonical_values(dv, sector), sector, s, tol)
 
 
 class _Edge(NamedTuple):
@@ -249,34 +213,6 @@ def _edge_remainder(edge, u2_0, sector: CornerSector, s, side, tol):
     """I32: int_0^h (u2 - u2(0)) u0(s.) dr along one edge, from u2's edge values."""
     return edge_u0_integral(_edge(sector, side).theta, s, sector.h,
                             g=lambda r: edge(r) - u2_0, tol=tol)
-
-
-def eval_I3(u2: FieldSampler, sector: CornerSector, s, side, eta_diff, tol=1e-12):
-    """Edge functional on Gamma_h^side, split into the closed-form part
-    (value at the corner times the exact edge integral) and the remainder."""
-    u2_0 = corner_value(u2, sector)
-    i31 = cgo.edge_integral_exact(_edge(sector, side).theta, s, sector.h)
-    i32 = _edge_remainder(_edge_trace(u2, sector, side), u2_0, sector, s, side, tol).value
-    total = eta_diff * (u2_0 * i31 + i32)
-    return EdgeIntegrals(total, i31, i32)
-
-
-def eval_I4(sector: CornerSector, s):
-    """Published bound for the sector-tail integral outside radius h."""
-    sec = cgo.SectorSpec(sector.theta_m, sector.theta_M)
-    return cgo.tail_bound(sec, s, sector.h)
-
-
-def eval_I5(du2: FieldSampler, sector: CornerSector, s, tol=1e-11):
-    """Area functional of the u2 remainder, with its decay bound when the
-    sampler carries Hoelder metadata."""
-    val = eval_I2(du2, sector, s, tol).value
-    bound = None
-    if du2.hoelder is not None:
-        alpha, c_alpha = du2.hoelder
-        sec = cgo.SectorSpec(sector.theta_m, sector.theta_M)
-        bound = c_alpha * cgo.weighted_bound(sec, alpha, s)
-    return AreaIntegral(val, bound)
 
 
 class _GridSamples(NamedTuple):
@@ -451,42 +387,6 @@ def admissibility_tau(field_at, hull):
     center = hull.vertices.mean(axis=0)
     pts = center[None, :] + 2.0 * hull.bbox_diag() * np.column_stack([np.cos(th), np.sin(th)])
     return 1e-6 * float(np.max(np.abs(field_at(pts))))
-
-
-@dataclass(frozen=True)
-class VanishingResult:
-    estimates: tuple          # ((s, estimate of v(0)), ...) when lambda != 0
-    functionals: tuple        # ((s, assembled functional A(s)), ...)
-    extrapolated: complex | None
-
-
-def vanishing_test(v: FieldSampler, w: FieldSampler, sector: CornerSector, s_grid,
-                   k, q, lam, tol=1e-12) -> VanishingResult:
-    """Estimate v(0) for a pair satisfying w = v, dnu v + lam v = dnu w on the edges.
-
-    Assembles A(s) = k^2(1-q) int w u0 - k^2 int (w-v) u0 - I1(w-v), which
-    equals lam int_edges v u0 for exact-jump pairs; dividing by the exact
-    edge factor gives a per-s estimate of v(0) that decays iff v(0) = 0.
-    """
-    s_grid = sorted(float(s) for s in s_grid)
-    w_area = _once_per_grid(_canonical_values(w, sector))
-    v_area = _once_per_grid(_canonical_values(v, sector))
-    d_arc = _once_per_grid(_arc_values(w - v, sector))
-    ests, funcs = [], []
-    for s in s_grid:
-        area_w = _area_functional(w_area, sector, s, tol)
-        area_d = _area_functional(lambda p: w_area(p) - v_area(p), sector, s, tol)
-        i1 = _arc_functional(d_arc, sector, s, tol)
-        A = k**2 * (1 - q) * area_w.value - k**2 * area_d.value - i1.value
-        funcs.append((s, A))
-        if lam != 0:
-            i31 = (cgo.edge_integral_exact(sector.theta_M, s, sector.h)
-                   + cgo.edge_integral_exact(sector.theta_m, s, sector.h))
-            ests.append((s, A / (lam * i31)))
-    extrap = None
-    if ests:
-        extrap = richardson_extrapolate([s for s, _ in ests], [e for _, e in ests]).limit
-    return VanishingResult(tuple(ests), tuple(funcs), extrap)
 
 
 _CHUNK = 4096   # points per Bessel table in bessel_series_sampler

@@ -219,28 +219,20 @@ def _sources_field(kappa, sources, x):
 def _solve_jumps(layers, q, lam, sources, nodes_per_edge):
     """Solution of the nest with the jumps of the exact region fields as data:
     f = u_out - u_in and g = dnu u_out + lambda u_out - dnu u_in per interface."""
-    from polyscat.forward.solver import Solution, solve_factored
-
     med = NestMedium(NestPartition([Polygon(v) for v in layers]), q=q, lam=lam, k=1.0)
     mesh = build_mesh(med.partition.layers, nodes_per_edge)
     system = assemble_nest(med, mesh)
     kap = system["kappas"]
-    b = []
+    jumps = []
     for i, curve in enumerate(mesh.curves):
         u_out, g_out = _sources_field(kap[i], sources[i], curve.nodes)
         u_in, g_in = _sources_field(kap[i + 1], sources[i + 1], curve.nodes)
         dnu_out = (g_out * curve.normals).sum(axis=1)
         dnu_in = (g_in * curve.normals).sum(axis=1)
-        b += [u_out - u_in, dnu_out + lam[i] * u_out - dnu_in]
-    densities, resid, converged = solve_factored(system["A"], system["lu"], system["cond"],
-                                                 np.concatenate(b), system["sizes"])
-    assert converged
-    regions = [[] for _ in range(len(layers) + 1)]
-    for ell, (curve, (phi, psi)) in enumerate(zip(mesh.curves, densities)):
-        regions[ell].append((curve, phi, psi))
-        regions[ell + 1].append((curve, phi, psi))
-    return Solution(resid, system["cond"], converged, kap, med, IncidentField("none"),
-                    tuple(map(tuple, regions)), None)
+        jumps.append((u_out - u_in, dnu_out + lam[i] * u_out - dnu_in))
+    sol = solve_assembled(system, IncidentField("none"), jumps)
+    assert sol.converged
+    return sol
 
 
 @pytest.mark.parametrize("layers, q, lam, sources, pts", [

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from polyscat.harness import ConfigError, parse_scenario, scenario_to_doc
+from polyscat.harness import ConfigError, parse_scenario
 from polyscat.harness.cli import main as cli_main
 
 NEST_DOC = {
@@ -48,18 +48,6 @@ def write(tmp_path, name, doc):
     p = tmp_path / name
     p.write_text(json.dumps(doc, indent=1))
     return str(p)
-
-
-def test_roundtrip_is_bit_exact(tmp_path):
-    doc = json.loads(json.dumps(NEST_DOC))
-    doc["medium"]["layers"][0][0] = [-1.0000000001234, -0.9999999998766]
-    sc = parse_scenario(doc)
-    doc2 = scenario_to_doc(sc)
-    sc2 = parse_scenario(doc2)
-    m1, m2 = sc.medium, sc2.medium
-    for p1, p2 in zip(m1.partition.layers, m2.partition.layers):
-        assert np.array_equal(p1.vertices, p2.vertices)
-    assert m1.q == m2.q and m1.lam == m2.lam and m1.k == m2.k
 
 
 def test_parse_rejects_bad_schema():
@@ -216,6 +204,21 @@ def test_out_of_range_indices_are_config_errors(tmp_path, capsys, command, bad):
     assert not list(tmp_path.glob("out/*.csv"))
 
 
+BOWTIE = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]   # self-intersecting
+
+
+def _nearfield(**edits):
+    """Config edit: a valid nearfield grid with `edits` applied."""
+    return lambda d: d.update(nearfield={"bounds": [-1.5, 1.5, -1.0, 1.0], "nx": 3, "ny": 3,
+                                         **edits})
+
+
+def _pair(**edits):
+    """Config edit: a pair-mode probe of the config's medium against itself,
+    with `edits` applied."""
+    return lambda d: d.update(probe={"mode": "pair", "medium2": d["medium"], **edits})
+
+
 @pytest.mark.parametrize("command, edit, extra, code, field", [
     ("sweep", None, ["--magnitudes", "abc"], 2, "--magnitudes"),
     ("sweep", lambda d: d["sweep"].update(magnitudes=["x"]), [], 1, "sweep.magnitudes[0]"),
@@ -227,9 +230,39 @@ def test_out_of_range_indices_are_config_errors(tmp_path, capsys, command, bad):
     ("probe", lambda d: d["probe"].update(k=0), [], 1, "probe.k"),
     ("forward", lambda d: d["mesh"].update(nodes_per_edge="abc"), [], 1, "mesh.nodes_per_edge"),
     ("forward", lambda d: d["medium"].update(k=None), [], 1, "medium.k"),
+    ("forward", lambda d: d.update(medium=[1.0]), [], 1, "medium"),
+    ("forward", lambda d: d.update(incident="plane"), [], 1, "incident"),
+    ("forward", lambda d: d.update(mesh=12), [], 1, "mesh"),
+    ("probe", lambda d: d.update(probe=["manufactured"]), [], 1, "probe"),
+    ("probe", lambda d: d["probe"].update(sector=[0.0, 1.0]), [], 1, "probe.sector"),
+    ("forward", _nearfield(bounds=[-1.0, 1.0, 0.0]), [], 1, "nearfield.bounds"),
+    ("forward", _nearfield(bounds=[-1.0, 1.0, "y", 1.0]), [], 1, "nearfield.bounds[2]"),
+    ("forward", _nearfield(nx=2.5), [], 1, "nearfield.nx"),
+    ("forward", _nearfield(ny="3"), [], 1, "nearfield.ny"),
+    ("sweep", lambda d: d["sweep"].update(target=2), [], 1, "sweep.target"),
+    ("sweep", lambda d: d["sweep"].update(magnitudes="0.1"), [], 1, "sweep.magnitudes"),
+    ("probe", lambda d: d.update(probe={"mode": "pair"}), [], 1, "probe.medium2"),
+    ("probe", _pair(h="x"), [], 1, "probe.h"),
+    ("probe", _pair(h=0.0), [], 1, "probe.h"),
+    ("probe", _pair(h=-0.1), [], 1, "probe.h"),
+    ("probe", _pair(h=1.5), [], 1, "probe.h"),
+    ("forward", lambda d: d["medium"]["layers"].__setitem__(1, BOWTIE), [], 1,
+     "medium.layers[1]"),
+    ("forward", lambda d: d.update(medium={**CELL_DOC["medium"], "cells": [BOWTIE]}), [], 1,
+     "medium.cells[0]"),
+    ("forward", lambda d: d.update(medium={**CELL_DOC["medium"], "hull": BOWTIE}), [], 1,
+     "medium.hull"),
+    ("forward", lambda d: d["mesh"].update(nodes_per_edge=-5), [], 1, "mesh.nodes_per_edge"),
+    ("forward", lambda d: d["mesh"].update(nodes_per_edge=0), [], 1, "mesh.nodes_per_edge"),
+    ("forward", None, ["--mesh-level", "0"], 1, "mesh.nodes_per_edge"),
 ], ids=["magnitudes-flag", "magnitudes-config", "s-grid-text", "s-grid-zero",
         "s-grid-negative", "omega1-missing", "theta_M", "probe-k-zero", "nodes_per_edge",
-        "k-null"])
+        "k-null", "medium-object", "incident-object", "mesh-object", "probe-object",
+        "sector-object", "bounds-length", "bounds-text", "nx-fraction", "ny-text",
+        "target-number", "magnitudes-string", "medium2-missing", "h-text", "h-zero",
+        "h-negative", "h-above-clearance", "layer-self-intersecting",
+        "cell-self-intersecting", "hull-self-intersecting", "nodes_per_edge-negative",
+        "nodes_per_edge-zero", "mesh-level-zero"])
 def test_malformed_input_is_refused_with_its_field(tmp_path, capsys, command, edit, extra,
                                                    code, field):
     """A malformed option is a usage error (exit 2) and a malformed config
@@ -248,6 +281,50 @@ def test_malformed_input_is_refused_with_its_field(tmp_path, capsys, command, ed
         assert cli_main(argv) == 1
         assert f"config error: {field}: " in capsys.readouterr().err
     assert not list(tmp_path.glob("out/*"))
+
+
+INVALID_MEDIA = {
+    # layer 2 outside layer 1
+    "swapped": ({**NEST_DOC["medium"], "layers": NEST_DOC["medium"]["layers"][::-1]},
+                "layer 2 not inside layer 1"),
+    # layer 2 crosses the edge x = 1 of layer 1
+    "crossing": ({**NEST_DOC["medium"], "layers": [NEST_DOC["medium"]["layers"][0],
+                                                   [[0.5, -0.5], [1.5, -0.5], [1.5, 0.5],
+                                                    [0.5, 0.5]]]},
+                 "layer 2 not inside layer 1"),
+    "overlapping": ({"kind": "cell", "hull": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]],
+                     "cells": [[[-0.5, -0.5], [0.1, -0.5], [0.1, 0.4], [-0.5, 0.4]],
+                               [[0.0, -0.5], [0.5, -0.5], [0.5, 0.5], [0.0, 0.5]]],
+                     "q": [[2.0, 0.0], [3.0, 0.0]], "k": 1.0},
+                    "cells 1,2 overlap"),
+}
+
+
+@pytest.mark.parametrize("medium", sorted(INVALID_MEDIA))
+@pytest.mark.parametrize("command", ["forward", "sweep", "passive", "probe", "pair"])
+def test_solving_commands_refuse_what_validate_rejects(tmp_path, capsys, command, medium):
+    """A partition that `validate` rejects is refused by every solving command
+    (pair mode: as medium2) with exit 1, its violation named at its field,
+    and no output."""
+    bad, violation = INVALID_MEDIA[medium]
+    doc = json.loads(json.dumps(PROBE_DOC if command == "probe" else NEST_DOC))
+    field = "medium"
+    if command == "passive":
+        doc["incident"] = {"kind": "point", "location": [3.0, 1.5]}
+    if command == "pair":
+        command, field = "probe", "probe.medium2"
+        doc["probe"] = {"mode": "pair", "medium2": bad, "h": 0.2}
+        doc_bad = {**doc, "medium": bad}
+    else:
+        doc["medium"] = bad
+        doc_bad = doc
+    assert cli_main(["validate", "--config", write(tmp_path, "v.json", doc_bad)]) == 1
+    assert f"violation: {violation}" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", write(tmp_path, "c.json", doc),
+                     "--out", str(out)]) == 1
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_passive_command_and_refusals(tmp_path):
@@ -516,13 +593,3 @@ def test_sweep_shares_far_field_rows(tmp_path, monkeypatch, doc, target, rows_bu
     shared = solve_scatter(med, sc.incident, nodes_per_edge=12, blocks=dict(store))
     fresh = solve_scatter(med, sc.incident, nodes_per_edge=12)
     assert shared.far_field(angles).values.tobytes() == fresh.far_field(angles).values.tobytes()
-
-
-def test_cell_roundtrip_bit_exact():
-    sc = parse_scenario(json.loads(json.dumps(CELL_DOC)))
-    sc2 = parse_scenario(scenario_to_doc(sc))
-    assert np.array_equal(sc.medium.partition.hull.vertices,
-                          sc2.medium.partition.hull.vertices)
-    for c1, c2 in zip(sc.medium.partition.cells, sc2.medium.partition.cells):
-        assert np.array_equal(c1.vertices, c2.vertices)
-    assert sc.medium.lambda_star == sc2.medium.lambda_star

@@ -1,5 +1,6 @@
-"""Every name a module in src/ or tests/ imports is used in it, and every
-private module-level name in src/ is referenced somewhere."""
+"""Every name a module in src/ or tests/ imports is used in it, every
+private module-level name in src/ is referenced somewhere, and every
+public name in src/ is read by the program or its benchmark."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*ROOT.joinpath("src").rglob("*.py"), *ROOT.joinpath("tests").rglob("*.py")])
 SRC = sorted(ROOT.joinpath("src").rglob("*.py"))
-READERS = [*FILES, *sorted(ROOT.joinpath("perfbench").rglob("*.py"))]
+BENCH = sorted(ROOT.joinpath("perfbench").rglob("*.py"))
+READERS = [*FILES, *BENCH]
 
 
 def unused_imports(text):
@@ -44,20 +46,21 @@ def test_no_unused_imports():
     assert found == []
 
 
+def defined_names(node):
+    """The names a module-level function, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def private_definitions(text):
     """(line, name) of each module-level function, class or constant whose
     name starts with one underscore."""
-    found = []
-    for node in ast.parse(text).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        found += [(node.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
-    return found
+    return [(node.lineno, n) for node in ast.parse(text).body for n in defined_names(node)
+            if n.startswith("_") and not n.startswith("__")]
 
 
 def references(text):
@@ -100,3 +103,64 @@ def test_scan_finds_an_unreferenced_private_name():
 def test_no_unreferenced_private_names():
     sources = {str(path.relative_to(ROOT)): path.read_text() for path in SRC}
     assert unreferenced_private_names(sources, [path.read_text() for path in READERS]) == []
+
+
+def public_definitions(text):
+    """(line, name) of each public module-level function, class or constant,
+    and (line, 'Class.method') of each public method of a module-level class."""
+    found = []
+    for node in ast.parse(text).body:
+        found += [(node.lineno, n) for n in defined_names(node) if not n.startswith("_")]
+        if isinstance(node, ast.ClassDef):
+            found += [(f.lineno, f"{node.name}.{f.name}") for f in node.body
+                      if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+    return found
+
+
+def reads(text, strings=False):
+    """Names a module reads: loaded names and attributes, and with `strings`
+    its identifier strings (names the benchmark patches by string).  An
+    import is not a read, nor is `__all__`."""
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found.add(node.value)
+    return found
+
+
+def unread_public_names(sources, bench):
+    """'path:line: name' for each public definition of `sources` (path -> text
+    of every module in src/) that neither src/ nor a text of `bench` reads."""
+    read = set().union(*(reads(text) for text in sources.values()),
+                       *(reads(text, strings=True) for text in bench))
+    return [f"{path}:{line}: {name}" for path, text in sources.items()
+            for line, name in public_definitions(text) if name.split(".")[-1] not in read]
+
+
+def test_scan_finds_an_unread_public_name():
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in SRC}
+    bench = [path.read_text() for path in BENCH]
+    probe = str(Path("src", "polyscat", "probe.py"))
+    # a function only tests call (tests are no readers), imported by src/ and
+    # listed in its __all__
+    dead = sources[probe] + "\n\ndef eval_I6(v):\n    return v\n"
+    importer = "from .probe import eval_I6\n__all__ = ['eval_I6']\n"
+    assert unread_public_names({**sources, probe: dead, "importer.py": importer}, bench) == [
+        f"{probe}:{len(sources[probe].splitlines()) + 3}: eval_I6"]
+    # a loaded name, an attribute or a benchmark string is a read; a src/
+    # string is not
+    text = "X = 1\nclass C:\n    def m(self):\n        pass\ndef f():\n    return X\n"
+    assert unread_public_names({"m.py": text, "r.py": "g('f', 'C')"}, []) == [
+        "m.py:2: C", "m.py:3: C.m", "m.py:5: f"]
+    assert unread_public_names({"m.py": text, "r.py": "f()\nC().m()"}, []) == []
+    assert unread_public_names({"m.py": text}, ["patch(mod, 'f')\nobj.m"]) == ["m.py:2: C"]
+
+
+def test_every_public_name_is_read_by_src_or_perfbench():
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in SRC}
+    assert unread_public_names(sources, [path.read_text() for path in BENCH]) == []

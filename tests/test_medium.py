@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from polyscat.geometry import CellPartition, Polygon
-from polyscat.medium import (CellMedium, IncidentField, NestMedium, incident_eval,
-                             lambda_at, potential_at)
+from polyscat.geometry import CellPartition
+from polyscat.medium import CellMedium, IncidentField, NestMedium, incident_eval
 
 
 def test_nest_medium_rejects_nonpositive_re_q(nested_squares):
@@ -28,26 +27,6 @@ def test_cell_medium_requires_nonneg_im_q(unit_square):
     with pytest.raises(ValueError):
         CellMedium(part, q=[2.0 - 0.1j], lambda_star=0.0, k=1.0)
     CellMedium(part, q=[2.0 + 0.1j], lambda_star=0.5j, k=1.0)
-
-
-def test_potential_at(nested_squares):
-    m = NestMedium(nested_squares, q=[2.0, 3.0], lam=[0.0, 0.0], k=1.0)
-    assert potential_at(m, (0.75, 0.0)) == 2.0
-    assert potential_at(m, (0.0, 0.0)) == 3.0
-    assert potential_at(m, (5.0, 5.0)) == 1.0
-    with pytest.raises(ValueError, match="ambiguous interface point"):
-        potential_at(m, (0.5, 0.0))
-
-
-def test_lambda_at(nested_squares, unit_square):
-    m = NestMedium(nested_squares, q=[2.0, 3.0], lam=[0.5j, 0.0], k=1.0)
-    assert lambda_at(m, 1) == 0.5j
-    assert lambda_at(m, 2) == 0.0
-    with pytest.raises(ValueError, match="unknown interface id"):
-        lambda_at(m, 3)
-    cm = CellMedium(CellPartition([unit_square], unit_square), q=[2.0],
-                    lambda_star=0.7j, k=1.0)
-    assert lambda_at(cm, 1) == 0.7j
 
 
 def test_incident_plane_values():
@@ -122,15 +101,3 @@ def test_amplitude_scaling():
     v1, _ = incident_eval(inc1, 1.0, x)
     v2, _ = incident_eval(inc2, 1.0, x)
     assert v2 == pytest.approx((2 - 1j) * v1)
-
-
-def test_cell_potential_at(unit_square):
-    from polyscat.geometry import CellPartition, Polygon
-
-    left = Polygon([[-0.5, -0.5], [0.0, -0.5], [0.0, 0.5], [-0.5, 0.5]])
-    right = Polygon([[0.0, -0.5], [0.5, -0.5], [0.5, 0.5], [0.0, 0.5]])
-    m = CellMedium(CellPartition([left, right], unit_square), q=[2.0, 3.0],
-                   lambda_star=0.0, k=1.0)
-    assert potential_at(m, (-0.2, 0.0)) == 2.0
-    assert potential_at(m, (0.2, 0.0)) == 3.0
-    assert potential_at(m, (4.0, 0.0)) == 1.0
