@@ -6,6 +6,7 @@ from .solver import (
     Solution,
     assemble_nest,
     farfield_diff,
+    incident_jumps,
     region_wavenumbers,
     solve_assembled,
     solve_scatter,
@@ -14,6 +15,7 @@ from .solver import (
 
 __all__ = [
     "BoundaryMesh", "CurveMesh", "build_mesh", "polygon_edges", "FarFieldPattern",
-    "NestSolveResult", "Solution", "assemble_nest", "farfield_diff", "region_wavenumbers",
+    "NestSolveResult", "Solution", "assemble_nest", "farfield_diff", "incident_jumps",
+    "region_wavenumbers",
     "solve_assembled", "solve_scatter", "uniform_directions", "disk_series_oracle",
 ]

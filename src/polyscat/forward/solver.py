@@ -208,7 +208,7 @@ def solve_scatter(medium, inc: IncidentField, nodes_per_edge=32, grading=3.0, bl
     mesh = build_mesh(medium.partition.layers, nodes_per_edge, grading)
     inc.validate_against(medium.partition.layers[0])
     system = assemble_nest(medium, mesh, blocks=blocks)
-    return solve_assembled(system, inc)
+    return solve_assembled(system, inc, incident_jumps(system, inc))
 
 
 def assemble_nest(medium: NestMedium, mesh: BoundaryMesh, blocks=None):
@@ -282,16 +282,14 @@ def incident_jumps(system, inc: IncidentField):
     return [(-ui, g1)] + [(0, 0)] * (len(system["sizes"]) - 1)
 
 
-def solve_assembled(system, inc: IncidentField, jumps=None):
+def solve_assembled(system, inc: IncidentField, jumps):
     """Solve the assembled nest for the jump data `jumps`, one (f_i, g_i)
     per interface, outermost first, for the layer-potential fields:
         u_out - u_in = f_i,   dnu u_out + lambda_i u_out - dnu u_in = g_i.
-    The result adds `inc` to the exterior field; `jumps=None` takes the
-    jumps of `inc` (incident_jumps), so that the total field has none."""
+    The result adds `inc` to the exterior field; with the jumps of `inc`
+    (incident_jumps) the total field has none."""
     mesh = system["mesh"]
     sizes = system["sizes"]
-    if jumps is None:
-        jumps = incident_jumps(system, inc)
     b = np.zeros(system["A"].shape[0], dtype=complex)
     for o, m, (f, g) in zip(np.cumsum([0] + [2 * s for s in sizes]), sizes, jumps):
         b[o:o + m] = f

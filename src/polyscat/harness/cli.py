@@ -189,11 +189,11 @@ def _nearfield_grid(sc: Scenario):
     if not isinstance(bounds, list) or len(bounds) != 4:
         raise ConfigError("nearfield.bounds", f"expected [x0, x1, y0, y1], got {bounds!r}")
     x0, x1, y0, y1 = (_number(v, f"nearfield.bounds[{i}]") for i, v in enumerate(bounds))
-    for key in ("nx", "ny"):
-        n = near.get(key)
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ConfigError(f"nearfield.{key}", f"expected a positive integer, got {n!r}")
-    gx, gy = np.meshgrid(np.linspace(x0, x1, near["nx"]), np.linspace(y0, y1, near["ny"]))
+    nx, ny = (_number(near.get(key), f"nearfield.{key}", int) for key in ("nx", "ny"))
+    for key, n in (("nx", nx), ("ny", ny)):
+        if n < 1:
+            raise ConfigError(f"nearfield.{key}", f"need at least 1 point, got {n}")
+    gx, gy = np.meshgrid(np.linspace(x0, x1, nx), np.linspace(y0, y1, ny))
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 

@@ -46,7 +46,14 @@ class Scenario:
 
 
 def _number(node, path, kind=float):
-    """`node` read as a finite `kind` (float or int), else ConfigError at `path`."""
+    """`node` read as a finite `kind` (float or int), else ConfigError at `path`.
+    An int is a JSON number of integral value: bools, fractions and strings
+    are refused."""
+    if kind is int:
+        if (isinstance(node, (int, float)) and not isinstance(node, bool)
+                and math.isfinite(node) and node == int(node)):
+            return int(node)
+        raise ConfigError(path, f"expected an integer, got {node!r}")
     try:
         value = kind(node)
         if math.isfinite(value):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from polyscat.forward import (FarFieldPattern, assemble_nest, build_mesh, farfield_diff,
-                              solve_assembled, solve_scatter, uniform_directions)
+                              incident_jumps, solve_assembled, solve_scatter,
+                              uniform_directions)
 from polyscat.geometry import NestPartition, Polygon
 from polyscat.medium import IncidentField, NestMedium, incident_eval
 
@@ -91,8 +92,10 @@ def test_reciprocity(unit_square):
         a1, a2 = rng.uniform(0, 2 * np.pi, 2)
         d1 = np.array([np.cos(a1), np.sin(a1)])
         d2 = np.array([np.cos(a2), np.sin(a2)])
-        r1 = solve_assembled(system, IncidentField("plane", direction=d1))
-        r2 = solve_assembled(system, IncidentField("plane", direction=-d2))
+        inc1 = IncidentField("plane", direction=d1)
+        inc2 = IncidentField("plane", direction=-d2)
+        r1 = solve_assembled(system, inc1, incident_jumps(system, inc1))
+        r2 = solve_assembled(system, inc2, incident_jumps(system, inc2))
         lhs = _uinf_at(r1, a2)
         rhs = _uinf_at(r2, a1 + np.pi)
         assert abs(lhs - rhs) < 1e-6
@@ -131,8 +134,10 @@ def test_farfield_linear_in_amplitude(unit_square):
     med = NestMedium(NestPartition([unit_square]), q=[2.0], lam=[0.5j], k=1.0)
     mesh = build_mesh([unit_square], 16)
     system = assemble_nest(med, mesh)
-    r1 = solve_assembled(system, IncidentField("plane", direction=[1, 0], amplitude=1.0))
-    r2 = solve_assembled(system, IncidentField("plane", direction=[1, 0], amplitude=2.0))
+    inc1 = IncidentField("plane", direction=[1, 0], amplitude=1.0)
+    inc2 = IncidentField("plane", direction=[1, 0], amplitude=2.0)
+    r1 = solve_assembled(system, inc1, incident_jumps(system, inc1))
+    r2 = solve_assembled(system, inc2, incident_jumps(system, inc2))
     assert np.allclose(2 * r1.far_field(ANGLES).values, r2.far_field(ANGLES).values,
                        rtol=1e-12, atol=1e-300)
 

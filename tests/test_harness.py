@@ -255,6 +255,10 @@ def _pair(**edits):
     ("forward", lambda d: d["mesh"].update(nodes_per_edge=-5), [], 1, "mesh.nodes_per_edge"),
     ("forward", lambda d: d["mesh"].update(nodes_per_edge=0), [], 1, "mesh.nodes_per_edge"),
     ("forward", None, ["--mesh-level", "0"], 1, "mesh.nodes_per_edge"),
+    ("forward", lambda d: d["mesh"].update(nodes_per_edge=2.5), [], 1, "mesh.nodes_per_edge"),
+    ("forward", lambda d: d["mesh"].update(nodes_per_edge="12"), [], 1, "mesh.nodes_per_edge"),
+    ("forward", lambda d: d["farfield"].update(num_angles=True), [], 1, "farfield.num_angles"),
+    ("forward", _nearfield(nx=0), [], 1, "nearfield.nx"),
 ], ids=["magnitudes-flag", "magnitudes-config", "s-grid-text", "s-grid-zero",
         "s-grid-negative", "omega1-missing", "theta_M", "probe-k-zero", "nodes_per_edge",
         "k-null", "medium-object", "incident-object", "mesh-object", "probe-object",
@@ -262,7 +266,8 @@ def _pair(**edits):
         "target-number", "magnitudes-string", "medium2-missing", "h-text", "h-zero",
         "h-negative", "h-above-clearance", "layer-self-intersecting",
         "cell-self-intersecting", "hull-self-intersecting", "nodes_per_edge-negative",
-        "nodes_per_edge-zero", "mesh-level-zero"])
+        "nodes_per_edge-zero", "mesh-level-zero", "nodes_per_edge-fraction",
+        "nodes_per_edge-text", "num_angles-bool", "nx-zero"])
 def test_malformed_input_is_refused_with_its_field(tmp_path, capsys, command, edit, extra,
                                                    code, field):
     """A malformed option is a usage error (exit 2) and a malformed config
