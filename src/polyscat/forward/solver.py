@@ -148,26 +148,18 @@ class Solution:
             total = total + fd @ phi + fs @ psi
         return FarFieldPattern(np.asarray(angles, float), total)
 
-    def field_at(self, pts, region=None):
-        """Total field at points; `region` pins the representation used.
+    def field_at(self, pts):
+        """Total field at points, each through the representation of the
+        region that point location puts it in.
 
-        Regions come from point location, which refuses interface points
-        (the value is not single-valued there).  On a nest, pinning a region
-        evaluates that region's layer representation everywhere it makes
-        sense, including on the region's own boundary, where the
-        double-layer principal value yields the average of the two one-sided
-        limits; since the Dirichlet trace is continuous across every
-        interface, that average is the physical boundary value of the total
-        field.  Returns a complex scalar for a single point.
+        Point location refuses interface points (the value is not
+        single-valued there).  Returns a complex scalar for a single point.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if region is not None:
-            regions = np.full(len(pts), int(region))
-        else:
-            labels = locate(self.medium.partition, pts)
-            if any(lb.kind == "interface" for lb in labels):
-                raise ValueError("field evaluation on an interface is not defined")
-            regions = np.array([0 if lb.kind == "exterior" else lb.index for lb in labels])
+        labels = locate(self.medium.partition, pts)
+        if any(lb.kind == "interface" for lb in labels):
+            raise ValueError("field evaluation on an interface is not defined")
+        regions = np.array([0 if lb.kind == "exterior" else lb.index for lb in labels])
         out = np.empty(len(pts), dtype=complex)
         for reg in np.unique(regions):
             sel = np.nonzero(regions == reg)[0]

@@ -276,10 +276,12 @@ def validate_cell(p: CellPartition) -> ValidationReport:
     eps = tol * hull.bbox_diag()
 
     # per cell, its vertices and then its edge midpoints against the hull
+    points = []
     on_hull = []
     for i, cell in enumerate(p.cells, start=1):
         mids = 0.5 * (cell.vertices + np.roll(cell.vertices, -1, axis=0))
-        on_hull.append(hull.contains(np.vstack([cell.vertices, mids]), tol))
+        points.append(np.vstack([cell.vertices, mids]))
+        on_hull.append(hull.contains(points[-1], tol))
         if (on_hull[-1][:cell.n_vertices] == "outside").any():
             violations.append(f"cell {i} leaves the hull")
 
@@ -288,15 +290,16 @@ def validate_cell(p: CellPartition) -> ValidationReport:
             ci, cj = p.cells[i], p.cells[j]
             overlap = any(_segments_properly_intersect(a, b, c, d, eps)
                           for a, b in ci.edges() for c, d in cj.edges())
-            # each cell's vertices and then its centroid against the other cell
-            in_j = cj.contains(np.vstack([ci.vertices, ci.vertices.mean(axis=0)]), tol)
-            in_i = ci.contains(np.vstack([cj.vertices, cj.vertices.mean(axis=0)]), tol)
+            # each cell's vertices, edge midpoints and centroid against the
+            # other cell: in a valid tiling none lies strictly inside it
+            in_j = cj.contains(np.vstack([points[i], ci.vertices.mean(axis=0)]), tol)
+            in_i = ci.contains(np.vstack([points[j], cj.vertices.mean(axis=0)]), tol)
             if overlap or (in_j == "inside").any() or (in_i == "inside").any():
                 violations.append(f"cells {i + 1},{j + 1} overlap")
             else:
                 # distinct points of either cell's vertices on the other's boundary
-                shared = list(ci.vertices[in_j[:-1] == "boundary"])
-                shared += [v for v in cj.vertices[in_i[:-1] == "boundary"]
+                shared = list(ci.vertices[in_j[:ci.n_vertices] == "boundary"])
+                shared += [v for v in cj.vertices[in_i[:cj.n_vertices] == "boundary"]
                            if all(np.hypot(*(v - w)) > tol for w in shared)]
                 if len(shared) == 1:
                     info.append(f"cells {i + 1},{j + 1} may touch at a single point")

@@ -14,18 +14,14 @@ import numpy as np
 
 from .. import cgo, probe as probe_mod
 from ..forward import farfield_diff, solve_scatter, uniform_directions
-from ..forward.solver import TAU_SOLVE, region_wavenumbers
+from ..forward.solver import TAU_SOLVE
 from ..geometry import (CornerSector, NestPartition, Polygon, corner_sectors,
                         locate, max_sector_radius, validate_cell, validate_nest)
 from ..medium import CellMedium, NestMedium
 from . import reports
-from .config import (ConfigError, Scenario, _cplx, _number, _object, load_scenario,
-                     parse_medium, parse_scenario)
+from .config import ConfigError, Scenario, _cplx, _number, _object, load_scenario, parse_scenario
 
 EXIT_OK, EXIT_REFUSED, EXIT_NUMERICAL = 0, 1, 2
-# pair mode refuses when a Fourier-Bessel surrogate's relative pointwise fit
-# residual exceeds this: the extraction would read the surrogate's error
-SURROGATE_FIT_BOUND = 1e-4
 PROBE_TOL_CAP = 1e-10   # the loosest extraction quadrature tolerance `probe` takes
 
 
@@ -124,11 +120,12 @@ def _partition_report(medium):
     return validate_cell(medium.partition)
 
 
-def _check_partition(medium, path):
-    """ConfigError at `path` naming every violation of the medium's partition."""
+def _check_partition(medium, path, context=""):
+    """ConfigError at `path` naming every violation of the medium's partition,
+    after `context`."""
     violations = _partition_report(medium).violations
     if violations:
-        raise ConfigError(path, "; ".join(violations))
+        raise ConfigError(path, context + "; ".join(violations))
 
 
 def cmd_validate(args):
@@ -416,6 +413,16 @@ def _run_sweep(args, sc: Scenario):
             raise ConfigError("sweep.magnitudes", f"expected a list of numbers, got {mags!r}")
         mags = [_number(v, f"sweep.magnitudes[{i}]") for i, v in enumerate(mags)]
     tgt = _parse_target(target, sc.medium)
+    # every perturbed medium is checked before anything is solved or written
+    media = []
+    for mag in mags:
+        where = f"magnitude {mag:g} of {target}: "
+        try:
+            med = _perturbed_medium(sc.medium, tgt, mag)
+        except ValueError as exc:
+            raise ConfigError("sweep.magnitudes", where + str(exc)) from None
+        _check_partition(med, "sweep.magnitudes", where)
+        media.append(med)
     n = sc.mesh.nodes_per_edge
 
     # the base solve fills the block store; each perturbed solve reads it
@@ -445,8 +452,7 @@ def _run_sweep(args, sc: Scenario):
 
     rows = []
     assembled = []
-    for mag in mags:
-        med = _perturbed_medium(sc.medium, tgt, mag)
+    for mag, med in zip(mags, media):
         blocks = dict(store)
         res = solve_scatter(med, sc.incident, nodes_per_edge=n, grading=sc.mesh.grading,
                             blocks=blocks)
@@ -505,36 +511,24 @@ def cmd_probe(args):
     s_grid = args.s_grid
     t0 = time.perf_counter()
     mode = spec.get("mode", "manufactured")
-    if mode == "manufactured":
-        sect = _object(spec.get("sector", {}), "probe.sector")
-        angles = [_number(sect.get(a), f"probe.sector.{a}") for a in ("theta_m", "theta_M")]
-        h = _number(sect.get("h", 1.0), "probe.sector.h")
-        try:
-            sector = CornerSector([0.0, 0.0], *angles, h)
-            cgo.SectorSpec(*angles)   # the CGO function's own limits on the angles
-        except ValueError as exc:
-            raise ConfigError("probe.sector", str(exc)) from None
-        k = _cplx(spec.get("k", 1.0), "probe.k")
-        if k == 0:
-            raise ConfigError("probe.k", "wavenumber must be nonzero")
-        params = [_cplx(spec.get(p), f"probe.{p}") for p in ("omega1", "omega2", "eta1", "eta2")]
-        scen = probe_mod.manufactured_scenario(sector, k, *params, fit_s=s_grid)
-        fit = {k: scen.meta[k] for k in ("fit_moment_residual", "fit_cond_pointwise",
-                                         "fit_cond_moments", "fit_quad_unconverged",
-                                         "fit_quad_error_max")}
-        u2_0 = probe_mod.corner_value(scen.u2, sector)
-        if abs(u2_0) < 1e-10:
-            print("refused: manufactured field vanishes at the probed corner",
-                  file=sys.stderr)
-            return EXIT_REFUSED
-    elif mode == "pair":
-        scen = _pair_scenario(sc, spec, args)
-        if scen is None:
-            return EXIT_REFUSED
-        fit = {k: scen.meta[k] for k in ("surrogate_fit_residuals", "built_nodes_per_edge",
-                                         "unknowns")}
-    else:
-        raise ConfigError("probe.mode", f"unknown mode {mode!r}")
+    if mode != "manufactured":
+        raise ConfigError("probe.mode", f"unknown mode {mode!r}, expected 'manufactured'")
+    sect = _object(spec.get("sector", {}), "probe.sector")
+    angles = [_number(sect.get(a), f"probe.sector.{a}") for a in ("theta_m", "theta_M")]
+    h = _number(sect.get("h", 1.0), "probe.sector.h")
+    try:
+        sector = CornerSector([0.0, 0.0], *angles, h)
+        cgo.SectorSpec(*angles)   # the CGO function's own limits on the angles
+    except ValueError as exc:
+        raise ConfigError("probe.sector", str(exc)) from None
+    k = _cplx(spec.get("k", 1.0), "probe.k")
+    if k == 0:
+        raise ConfigError("probe.k", "wavenumber must be nonzero")
+    params = [_cplx(spec.get(p), f"probe.{p}") for p in ("omega1", "omega2", "eta1", "eta2")]
+    scen = probe_mod.manufactured_scenario(sector, k, *params, fit_s=s_grid)
+    if abs(probe_mod.corner_value(scen.u2, sector)) < 1e-10:
+        print("refused: manufactured field vanishes at the probed corner", file=sys.stderr)
+        return EXIT_REFUSED
     result = probe_mod.extract_both(scen, s_grid, tol=args.tol)
     diag = result.diagnostics
     reports.write_probe_csv(
@@ -550,7 +544,9 @@ def cmd_probe(args):
         "residuals": list(result.residuals),
         **{k: diag[k] for k in ("quad_converged", "quad_error", "eta_extrapolation_err",
                                 "omega_extrapolation_err")},
-        **fit,
+        **{k: scen.meta[k] for k in ("fit_moment_residual", "fit_cond_pointwise",
+                                     "fit_cond_moments", "fit_quad_unconverged",
+                                     "fit_quad_error_max")},
         "wall_clock_s": time.perf_counter() - t0,
     })
     unconverged = [s for (s, _), ok in zip(result.eta_estimates, diag["quad_converged"])
@@ -562,60 +558,6 @@ def cmd_probe(args):
     print(f"eta1-eta2 ~ {result.eta_extrapolated:.6g}, "
           f"omega1-omega2 ~ {result.omega_extrapolated:.6g}")
     return EXIT_OK
-
-
-def _pair_scenario(sc: Scenario, spec, args):
-    """Probe scenario from two forward solves sharing the exterior data."""
-    med1 = sc.medium
-    if not isinstance(med1, NestMedium):
-        raise ConfigError("probe", "pair mode supports nest media")
-    med2 = parse_medium(spec.get("medium2"), "probe.medium2")
-    _check_partition(med2, "probe.medium2")
-    vertex = _object(spec.get("vertex", {}), "probe.vertex")
-    n2 = med2.partition.n_layers
-    iface = _index("probe.vertex.interface", vertex.get("interface", n2), 1, n2)
-    poly = med2.partition.layers[iface - 1]
-    vidx = _index("probe.vertex.index", vertex.get("index", 0), 0, poly.n_vertices - 1)
-    h = _number(spec.get("h", 0.1 * poly.bbox_diag()), "probe.h")
-    try:
-        sector = corner_sectors(poly, h)[vidx]
-    except ValueError as exc:
-        raise ConfigError("probe.h", str(exc)) from None
-
-    # the sector lives just inside interface `iface`, i.e. region `iface`
-    if locate(med2.partition, sector.apex + 0.5 * sector.h * sector.midline_world
-              ).index != iface:
-        raise ConfigError("probe.h", "sector does not stay inside a single region")
-    # one block store: blocks the two media share are assembled once
-    store = {}
-    r1 = _solve(sc, blocks=store)
-    r2 = solve_scatter(med2, sc.incident, nodes_per_edge=sc.mesh.nodes_per_edge,
-                       grading=sc.mesh.grading, blocks=store)
-    reg1 = min(iface, med1.partition.n_layers)
-    kap1 = region_wavenumbers(med1)[reg1]
-    kap2 = region_wavenumbers(med2)[iface]
-    u1, fit1 = probe_mod.series_surrogate_from_solution(r1, sector, reg1, kap1)
-    u2, fit2 = probe_mod.series_surrogate_from_solution(r2, sector, iface, kap2)
-    if max(fit1, fit2) > SURROGATE_FIT_BOUND:
-        print(f"refused: surrogate fit residual {max(fit1, fit2):.3g} exceeds "
-              f"{SURROGATE_FIT_BOUND:g} (u1 {fit1:.3g}, u2 {fit2:.3g})", file=sys.stderr)
-        return None
-    u2_0 = probe_mod.corner_value(u2, sector)
-    tau = probe_mod.admissibility_tau(r2.field_at, _hull_of(med2))
-    if abs(u2_0) <= tau:
-        print(f"refused: total field vanishes at the probed vertex "
-              f"(|u|={abs(u2_0):.3g} <= {tau:.3g})", file=sys.stderr)
-        return None
-    return probe_mod.ProbeScenario(
-        sector, complex(med2.k),
-        complex(med1.q[reg1 - 1]),
-        complex(med2.q[iface - 1]),
-        complex(med1.lam[reg1 - 1]),
-        complex(med2.lam[iface - 1]),
-        u1, u2,
-        meta={"mode": "pair", "surrogate_fit_residuals": (fit1, fit2),
-              "built_nodes_per_edge": {"u1": _built_nodes(r1), "u2": _built_nodes(r2)},
-              "unknowns": {"u1": _unknowns(r1), "u2": _unknowns(r2)}})
 
 
 if __name__ == "__main__":

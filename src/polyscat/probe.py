@@ -21,14 +21,14 @@ both read off them.  The manufactured scenario's fit shares its edge
 samples the same way: J_n(kappa r) and the u2 Cauchy data are taken once
 per edge grid and serve every fit s and every basis element.
 
-The manufactured fields and the pair-mode surrogates are Fourier-Bessel
-series sum_n J_n(kappa r)(a_n cos n theta + b_n sin n theta).  Every
-order J_0 ... J_{N-1} of a point comes from one backward run of the
-three-term recurrence (Miller's algorithm, normalized by
-1 = J_0 + 2 sum_k J_2k; see _bessel_rows), and the derivatives from
-J_n' = (J_{n-1} - J_{n+1}) / 2 on the same rows.  The series sampler
-takes points in chunks of _CHUNK, so the row table never spans more
-than one chunk, and each point's bits are those it gets alone.
+The manufactured fields are Fourier-Bessel series
+sum_n J_n(kappa r)(a_n cos n theta + b_n sin n theta).  Every order
+J_0 ... J_{N-1} of a point comes from one backward run of the three-term
+recurrence (Miller's algorithm, normalized by 1 = J_0 + 2 sum_k J_2k; see
+_bessel_rows), and the derivatives from J_n' = (J_{n-1} - J_{n+1}) / 2 on
+the same rows.  The series sampler takes points in chunks of _CHUNK, so
+the row table never spans more than one chunk, and each point's bits are
+those it gets alone.
 
 Sign conventions: estimates are of eta1 - eta2 and omega1 - omega2.
 The exact exponential corrections of the closed-form edge integral are
@@ -466,36 +466,6 @@ class _BesselBasis(NamedTuple):
         """Coefficients in label order, (0, cos) then (n, cos), (n, sin) for
         n >= 1, as the (cos, sin) coefficient arrays."""
         return np.r_[c[0], c[1::2]], np.r_[0, c[2::2]]
-
-
-def series_surrogate_from_solution(result, sector: CornerSector, region, kappa):
-    """Local Fourier-Bessel surrogate of a solver field on a corner sector.
-
-    The solver field inside one region solves a constant-coefficient
-    Helmholtz equation, so on the closed sector it is approximated by a
-    truncated J_n(kappa r) series, n < 10, fitted on an interior tensor grid
-    of 14 radii by 12 angles of solver evaluations.  The surrogate is cheap
-    to sample inside the extraction quadratures and carries analytic
-    gradients; its pointwise fit residual is returned alongside so nothing
-    is hidden.  Corner singular parts of the true field are not in the
-    basis; the realized fit residual is the honest measure of that.
-    """
-    h = sector.h
-    rr = h * np.geomspace(5e-3, 0.98, 14)
-    pad = 0.02 * sector.opening
-    tt = np.linspace(sector.theta_m + pad, sector.theta_M - pad, 12)
-    R, T = np.meshgrid(rr, tt, indexing="ij")
-    canon = np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])
-    vals = np.atleast_1d(result.field_at(sector.to_world(canon), region=region))
-
-    basis = _BesselBasis(kappa, 10)
-    A = basis.columns(basis.bessel(np.hypot(canon[:, 0], canon[:, 1])),
-                      basis.angular(np.arctan2(canon[:, 1], canon[:, 0]))[0])
-    scale = np.maximum(np.abs(A).max(axis=0), 1e-30)
-    c, *_ = np.linalg.lstsq(A / scale[None, :], vals, rcond=1e-10)
-    c = c / scale
-    resid = float(np.linalg.norm(A @ c - vals) / max(np.linalg.norm(vals), 1e-300))
-    return bessel_series_sampler(kappa, *basis.unpack(c), sector), resid
 
 
 def extrapolate_vertex_value(field_at, sector: CornerSector):

@@ -63,11 +63,15 @@ def test_validate_cell_middle_band_has_no_hull_vertex():
 
 def test_validate_cell_overlap():
     hull = square(1)
-    a = Polygon([[-0.5, -0.5], [0.2, -0.5], [0.2, 0.5], [-0.5, 0.5]])
-    b = Polygon([[-0.2, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.2, 0.5]])
-    rep = validate_cell(CellPartition([a, b], hull))
-    assert not rep.ok
-    assert any("cells 1,2 overlap" in v for v in rep.violations)
+    for a, b in [
+        (rect(-0.5, -0.5, 0.2, 0.5), rect(-0.2, -0.5, 0.5, 0.5)),
+        # edges meet only collinearly and no vertex or centroid is strictly
+        # inside the other cell; the midpoint (0.1, 0) of a's right edge is
+        (rect(-0.5, -0.5, 0.1, 0.5), rect(0.0, -0.5, 0.5, 0.5)),
+    ]:
+        rep = validate_cell(CellPartition([a, b], hull))
+        assert not rep.ok
+        assert "cells 1,2 overlap" in rep.violations
 
 
 def rect(x0, y0, x1, y1):

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -158,6 +159,29 @@ def test_sweep_refuses_a_vanishing_vertex_field(tmp_path, monkeypatch, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("target, magnitudes, violation", [
+    # pushes inner vertex (-0.5, -0.5) out to (-1.21, -1.21), outside layer 1
+    ("vertex:2:0", "1.0,0.01", "magnitude 1 of vertex:2:0: layer 2 not inside layer 1"),
+    # pulls inner vertex 0 onto vertex 2: no polygon is left
+    ("vertex:2:0", "0.01,-1.4142135623730951", "magnitude -1.41421 of vertex:2:0: "),
+    ("q:2", "0.1,-3", "magnitude -3 of q:2: Re q must be positive"),
+], ids=["vertex-outside", "vertex-degenerate", "q-nonpositive"])
+def test_sweep_refuses_an_invalid_perturbed_medium(tmp_path, monkeypatch, capsys, target,
+                                                   magnitudes, violation):
+    """Every perturbed medium is checked before the base solve: one that is
+    not a valid medium is refused at sweep.magnitudes, with the magnitude and
+    the violation named, nothing solved and nothing written."""
+    import polyscat.harness.cli as cli
+
+    monkeypatch.setattr(cli, "solve_scatter", lambda *a, **kw: pytest.fail("solved"))
+    cfg = write(tmp_path, "c.json", NEST_DOC)
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--target", target,
+                     "--magnitudes", magnitudes]) == 1
+    assert f"config error: sweep.magnitudes: {violation}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("failing, label", [(0, "base"), (1, "fine"), (2, "perturbed")])
 def test_sweep_refuses_unconverged_solve(tmp_path, monkeypatch, capsys, failing, label):
     import dataclasses
@@ -182,24 +206,13 @@ def test_sweep_refuses_unconverged_solve(tmp_path, monkeypatch, capsys, failing,
     assert not (out / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("command, bad", [
-    ("sweep", "q:0"), ("sweep", "q:3"), ("sweep", "q:x"), ("sweep", "lambda:3"),
-    ("sweep", "vertex:1"), ("sweep", "vertex:0:1"), ("sweep", "vertex:1:9"),
-    ("sweep", "vertex:1:-1"),
-    ("probe", {"interface": 0, "index": 0}), ("probe", {"interface": 3, "index": 0}),
-    ("probe", {"interface": 2, "index": 4}), ("probe", {"interface": "x", "index": 0}),
-], ids=lambda v: v if isinstance(v, str) else "vertex{interface}.{index}".format(**v))
-def test_out_of_range_indices_are_config_errors(tmp_path, capsys, command, bad):
+@pytest.mark.parametrize("bad", ["q:0", "q:3", "q:x", "lambda:3", "vertex:1", "vertex:0:1",
+                                 "vertex:1:9", "vertex:1:-1"], ids=lambda v: f"sweep-{v}")
+def test_out_of_range_indices_are_config_errors(tmp_path, capsys, bad):
     # NEST_DOC has 2 layers of 4 vertices; nothing may wrap around to layers[-1]
-    doc = json.loads(json.dumps(NEST_DOC))
-    if command == "sweep":
-        argv = ["sweep", "--target", bad]
-    else:
-        doc["probe"] = {"mode": "pair", "medium2": doc["medium"], "vertex": bad, "h": 0.2}
-        argv = ["probe", "--s-grid", "50,100"]
-    cfg = write(tmp_path, "c.json", doc)
+    cfg = write(tmp_path, "c.json", NEST_DOC)
     out = tmp_path / "out"
-    assert cli_main(argv + ["--config", cfg, "--out", str(out)]) == 1
+    assert cli_main(["sweep", "--target", bad, "--config", cfg, "--out", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("out/*.csv"))
 
@@ -211,12 +224,6 @@ def _nearfield(**edits):
     """Config edit: a valid nearfield grid with `edits` applied."""
     return lambda d: d.update(nearfield={"bounds": [-1.5, 1.5, -1.0, 1.0], "nx": 3, "ny": 3,
                                          **edits})
-
-
-def _pair(**edits):
-    """Config edit: a pair-mode probe of the config's medium against itself,
-    with `edits` applied."""
-    return lambda d: d.update(probe={"mode": "pair", "medium2": d["medium"], **edits})
 
 
 @pytest.mark.parametrize("command, edit, extra, code, field", [
@@ -241,11 +248,7 @@ def _pair(**edits):
     ("forward", _nearfield(ny="3"), [], 1, "nearfield.ny"),
     ("sweep", lambda d: d["sweep"].update(target=2), [], 1, "sweep.target"),
     ("sweep", lambda d: d["sweep"].update(magnitudes="0.1"), [], 1, "sweep.magnitudes"),
-    ("probe", lambda d: d.update(probe={"mode": "pair"}), [], 1, "probe.medium2"),
-    ("probe", _pair(h="x"), [], 1, "probe.h"),
-    ("probe", _pair(h=0.0), [], 1, "probe.h"),
-    ("probe", _pair(h=-0.1), [], 1, "probe.h"),
-    ("probe", _pair(h=1.5), [], 1, "probe.h"),
+    ("probe", lambda d: d["probe"].update(mode="pair"), [], 1, "probe.mode"),
     ("forward", lambda d: d["medium"]["layers"].__setitem__(1, BOWTIE), [], 1,
      "medium.layers[1]"),
     ("forward", lambda d: d.update(medium={**CELL_DOC["medium"], "cells": [BOWTIE]}), [], 1,
@@ -263,8 +266,7 @@ def _pair(**edits):
         "s-grid-negative", "omega1-missing", "theta_M", "probe-k-zero", "nodes_per_edge",
         "k-null", "medium-object", "incident-object", "mesh-object", "probe-object",
         "sector-object", "bounds-length", "bounds-text", "nx-fraction", "ny-text",
-        "target-number", "magnitudes-string", "medium2-missing", "h-text", "h-zero",
-        "h-negative", "h-above-clearance", "layer-self-intersecting",
+        "target-number", "magnitudes-string", "mode-pair", "layer-self-intersecting",
         "cell-self-intersecting", "hull-self-intersecting", "nodes_per_edge-negative",
         "nodes_per_edge-zero", "mesh-level-zero", "nodes_per_edge-fraction",
         "nodes_per_edge-text", "num_angles-bool", "nx-zero"])
@@ -306,29 +308,21 @@ INVALID_MEDIA = {
 
 
 @pytest.mark.parametrize("medium", sorted(INVALID_MEDIA))
-@pytest.mark.parametrize("command", ["forward", "sweep", "passive", "probe", "pair"])
+@pytest.mark.parametrize("command", ["forward", "sweep", "passive", "probe"])
 def test_solving_commands_refuse_what_validate_rejects(tmp_path, capsys, command, medium):
     """A partition that `validate` rejects is refused by every solving command
-    (pair mode: as medium2) with exit 1, its violation named at its field,
-    and no output."""
+    with exit 1, its violation named at its field, and no output."""
     bad, violation = INVALID_MEDIA[medium]
     doc = json.loads(json.dumps(PROBE_DOC if command == "probe" else NEST_DOC))
-    field = "medium"
     if command == "passive":
         doc["incident"] = {"kind": "point", "location": [3.0, 1.5]}
-    if command == "pair":
-        command, field = "probe", "probe.medium2"
-        doc["probe"] = {"mode": "pair", "medium2": bad, "h": 0.2}
-        doc_bad = {**doc, "medium": bad}
-    else:
-        doc["medium"] = bad
-        doc_bad = doc
-    assert cli_main(["validate", "--config", write(tmp_path, "v.json", doc_bad)]) == 1
+    doc["medium"] = bad
+    cfg = write(tmp_path, "c.json", doc)
+    assert cli_main(["validate", "--config", cfg]) == 1
     assert f"violation: {violation}" in capsys.readouterr().out
     out = tmp_path / "out"
-    assert cli_main([command, "--config", write(tmp_path, "c.json", doc),
-                     "--out", str(out)]) == 1
-    assert f"config error: {field}: " in capsys.readouterr().err
+    assert cli_main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "config error: medium: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -409,74 +403,6 @@ def _blocks_per_solve(monkeypatch):
     return per_solve
 
 
-def test_probe_command_identical_pair(tmp_path, monkeypatch):
-    per_solve = _blocks_per_solve(monkeypatch)
-    doc = json.loads(json.dumps(NEST_DOC))
-    doc["mesh"]["nodes_per_edge"] = 12
-    doc["probe"] = {
-        "mode": "pair",
-        "medium2": doc["medium"],
-        "vertex": {"interface": 2, "index": 0},
-        "h": 0.2,
-    }
-    cfg = write(tmp_path, "pair.json", doc)
-    out = tmp_path / "pair"
-    assert cli_main(["probe", "--config", cfg, "--out", str(out),
-                     "--s-grid", "50,100"]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert abs(complex(*report["eta_extrapolated"])) < 1e-4
-    assert abs(complex(*report["omega_extrapolated"])) < 1e-3
-    # one medium solved twice: both surrogates fit the same field
-    fit1, fit2 = report["surrogate_fit_residuals"]
-    assert fit1 == fit2
-    assert 0 < fit1 < 1e-5
-    # both solves read one block store: the second medium, the same as the
-    # first, assembles no operator block of its own
-    assert per_solve == [5, 0]
-    assert report["built_nodes_per_edge"] == {"u1": 12, "u2": 12}
-    assert report["unknowns"] == {"u1": 192, "u2": 192}
-
-
-def test_probe_pair_refuses_a_vanishing_vertex_field(tmp_path, capsys, monkeypatch):
-    from polyscat import probe
-
-    tau = probe.admissibility_tau
-    monkeypatch.setattr(probe, "admissibility_tau",
-                        lambda field_at, hull: 1e12 * tau(field_at, hull))
-    doc = json.loads(json.dumps(NEST_DOC))
-    doc["probe"] = {"mode": "pair", "medium2": doc["medium"],
-                    "vertex": {"interface": 2, "index": 0}, "h": 0.2}
-    cfg = write(tmp_path, "pair.json", doc)
-    out = tmp_path / "pair"
-    assert cli_main(["probe", "--config", cfg, "--out", str(out),
-                     "--s-grid", "50,100"]) == 1
-    assert "refused: total field vanishes at the probed vertex" in capsys.readouterr().err
-    assert not (out / "probe.csv").exists()
-
-
-def test_probe_pair_refuses_a_poor_surrogate(tmp_path, capsys, monkeypatch):
-    from polyscat import probe
-    from polyscat.harness import cli
-
-    fit = probe.series_surrogate_from_solution
-    poor = 10 * cli.SURROGATE_FIT_BOUND
-
-    def poor_fit(*args, **kwargs):
-        return fit(*args, **kwargs)[0], poor
-
-    monkeypatch.setattr(probe, "series_surrogate_from_solution", poor_fit)
-    doc = json.loads(json.dumps(NEST_DOC))
-    doc["mesh"]["nodes_per_edge"] = 12
-    doc["probe"] = {"mode": "pair", "medium2": doc["medium"],
-                    "vertex": {"interface": 2, "index": 0}, "h": 0.2}
-    cfg = write(tmp_path, "pair.json", doc)
-    out = tmp_path / "pair"
-    assert cli_main(["probe", "--config", cfg, "--out", str(out),
-                     "--s-grid", "50,100"]) == cli.EXIT_REFUSED
-    assert f"surrogate fit residual {poor:.3g}" in capsys.readouterr().err
-    assert not (out / "probe.csv").exists()
-
-
 def test_cgo_verify_and_negative_control(tmp_path):
     out = tmp_path / "cgo"
     assert cli_main(["cgo-verify", "--out", str(out)]) == 0
@@ -517,8 +443,13 @@ def test_cli_option_sets(tmp_path, capsys):
 
 
 def test_cli_entrypoint_runs():
+    # the child imports the polyscat these tests import, installed or not
+    import polyscat
+
+    src = os.path.dirname(os.path.dirname(polyscat.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "polyscat.harness.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "validate" in proc.stdout
 

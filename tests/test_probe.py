@@ -530,22 +530,3 @@ def test_scenario_samples_u2_gradients_once_per_edge_grid(quarter_sector, monkey
                                                                        atol=1e-15)
         assert on_edge.all()
 
-
-def test_series_surrogate_recovers_an_exact_series():
-    sector = CornerSector([0.3, -0.2], -2.0, 0.5, 0.7, rotation=2.1)
-    kappa = 1.3
-    exact = bessel_series_sampler(kappa, [0.8, 0.3, -0.2], [0.0, 0.4, 0.1j], sector)
-
-    class Result:
-        def field_at(self, pts, region=None):
-            return exact.values(pts)
-
-    sm, resid = probe.series_surrogate_from_solution(Result(), sector, 1, kappa)
-    assert resid < 1e-10
-    rng = np.random.default_rng(5)
-    r = sector.h * np.sqrt(rng.uniform(0.0, 1.0, 30))
-    th = rng.uniform(sector.theta_m, sector.theta_M, 30)
-    pts = sector.to_world(np.column_stack([r * np.cos(th), r * np.sin(th)]))
-    (v, g), (v_ref, g_ref) = sm(pts), exact(pts)
-    assert np.abs(v - v_ref).max() < 1e-10
-    assert np.abs(g - g_ref).max() < 1e-9
