@@ -18,8 +18,17 @@ leaving a logarithmic kernel; for the others it is assembled with a
 series-stabilized form of kappa H1(kappa r) near r = 0 to avoid
 catastrophic cancellation.
 
-Each call makes one far pass over all (target, source node) pairs, in
-chunks of at most _FAR_BUDGET entries over all kinds, and one near pass.
+An `assemble_block` call makes one far pass over all (target, source
+node) pairs, in chunks of at most _FAR_BUDGET entries over all kinds, and
+one near pass.  A nest assembly builds its blocks in groups through
+`assemble_nest_blocks`, which evaluates each far kernel value once: a
+self block's far pass covers one triangle of pairs (S and T are symmetric
+in the pair, and Kp is K of the exchanged pair), the two cross blocks
+between neighbouring curves share one far pass, and the plain (S, K) self
+block that lambda != 0 adds shares the difference block's H0 and H1 and
+its near pass.  Each block equals its own `assemble_block` call bit for
+bit, except for the signs of zeros.
+
 The near pass re-integrates every near (target, panel) pair, the target
 within NEAR_MULT panel lengths of the panel, with the density carried by
 Lagrange interpolation from the panel's own nodes.  It reads the panels
@@ -73,7 +82,9 @@ _OWN_TOL = 1e-14       # a target this many panel lengths from a panel lies on i
 _HIT_TOL = 1e-9        # a product node this close to the target (in t) sits on it
 _NEAR_CHUNK = 2048     # fine nodes per near kernel chunk; 4096 raised peak RSS by up to 3%
 _PAIR_BUDGET = 2**16   # (targets x panels) elements per near-pair search chunk
-_FAR_BUDGET = 2_000_000  # (kinds x targets x source nodes) entries per far chunk
+_FAR_BUDGET = 2**18    # (kinds x targets x source nodes) entries per far chunk; at 2e6 a
+                       # 256-node cross pair was one chunk with about 15 MB of temporaries
+_TRI_ROWS = 32         # rows per far chunk of a self triangle; diagonal tiles add rows / N
 
 
 def _hankel(order, kappa, r):
@@ -101,9 +112,7 @@ def _kh1_reg(kappa, r, h1):
     """
     z = kappa * r
     small = np.abs(z) < 1e-3
-    out = np.empty(r.shape, dtype=complex)
-    if np.any(~small):
-        out[~small] = kappa * h1[~small] + 2j / (np.pi * r[~small])
+    out = kappa * h1 + 2j / (np.pi * r)
     if np.any(small):
         zb = z[small]
         rb = r[small]
@@ -116,35 +125,47 @@ def _kh1_reg(kappa, r, h1):
     return out
 
 
-def _kernels(kappa, kappa2, diff, r, src_nrm, tgt_nrm):
+def _kernels(kappa, kappa2, diff, r, src_nrm, tgt_nrm, plain=False, swap=False):
     """Pointwise (S, K), or (S, K, Kp, T) when tgt_nrm is given; diff = x - y
     with shape (..., 2).  H0 and H1 of each wavenumber are evaluated once,
-    on all of r, and shared by every kind."""
+    on all of r, and shared by every kind.
+
+    `plain` (with kappa2) follows these kinds with those of kappa alone,
+    from the same H0 and H1.  `swap` (with tgt_nrm) appends to each set T
+    of the exchanged pair, x and y swapped with their normals: that pair's
+    S, K and Kp are S, Kp and K here up to the signs of zeros, but its T
+    multiplies t0 by the two dot products in the other order, which can
+    round differently.
+    """
     rhat_dot_sn = (diff[..., 0] * src_nrm[..., 0] + diff[..., 1] * src_nrm[..., 1]) / r
-    h0 = _hankel(0, kappa, r)
-    if kappa2 is None:
-        kh1 = kappa * _hankel(1, kappa, r)
-        S = 0.25j * h0
-    else:
+    h0, h1 = _hankel(0, kappa, r), _hankel(1, kappa, r)
+    sets = []   # (S, kappa H1 term, second wavenumber or None) per set
+    if kappa2 is not None:
         h0_2 = _hankel(0, kappa2, r)
         # kappa H1(kappa r) - kappa2 H1(kappa2 r), whose 2i/(pi r) poles cancel
-        kh1 = _kh1_reg(kappa, r, _hankel(1, kappa, r)) - _kh1_reg(kappa2, r, _hankel(1, kappa2, r))
-        S = 0.25j * h0 - 0.25j * h0_2
-    K = 0.25j * kh1 * rhat_dot_sn
-    if tgt_nrm is None:
-        return S, K
-    rhat_dot_tn = (diff[..., 0] * tgt_nrm[..., 0] + diff[..., 1] * tgt_nrm[..., 1]) / r
-    nn = src_nrm[..., 0] * tgt_nrm[..., 0] + src_nrm[..., 1] * tgt_nrm[..., 1]
-    ang = nn - 2.0 * rhat_dot_sn * rhat_dot_tn
-    Kp = -0.25j * kh1 * rhat_dot_tn
-    if kappa2 is None:
-        t0 = 0.25j * kappa**2 * h0
-    else:
-        t0 = 0.25j * (kappa**2 * h0 - kappa2**2 * h0_2)
-    t1 = 0.25j * kh1 / r
-    # sign: rhat here is (x-y)/r; both dot products flip, their product does not
-    T = t0 * rhat_dot_sn * rhat_dot_tn + t1 * ang
-    return S, K, Kp, T
+        kh1 = _kh1_reg(kappa, r, h1) - _kh1_reg(kappa2, r, _hankel(1, kappa2, r))
+        sets.append((0.25j * h0 - 0.25j * h0_2, kh1, kappa2))
+    if kappa2 is None or plain:
+        sets.append((0.25j * h0, kappa * h1, None))
+    if tgt_nrm is not None:
+        rhat_dot_tn = (diff[..., 0] * tgt_nrm[..., 0] + diff[..., 1] * tgt_nrm[..., 1]) / r
+        nn = src_nrm[..., 0] * tgt_nrm[..., 0] + src_nrm[..., 1] * tgt_nrm[..., 1]
+        ang = nn - 2.0 * rhat_dot_sn * rhat_dot_tn
+    out = []
+    for S, kh1, k2 in sets:
+        out += [S, 0.25j * kh1 * rhat_dot_sn]
+        if tgt_nrm is None:
+            continue
+        if k2 is None:
+            t0 = 0.25j * kappa**2 * h0
+        else:
+            t0 = 0.25j * (kappa**2 * h0 - k2**2 * h0_2)
+        t1 = 0.25j * kh1 / r
+        # sign: rhat here is (x-y)/r; both dot products flip, their product does not
+        out += [-0.25j * kh1 * rhat_dot_tn, t0 * rhat_dot_sn * rhat_dot_tn + t1 * ang]
+        if swap:
+            out.append(t0 * rhat_dot_tn * rhat_dot_sn + t1 * ang)
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -212,6 +233,26 @@ def _log_split(kappa, r):
     return (a_s, a_t), (b_s, b_t)
 
 
+def _far_chunks(kappa, kappa2, src, tgt_pts, tgt_nrm, kinds, tri=False, **options):
+    """(i0, i1, j0, values) per chunk of targets: the unweighted `_kernels`
+    values (with `options`) between targets i0:i1 and source nodes j0:,
+    at most _FAR_BUDGET entries over the `kinds` the caller fills.  j0 is
+    0, or with `tri` (the targets are the source nodes) i0, in chunks of
+    at most _TRI_ROWS rows: one triangle of pairs and the diagonal tiles."""
+    nt, ns = len(tgt_pts), src.n_nodes
+    step = max(1, _FAR_BUDGET // (kinds * max(ns, 1)))
+    if tri:
+        step = min(step, _TRI_ROWS)
+    for i0 in range(0, nt, step):
+        i1, j0 = min(nt, i0 + step), i0 if tri else 0
+        d = tgt_pts[i0:i1, None, :] - src.nodes[None, j0:, :]
+        r = np.hypot(d[..., 0], d[..., 1])
+        r = np.where(r == 0.0, 1.0, r)  # self nodes fixed below by near pass
+        sn = np.broadcast_to(src.normals[None, j0:, :], d.shape)
+        tn = None if tgt_nrm is None else np.broadcast_to(tgt_nrm[i0:i1, None, :], d.shape)
+        yield i0, i1, j0, _kernels(kappa, kappa2, d, r, sn, tn, **options)
+
+
 def assemble_block(kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
     """Dense operator blocks mapping a density on `src` (CurveMesh) to values
     at `tgt_pts`, stacked as (S, K), or (S, K, Kp, T) when target normals
@@ -226,24 +267,45 @@ def assemble_block(kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
     tgt_pts = np.atleast_2d(np.asarray(tgt_pts, dtype=float))
     if tgt_nrm is not None:
         tgt_nrm = np.atleast_2d(np.asarray(tgt_nrm, dtype=float))
-    nt = len(tgt_pts)
-    ns = src.n_nodes
-    out = np.empty((2 if tgt_nrm is None else 4, nt, ns), dtype=complex)
-    chunk = max(1, _FAR_BUDGET // (len(out) * max(ns, 1)))
-    for i0 in range(0, nt, chunk):
-        i1 = min(nt, i0 + chunk)
-        d = tgt_pts[i0:i1, None, :] - src.nodes[None, :, :]
-        r = np.hypot(d[..., 0], d[..., 1])
-        r = np.where(r == 0.0, 1.0, r)  # self nodes fixed below by near pass
-        sn = np.broadcast_to(src.normals[None, :, :], d.shape)
-        tn = None
-        if tgt_nrm is not None:
-            tn = np.broadcast_to(tgt_nrm[i0:i1, None, :], d.shape)
-        for blk, vals in zip(out, _kernels(kappa, kappa2, d, r, sn, tn)):
-            blk[i0:i1] = vals * src.weights[None, :]
-    if nt:
+    out = np.empty((2 if tgt_nrm is None else 4, len(tgt_pts), src.n_nodes), dtype=complex)
+    for i0, i1, _, vals in _far_chunks(kappa, kappa2, src, tgt_pts, tgt_nrm, len(out)):
+        for blk, v in zip(out, vals):
+            blk[i0:i1] = v * src.weights[None, :]
+    if len(tgt_pts):
         _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out)
     return out
+
+
+def assemble_nest_blocks(kappa, src, tgt, kappa2=None, plain=False):
+    """The collocation blocks at kappa (minus kappa2) on curve `tgt`, its
+    nodes and normals as targets, from `src`, each equal to its
+    `assemble_block` call up to the signs of zeros:
+    - src is tgt: [self block], and with `plain` also the (S, K) self block
+      of kappa alone, from one triangle of far pairs and one near pass;
+    - otherwise: [src to tgt, tgt to src]; the second takes the first's far
+      values transposed, and only its near pass is its own.
+    """
+    tri = src is tgt
+    blocks = [np.empty((4, tgt.n_nodes, src.n_nodes), dtype=complex)]
+    if tri and plain:
+        blocks.append(np.empty((2, tgt.n_nodes, src.n_nodes), dtype=complex))
+    elif not tri:
+        blocks.append(np.empty((4, src.n_nodes, tgt.n_nodes), dtype=complex))
+    fwd = [*blocks[0], *blocks[1]] if tri and plain else list(blocks[0])
+    back = fwd if tri else list(blocks[1])
+    # the kind in the values of each block of fwd and of back: the
+    # exchanged pair's S, K, Kp and T are S, Kp, K and T' (see _kernels)
+    kf, kb = (0, 1, 2, 3, 5, 6), (0, 2, 1, 4, 5, 7)
+    for i0, i1, j0, vals in _far_chunks(kappa, kappa2, src, tgt.nodes, tgt.normals,
+                                        sum(map(len, blocks)), tri, plain=plain, swap=True):
+        for blk, k in zip(fwd, kf):
+            blk[i0:i1, j0:] = vals[k] * src.weights[j0:]
+        for blk, k in zip(back, kb):
+            blk[j0:, i0:i1] = vals[k].T * tgt.weights[i0:i1]
+    _fix_near(kappa, kappa2, src, tgt.nodes, tgt.normals, fwd, plain)
+    if not tri:
+        _fix_near(kappa, kappa2, tgt, src.nodes, src.normals, back)
+    return blocks
 
 
 def _near_pairs(pa, ab, length, tgt_pts):
@@ -297,10 +359,11 @@ def _fine_nodes(t_star, end, levels, k):
             np.where(prod, wo[km], half * wg[g]))
 
 
-def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out):
+def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out, plain=False):
     """Re-integrate every near (target, panel) pair of the call in one flat
     batch: the product rule on the target's own panel, sized geometric rules
-    elsewhere, one kernel pass per chunk of whole pairs."""
+    elsewhere, one kernel pass per chunk of whole pairs.  `out` holds one
+    block per kind, in `_kernels` order with `plain`."""
     n_gl = src.n_gl
     pa, ab, length, normal = src.pa, src.pb - src.pa, src.plen, src.normals[::n_gl]
     ti, pi, t_star, dist = _near_pairs(pa, ab, length, tgt_pts)
@@ -332,13 +395,15 @@ def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out):
         prod = seg_levels[sid] < 0
         hit = prod & (np.abs(tf - t_star[pair]) <= _HIT_TOL)   # node on the target
         tn = None if tgt_nrm is None else tgt_nrm[ti[pair]]
-        vals = np.stack(_kernels(kappa, kappa2, d, np.where(hit, 1.0, r), normal[pn], tn))
+        vals = np.stack(_kernels(kappa, kappa2, d, np.where(hit, 1.0, r), normal[pn], tn, plain))
         if prod.any():
             q = np.nonzero(prod)[0]
             nn = None if tn is None else (normal[pn[q]] * tn[q]).sum(axis=1)
-            _product_rule(kappa, kappa2, vals, q, np.where(hit[q], 0.0, r[q]),
-                          np.abs(tf[q] - t_star[pair[q]]), wlog[own_row[pair[q]], k[q]] / wf[q],
-                          0.5 * length[pn[q]], nn)
+            for kap2, v in zip((kappa2, None), np.split(vals, 1 + plain)):   # views
+                _product_rule(kappa, kap2, v, q, np.where(hit[q], 0.0, r[q]),
+                              np.abs(tf[q] - t_star[pair[q]]),
+                              wlog[own_row[pair[q]], k[q]] / wf[q], 0.5 * length[pn[q]], nn)
+        vals = vals[:len(out)]
         vals *= wf * (0.5 * length[pn])
         table = _legendre_table(tf, n_gl)
         rows, cols = ti[p0:p1, None], n_gl * pi[p0:p1, None] + np.arange(n_gl)

@@ -16,19 +16,25 @@ Solved layers: both solvers end as a `Solution`.  In region `reg`
 incident field in region 0.  A nest region lists its bounding interfaces,
 outer first; a cell medium's triples come from its segment traces.
 
+Nest assembly: one `assemble_nest_blocks` call per interface (its self
+blocks) and per pair of neighbouring interfaces (both cross blocks), so
+that an assembly evaluates each far kernel value once (see `layerops`).
+
 Block store: both solvers take an optional caller-owned dict `blocks` and
-fetch every operator block through `_block`.  Its key is everything
-`assemble_block` reads: the wavenumber(s), whether target normals were
-given, and the exact bytes of the source mesh arrays (nodes, weights,
-normals, panel ends and lengths) and of the target points and normals.
-A moved curve or a changed wavenumber therefore misses, and a hit is the
-very array a fresh assembly would give, so every output is bitwise
-unchanged.  `None` stores nothing.  A sweep fills a store on its
-base solve and hands each perturbed solve a shallow copy, which reads the
-base blocks and drops the perturbed solve's own blocks with it.  A result
-keeps the store it was solved with and fetches its far-field rows through
-it, keyed by k, the exterior mesh and the directions, so solves on the
-same exterior curves share them.
+fetch every operator block through it (`_block`, or `_nest_blocks` for a
+nest group).  A block's key is everything its `assemble_block` call would
+read: the wavenumber(s), whether target normals were given, and the exact
+bytes of the source mesh arrays (nodes, weights, normals, panel ends and
+lengths) and of the target points and normals.  A group with any block
+missing is built whole, and only its missing blocks are stored.  A moved
+curve or a changed wavenumber therefore misses, and a hit is the very
+array a fresh assembly would give, up to the signs of zeros, so every
+output is bitwise unchanged.  `None` stores nothing.  A sweep fills a
+store on its base solve and hands each perturbed solve a shallow copy,
+which reads the base blocks and drops the perturbed solve's own blocks
+with it.  A result keeps the store it was solved with and fetches its
+far-field rows through it, keyed by k, the exterior mesh and the
+directions, so solves on the same exterior curves share them.
 """
 
 from dataclasses import dataclass
@@ -38,7 +44,7 @@ import scipy.linalg as sla
 
 from ..geometry import locate
 from ..medium import CellMedium, IncidentField, NestMedium, incident_eval, sqrt_im_nonneg
-from .layerops import assemble_block, farfield_row
+from .layerops import assemble_block, assemble_nest_blocks, farfield_row
 from .mesh import BoundaryMesh, build_mesh
 
 COND_FLAG = 1e12
@@ -95,32 +101,56 @@ def solve_factored(A, lu_piv, cond, b, sizes):
     return pairs, resid, resid <= TAU_SOLVE and cond < COND_FLAG
 
 
-def _stored(blocks, scalars, arrays, build):
-    """build(), served from the store `blocks` when it holds the result for
-    these exact scalars and arrays and stored there otherwise; `blocks=None`
-    only builds.  Stored arrays are read-only."""
-    if blocks is None:
-        return build()
+def _key(scalars, arrays):
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     # repr, unlike ==, tells a float from a complex and 0.0 from -0.0
-    key = (*map(repr, scalars), *((a.shape, a.tobytes()) for a in arrays))
-    if key not in blocks:
-        value = build()
-        for a in value if isinstance(value, tuple) else (value,):
-            a.flags.writeable = False
-        blocks[key] = value
-    return blocks[key]
+    return (*map(repr, scalars), *((a.shape, a.tobytes()) for a in arrays))
+
+
+def _stored(blocks, keys, build):
+    """build(), a sequence with one value per key, served from the store
+    `blocks` when it holds every key, else built with the missing values
+    stored; `blocks=None` only builds.  A key is (scalars, arrays) and
+    matches these exact scalars and arrays.  Stored arrays are read-only."""
+    if blocks is None:
+        return build()
+    keys = [_key(*key) for key in keys]
+    if any(key not in blocks for key in keys):
+        for key, value in zip(keys, build()):
+            if key not in blocks:
+                for a in value if isinstance(value, tuple) else (value,):
+                    a.flags.writeable = False
+                blocks[key] = value
+    return [blocks[key] for key in keys]
+
+
+def _block_key(kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
+    """The store key of `assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2)`:
+    every array it reads, the mesh with its panel ends and lengths for the
+    near pass, and the targets."""
+    arrays = [src.nodes, src.weights, src.normals, src.pa, src.pb, src.plen, tgt_pts]
+    if tgt_nrm is not None:
+        arrays.append(tgt_nrm)
+    return (kappa, kappa2), arrays
 
 
 def _block(blocks, kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
     """`assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2)` through the store
-    `blocks`, keyed by every array assemble_block reads: the mesh, its panel
-    ends and lengths for the near pass, and the targets."""
-    arrays = [src.nodes, src.weights, src.normals, src.pa, src.pb, src.plen, tgt_pts]
-    if tgt_nrm is not None:
-        arrays.append(tgt_nrm)
-    return _stored(blocks, (kappa, kappa2), arrays,
-                   lambda: assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2=kappa2))
+    `blocks`."""
+    return _stored(blocks, [_block_key(kappa, src, tgt_pts, tgt_nrm, kappa2)],
+                   lambda: [assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2=kappa2)])[0]
+
+
+def _nest_blocks(blocks, kappa, src, tgt, kappa2=None, plain=False):
+    """`assemble_nest_blocks(kappa, src, tgt, kappa2, plain)` through the store
+    `blocks`, each block keyed as its own assemble_block call: a group with
+    any block missing is built whole."""
+    keys = [_block_key(kappa, src, tgt.nodes, tgt.normals, kappa2)]
+    if plain:
+        keys.append(_block_key(kappa, tgt, tgt.nodes))
+    if src is not tgt:
+        keys.append(_block_key(kappa, tgt, src.nodes, src.normals))
+    return _stored(blocks, keys, lambda: assemble_nest_blocks(kappa, src, tgt, kappa2, plain))
 
 
 @dataclass
@@ -142,9 +172,9 @@ class Solution:
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
         total = 0
         for curve, phi, psi in self.layers[0]:
-            fs, fd = _stored(self.blocks, ("farfield", k),
-                             [curve.nodes, curve.weights, curve.normals, dirs],
-                             lambda: farfield_row(curve, k, dirs))
+            fs, fd = _stored(self.blocks, [(("farfield", k),
+                                            [curve.nodes, curve.weights, curve.normals, dirs])],
+                             lambda: [farfield_row(curve, k, dirs)])[0]
             total = total + fd @ phi + fs @ psi
         return FarFieldPattern(np.asarray(angles, float), total)
 
@@ -206,62 +236,61 @@ def solve_scatter(medium, inc: IncidentField, nodes_per_edge=32, grading=3.0, bl
 def assemble_nest(medium: NestMedium, mesh: BoundaryMesh, blocks=None):
     """Build and factor the block system once; reusable across incident fields.
     Operator blocks go through the store `blocks` when one is given."""
-    n = medium.partition.n_layers
-    if len(mesh.curves) != n:
+    if len(mesh.curves) != medium.partition.n_layers:
         raise ValueError("mesh does not match the number of interfaces")
     kappas = region_wavenumbers(medium)
     sizes = [c.n_nodes for c in mesh.curves]
-    col0 = np.cumsum([0] + [2 * s for s in sizes])
-    row0 = col0
-    ntot = col0[-1]
-    A = np.zeros((ntot, ntot), dtype=complex)
-
-    for i in range(n):
-        tgt = mesh.curves[i]
-        x, tn = tgt.nodes, tgt.normals
-        m = sizes[i]
-        kout, kin = kappas[i], kappas[i + 1]
-        lam = medium.lam[i]
-        rd = slice(row0[i], row0[i] + m)          # Dirichlet rows
-        rn = slice(row0[i] + m, row0[i] + 2 * m)  # Neumann rows
-
-        cph = slice(col0[i], col0[i] + m)
-        cps = slice(col0[i] + m, col0[i] + 2 * m)
-        eye = np.eye(m)
-        sd, kd, kpd, td = _block(blocks, kout, tgt, x, tn, kappa2=kin)
-        A[rd, cph] = eye + kd
-        A[rd, cps] = sd
-        A[rn, cph] = td
-        A[rn, cps] = -eye + kpd
-        if lam != 0:
-            so, ko = _block(blocks, kout, tgt, x)
-            A[rn, cph] += lam * (0.5 * eye + ko)
-            A[rn, cps] += lam * so
-
-        if i >= 1:
-            src = mesh.curves[i - 1]
-            co_ph = slice(col0[i - 1], col0[i - 1] + sizes[i - 1])
-            co_ps = slice(col0[i - 1] + sizes[i - 1], col0[i - 1] + 2 * sizes[i - 1])
-            sv, kv, kpv, tv = _block(blocks, kout, src, x, tn)
-            A[rd, co_ph] += kv
-            A[rd, co_ps] += sv
-            A[rn, co_ph] += tv + lam * kv
-            A[rn, co_ps] += kpv + lam * sv
-        if i <= n - 2:
-            src = mesh.curves[i + 1]
-            ci_ph = slice(col0[i + 1], col0[i + 1] + sizes[i + 1])
-            ci_ps = slice(col0[i + 1] + sizes[i + 1], col0[i + 1] + 2 * sizes[i + 1])
-            sv, kv, kpv, tv = _block(blocks, kin, src, x, tn)
-            A[rd, ci_ph] -= kv
-            A[rd, ci_ps] -= sv
-            A[rn, ci_ph] -= tv
-            A[rn, ci_ps] -= kpv
-
+    # built in a call of its own, so no block outlives it into the LU
+    A = _nest_matrix(medium, mesh, kappas, sizes, blocks)
     lu_piv, cond = factor_system(A)
     return {
         "A": A, "lu": lu_piv, "cond": cond, "mesh": mesh, "kappas": kappas,
         "medium": medium, "sizes": sizes, "blocks": blocks,
     }
+
+
+def _nest_matrix(medium, mesh, kappas, sizes, blocks):
+    """The system matrix: per interface, its self blocks and its pair with
+    the outer neighbour."""
+    col0 = np.cumsum([0] + [2 * s for s in sizes])
+    ntot = col0[-1]
+    A = np.zeros((ntot, ntot), dtype=complex)
+    # per interface: its Dirichlet and Neumann rows, which are also the
+    # slices of its phi and psi columns
+    span = [(slice(o, o + m), slice(o + m, o + 2 * m)) for o, m in zip(col0, sizes)]
+
+    for i, tgt in enumerate(mesh.curves):
+        kout, kin = kappas[i], kappas[i + 1]
+        lam = medium.lam[i]
+        rd, rn = span[i]
+        eye = np.eye(sizes[i])
+        own = _nest_blocks(blocks, kout, tgt, tgt, kappa2=kin, plain=lam != 0)
+        sd, kd, kpd, td = own[0]
+        A[rd, rd] = eye + kd
+        A[rd, rn] = sd
+        A[rn, rd] = td
+        A[rn, rn] = -eye + kpd
+        if lam != 0:
+            so, ko = own[1]
+            A[rn, rd] += lam * (0.5 * eye + ko)
+            A[rn, rn] += lam * so
+
+        if i >= 1:
+            # the pair at kout: outer neighbour onto this interface, and this
+            # interface onto the inner side of the outer neighbour
+            pair = _nest_blocks(blocks, kout, mesh.curves[i - 1], tgt)
+            (sv, kv, kpv, tv), (sw, kw, kpw, tw) = pair
+            od, on = span[i - 1]
+            A[rd, od] += kv
+            A[rd, on] += sv
+            A[rn, od] += tv + lam * kv
+            A[rn, on] += kpv + lam * sv
+            A[od, rd] -= kw
+            A[od, rn] -= sw
+            A[on, rd] -= tw
+            A[on, rn] -= kpw
+
+    return A
 
 
 def incident_jumps(system, inc: IncidentField):

@@ -44,6 +44,29 @@ def _segments_properly_intersect(p1, p2, q1, q2, eps):
     return False
 
 
+def _first_crossing(v, eps):
+    """The first pair (i, j), i < j in row-major order, of non-adjacent edges
+    of the closed polygon v (edge i runs from v[i] to v[i + 1]) that
+    `_segments_properly_intersect` with this eps, or None; all pairs at once,
+    with the same arithmetic."""
+    n = len(v)
+    i, j = np.triu_indices(n, 2)
+    keep = (j - i) < n - 1   # drop the closing pair (0, n - 1): edges n - 1 and 0 meet
+    i, j = i[keep], j[keep]
+    p1, q1 = v[i], v[j]
+    p2, q2 = v[(i + 1) % n], v[(j + 1) % n]
+
+    def cross(a, b):
+        return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+
+    def opposite(x, y):
+        return ((x > eps) & (y < -eps)) | ((x < -eps) & (y > eps))
+
+    hit = np.nonzero(opposite(cross(q2 - q1, p1 - q1), cross(q2 - q1, p2 - q1))
+                     & opposite(cross(p2 - p1, q1 - p1), cross(p2 - p1, q2 - p1)))[0]
+    return (int(i[hit[0]]), int(j[hit[0]])) if len(hit) else None
+
+
 def point_segment_distance(pt, a, b):
     """Distance from a point (2,) to the segment a-b, or from each row of an
     (n, 2) array of points as an (n,) array."""
@@ -84,13 +107,10 @@ class Polygon:
             a, b, c = v[i - 1], v[i], v[(i + 1) % n]
             if abs(_cross2(b - a, c - b)) <= tol * scale:
                 raise ValueError(f"three consecutive vertices collinear at index {i}")
-        eps = tol * scale
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                if _segments_properly_intersect(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n], eps):
-                    raise ValueError(f"edges {i} and {j} intersect: polygon not simple")
+        crossing = _first_crossing(v, tol * scale)
+        if crossing is not None:
+            raise ValueError(f"edges {crossing[0]} and {crossing[1]} intersect: "
+                             "polygon not simple")
 
     def bbox_diag(self):
         v = self.vertices

@@ -132,6 +132,8 @@ def cmd_validate(args):
     try:
         sc = load_scenario(args.config)
     except ConfigError as exc:
+        if exc.path == "--config":
+            raise   # no scenario to judge: a config error, as for every command
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     m = sc.medium

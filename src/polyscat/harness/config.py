@@ -170,10 +170,17 @@ def parse_scenario(doc) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(str(path), f"JSON parse error at line {exc.lineno}, "
-                                         f"column {exc.colno}: {exc.msg}") from None
+    """The scenario in the JSON file `path`; a file that cannot be read is a
+    ConfigError at `--config`, and malformed JSON one at `path`."""
+    try:
+        with open(path) as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("--config", f"cannot read {path}: "
+                                      f"{getattr(exc, 'strerror', None) or exc}") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(str(path), f"JSON parse error at line {exc.lineno}, "
+                                     f"column {exc.colno}: {exc.msg}") from None
     return parse_scenario(doc)

@@ -3,11 +3,17 @@
 Floats are written with repr so identical runs produce byte-identical
 files.  Fixed CSV schemas (far-field, probe) carry their tolerances in
 '#' comment lines before the header; the accompanying report.json repeats
-every tolerance next to the quantity it applies to.
+every tolerance next to the quantity it applies to, and records in
+`environment` what the last bits of the numbers depend on: the numpy and
+scipy versions, the BLAS each was built with and the BLAS/OpenMP thread
+settings.
 """
 
 import json
 import os
+
+import numpy as np
+import scipy
 
 
 def _fmt(x):
@@ -47,9 +53,25 @@ def write_table_csv(path, header, rows, comments=()):
     _write(path, lines)
 
 
+def _environment():
+    """numpy and scipy versions, the name and version of the BLAS each was
+    built with (from its __config__), and the thread variables (None where
+    unset)."""
+    def blas(module):
+        info = getattr(module.__config__, "CONFIG", {}).get("Build Dependencies", {})
+        return {key: info.get("blas", {}).get(key) for key in ("name", "version")}
+
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": {"numpy": blas(np), "scipy": blas(scipy)},
+            "threads": {var: os.environ.get(var)
+                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
+
+
 def write_report_json(path, report):
+    """`report` with its `environment` added, as sorted, indented JSON."""
     with open(path, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True, default=_json_default)
+        json.dump({**report, "environment": _environment()}, f, indent=2, sort_keys=True,
+                  default=_json_default)
         f.write("\n")
 
 

@@ -654,3 +654,115 @@ def test_block_store_reuse_is_bitwise(nested_squares, plane_inc, target, q, lam,
     assert all(store[key] is blk for key, blk in kept.items())
     assert _layer_bytes(reused) == _layer_bytes(fresh)
     assert reused.far_field(ANGLES).values.tobytes() == fresh.far_field(ANGLES).values.tobytes()
+
+
+def _reference_nest_matrix(medium, mesh):
+    """The nest matrix from one `assemble_block` call per block: the self
+    difference block and, where lambda != 0, the plain (S, K) self block of
+    each interface, and both cross blocks between neighbours."""
+    from polyscat.forward.layerops import assemble_block
+    from polyscat.forward.solver import region_wavenumbers
+
+    kap = region_wavenumbers(medium)
+    sizes = [c.n_nodes for c in mesh.curves]
+    off = np.cumsum([0] + [2 * s for s in sizes])
+    span = [(slice(o, o + m), slice(o + m, o + 2 * m)) for o, m in zip(off, sizes)]
+    A = np.zeros((off[-1], off[-1]), dtype=complex)
+    for i, c in enumerate(mesh.curves):
+        (d, n), eye, lam = span[i], np.eye(sizes[i]), medium.lam[i]
+        s, k, kp, t = assemble_block(kap[i], c, c.nodes, c.normals, kappa2=kap[i + 1])
+        A[d, d], A[d, n], A[n, d], A[n, n] = eye + k, s, t, -eye + kp
+        if lam != 0:
+            so, ko = assemble_block(kap[i], c, c.nodes)
+            A[n, d] += lam * (0.5 * eye + ko)
+            A[n, n] += lam * so
+        if i >= 1:
+            (od, on), prev = span[i - 1], mesh.curves[i - 1]
+            s, k, kp, t = assemble_block(kap[i], prev, c.nodes, c.normals)
+            A[d, od], A[d, on], A[n, od], A[n, on] = k, s, t + lam * k, kp + lam * s
+            s, k, kp, t = assemble_block(kap[i], c, prev.nodes, prev.normals)
+            A[od, d], A[od, n], A[on, d], A[on, n] = -k, -s, -t, -kp
+    return A
+
+
+@pytest.mark.parametrize("budget", [None, 3000], ids=["one-far-chunk", "far-chunks"])
+def test_nest_blocks_match_per_block_assembly_bitwise(monkeypatch, budget):
+    """Every block `assemble_nest` writes equals its own `assemble_block` call
+    bit for bit, up to the signs of zeros (== ignores them): on a 3-interface
+    nest with complex q, lambda = 0 and lambda != 0 interfaces, with the far
+    pass in one chunk or in many uneven ones."""
+    import polyscat.forward.layerops as lo
+    import polyscat.forward.solver as solver
+
+    if budget is not None:
+        monkeypatch.setattr(lo, "_FAR_BUDGET", budget)
+        monkeypatch.setattr(lo, "_TRI_ROWS", 7)
+    squares = [Polygon([[-a, -a], [a, -a], [a, a], [-a, a]]) for a in (1.0, 0.6, 0.3)]
+    med = NestMedium(NestPartition(squares), q=[2.0 + 0.3j, 3.0, 1.5 + 0.2j],
+                     lam=[0.5j, 0.0, 0.2 - 0.1j], k=1.0)
+    mesh = build_mesh(squares, 10)
+    groups = []
+    nest_blocks = solver.assemble_nest_blocks
+    monkeypatch.setattr(solver, "assemble_nest_blocks",
+                        lambda *a: groups.append((a, nest_blocks(*a))) or groups[-1][1])
+    A = assemble_nest(med, mesh)["A"]
+    # per interface a self group, with its plain block where lambda != 0, and
+    # per neighbour pair a cross group
+    assert [len(out) for _, out in groups] == [2, 1, 2, 2, 2]
+    for (kap, src, tgt, kap2, plain), out in groups:
+        ref = [lo.assemble_block(kap, src, tgt.nodes, tgt.normals, kappa2=kap2)]
+        if plain:
+            ref.append(lo.assemble_block(kap, tgt, tgt.nodes))
+        if src is not tgt:
+            ref.append(lo.assemble_block(kap, tgt, src.nodes, src.normals))
+        assert len(out) == len(ref)
+        for got, want in zip(out, ref):
+            assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(A, _reference_nest_matrix(med, mesh))
+
+
+def test_nest_assembly_evaluates_each_far_hankel_value_once(nested_squares, monkeypatch):
+    """On a 2-interface nest with lambda_1 != 0, per (target, source node)
+    pair the far passes of one assembly take 6 Hankel values, against 14 for
+    one `assemble_block` call per block: H0 and H1 of kappa_0 and kappa_1 on
+    one triangle of the outer self pairs (shared with the plain block), of
+    kappa_1 once for both cross blocks, and of kappa_1 and kappa_2 on one
+    triangle of the inner self pairs.  Only the diagonal tiles of the
+    triangle's row chunks are extra.  The plain block's near pass adds no
+    Hankel value either."""
+    import polyscat.forward.layerops as lo
+    from polyscat.forward.solver import region_wavenumbers
+
+    med = NestMedium(nested_squares, q=[2.0, 3.0 + 0.1j], lam=[0.5j, 0.0], k=1.0)
+    mesh = build_mesh(list(nested_squares.layers), 12)
+    (c0, c1), (k0, k1, k2) = mesh.curves, region_wavenumbers(med)
+    n = c0.n_nodes
+    assert c1.n_nodes == n
+    points = {1: 0, 2: 0}   # Hankel points of the near (flat) and far (2-D) passes
+    hankel = lo._hankel
+
+    def counted(order, kappa, r):
+        points[r.ndim] += r.size
+        return hankel(order, kappa, r)
+
+    monkeypatch.setattr(lo, "_hankel", counted)
+    for block in ((k0, c0, c0.nodes, c0.normals, k1), (k0, c0, c0.nodes, None, None),
+                  (k1, c0, c1.nodes, c1.normals, None), (k1, c1, c0.nodes, c0.normals, None),
+                  (k1, c1, c1.nodes, c1.normals, k2)):
+        lo.assemble_block(*block[:4], kappa2=block[4])
+    assert points[2] == 14 * n * n
+    for rows in (1, lo._TRI_ROWS):
+        monkeypatch.setattr(lo, "_TRI_ROWS", rows)
+        points.update({1: 0, 2: 0})
+        assemble_nest(med, mesh)
+        # the pairs of one self triangle with the diagonal tiles of its chunks
+        tri = sum((min(i0 + rows, n) - i0) * (n - i0) for i0 in range(0, n, rows))
+        assert points[2] == 2 * 4 * tri + 2 * n * n, rows
+        assert rows > 1 or points[2] == 6 * n * n + 4 * n
+    # the plain block's near pass rides on the difference block's
+    points.update({1: 0, 2: 0})
+    lo.assemble_nest_blocks(k0, c0, c0, k1, True)
+    shared = points[1]
+    points.update({1: 0, 2: 0})
+    lo.assemble_block(k0, c0, c0.nodes, c0.normals, kappa2=k1)
+    assert shared == points[1] > 0

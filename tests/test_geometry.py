@@ -29,6 +29,55 @@ def test_polygon_rejects_degenerate():
         Polygon([[0, 0], [0, 0], [1, 0], [1, 1]])  # repeated vertex
 
 
+def _first_crossing_loop(v, eps):
+    """The edge-pair loop that Polygon used before it tested all pairs at
+    once: the first crossing non-adjacent pair (i, j), or None."""
+    from polyscat.geometry import _segments_properly_intersect
+
+    n = len(v)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            if _segments_properly_intersect(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n], eps):
+                return i, j
+    return None
+
+
+def test_edge_crossings_match_the_pair_loop():
+    """The vectorized crossing test gives the loop's verdict and first pair on
+    random polygons: star-shaped ones (simple), shuffled ones (mostly not),
+    and ones with a vertex moved onto, just off or across the midpoint of
+    another edge; and Polygon's error names that pair."""
+    from polyscat.geometry import REL_GEO_TOL, _first_crossing, signed_area
+
+    rng = np.random.default_rng(11)
+    simple = 0
+    for trial in range(300):
+        n = int(rng.integers(3, 24))
+        ang = np.sort(rng.uniform(0, 2 * np.pi, n))
+        v = np.column_stack([np.cos(ang), np.sin(ang)]) * rng.uniform(0.3, 1.0, n)[:, None]
+        if trial % 3 == 1:
+            v = v[rng.permutation(n)]
+        elif trial % 3 == 2 and n >= 4:
+            k, e = rng.choice(n, 2, replace=False)
+            v[k] = 0.5 * (v[e] + v[(e + 1) % n]) * rng.choice([1.0, 1.0 + 1e-13, 1.2])
+        # what Polygon checks: v counterclockwise, eps from its bounding box
+        ccw = v if signed_area(v) >= 0 else v[::-1]
+        scale = float(np.hypot(*(v.max(axis=0) - v.min(axis=0))))
+        eps = REL_GEO_TOL * scale * scale
+        want = _first_crossing_loop(ccw, eps)
+        assert _first_crossing(ccw, eps) == want, trial
+        simple += want is None
+        try:
+            Polygon(v)
+            assert want is None, trial
+        except ValueError as exc:
+            if "intersect" in str(exc):   # not refused by an earlier check
+                assert str(exc) == f"edges {want[0]} and {want[1]} intersect: polygon not simple"
+    assert 50 < simple < 250
+
+
 def test_validate_nest_ok_and_reversed():
     ok = validate_nest(NestPartition([square(2), square(1)]))
     assert ok.ok and not ok.violations

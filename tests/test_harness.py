@@ -217,6 +217,46 @@ def test_out_of_range_indices_are_config_errors(tmp_path, capsys, bad):
     assert not list(tmp_path.glob("out/*.csv"))
 
 
+def test_every_report_records_its_environment(tmp_path, monkeypatch):
+    """forward, sweep and probe each write the numpy and scipy versions, the
+    BLAS each was built with, and the BLAS/OpenMP thread settings."""
+    import numpy
+    import scipy
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    nest, probe = write(tmp_path, "n.json", NEST_DOC), write(tmp_path, "p.json", PROBE_DOC)
+    for argv in (["forward", "--config", nest], ["sweep", "--config", nest],
+                 ["probe", "--config", probe, "--s-grid", "50,100"]):
+        out = tmp_path / argv[0]
+        assert cli_main(argv + ["--out", str(out)]) == 0
+        env = json.loads((out / "report.json").read_text())["environment"]
+        assert env["numpy"] == numpy.__version__ and env["scipy"] == scipy.__version__
+        assert env["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+        assert set(env["blas"]) == {"numpy", "scipy"}
+        for blas in env["blas"].values():
+            assert set(blas) == {"name", "version"}
+        assert env["blas"]["numpy"]["name"] == \
+            numpy.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+
+
+@pytest.mark.parametrize("command", ["validate", "forward"])
+@pytest.mark.parametrize("where, reason", [
+    ("missing.json", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing", "directory"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, command, where, reason):
+    """A --config that cannot be read exits 1 with one config error line,
+    never a traceback, and writes nothing."""
+    path = tmp_path / where
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "forward" else [])
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: --config: cannot read {path}: {reason}\n"
+    assert captured.out == "" and not out.exists()
+
+
 BOWTIE = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]   # self-intersecting
 
 
@@ -381,14 +421,15 @@ def test_probe_command_reports_unconverged_quadrature(tmp_path, capsys):
 
 
 def _blocks_per_solve(monkeypatch):
-    """The list, filled as the CLI runs, of the operator blocks each of its
-    solves assembles."""
+    """The list, filled as the CLI runs, of the assembly calls each of its
+    solves makes: one per `assemble_block` (a cell block) and one per
+    `assemble_nest_blocks` (a nest's self block with its plain block, or a
+    pair of cross blocks)."""
     import polyscat.forward.solver as solver
     import polyscat.harness.cli as cli
 
     calls = []
     per_solve = []
-    assemble_block = solver.assemble_block
     solve_scatter = cli.solve_scatter
 
     def counted_solve(*args, **kwargs):
@@ -397,8 +438,10 @@ def _blocks_per_solve(monkeypatch):
         per_solve.append(len(calls) - n0)
         return res
 
-    monkeypatch.setattr(solver, "assemble_block",
-                        lambda *a, **kw: calls.append(a) or assemble_block(*a, **kw))
+    for name in ("assemble_block", "assemble_nest_blocks"):
+        fn = getattr(solver, name)
+        monkeypatch.setattr(solver, name,
+                            lambda *a, fn=fn, **kw: calls.append(a) or fn(*a, **kw))
     monkeypatch.setattr(cli, "solve_scatter", counted_solve)
     return per_solve
 
@@ -484,21 +527,26 @@ def test_cell_config_validate_and_forward(tmp_path):
     assert report["mesh"]["unknowns"] == 140
 
 
-@pytest.mark.parametrize("doc, target, base, new", [
-    (NEST_DOC, "lambda:1", 5, 0),
-    (NEST_DOC, "q:2", 5, 1),          # the inner self difference carries q_2
-    (NEST_DOC, "lambda:2", 5, 1),     # the plain inner self block, unbuilt at lambda_2 = 0
-    (NEST_DOC, "vertex:2:0", 5, 3),   # every block with the inner curve as source or target
-    (CELL_DOC, "lambda", 14, 0),      # one block per (region, source segment)
+# The nest's 5 blocks come from 3 calls: the outer self block with its plain
+# block (lambda_1 != 0), the inner self block, and the cross pair.  A call
+# with any block missing from the store builds its whole group.
+@pytest.mark.parametrize("doc, target, base, new, base_calls, new_calls", [
+    (NEST_DOC, "lambda:1", 5, 0, 3, 0),
+    (NEST_DOC, "q:2", 5, 1, 3, 1),          # the inner self difference carries q_2
+    (NEST_DOC, "lambda:2", 5, 1, 3, 1),     # the plain inner self block, unbuilt at lambda_2 = 0
+    (NEST_DOC, "vertex:2:0", 5, 3, 3, 2),   # every block with the inner curve as source or target
+    (CELL_DOC, "lambda", 14, 0, 14, 0),     # one block per (region, source segment)
 ], ids=["lambda:1", "q:2", "lambda:2", "vertex:2:0", "cell-lambda*"])
 def test_sweep_assembles_only_the_blocks_a_perturbation_changes(tmp_path, monkeypatch,
-                                                                 doc, target, base, new):
+                                                                 doc, target, base, new,
+                                                                 base_calls, new_calls):
     per_solve = _blocks_per_solve(monkeypatch)
     cfg = write(tmp_path, "c.json", doc)
     out = tmp_path / "sweep"
     assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--target", target,
                      "--magnitudes", "0.1,0.01"]) == 0
-    assert per_solve == [base, base, new, new]   # base, fine (no store), two perturbed
+    # base, fine (no store), two perturbed
+    assert per_solve == [base_calls, base_calls, new_calls, new_calls]
     report = json.loads((out / "report.json").read_text())
     assert report["operator_blocks"] == {"base": base, "assembled": [new, new]}
 
