@@ -29,12 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import CellPartition, locate, point_segment_distance
+from ..geometry import CellPartition, point_segment_distance
 from ..medium import CellMedium, IncidentField, incident_eval
-# unused here, but perfbench/tracing.py wraps both names in this module too
-from .layerops import assemble_block, farfield_row  # noqa: F401
+from .layerops import assemble_block
+# unused here, but perfbench/tracing.py wraps it in this module too
+from .layerops import farfield_row  # noqa: F401
 from .mesh import CurveMesh, outward_normal
-from .solver import Solution, _block, factor_system, region_wavenumbers, solve_factored
+from .solver import Solution, _stored, factor_system, region_wavenumbers, solve_factored
 
 
 @dataclass
@@ -56,47 +57,35 @@ class SegmentCurve(CurveMesh):
 def build_skeleton(part: CellPartition):
     """Split cell boundaries into segments, each bordered by two regions."""
     tol = part.geo_tol()
-    probe_eps = max(1e-8 * part.hull.bbox_diag(), 10 * tol)
-    snap = max(tol, 1e-300)
-    segs = []
-    seen = set()   # snapped endpoint pairs: each interior segment comes once from each side
+    verts = np.vstack([c.vertices for c in part.cells])
+    vcell = np.repeat(np.arange(1, part.n_cells + 1), [c.n_vertices for c in part.cells])
+    pieces = []   # (cell, start, end, outward normal) of every cell's edges, in order
     for ci, cell in enumerate(part.cells, start=1):
-        v = cell.vertices
-        n = len(v)
-        for e in range(n):
-            a, b = v[e], v[(e + 1) % n]
+        others = verts[vcell != ci]
+        for a, b in cell.edges():
             tang = b - a
-            elen = float(np.hypot(*tang))
-            outward = outward_normal(a, b)
             # split at the vertices of other cells lying strictly inside the edge
-            params = {0.0, 1.0}
-            for cj, other in enumerate(part.cells, start=1):
-                if cj == ci:
-                    continue
-                for pt in other.vertices:
-                    t = float((pt - a) @ tang / (elen * elen))
-                    if 1e-12 < t < 1 - 1e-12 and point_segment_distance(pt, a, b) < 10 * tol:
-                        params.add(round(t, 12))
-            ts = sorted(params)
-            for t0, t1 in zip(ts[:-1], ts[1:]):
-                pa, pb = a + t0 * tang, a + t1 * tang
-                mid = 0.5 * (pa + pb)
-                side = locate(part, mid + probe_eps * outward, tol)
-                if side.kind == "exterior":
-                    other_region = 0
-                elif side.kind == "region":
-                    other_region = side.index
-                else:
-                    raise ValueError("skeleton probe landed on an interface; geometry too fine")
-                key = tuple(sorted((round(p[0] / snap), round(p[1] / snap)) for p in (pa, pb)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                # interior segments point from the lower cell index to the higher
-                if other_region == 0 or ci <= other_region:
-                    segs.append(Segment(pa, pb, ci, other_region, outward))
-                else:
-                    segs.append(Segment(pb, pa, other_region, ci, -outward))
+            t = (others - a) @ tang / (tang @ tang)
+            inside = (1e-12 < t) & (t < 1 - 1e-12)
+            inside &= point_segment_distance(others, a, b) < 10 * tol
+            cuts = [a]
+            for pt in others[inside][np.argsort(t[inside], kind="stable")]:
+                if np.hypot(*(pt - cuts[-1])) >= 10 * tol:   # a vertex of several cells
+                    cuts.append(pt)
+            cuts.append(b)
+            outward = outward_normal(a, b)
+            pieces += [(ci, pa, pb, outward) for pa, pb in zip(cuts[:-1], cuts[1:])]
+    owner = np.array([p[0] for p in pieces])
+    starts, ends = (np.array([p[i] for p in pieces]) for i in (1, 2))
+    segs = []
+    for ci, pa, pb, outward in pieces:
+        # cells run counterclockwise, so a neighbour runs a shared piece backwards
+        back = (np.hypot(*(starts - pb).T) < 10 * tol) & (np.hypot(*(ends - pa).T) < 10 * tol)
+        other = owner[back & (owner != ci)]
+        other_region = int(other[0]) if len(other) else 0
+        # each interior piece once, from the lower cell index toward the higher
+        if other_region == 0 or ci < other_region:
+            segs.append(Segment(pa, pb, ci, other_region, outward))
     return segs
 
 
@@ -154,7 +143,7 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
         for si, s in bordering[reg]:
             ct = slice(off[si], off[si] + sizes[si])
             cp = slice(off[si] + sizes[si], off[si] + 2 * sizes[si])
-            sbs, kbs = _block(blocks, kap, curves[si], x)
+            sbs, kbs = _stored(blocks, assemble_block, kap, curves[si], x)
             for r, j0, j1 in zip(rows, cuts[:-1], cuts[1:]):
                 sb, kb = sbs[j0:j1], kbs[j0:j1]
                 A[r, ct] += s * kb

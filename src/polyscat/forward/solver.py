@@ -21,20 +21,19 @@ blocks) and per pair of neighbouring interfaces (both cross blocks), so
 that an assembly evaluates each far kernel value once (see `layerops`).
 
 Block store: both solvers take an optional caller-owned dict `blocks` and
-fetch every operator block through it (`_block`, or `_nest_blocks` for a
-nest group).  A block's key is everything its `assemble_block` call would
-read: the wavenumber(s), whether target normals were given, and the exact
-bytes of the source mesh arrays (nodes, weights, normals, panel ends and
-lengths) and of the target points and normals.  A group with any block
-missing is built whole, and only its missing blocks are stored.  A moved
-curve or a changed wavenumber therefore misses, and a hit is the very
-array a fresh assembly would give, up to the signs of zeros, so every
+make every assembly call through it (`_stored`), one entry per call: a
+nest group (`assemble_nest_blocks`), a cell block (`assemble_block`) or a
+result's far-field rows (`farfield_row`).  An entry's key is the build
+function and everything the call reads: the wavenumber(s) and flags, the
+arrays of each mesh (nodes, weights, normals, panel ends and lengths) and
+the exact bytes of the targets.  A moved curve or a changed wavenumber therefore
+misses, and a hit is the very value a fresh call would give, so every
 output is bitwise unchanged.  `None` stores nothing.  A sweep fills a
 store on its base solve and hands each perturbed solve a shallow copy,
-which reads the base blocks and drops the perturbed solve's own blocks
+which reads the base entries and drops the perturbed solve's own entries
 with it.  A result keeps the store it was solved with and fetches its
-far-field rows through it, keyed by k, the exterior mesh and the
-directions, so solves on the same exterior curves share them.
+far-field rows through it, so solves on the same exterior curves share
+them.
 """
 
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ import scipy.linalg as sla
 from ..geometry import locate
 from ..medium import CellMedium, IncidentField, NestMedium, incident_eval, sqrt_im_nonneg
 from .layerops import assemble_block, assemble_nest_blocks, farfield_row
-from .mesh import BoundaryMesh, build_mesh
+from .mesh import BoundaryMesh, CurveMesh, build_mesh
 
 COND_FLAG = 1e12
 TAU_SOLVE = 1e-8
@@ -101,56 +100,29 @@ def solve_factored(A, lu_piv, cond, b, sizes):
     return pairs, resid, resid <= TAU_SOLVE and cond < COND_FLAG
 
 
-def _key(scalars, arrays):
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
-    # repr, unlike ==, tells a float from a complex and 0.0 from -0.0
-    return (*map(repr, scalars), *((a.shape, a.tobytes()) for a in arrays))
-
-
-def _stored(blocks, keys, build):
-    """build(), a sequence with one value per key, served from the store
-    `blocks` when it holds every key, else built with the missing values
-    stored; `blocks=None` only builds.  A key is (scalars, arrays) and
-    matches these exact scalars and arrays.  Stored arrays are read-only."""
+def _stored(blocks, build, *args):
+    """build(*args) through the store `blocks`, one entry per call, keyed by
+    `build` and everything the call reads: scalars by repr (which tells
+    a float from a complex and 0.0 from -0.0), arrays by dtype, shape and
+    bytes, a CurveMesh by its six arrays.  Stored values are read-only;
+    `blocks=None` only builds."""
     if blocks is None:
-        return build()
-    keys = [_key(*key) for key in keys]
-    if any(key not in blocks for key in keys):
-        for key, value in zip(keys, build()):
-            if key not in blocks:
-                for a in value if isinstance(value, tuple) else (value,):
-                    a.flags.writeable = False
-                blocks[key] = value
-    return [blocks[key] for key in keys]
+        return build(*args)
 
+    def part(a):
+        if isinstance(a, CurveMesh):
+            return tuple(map(part, (a.nodes, a.weights, a.normals, a.pa, a.pb, a.plen)))
+        if isinstance(a, np.ndarray):
+            return a.dtype.str, a.shape, a.tobytes()
+        return repr(a)
 
-def _block_key(kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
-    """The store key of `assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2)`:
-    every array it reads, the mesh with its panel ends and lengths for the
-    near pass, and the targets."""
-    arrays = [src.nodes, src.weights, src.normals, src.pa, src.pb, src.plen, tgt_pts]
-    if tgt_nrm is not None:
-        arrays.append(tgt_nrm)
-    return (kappa, kappa2), arrays
-
-
-def _block(blocks, kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
-    """`assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2)` through the store
-    `blocks`."""
-    return _stored(blocks, [_block_key(kappa, src, tgt_pts, tgt_nrm, kappa2)],
-                   lambda: [assemble_block(kappa, src, tgt_pts, tgt_nrm, kappa2=kappa2)])[0]
-
-
-def _nest_blocks(blocks, kappa, src, tgt, kappa2=None, plain=False):
-    """`assemble_nest_blocks(kappa, src, tgt, kappa2, plain)` through the store
-    `blocks`, each block keyed as its own assemble_block call: a group with
-    any block missing is built whole."""
-    keys = [_block_key(kappa, src, tgt.nodes, tgt.normals, kappa2)]
-    if plain:
-        keys.append(_block_key(kappa, tgt, tgt.nodes))
-    if src is not tgt:
-        keys.append(_block_key(kappa, tgt, src.nodes, src.normals))
-    return _stored(blocks, keys, lambda: assemble_nest_blocks(kappa, src, tgt, kappa2, plain))
+    key = (build, *map(part, args))
+    if key not in blocks:
+        value = build(*args)
+        for a in value if isinstance(value, (list, tuple)) else (value,):
+            a.flags.writeable = False
+        blocks[key] = value
+    return blocks[key]
 
 
 @dataclass
@@ -172,9 +144,7 @@ class Solution:
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
         total = 0
         for curve, phi, psi in self.layers[0]:
-            fs, fd = _stored(self.blocks, [(("farfield", k),
-                                            [curve.nodes, curve.weights, curve.normals, dirs])],
-                             lambda: [farfield_row(curve, k, dirs)])[0]
+            fs, fd = _stored(self.blocks, farfield_row, curve, k, dirs)
             total = total + fd @ phi + fs @ psi
         return FarFieldPattern(np.asarray(angles, float), total)
 
@@ -214,11 +184,10 @@ def solve_scatter(medium, inc: IncidentField, nodes_per_edge=32, grading=3.0, bl
     Dispatches on the medium type; nest media use the layered combined
     representation, cell media the single-trace formulation.
 
-    `blocks` is an optional caller-owned dict of operator blocks keyed by
-    wavenumber(s), target normals given or not, and the exact bytes of the
-    source mesh and targets: hits are reused, misses assembled and added.
-    Passing `dict(store)` reads `store` without growing it, so a sweep
-    holds one base set between solves; `None` stores nothing.
+    `blocks` is an optional caller-owned dict with one entry per assembly
+    call (see the module notes): hits are reused, misses assembled and
+    added.  Passing `dict(store)` reads `store` without growing it, so a
+    sweep holds one base set between solves; `None` stores nothing.
     """
     if isinstance(medium, CellMedium):
         from .cellsolver import solve_cell
@@ -264,7 +233,7 @@ def _nest_matrix(medium, mesh, kappas, sizes, blocks):
         lam = medium.lam[i]
         rd, rn = span[i]
         eye = np.eye(sizes[i])
-        own = _nest_blocks(blocks, kout, tgt, tgt, kappa2=kin, plain=lam != 0)
+        own = _stored(blocks, assemble_nest_blocks, kout, tgt, tgt, kin, lam != 0)
         sd, kd, kpd, td = own[0]
         A[rd, rd] = eye + kd
         A[rd, rn] = sd
@@ -278,7 +247,8 @@ def _nest_matrix(medium, mesh, kappas, sizes, blocks):
         if i >= 1:
             # the pair at kout: outer neighbour onto this interface, and this
             # interface onto the inner side of the outer neighbour
-            pair = _nest_blocks(blocks, kout, mesh.curves[i - 1], tgt)
+            pair = _stored(blocks, assemble_nest_blocks, kout, mesh.curves[i - 1], tgt,
+                           None, False)
             (sv, kv, kpv, tv), (sw, kw, kpw, tw) = pair
             od, on = span[i - 1]
             A[rd, od] += kv

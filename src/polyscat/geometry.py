@@ -31,40 +31,29 @@ def _cross2(a, b):
     return float(a[0] * b[1] - a[1] * b[0])
 
 
-def _segments_properly_intersect(p1, p2, q1, q2, eps):
-    """True if open segments cross or overlap (shared endpoints excluded)."""
-    d1 = _cross2(q2 - q1, p1 - q1)
-    d2 = _cross2(q2 - q1, p2 - q1)
-    d3 = _cross2(p2 - p1, q1 - p1)
-    d4 = _cross2(p2 - p1, q2 - p1)
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
-        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
-    ):
-        return True
-    return False
-
-
-def _first_crossing(v, eps):
-    """The first pair (i, j), i < j in row-major order, of non-adjacent edges
-    of the closed polygon v (edge i runs from v[i] to v[i + 1]) that
-    `_segments_properly_intersect` with this eps, or None; all pairs at once,
-    with the same arithmetic."""
-    n = len(v)
-    i, j = np.triu_indices(n, 2)
-    keep = (j - i) < n - 1   # drop the closing pair (0, n - 1): edges n - 1 and 0 meet
-    i, j = i[keep], j[keep]
-    p1, q1 = v[i], v[j]
-    p2, q2 = v[(i + 1) % n], v[(j + 1) % n]
+def _edge_crossings(u, v, eps):
+    """(len(u), len(v)) booleans: whether edge i of the closed polygon u
+    (from u[i] to u[i + 1]) and edge j of v cross, each one's ends lying
+    beyond eps on opposite sides of the other's line.  Edges that share an
+    end, or overlap collinearly, do not cross."""
+    p1, p2 = u[:, None], np.roll(u, -1, axis=0)[:, None]
+    q1, q2 = v[None, :], np.roll(v, -1, axis=0)[None, :]
 
     def cross(a, b):
-        return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
     def opposite(x, y):
         return ((x > eps) & (y < -eps)) | ((x < -eps) & (y > eps))
 
-    hit = np.nonzero(opposite(cross(q2 - q1, p1 - q1), cross(q2 - q1, p2 - q1))
-                     & opposite(cross(p2 - p1, q1 - p1), cross(p2 - p1, q2 - p1)))[0]
-    return (int(i[hit[0]]), int(j[hit[0]])) if len(hit) else None
+    return (opposite(cross(q2 - q1, p1 - q1), cross(q2 - q1, p2 - q1))
+            & opposite(cross(p2 - p1, q1 - p1), cross(p2 - p1, q2 - p1)))
+
+
+def _first_crossing(v, eps):
+    """The first pair (i, j), i < j in row-major order, of crossing edges of
+    the closed polygon v, or None (adjacent edges share an end)."""
+    hit = np.argwhere(np.triu(_edge_crossings(v, v, eps)))
+    return (int(hit[0, 0]), int(hit[0, 1])) if len(hit) else None
 
 
 def point_segment_distance(pt, a, b):
@@ -308,8 +297,7 @@ def validate_cell(p: CellPartition) -> ValidationReport:
     for i in range(len(p.cells)):
         for j in range(i + 1, len(p.cells)):
             ci, cj = p.cells[i], p.cells[j]
-            overlap = any(_segments_properly_intersect(a, b, c, d, eps)
-                          for a, b in ci.edges() for c, d in cj.edges())
+            overlap = _edge_crossings(ci.vertices, cj.vertices, eps).any()
             # each cell's vertices, edge midpoints and centroid against the
             # other cell: in a valid tiling none lies strictly inside it
             in_j = cj.contains(np.vstack([points[i], ci.vertices.mean(axis=0)]), tol)

@@ -25,17 +25,17 @@ EXIT_OK, EXIT_REFUSED, EXIT_NUMERICAL = 0, 1, 2
 PROBE_TOL_CAP = 1e-10   # the loosest extraction quadrature tolerance `probe` takes
 
 
-def _numbers(positive):
-    """argparse type: a comma-separated list of finite floats, each > 0 when
-    `positive`."""
+def _numbers(grid):
+    """argparse type: a comma-separated list of finite floats, for a `grid`
+    each > 0 and no two equal."""
     def parse(text):
         try:
             values = [float(v) for v in text.split(",")]
         except ValueError:
             values = []
-        if not values or not all(math.isfinite(v) and (v > 0 or not positive)
-                                 for v in values):
-            need = "positive" if positive else "finite"
+        if (not values or not all(math.isfinite(v) and (v > 0 or not grid) for v in values)
+                or grid and len(set(values)) < len(values)):
+            need = "distinct positive" if grid else "finite"
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated {need} numbers, got {text!r}")
         return values
@@ -210,8 +210,11 @@ def cmd_forward(args):
                   f"solver_residual={result.residual!r} tol={TAU_SOLVE!r}",
                   f"condition_estimate={result.cond_estimate!r}"])
     if pts is not None:
-        # interface points get NaN; all others go through one field evaluation
+        # interface points and a point source's own location get NaN; all
+        # others go through one field evaluation
         off = np.array([lb.kind != "interface" for lb in locate(sc.medium.partition, pts)])
+        if sc.incident.kind == "point":
+            off &= (pts != sc.incident.location).any(axis=1)
         vals = np.full(len(pts), complex(np.nan, np.nan))
         if off.any():
             vals[off] = result.field_at(pts[off])

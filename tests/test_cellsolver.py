@@ -52,6 +52,33 @@ def test_t_junction_zero_contrast_and_equal_cells(t_junction, unit_square, plane
     assert farfield_diff(rc.far_field(ANGLES), rn.far_field(ANGLES)) < 1e-6
 
 
+def _rect(x0, y0, x1, y1):
+    return [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]
+
+
+@pytest.mark.parametrize("cells, n_segments", [
+    # the brick: an interior edge split at both ends of the offset joint
+    ([_rect(0, 0, .6, .5), _rect(.6, 0, 1, .5), _rect(0, .5, .3, 1), _rect(.3, .5, 1, 1)], 13),
+    ([_rect(0, 0, .5, 1), _rect(.5, .5, 1, 1), _rect(.5, 0, 1, .5)], 10),
+], ids=["brick", "t-junction"])
+def test_rotated_tiling_skeleton_and_zero_contrast(cells, n_segments):
+    """A tiling of the unit square turned by 0.3 rad and shifted keeps one
+    segment per interior piece (splitting an edge off its true vertex once
+    kept a piece from both sides), and a zero-contrast medium on it does
+    not scatter."""
+    c, s = np.cos(0.3), np.sin(0.3)
+
+    def moved(pts):
+        return Polygon([[c * x - s * y + 0.13, s * x + c * y - 0.07] for x, y in pts])
+
+    part = CellPartition([moved(cell) for cell in cells], moved(_rect(0, 0, 1, 1)))
+    assert len(build_skeleton(part)) == n_segments
+    zero = CellMedium(part, q=[1.0] * len(cells), lambda_star=0.0, k=1.0)
+    res = solve_scatter(zero, IncidentField("plane", direction=[0.6, 0.8]), nodes_per_edge=16)
+    assert res.converged
+    assert np.max(np.abs(res.far_field(ANGLES).values)) < 1e-10
+
+
 def test_skeleton_segments(split_square):
     segs = build_skeleton(split_square)
     # 3 hull segments per rectangle-side structure: left cell contributes

@@ -29,11 +29,24 @@ def test_polygon_rejects_degenerate():
         Polygon([[0, 0], [0, 0], [1, 0], [1, 1]])  # repeated vertex
 
 
+def _cross2(a, b):
+    return float(a[0] * b[1] - a[1] * b[0])
+
+
+def _segments_properly_intersect(p1, p2, q1, q2, eps):
+    """The scalar crossing rule the geometry checks once ran per edge pair:
+    each segment's ends beyond eps on opposite sides of the other's line."""
+    d1 = _cross2(q2 - q1, p1 - q1)
+    d2 = _cross2(q2 - q1, p2 - q1)
+    d3 = _cross2(p2 - p1, q1 - p1)
+    d4 = _cross2(p2 - p1, q2 - p1)
+    return (((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps))
+            and ((d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)))
+
+
 def _first_crossing_loop(v, eps):
     """The edge-pair loop that Polygon used before it tested all pairs at
     once: the first crossing non-adjacent pair (i, j), or None."""
-    from polyscat.geometry import _segments_properly_intersect
-
     n = len(v)
     for i in range(n):
         for j in range(i + 1, n):
@@ -76,6 +89,41 @@ def test_edge_crossings_match_the_pair_loop():
             if "intersect" in str(exc):   # not refused by an earlier check
                 assert str(exc) == f"edges {want[0]} and {want[1]} intersect: polygon not simple"
     assert 50 < simple < 250
+
+
+def test_cell_edge_crossings_match_the_scalar_rule():
+    """The vectorized edge test that validate_cell runs on each pair of cells
+    gives the scalar rule's verdict on every edge pair: random cell pairs
+    that cross, touch along an edge, share a vertex, or end a vertex on, just
+    off or past the other cell's edge midpoint."""
+    from polyscat.geometry import REL_GEO_TOL, _edge_crossings
+
+    rng = np.random.default_rng(5)
+    crossed = 0
+    for trial in range(200):
+        cells = []
+        for _ in range(2):
+            n = int(rng.integers(3, 9))
+            ang = np.sort(rng.uniform(0, 2 * np.pi, n))
+            r = rng.uniform(0.3, 1.0, n)[:, None]
+            cells.append(np.column_stack([np.cos(ang), np.sin(ang)]) * r
+                         + rng.uniform(-1.2, 1.2, 2))
+        u, v = cells
+        if trial % 4 == 1:      # a shared vertex
+            v[0] = u[0]
+        elif trial % 4 == 2:    # a shared edge, run the other way
+            v[0], v[1] = u[1], u[0]
+        elif trial % 4 == 3:    # a vertex on, just off or past an edge midpoint
+            v[0] = 0.5 * (u[0] + u[1]) * rng.choice([1.0, 1.0 + 1e-13, 1.2])
+        scale = float(np.hypot(*np.ptp(np.vstack(cells), axis=0)))
+        eps = REL_GEO_TOL * scale * scale
+        got = _edge_crossings(u, v, eps)
+        want = [[_segments_properly_intersect(u[i], u[(i + 1) % len(u)],
+                                              v[j], v[(j + 1) % len(v)], eps)
+                 for j in range(len(v))] for i in range(len(u))]
+        assert got.tolist() == want, trial
+        crossed += got.any()
+    assert 30 < crossed < 170
 
 
 def test_validate_nest_ok_and_reversed():

@@ -132,6 +132,30 @@ def test_forward_nearfield_grid(tmp_path):
     assert np.allclose(got, res.field_at(data[~on, :2]), rtol=1e-12, atol=1e-14)
 
 
+def test_forward_nearfield_point_on_the_point_source(tmp_path):
+    """A near-field grid point on the point source gets NaN, like an
+    interface point, and the run still writes its report."""
+    from polyscat.forward import solve_scatter
+
+    doc = json.loads(json.dumps(NEST_DOC))
+    doc["incident"] = {"kind": "point", "location": [3.0, 1.5]}
+    doc["nearfield"] = {"bounds": [-3.0, 3.0, -1.5, 1.5], "nx": 3, "ny": 3}
+    out = tmp_path / "fw"
+    assert cli_main(["forward", "--config", write(tmp_path, "c.json", doc),
+                     "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["solver"]["converged"]
+    lines = (out / "nearfield.csv").read_text().splitlines()
+    data = np.array([[float(v) for v in ln.split(",")]
+                     for ln in [ln for ln in lines if not ln.startswith("#")][1:]])
+    at_source = np.all(data[:, :2] == [3.0, 1.5], axis=1)
+    assert at_source.sum() == 1 and np.all(np.isnan(data[at_source, 2:]))
+    assert not np.isnan(data[~at_source]).any()
+    sc = parse_scenario(doc)
+    res = solve_scatter(sc.medium, sc.incident, nodes_per_edge=12, grading=3.0)
+    got = data[~at_source, 2] + 1j * data[~at_source, 3]
+    assert np.allclose(got, res.field_at(data[~at_source, :2]), rtol=1e-12, atol=1e-14)
+
+
 def test_sweep_command(tmp_path):
     cfg = write(tmp_path, "c.json", NEST_DOC)
     out = tmp_path / "sweep"
@@ -139,8 +163,8 @@ def test_sweep_command(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["rows"][0]["above"] is True
     assert report["noise_floor"] < report["rows"][0]["diff"] / 10
-    # q:2 changes the one block that carries q_2: the inner self difference
-    assert report["operator_blocks"] == {"base": 5, "assembled": [1]}
+    # q:2 changes the one assembly call that carries q_2: the inner self group
+    assert report["operator_blocks"] == {"base": 3, "assembled": [1]}
     # the mesh rounds the fine level's request of 24 nodes/edge up to 32
     assert report["built_nodes_per_edge"] == {"base": 12, "fine": 32}
     assert report["unknowns"] == {"base": 192, "fine": 512}
@@ -272,6 +296,7 @@ def _nearfield(**edits):
     ("probe", None, ["--s-grid", "50,abc"], 2, "--s-grid"),
     ("probe", None, ["--s-grid=0,100"], 2, "--s-grid"),
     ("probe", None, ["--s-grid=-5,100"], 2, "--s-grid"),
+    ("probe", None, ["--s-grid", "50,50"], 2, "--s-grid"),
     ("probe", lambda d: d["probe"].pop("omega1"), [], 1, "probe.omega1"),
     ("probe", lambda d: d["probe"]["sector"].update(theta_M=3.5), [], 1, "probe.sector"),
     ("probe", lambda d: d["probe"].update(k=0), [], 1, "probe.k"),
@@ -303,9 +328,9 @@ def _nearfield(**edits):
     ("forward", lambda d: d["farfield"].update(num_angles=True), [], 1, "farfield.num_angles"),
     ("forward", _nearfield(nx=0), [], 1, "nearfield.nx"),
 ], ids=["magnitudes-flag", "magnitudes-config", "s-grid-text", "s-grid-zero",
-        "s-grid-negative", "omega1-missing", "theta_M", "probe-k-zero", "nodes_per_edge",
-        "k-null", "medium-object", "incident-object", "mesh-object", "probe-object",
-        "sector-object", "bounds-length", "bounds-text", "nx-fraction", "ny-text",
+        "s-grid-negative", "s-grid-repeated", "omega1-missing", "theta_M", "probe-k-zero",
+        "nodes_per_edge", "k-null", "medium-object", "incident-object", "mesh-object",
+        "probe-object", "sector-object", "bounds-length", "bounds-text", "nx-fraction", "ny-text",
         "target-number", "magnitudes-string", "mode-pair", "layer-self-intersecting",
         "cell-self-intersecting", "hull-self-intersecting", "nodes_per_edge-negative",
         "nodes_per_edge-zero", "mesh-level-zero", "nodes_per_edge-fraction",
@@ -425,6 +450,7 @@ def _blocks_per_solve(monkeypatch):
     solves makes: one per `assemble_block` (a cell block) and one per
     `assemble_nest_blocks` (a nest's self block with its plain block, or a
     pair of cross blocks)."""
+    import polyscat.forward.cellsolver as cellsolver
     import polyscat.forward.solver as solver
     import polyscat.harness.cli as cli
 
@@ -438,9 +464,10 @@ def _blocks_per_solve(monkeypatch):
         per_solve.append(len(calls) - n0)
         return res
 
-    for name in ("assemble_block", "assemble_nest_blocks"):
-        fn = getattr(solver, name)
-        monkeypatch.setattr(solver, name,
+    for module, name in ((solver, "assemble_block"), (solver, "assemble_nest_blocks"),
+                         (cellsolver, "assemble_block")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda *a, fn=fn, **kw: calls.append(a) or fn(*a, **kw))
     monkeypatch.setattr(cli, "solve_scatter", counted_solve)
     return per_solve
@@ -527,26 +554,25 @@ def test_cell_config_validate_and_forward(tmp_path):
     assert report["mesh"]["unknowns"] == 140
 
 
-# The nest's 5 blocks come from 3 calls: the outer self block with its plain
-# block (lambda_1 != 0), the inner self block, and the cross pair.  A call
-# with any block missing from the store builds its whole group.
-@pytest.mark.parametrize("doc, target, base, new, base_calls, new_calls", [
-    (NEST_DOC, "lambda:1", 5, 0, 3, 0),
-    (NEST_DOC, "q:2", 5, 1, 3, 1),          # the inner self difference carries q_2
-    (NEST_DOC, "lambda:2", 5, 1, 3, 1),     # the plain inner self block, unbuilt at lambda_2 = 0
-    (NEST_DOC, "vertex:2:0", 5, 3, 3, 2),   # every block with the inner curve as source or target
-    (CELL_DOC, "lambda", 14, 0, 14, 0),     # one block per (region, source segment)
+# The nest's store holds 3 entries, one per assembly call: the outer self
+# group with its plain block (lambda_1 != 0), the inner self group, and the
+# cross pair.
+@pytest.mark.parametrize("doc, target, base, new", [
+    (NEST_DOC, "lambda:1", 3, 0),
+    (NEST_DOC, "q:2", 3, 1),          # the inner self group carries q_2
+    (NEST_DOC, "lambda:2", 3, 1),     # the inner self group, now with its plain block
+    (NEST_DOC, "vertex:2:0", 3, 2),   # every call with the inner curve as source or target
+    (CELL_DOC, "lambda", 14, 0),      # one block per (region, source segment)
 ], ids=["lambda:1", "q:2", "lambda:2", "vertex:2:0", "cell-lambda*"])
 def test_sweep_assembles_only_the_blocks_a_perturbation_changes(tmp_path, monkeypatch,
-                                                                 doc, target, base, new,
-                                                                 base_calls, new_calls):
+                                                                 doc, target, base, new):
     per_solve = _blocks_per_solve(monkeypatch)
     cfg = write(tmp_path, "c.json", doc)
     out = tmp_path / "sweep"
     assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--target", target,
                      "--magnitudes", "0.1,0.01"]) == 0
     # base, fine (no store), two perturbed
-    assert per_solve == [base_calls, base_calls, new_calls, new_calls]
+    assert per_solve == [base, base, new, new]
     report = json.loads((out / "report.json").read_text())
     assert report["operator_blocks"] == {"base": base, "assembled": [new, new]}
 
