@@ -52,12 +52,22 @@ normal and nodes at rows i * n_gl onward of `normals` and `nodes`.
   ratio _FINE_RATIO, with L the fewest levels (at most _FINE_LEVELS) that
   bring the innermost sub-interval below _NEAR_FRAC of the target's
   distance.  A target on the panel's line at an end gets all the levels.
-- All fine nodes of the call form one ragged flat array, ordered by pair.
-  Kernels are evaluated on chunks of about _NEAR_CHUNK nodes holding whole
-  pairs; `np.add.reduceat` sums each pair's Legendre moments, and
-  `_interp_coeffs` maps them to the panel's nodes.
+- The fine nodes come in two regular layouts, one kernel pass per batch
+  or chunk, each pair's target and panel data gathered once and repeated
+  over its nodes.  Own-panel pairs form batches of at most _NEAR_CHUNK //
+  _OWN_M pairs, the _OWN_M Gauss nodes tiled per pair, and the product
+  rule works on whole rows.  The other pairs form chunks of whole pairs
+  of about _NEAR_CHUNK nodes; each sub-interval's ends, midpoint and half
+  length are computed once and spread over its _FINE_N Gauss nodes by an
+  outer product.
+- `np.add.reduceat` sums each pair's Legendre moments, and
+  `_interp_coeffs` maps them to the panel's nodes in chunks of whole pairs
+  in pair order, each from the pair that holds fine node k * _NEAR_CHUNK
+  when the pairs' nodes are counted in pair order.  BLAS rounds a chunk of
+  one pair differently from a longer one, so this cut, and not the kernel
+  layouts, fixes the bits of each block.
 
-In every far chunk and near chunk, `_kernels` evaluates H0 and H1 of each
+In every far chunk and near batch or chunk, `_kernels` evaluates H0 and H1 of each
 wavenumber once and derives all kinds from them.  Hankel functions come
 from `_hankel`: for a real positive wavenumber it combines the Bessel
 routines j0/y0/j1/y1, an order of magnitude cheaper than `hankel1`, which
@@ -65,6 +75,7 @@ serves every complex wavenumber.
 """
 
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 from scipy.special import hankel1, j0, j1, jv, y0, y1
@@ -130,12 +141,13 @@ def _kernels(kappa, kappa2, diff, r, src_nrm, tgt_nrm, plain=False, swap=False):
     with shape (..., 2).  H0 and H1 of each wavenumber are evaluated once,
     on all of r, and shared by every kind.
 
-    `plain` (with kappa2) follows these kinds with those of kappa alone,
-    from the same H0 and H1.  `swap` (with tgt_nrm) appends to each set T
-    of the exchanged pair, x and y swapped with their normals: that pair's
-    S, K and Kp are S, Kp and K here up to the signs of zeros, but its T
-    multiplies t0 by the two dot products in the other order, which can
-    round differently.
+    `plain` (with kappa2) follows these kinds with the S, K and (with
+    tgt_nrm) Kp of kappa alone, from the same H0 and H1; no caller reads a
+    plain T beside a difference, so none is evaluated.  `swap` (with
+    tgt_nrm) follows each T with the T of the exchanged pair, x and y
+    swapped with their normals: that pair's S, K and Kp are S, Kp and K
+    here up to the signs of zeros, but its T multiplies t0 by the two dot
+    products in the other order, which can round differently.
     """
     rhat_dot_sn = (diff[..., 0] * src_nrm[..., 0] + diff[..., 1] * src_nrm[..., 1]) / r
     h0, h1 = _hankel(0, kappa, r), _hankel(1, kappa, r)
@@ -156,13 +168,16 @@ def _kernels(kappa, kappa2, diff, r, src_nrm, tgt_nrm, plain=False, swap=False):
         out += [S, 0.25j * kh1 * rhat_dot_sn]
         if tgt_nrm is None:
             continue
+        # sign: rhat here is (x-y)/r; both dot products flip, their product does not
+        out.append(-0.25j * kh1 * rhat_dot_tn)
+        if k2 is None and kappa2 is not None:
+            continue   # the plain set beside a difference: S, K and Kp
         if k2 is None:
             t0 = 0.25j * kappa**2 * h0
         else:
             t0 = 0.25j * (kappa**2 * h0 - k2**2 * h0_2)
         t1 = 0.25j * kh1 / r
-        # sign: rhat here is (x-y)/r; both dot products flip, their product does not
-        out += [-0.25j * kh1 * rhat_dot_tn, t0 * rhat_dot_sn * rhat_dot_tn + t1 * ang]
+        out.append(t0 * rhat_dot_sn * rhat_dot_tn + t1 * ang)
         if swap:
             out.append(t0 * rhat_dot_tn * rhat_dot_sn + t1 * ang)
     return out
@@ -323,14 +338,13 @@ def _near_pairs(pa, ab, length, tgt_pts):
     return [np.concatenate(col) for col in zip(*found)]
 
 
-def _near_segments(t_star, dist, ell, own):
-    """The fine-rule segments of the near pairs, ordered by pair: the pair,
-    the end (-1 or 1) and the level count of each nonempty geometric side
-    [t*, end], and level -1 for the product rule of an own-panel pair."""
-    n_own = int(own.sum())
-    pair, end, levels = [np.nonzero(own)[0]], [np.zeros(n_own)], [np.full(n_own, -1)]
+def _near_sides(t_star, dist, ell):
+    """The geometric sides of near pairs off their own panel, ordered by
+    pair: the pair, the end (-1 or 1) and the level count of each nonempty
+    side [t*, end]."""
+    pair, end, levels = [], [], []
     for e in (-1.0, 1.0):
-        side = np.nonzero(~own & (np.abs(e - t_star) >= 1e-14))[0]   # t* = e: nothing to do
+        side = np.nonzero(np.abs(e - t_star) >= 1e-14)[0]   # t* = e: nothing to do
         span = 0.5 * ell[side] * np.abs(e - t_star[side])
         with np.errstate(divide="ignore"):   # a target on the line: log 0, all levels
             lv = np.ceil(np.log(_NEAR_FRAC * dist[side] / span) / np.log(_FINE_RATIO))
@@ -342,85 +356,124 @@ def _near_segments(t_star, dist, ell, own):
     return pair[order], np.concatenate(end)[order], np.concatenate(levels)[order]
 
 
-def _fine_nodes(t_star, end, levels, k):
-    """Node k of a segment, in [-1, 1], with its weight: sub-interval k // _FINE_N
-    of a geometric side (innermost first), or Gauss node k of the product rule
-    (levels = -1)."""
-    tg, wg = gauss_legendre(_FINE_N)
-    j, g = np.divmod(k, _FINE_N)
-    inner = np.where(j == 0, 0.0, _FINE_RATIO ** (levels - j + 1.0))
-    lo = t_star + (end - t_star) * inner
-    hi = t_star + (end - t_star) * _FINE_RATIO ** (levels - j + 0.0)
-    half = 0.5 * np.abs(hi - lo)
+def _chunk_starts(node_off):
+    """The first pair of each chunk of whole pairs, and the pair count at the
+    end, from the pairs' node offsets (ending with the total): a chunk
+    starts at the pair that holds node k * _NEAR_CHUNK."""
+    starts = np.searchsorted(node_off, np.arange(0, node_off[-1], _NEAR_CHUNK), side="right") - 1
+    return np.unique(np.concatenate((starts, [len(node_off) - 1])))
+
+
+def _own_batches(pairs, t_star):
+    """The product rule of the own-panel `pairs`, at most _NEAR_CHUNK //
+    _OWN_M pairs per batch: (pairs, nodes per pair, t and Gauss weight per
+    node, log weight over Gauss weight per node), the _OWN_M Gauss nodes
+    tiled once per pair."""
+    if not len(pairs):
+        return
+    # log weights: exact moments of log|t - t*| times the Legendre
+    # expansion of the _OWN_M-point Lagrange basis
+    wlog = _log_moments(t_star, _OWN_M) @ _interp_coeffs(_OWN_M)
     to, wo = gauss_legendre(_OWN_M)
-    prod = levels < 0
-    km = np.where(prod, k, 0)
-    return (np.where(prod, to[km], 0.5 * (lo + hi) + half * tg[g]),
-            np.where(prod, wo[km], half * wg[g]))
+    step = max(1, _NEAR_CHUNK // _OWN_M)
+    for b0 in range(0, len(pairs), step):
+        p = pairs[b0:b0 + step]
+        wf = np.tile(wo, len(p))
+        yield p, np.full(len(p), _OWN_M), np.tile(to, len(p)), wf, wlog[b0:b0 + step].ravel() / wf
+
+
+def _geometric_chunks(pairs, t_star, dist, ell):
+    """The geometric rules of the other `pairs`, in chunks of whole pairs
+    (`_chunk_starts`): (pairs, nodes per pair, t and weight per node, None).
+    Each sub-interval's ends, from two powers of _FINE_RATIO, and its
+    midpoint and half length are computed once and spread over its _FINE_N
+    Gauss nodes."""
+    seg_pair, end, levels = _near_sides(t_star, dist, ell)
+    n_sub = levels + 1
+    # one entry per sub-interval, innermost first along each side
+    seg = np.repeat(np.arange(len(n_sub)), n_sub)
+    j = np.arange(len(seg)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    lv, e, t0 = levels[seg], end[seg], t_star[seg_pair[seg]]
+    inner = np.where(j == 0, 0.0, _FINE_RATIO ** (lv - j + 1.0))
+    lo = t0 + (e - t0) * inner
+    hi = t0 + (e - t0) * _FINE_RATIO ** (lv - j + 0.0)
+    mid, half = 0.5 * (lo + hi), 0.5 * np.abs(hi - lo)
+    sub_off = np.concatenate(([0], np.cumsum(np.bincount(seg_pair, n_sub, len(pairs))))).astype(int)
+    node_off = _FINE_N * sub_off
+    cuts = _chunk_starts(node_off)
+    tg, wg = gauss_legendre(_FINE_N)
+    for p0, p1 in zip(cuts[:-1], cuts[1:]):
+        u = slice(sub_off[p0], sub_off[p1])
+        yield (pairs[p0:p1], np.diff(node_off[p0:p1 + 1]),
+               (mid[u, None] + half[u, None] * tg).ravel(), (half[u, None] * wg).ravel(), None)
 
 
 def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out, plain=False):
-    """Re-integrate every near (target, panel) pair of the call in one flat
-    batch: the product rule on the target's own panel, sized geometric rules
-    elsewhere, one kernel pass per chunk of whole pairs.  `out` holds one
-    block per kind, in `_kernels` order with `plain`."""
+    """Re-integrate every near (target, panel) pair of the call: own-panel
+    pairs by the product rule in batches, the others by sized geometric
+    rules in chunks, one kernel pass per batch or chunk of whole pairs.
+    `out` holds one block per kind, in `_kernels` order with `plain`."""
     n_gl = src.n_gl
     pa, ab, length, normal = src.pa, src.pb - src.pa, src.plen, src.normals[::n_gl]
     ti, pi, t_star, dist = _near_pairs(pa, ab, length, tgt_pts)
     if not len(ti):
         return
     own = (dist <= _OWN_TOL * length[pi]) & (np.abs(t_star) < 1.0)
-    seg_pair, seg_end, seg_levels = _near_segments(t_star, dist, length[pi], own)
-    seg_n = np.where(seg_levels >= 0, (seg_levels + 1) * _FINE_N, _OWN_M)
-    pair_off = np.concatenate(([0], np.cumsum(np.bincount(seg_pair, seg_n, len(ti))))).astype(int)
-    seg_first = np.searchsorted(seg_pair, np.arange(len(ti) + 1))
-    # log weights of the product rule: exact moments of log|t - t*| times
-    # the Legendre expansion of the _OWN_M-point Lagrange basis
-    wlog = _log_moments(t_star[own], _OWN_M) @ _interp_coeffs(_OWN_M) if own.any() else None
-    own_row = np.cumsum(own) - 1
-    # chunks of whole pairs, each starting at the first pair past a multiple of _NEAR_CHUNK
-    cuts = np.searchsorted(pair_off, np.arange(0, pair_off[-1], _NEAR_CHUNK), side="right") - 1
-    cuts = np.unique(np.concatenate((cuts, [len(ti)])))
+    own_p, geo_p = np.nonzero(own)[0], np.nonzero(~own)[0]
+    pair_n = np.empty(len(ti), dtype=int)   # fine nodes per pair
+    moments = np.empty((len(out), n_gl, len(ti)), dtype=complex)   # per kind and pair
+    # the kinds of a difference set; with `plain` the S, K and Kp of kappa
+    # alone follow (see _kernels)
+    n_diff = 2 if tgt_nrm is None else 4
+    for p, reps, tf, wf, wratio in chain(
+            _own_batches(own_p, t_star[own_p]),
+            _geometric_chunks(geo_p, t_star[geo_p], dist[geo_p], length[pi[geo_p]])):
+        pair_n[p] = reps
+        pn = pi[p]
+        x, a, b, sn = (np.repeat(v, reps, axis=0)
+                       for v in (tgt_pts[ti[p]], pa[pn], ab[pn], normal[pn]))
+        tn = None if tgt_nrm is None else np.repeat(tgt_nrm[ti[p]], reps, axis=0)
+        half = np.repeat(0.5 * length[pn], reps)
+        d = x - (a + (0.5 + 0.5 * tf)[:, None] * b)
+        r = np.hypot(d[:, 0], d[:, 1])
+        if wratio is None:
+            vals = np.stack(_kernels(kappa, kappa2, d, r, sn, tn, plain))
+        else:
+            dt = np.abs(tf - np.repeat(t_star[p], reps))
+            hit = dt <= _HIT_TOL   # node on the target
+            vals = np.stack(_kernels(kappa, kappa2, d, np.where(hit, 1.0, r), sn, tn, plain))
+            nn = None if tn is None else (sn * tn).sum(axis=1)
+            sets = (zip((kappa2, None), (vals[:n_diff], vals[n_diff:])) if plain
+                    else [(kappa2, vals)])   # views
+            for kap2, v in sets:
+                _product_rule(kappa, kap2, v, np.where(hit, 0.0, r), dt, wratio, half, nn)
+        vals = vals[:len(out)]
+        vals *= wf * half
+        table = _legendre_table(tf, n_gl)
+        offsets = np.cumsum(reps) - reps
+        for m, v in zip(moments, vals):   # one kind at a time keeps peak RSS flat
+            m[:, p] = np.add.reduceat(v * table, offsets, axis=1)
+    # the map to the panel's nodes, in chunks of whole pairs in pair order
+    # (module notes), on contiguous moments: BLAS rounds a strided row of
+    # one pair differently
+    cuts = _chunk_starts(np.concatenate(([0], np.cumsum(pair_n))))
     coeffs = _interp_coeffs(n_gl)
     for p0, p1 in zip(cuts[:-1], cuts[1:]):
-        s0, s1 = seg_first[p0], seg_first[p1]
-        n = seg_n[s0:s1]
-        sid = np.repeat(np.arange(s0, s1), n)
-        k = np.arange(pair_off[p1] - pair_off[p0]) - np.repeat(np.cumsum(n) - n, n)
-        pair = seg_pair[sid]
-        pn = pi[pair]
-        tf, wf = _fine_nodes(t_star[pair], seg_end[sid], seg_levels[sid], k)
-        d = tgt_pts[ti[pair]] - (pa[pn] + (0.5 + 0.5 * tf)[:, None] * ab[pn])
-        r = np.hypot(d[:, 0], d[:, 1])
-        prod = seg_levels[sid] < 0
-        hit = prod & (np.abs(tf - t_star[pair]) <= _HIT_TOL)   # node on the target
-        tn = None if tgt_nrm is None else tgt_nrm[ti[pair]]
-        vals = np.stack(_kernels(kappa, kappa2, d, np.where(hit, 1.0, r), normal[pn], tn, plain))
-        if prod.any():
-            q = np.nonzero(prod)[0]
-            nn = None if tn is None else (normal[pn[q]] * tn[q]).sum(axis=1)
-            for kap2, v in zip((kappa2, None), np.split(vals, 1 + plain)):   # views
-                _product_rule(kappa, kap2, v, q, np.where(hit[q], 0.0, r[q]),
-                              np.abs(tf[q] - t_star[pair[q]]),
-                              wlog[own_row[pair[q]], k[q]] / wf[q], 0.5 * length[pn[q]], nn)
-        vals = vals[:len(out)]
-        vals *= wf * (0.5 * length[pn])
-        table = _legendre_table(tf, n_gl)
         rows, cols = ti[p0:p1, None], n_gl * pi[p0:p1, None] + np.arange(n_gl)
-        for blk, v in zip(out, vals):   # one kind at a time keeps peak RSS flat
-            moments = np.add.reduceat(v * table, pair_off[p0:p1] - pair_off[p0], axis=1)
-            blk[rows, cols] = moments.T @ coeffs
+        for blk, m in zip(out, moments):
+            blk[rows, cols] = np.ascontiguousarray(m[:, p0:p1]).T @ coeffs
 
 
-def _product_rule(kappa, kappa2, vals, q, r, dt, wratio, half, nn):
-    """Turn the kernel values `vals[:, q]` at the product-rule nodes of
-    own-panel pairs into values that the nodes' Gauss weights integrate
-    with the product rule.
+def _product_rule(kappa, kappa2, vals, r, dt, wratio, half, nn):
+    """Turn the kernel values `vals` (kinds x nodes) at the product-rule
+    nodes of own-panel pairs into values that the nodes' Gauss weights
+    integrate with the product rule.
 
     On a straight panel a kernel A log r + B is A log|t - t*| + B~ with
     B~ = B + A log(half): the Gauss weight w takes B~ and the log weight
     wlog = wratio w takes A.  At a node on the target (r = 0) B~ comes
-    from the r -> 0 limits.  K and Kp vanish and plain T is NaN.
+    from the r -> 0 limits.  K and Kp vanish and plain T, where the set
+    has it, is NaN.
     """
     (a_s, a_t), (b_s, b_t) = _log_split(kappa, r)
     if kappa2 is not None:
@@ -428,15 +481,16 @@ def _product_rule(kappa, kappa2, vals, q, r, dt, wratio, half, nn):
         a_s, a_t, b_s, b_t = a_s - a_s2, a_t - a_t2, b_s - b_s2, b_t - b_t2
     on = r == 0
     log_dt = np.log(np.where(on, 1.0, dt))
+    has_t = len(vals) > 3
     parts = [(0, a_s, b_s)]
-    if nn is not None and kappa2 is not None:
+    if has_t and kappa2 is not None:
         parts.append((3, nn * a_t, nn * b_t))
     for kind, a, b0 in parts:
-        smooth = np.where(on, b0 + a * np.log(half), vals[kind, q] - a * log_dt)
-        vals[kind, q] = smooth + wratio * a
-    vals[1:3, q] = 0.0
-    if nn is not None and kappa2 is None:
-        vals[3, q] = np.nan
+        smooth = np.where(on, b0 + a * np.log(half), vals[kind] - a * log_dt)
+        vals[kind] = smooth + wratio * a
+    vals[1:3] = 0.0
+    if has_t and kappa2 is None:
+        vals[3] = np.nan
 
 
 def farfield_row(src, k, directions):

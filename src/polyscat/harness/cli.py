@@ -26,16 +26,16 @@ PROBE_TOL_CAP = 1e-10   # the loosest extraction quadrature tolerance `probe` ta
 
 
 def _numbers(grid):
-    """argparse type: a comma-separated list of finite floats, for a `grid`
-    each > 0 and no two equal."""
+    """argparse type: a comma-separated list of distinct finite floats, for a
+    `grid` each > 0."""
     def parse(text):
         try:
             values = [float(v) for v in text.split(",")]
         except ValueError:
             values = []
         if (not values or not all(math.isfinite(v) and (v > 0 or not grid) for v in values)
-                or grid and len(set(values)) < len(values)):
-            need = "distinct positive" if grid else "finite"
+                or len(set(values)) < len(values)):
+            need = "distinct positive" if grid else "distinct finite"
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated {need} numbers, got {text!r}")
         return values
@@ -321,19 +321,25 @@ def cmd_cgo_verify(args):
 
 
 def _admissibility(sc: Scenario, result):
-    """Vertex field values by midline extrapolation, against the admissibility tau."""
+    """Vertex field values by midline extrapolation, against the admissibility
+    tau, from one field evaluation at the tau circle and every midline."""
     m = sc.medium
     hull = _hull_of(m)
     diam = hull.bbox_diag()
-    tau = probe_mod.admissibility_tau(result.field_at, hull)
     polys = list(m.partition.layers) if isinstance(m, NestMedium) else [hull]
-    entries = []
+    sectors = []
     for li, poly in enumerate(polys, start=1):
         h = min(0.9 * max_sector_radius(poly), 0.1 * diam)
-        for vi, sec in enumerate(corner_sectors(poly, h)):
-            val = probe_mod.extrapolate_vertex_value(result.field_at, sec)
-            entries.append({"interface": li, "vertex": vi, "value": val,
-                            "abs": abs(val), "admissible": bool(abs(val) > tau)})
+        sectors += [(li, vi, sec) for vi, sec in enumerate(corner_sectors(poly, h))]
+    circle = probe_mod.admissibility_points(hull)
+    vals = result.field_at(np.vstack(
+        [circle, *(probe_mod.midline_points(sec) for _, _, sec in sectors)]))
+    tau = probe_mod.admissibility_tau(vals[:len(circle)])
+    entries = []
+    for (li, vi, sec), mid in zip(sectors, np.split(vals[len(circle):], len(sectors))):
+        val = probe_mod.extrapolate_vertex_value(mid, sec)
+        entries.append({"interface": li, "vertex": vi, "value": val,
+                        "abs": abs(val), "admissible": bool(abs(val) > tau)})
     return entries, tau
 
 
@@ -417,6 +423,10 @@ def _run_sweep(args, sc: Scenario):
         if not isinstance(mags, list) or not mags:
             raise ConfigError("sweep.magnitudes", f"expected a list of numbers, got {mags!r}")
         mags = [_number(v, f"sweep.magnitudes[{i}]") for i, v in enumerate(mags)]
+        for i, v in enumerate(mags):
+            if v in mags[:i]:
+                raise ConfigError(f"sweep.magnitudes[{i}]", f"{v!r} repeats "
+                                  f"sweep.magnitudes[{mags.index(v)}]")
     tgt = _parse_target(target, sc.medium)
     # every perturbed medium is checked before anything is solved or written
     media = []

@@ -378,15 +378,19 @@ def identity_residual(sc: ProbeScenario, s, tol=1e-12):
     return _residual(sc, grids, s, i1, tol)[0]
 
 
-def admissibility_tau(field_at, hull):
-    """The refusal threshold of the vertex values of a solved field:
-    1e-6 times the largest |field_at| on 64 points of the circle about the
-    hull's vertex mean whose radius is twice the hull's bounding-box
-    diagonal.  field_at maps (n, 2) points to values."""
+def admissibility_points(hull):
+    """The 64 points where `admissibility_tau` samples a solved field: the
+    circle about the hull's vertex mean whose radius is twice the hull's
+    bounding-box diagonal."""
     th = np.arange(64) * 2 * np.pi / 64
     center = hull.vertices.mean(axis=0)
-    pts = center[None, :] + 2.0 * hull.bbox_diag() * np.column_stack([np.cos(th), np.sin(th)])
-    return 1e-6 * float(np.max(np.abs(field_at(pts))))
+    return center[None, :] + 2.0 * hull.bbox_diag() * np.column_stack([np.cos(th), np.sin(th)])
+
+
+def admissibility_tau(values):
+    """The refusal threshold of the vertex values of a solved field: 1e-6
+    times the largest |value| of the field at `admissibility_points`."""
+    return 1e-6 * float(np.max(np.abs(values)))
 
 
 _CHUNK = 4096   # points per Bessel table in bessel_series_sampler
@@ -468,17 +472,28 @@ class _BesselBasis(NamedTuple):
         return np.r_[c[0], c[1::2]], np.r_[0, c[2::2]]
 
 
-def extrapolate_vertex_value(field_at, sector: CornerSector):
+def _midline_offsets(sector: CornerSector):
+    """h*(1/8, 1/16, 1/32, 1/64): the distances of the midline samples from
+    the apex."""
+    return sector.h / 8.0 * 0.5 ** np.arange(4)
+
+
+def midline_points(sector: CornerSector):
+    """The 4 points where `extrapolate_vertex_value` samples a field, at
+    `_midline_offsets` from the apex along the bisector."""
+    ts = _midline_offsets(sector)
+    return sector.apex[None, :] + ts[:, None] * sector.midline_world[None, :]
+
+
+def extrapolate_vertex_value(values, sector: CornerSector):
     """Field value at the sector apex by extrapolation along the midline.
 
-    Boundary collocation cannot be evaluated on the corner itself; sampling
-    field_at, a map of (n, 2) points to values, at h*(1/8, 1/16, 1/32, 1/64)
-    along the bisector and fitting a cubic in the offset recovers the corner
-    limit of a field that is continuous up to the corner.
+    Boundary collocation cannot be evaluated on the corner itself; fitting
+    a cubic in the offset to the field `values` at `midline_points(sector)`
+    recovers the corner limit of a field that is continuous up to the
+    corner.
     """
-    ts = sector.h / 8.0 * 0.5 ** np.arange(4)
-    pts = sector.apex[None, :] + ts[:, None] * sector.midline_world[None, :]
-    coef = np.polynomial.polynomial.polyfit(ts, field_at(pts), 3)
+    coef = np.polynomial.polynomial.polyfit(_midline_offsets(sector), values, 3)
     return complex(coef[0])
 
 

@@ -222,8 +222,8 @@ def test_criterion_10_uniqueness_sweep(nested_squares):
 def test_criterion_11_admissibility(unit_square, plane_inc):
     med = NestMedium(NestPartition([unit_square]), q=[2.0], lam=[0.5j], k=0.1)
     res = solve_scatter(med, plane_inc, nodes_per_edge=64)
-    tau = probe.admissibility_tau(res.field_at, unit_square)
-    vals = [abs(probe.extrapolate_vertex_value(res.field_at, sec))
+    tau = probe.admissibility_tau(res.field_at(probe.admissibility_points(unit_square)))
+    vals = [abs(probe.extrapolate_vertex_value(res.field_at(probe.midline_points(sec)), sec))
             for sec in corner_sectors(unit_square, 0.05)]
     ok = all(v > 0.5 for v in vals) and all(v > tau for v in vals)
     assert _report(11, ok, "low-wavenumber square vertices: |u(x_c)| = "

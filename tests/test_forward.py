@@ -541,7 +541,7 @@ def test_hankel_helper_matches_hankel1(monkeypatch):
 
 def test_hankel_values_shared_by_all_kinds(monkeypatch):
     """One assemble_block call evaluates each Hankel order of the complex
-    wavenumber once per pass: the far pass and each flat near chunk."""
+    wavenumber once per pass: the far pass and each near batch or chunk."""
     from scipy.special import hankel1
 
     import polyscat.forward.layerops as lo
@@ -561,7 +561,8 @@ def test_hankel_values_shared_by_all_kinds(monkeypatch):
         assert block.shape == (4, tgt.n_nodes, src.n_nodes)
         near = passes[1:]
         assert passes[0] == (tgt.n_nodes, src.n_nodes) and near
-        # flat chunks hold whole pairs: each at most one pair (2 x 170 nodes) past the chunk size
+        # near batches and chunks hold whole pairs: each at most one pair (2 x 170 nodes)
+        # past the chunk size
         assert all(len(shape) == 1 and shape[0] < lo._NEAR_CHUNK + 340 for shape in near)
         assert sorted(orders) == [0] * len(passes) + [1] * len(passes), src is tgt
 
@@ -580,18 +581,199 @@ def _near_pair_count(src, tgt_pts):
 def test_near_pass_kernel_points_fit_the_distance(nested_squares, monkeypatch):
     """The near pass evaluates at least 3x fewer kernel points than a fixed
     16-level rule (2 sides x 17 sub-intervals x 10 points per near pair) on
-    the 24-nodes/edge nested squares."""
+    the 24-nodes/edge nested squares, and exactly the points of the flat
+    layout that `_flat_fix_near` keeps."""
     import polyscat.forward.layerops as lo
 
     c0, c1 = build_mesh(list(nested_squares.layers), 24).curves
     points = []
     kernels = lo._kernels
     monkeypatch.setattr(lo, "_kernels", lambda *a: points.append(a[3].size) or kernels(*a))
-    for src, tgt in ((c0, c0), (c0, c1), (c1, c0), (c1, c1)):
+    flat = {(0, 0): 23872, (0, 1): 23360, (1, 0): 4000, (1, 1): 23872}
+    for (i, j), count in flat.items():
+        src, tgt = (c0, c1)[i], (c0, c1)[j]
         points.clear()
         lo.assemble_block(np.sqrt(2.0), src, tgt.nodes, tgt.normals, kappa2=1.0)
         near_points = sum(points) - tgt.n_nodes * src.n_nodes   # minus the far pass
-        assert 3 * near_points <= 2 * 170 * _near_pair_count(src, tgt.nodes), (src is tgt)
+        assert near_points == count, (i, j)
+        assert 3 * near_points <= 2 * 170 * _near_pair_count(src, tgt.nodes), (i, j)
+
+
+def _flat_fine_nodes(t_star, end, levels, k):
+    """Node k of a segment, in [-1, 1], with its weight: sub-interval k // _FINE_N
+    of a geometric side (innermost first), or Gauss node k of the product rule
+    (levels = -1)."""
+    from polyscat.forward.layerops import _FINE_N, _FINE_RATIO, _OWN_M
+    from polyscat.quadrature import gauss_legendre
+
+    tg, wg = gauss_legendre(_FINE_N)
+    j, g = np.divmod(k, _FINE_N)
+    inner = np.where(j == 0, 0.0, _FINE_RATIO ** (levels - j + 1.0))
+    lo = t_star + (end - t_star) * inner
+    hi = t_star + (end - t_star) * _FINE_RATIO ** (levels - j + 0.0)
+    half = 0.5 * np.abs(hi - lo)
+    to, wo = gauss_legendre(_OWN_M)
+    prod = levels < 0
+    km = np.where(prod, k, 0)
+    return (np.where(prod, to[km], 0.5 * (lo + hi) + half * tg[g]),
+            np.where(prod, wo[km], half * wg[g]))
+
+
+def _flat_segments(t_star, dist, ell, own):
+    """The fine-rule segments of the near pairs, ordered by pair: the pair,
+    the end (-1 or 1) and the level count of each nonempty geometric side
+    [t*, end], and level -1 for the product rule of an own-panel pair."""
+    from polyscat.forward.layerops import _FINE_LEVELS, _FINE_RATIO, _NEAR_FRAC
+
+    n_own = int(own.sum())
+    pair, end, levels = [np.nonzero(own)[0]], [np.zeros(n_own)], [np.full(n_own, -1)]
+    for e in (-1.0, 1.0):
+        side = np.nonzero(~own & (np.abs(e - t_star) >= 1e-14))[0]
+        span = 0.5 * ell[side] * np.abs(e - t_star[side])
+        with np.errstate(divide="ignore"):
+            lv = np.ceil(np.log(_NEAR_FRAC * dist[side] / span) / np.log(_FINE_RATIO))
+        pair.append(side)
+        end.append(np.full(len(side), e))
+        levels.append(np.clip(lv, 0, _FINE_LEVELS).astype(int))
+    pair = np.concatenate(pair)
+    order = np.argsort(pair, kind="stable")
+    return pair[order], np.concatenate(end)[order], np.concatenate(levels)[order]
+
+
+def _flat_product_rule(kappa, kappa2, vals, q, r, dt, wratio, half, nn):
+    """The product rule on the columns q of `vals`, gathered and scattered."""
+    from polyscat.forward.layerops import _log_split
+
+    (a_s, a_t), (b_s, b_t) = _log_split(kappa, r)
+    if kappa2 is not None:
+        (a_s2, a_t2), (b_s2, b_t2) = _log_split(kappa2, r)
+        a_s, a_t, b_s, b_t = a_s - a_s2, a_t - a_t2, b_s - b_s2, b_t - b_t2
+    on = r == 0
+    log_dt = np.log(np.where(on, 1.0, dt))
+    parts = [(0, a_s, b_s)]
+    if nn is not None and kappa2 is not None:
+        parts.append((3, nn * a_t, nn * b_t))
+    for kind, a, b0 in parts:
+        smooth = np.where(on, b0 + a * np.log(half), vals[kind, q] - a * log_dt)
+        vals[kind, q] = smooth + wratio * a
+    vals[1:3, q] = 0.0
+    if nn is not None and kappa2 is None:
+        vals[3, q] = np.nan
+
+
+def _flat_fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out, plain=False):
+    """The near pass in its former layout: all fine nodes of the call in one
+    ragged flat array ordered by pair, each node's position and weight from
+    `_flat_fine_nodes`, and the product rule gathered and scattered by index.
+    Since `_kernels` gives the plain set of a difference only S, K and Kp,
+    the sets split after the first set's kinds, and the plain set has no T."""
+    import polyscat.forward.layerops as lo
+
+    n_gl = src.n_gl
+    pa, ab, length, normal = src.pa, src.pb - src.pa, src.plen, src.normals[::n_gl]
+    ti, pi, t_star, dist = lo._near_pairs(pa, ab, length, tgt_pts)
+    if not len(ti):
+        return
+    own = (dist <= lo._OWN_TOL * length[pi]) & (np.abs(t_star) < 1.0)
+    seg_pair, seg_end, seg_levels = _flat_segments(t_star, dist, length[pi], own)
+    seg_n = np.where(seg_levels >= 0, (seg_levels + 1) * lo._FINE_N, lo._OWN_M)
+    pair_off = np.concatenate(([0], np.cumsum(np.bincount(seg_pair, seg_n, len(ti))))).astype(int)
+    seg_first = np.searchsorted(seg_pair, np.arange(len(ti) + 1))
+    wlog = (lo._log_moments(t_star[own], lo._OWN_M) @ lo._interp_coeffs(lo._OWN_M)
+            if own.any() else None)
+    own_row = np.cumsum(own) - 1
+    cuts = np.searchsorted(pair_off, np.arange(0, pair_off[-1], lo._NEAR_CHUNK), side="right") - 1
+    cuts = np.unique(np.concatenate((cuts, [len(ti)])))
+    coeffs = lo._interp_coeffs(n_gl)
+    n_diff = 2 if tgt_nrm is None else 4
+    for p0, p1 in zip(cuts[:-1], cuts[1:]):
+        s0, s1 = seg_first[p0], seg_first[p1]
+        n = seg_n[s0:s1]
+        sid = np.repeat(np.arange(s0, s1), n)
+        k = np.arange(pair_off[p1] - pair_off[p0]) - np.repeat(np.cumsum(n) - n, n)
+        pair = seg_pair[sid]
+        pn = pi[pair]
+        tf, wf = _flat_fine_nodes(t_star[pair], seg_end[sid], seg_levels[sid], k)
+        d = tgt_pts[ti[pair]] - (pa[pn] + (0.5 + 0.5 * tf)[:, None] * ab[pn])
+        r = np.hypot(d[:, 0], d[:, 1])
+        prod = seg_levels[sid] < 0
+        hit = prod & (np.abs(tf - t_star[pair]) <= lo._HIT_TOL)
+        tn = None if tgt_nrm is None else tgt_nrm[ti[pair]]
+        vals = np.stack(lo._kernels(kappa, kappa2, d, np.where(hit, 1.0, r), normal[pn], tn,
+                                    plain))
+        if prod.any():
+            q = np.nonzero(prod)[0]
+            nn = None if tn is None else (normal[pn[q]] * tn[q]).sum(axis=1)
+            sets = zip((kappa2, None), np.split(vals, [n_diff]), (nn, None)) if plain else [
+                (kappa2, vals, nn)]
+            for kap2, v, v_nn in sets:
+                _flat_product_rule(kappa, kap2, v, q, np.where(hit[q], 0.0, r[q]),
+                                   np.abs(tf[q] - t_star[pair[q]]),
+                                   wlog[own_row[pair[q]], k[q]] / wf[q], 0.5 * length[pn[q]],
+                                   v_nn)
+        vals = vals[:len(out)]
+        vals *= wf * (0.5 * length[pn])
+        table = lo._legendre_table(tf, n_gl)
+        rows, cols = ti[p0:p1, None], n_gl * pi[p0:p1, None] + np.arange(n_gl)
+        for blk, v in zip(out, vals):
+            moments = np.add.reduceat(v * table, pair_off[p0:p1] - pair_off[p0], axis=1)
+            blk[rows, cols] = moments.T @ coeffs
+
+
+def _near_pass_cases():
+    """(kappa, kappa2, source curve, targets, target normals, kinds, plain) per
+    case: the outer self group of the nested squares at 24 and 12 nodes/edge
+    with lambda != 0 (the difference and the plain S, K, Kp), the plain self
+    block (NaN T on own panels), a cross pair each way, the stacked targets
+    of the left cell of a split square at 64 nodes/edge on each of its
+    segments, the self group of a 32-gon at 8 nodes/edge, and field points:
+    one on the line of an edge past the corner, one just off a corner, one
+    near an edge."""
+    from polyscat.forward.cellsolver import SegmentCurve, build_skeleton
+    from polyscat.geometry import CellPartition
+
+    sq = lambda a, b, c, d: Polygon([[a, b], [c, b], [c, d], [a, d]])   # noqa: E731
+    squares = [sq(-1, -1, 1, 1), sq(-0.5, -0.5, 0.5, 0.5)]
+    c0, c1 = build_mesh(squares, 24).curves
+    coarse = build_mesh(squares, 12).curves[0]   # 6 nodes per panel, not 8
+    k, k2 = np.sqrt(3 + 0.2j), 1.0
+    cases = {"self-plain": (k, k2, c0, c0.nodes, c0.normals, 6, True),
+             "self-plain-12": (k, k2, coarse, coarse.nodes, coarse.normals, 6, True),
+             "self-nan": (k, None, c1, c1.nodes, c1.normals, 4, False),
+             "cross": (k, k2, c0, c1.nodes, c1.normals, 4, False),
+             "cross-back": (k, None, c1, c0.nodes, c0.normals, 4, False)}
+    split = CellPartition([sq(-0.5, -0.5, 0.0, 0.5), sq(0.0, -0.5, 0.5, 0.5)],
+                          sq(-0.5, -0.5, 0.5, 0.5))
+    segs = build_skeleton(split)
+    left = [SegmentCurve(s, 64, 3.0) for s in segs if 1 in (s.owner_a, s.owner_b)]
+    x = np.concatenate([c.nodes for c in left])
+    for i, c in enumerate(left):
+        cases[f"cell-{i}"] = (np.sqrt(2.0), None, c, x, None, 2, False)
+    th = 2 * np.pi * np.arange(32) / 32
+    disk = build_mesh([Polygon(np.column_stack([np.cos(th), np.sin(th)]))], 8).curves[0]
+    cases["disk-self-plain"] = (1.0, 1.7, disk, disk.nodes, disk.normals, 6, True)
+    pts = np.array([[1.0, 1.0 + 1e-3], [1.0 + 1e-3, 1.0 + 2e-3], [0.99, 0.3]])
+    cases["points"] = (1.0, None, c0, pts, None, 2, False)
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [None, 100], ids=["chunk-default", "chunk-100"])
+def test_near_pass_matches_the_flat_layout_bitwise(monkeypatch, chunk):
+    """The near pass on its two regular layouts (own-panel batches, geometric
+    chunks spread per sub-interval) writes every kind bit for bit as the
+    flat one-array layout does, NaN positions included, also with the node
+    chunk shrunk so that pairs fall into many chunks and many stand alone."""
+    import polyscat.forward.layerops as lo
+
+    if chunk is not None:
+        monkeypatch.setattr(lo, "_NEAR_CHUNK", chunk)
+    for name, (kap, kap2, src, x, tn, kinds, plain) in _near_pass_cases().items():
+        got, want = (np.zeros((kinds, len(x), src.n_nodes), dtype=complex) for _ in "ab")
+        lo._fix_near(kap, kap2, src, x, tn, got, plain)
+        _flat_fix_near(kap, kap2, src, x, tn, want, plain)
+        assert np.count_nonzero(want) > 0, name
+        assert np.isnan(want).any() == (name == "self-nan"), name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_plain_T_is_nan_on_own_panels_and_systems_are_finite(nested_squares, plane_inc,

@@ -174,7 +174,7 @@ def test_sweep_command(tmp_path):
 def test_sweep_refuses_a_vanishing_vertex_field(tmp_path, monkeypatch, capsys):
     from polyscat import probe
 
-    monkeypatch.setattr(probe, "extrapolate_vertex_value", lambda field_at, sector: 0j)
+    monkeypatch.setattr(probe, "extrapolate_vertex_value", lambda values, sector: 0j)
     cfg = write(tmp_path, "c.json", NEST_DOC)
     out = tmp_path / "sweep"
     assert cli_main(["sweep", "--config", cfg, "--out", str(out)]) == 1
@@ -293,6 +293,9 @@ def _nearfield(**edits):
 @pytest.mark.parametrize("command, edit, extra, code, field", [
     ("sweep", None, ["--magnitudes", "abc"], 2, "--magnitudes"),
     ("sweep", lambda d: d["sweep"].update(magnitudes=["x"]), [], 1, "sweep.magnitudes[0]"),
+    ("sweep", None, ["--magnitudes", "0.1,0.1"], 2, "--magnitudes"),
+    ("sweep", lambda d: d["sweep"].update(magnitudes=[0.1, 0.01, 0.1]), [], 1,
+     "sweep.magnitudes[2]"),
     ("probe", None, ["--s-grid", "50,abc"], 2, "--s-grid"),
     ("probe", None, ["--s-grid=0,100"], 2, "--s-grid"),
     ("probe", None, ["--s-grid=-5,100"], 2, "--s-grid"),
@@ -327,7 +330,8 @@ def _nearfield(**edits):
     ("forward", lambda d: d["mesh"].update(nodes_per_edge="12"), [], 1, "mesh.nodes_per_edge"),
     ("forward", lambda d: d["farfield"].update(num_angles=True), [], 1, "farfield.num_angles"),
     ("forward", _nearfield(nx=0), [], 1, "nearfield.nx"),
-], ids=["magnitudes-flag", "magnitudes-config", "s-grid-text", "s-grid-zero",
+], ids=["magnitudes-flag", "magnitudes-config", "magnitudes-repeated-flag",
+        "magnitudes-repeated-config", "s-grid-text", "s-grid-zero",
         "s-grid-negative", "s-grid-repeated", "omega1-missing", "theta_M", "probe-k-zero",
         "nodes_per_edge", "k-null", "medium-object", "incident-object", "mesh-object",
         "probe-object", "sector-object", "bounds-length", "bounds-text", "nx-fraction", "ny-text",
