@@ -1,8 +1,10 @@
 """Hot numeric kernels: oscillatory-exponential sums over quadrature grids.
 
 Each kernel is one numpy expression over the tensor grid; `IMPL` names
-that single path.  The sums call the u0 grid as `_u0_polar`, so a
-wrapper installed on the public `u0_polar` sees only outside calls.
+that single path.  `sector_quad_sum` calls the u0 grid as `_u0_polar`, so a
+wrapper installed on the public `u0_polar` sees only outside calls.  The
+edge and area sums take their u0 factor from the caller (`edge_u0`,
+`u0_polar`), which computes it once per rule and s.
 
 All kernels work in the polar frame of a corner sector: a point is
 (r, theta) with theta measured from the positive x1-axis, and the decaying
@@ -36,11 +38,17 @@ def sector_abs_quad_sum(r, wr, theta, wt, s, alpha):
     return float((wr[:, None] * wt[None, :] * vals).sum())
 
 
-def edge_quad_sum(r, wr, g, s, theta):
+def edge_u0(r, s, theta):
+    """u0(s*x) at the radii r along the ray at angle theta."""
     mu = complex(np.cos(0.5 * theta), np.sin(0.5 * theta))
-    return complex(np.sum(wr * g * np.exp(-np.sqrt(s * r) * mu)))
+    return np.exp(-np.sqrt(s * r) * mu)
 
 
-def area_quad_sum(r, wr, theta, wt, vals, s):
-    u0 = _u0_polar(r, theta, s)
-    return complex((wr[:, None] * wt[None, :] * vals * u0 * r[:, None]).sum())
+def edge_quad_sum(wr, g, e):
+    """sum wr g e: e the edge factor `edge_u0` on the nodes of wr."""
+    return complex(np.sum(wr * g * e))
+
+
+def area_quad_sum(wrt, vals, u0, r):
+    """sum (wr (x) wt) vals u0 r on the tensor grid: u0 the `u0_polar` table."""
+    return complex((wrt * vals * u0 * r[:, None]).sum())

@@ -43,6 +43,17 @@ def _numbers(grid):
     return parse
 
 
+def _tolerance(text):
+    """argparse type: a quadrature tolerance, a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(prog="polyscat",
                                 description="conductive polygonal scattering toolkit")
@@ -59,7 +70,7 @@ def main(argv=None):
     common(sub.add_parser("forward", help="solve and write the far-field pattern"))
     sp = sub.add_parser("cgo-verify", help="verify test-function identities and bounds")
     sp.add_argument("--out", default="out")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=_tolerance, default=1e-10)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--corrupt", action="store_true",
                     help="negative control: perturb a constant and expect detection")
@@ -71,7 +82,7 @@ def main(argv=None):
     sp = sub.add_parser("probe", help="corner extraction of parameter differences")
     common(sp)
     sp.add_argument("--s-grid", type=_numbers(True), default="50,100,200,400,800")
-    sp.add_argument("--tol", type=float, default=PROBE_TOL_CAP)
+    sp.add_argument("--tol", type=_tolerance, default=PROBE_TOL_CAP)
     sp = sub.add_parser("passive", help="uniqueness sweep with point-source excitation")
     common(sp)
     sp.add_argument("--target", default=None)
@@ -570,6 +581,11 @@ def cmd_probe(args):
         print("warning: extraction quadrature did not converge at s = "
               + ", ".join(f"{s:g}" for s in unconverged)
               + f"; quad_error in {args.out}/report.json", file=sys.stderr)
+    fit_unconverged = scen.meta["fit_quad_unconverged"]
+    if fit_unconverged:
+        print(f"warning: {fit_unconverged} scenario-fit edge-moment quadratures did not "
+              f"converge, fit_quad_error_max = {scen.meta['fit_quad_error_max']:.3g}; "
+              f"see {args.out}/report.json", file=sys.stderr)
     print(f"eta1-eta2 ~ {result.eta_extrapolated:.6g}, "
           f"omega1-omega2 ~ {result.omega_extrapolated:.6g}")
     return EXIT_OK

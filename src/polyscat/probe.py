@@ -11,15 +11,24 @@ measurable side at each s on a grid and extrapolate the limit in powers
 of 1/s.
 
 The area, edge and arc quadrature grids of quadrature.py depend only on
-the sector, never on s; only the weight u0(s x) does.  One extraction
-therefore samples u1 and u2 once per grid and refinement level, values
-only except on the arc nodes, where I1 needs the normal derivative, and
-reuses those samples for every s.  Each integral still refines and stops
-exactly as it would alone.  The numerator, denominator and identity
-residual are assembled once per s, and the eta and omega estimates are
-both read off them.  The manufactured scenario's fit shares its edge
-samples the same way: J_n(kappa r) and the u2 Cauchy data are taken once
-per edge grid and serve every fit s and every basis element.
+the sector, never on s; only the weight u0(s x) does.  quadrature.py
+builds each rule level once and hands it out as one read-only object, so
+one extraction samples u1 and u2 once per grid and refinement level,
+values only except on the arc nodes, where I1 needs the normal
+derivative, and reuses those samples for every s (_once_per_grid knows a
+grid by its identity).  The weight is computed once per grid and s: the
+three area integrals of one s (I2 and the residual's u2 and v integrals)
+share one u0(s .) table per level, and the four edge integrals of one s
+(the remainders and the residual's edge terms) one factor per edge and
+level, through one quadrature.U0Tables that lives while that s is
+processed.  Each integral still refines and stops exactly as it would
+alone, and every sum multiplies in the same order, so no bit moves.  The
+numerator, denominator and identity residual are assembled once per s,
+and the eta and omega estimates are both read off them.  The
+manufactured scenario's fit shares its edge samples the same way: J_n(kappa
+r) and the u2 Cauchy data are taken once per edge grid and serve every fit
+s and every basis element, and the moments of one edge and s (every
+basis element and the target) share one u0(s .) factor per level.
 
 The manufactured fields are Fourier-Bessel series
 sum_n J_n(kappa r)(a_n cos n theta + b_n sin n theta).  Every order
@@ -27,8 +36,12 @@ J_0 ... J_{N-1} of a point comes from one backward run of the three-term
 recurrence (Miller's algorithm, normalized by 1 = J_0 + 2 sum_k J_2k; see
 _bessel_rows), and the derivatives from J_n' = (J_{n-1} - J_{n+1}) / 2 on
 the same rows.  The series sampler takes points in chunks of _CHUNK, so
-the row table never spans more than one chunk, and each point's bits are
-those it gets alone.
+the row table never spans more than one chunk.  Within a chunk it runs
+the recurrence on the distinct radii only, and evaluates cos n theta,
+sin n theta and the angular factors on the distinct angles only, then
+gathers both back to the points; on a polar grid in a sector at the
+origin with rotation 0 most of them repeat.  Every step is elementwise,
+so each point's bits are those it gets alone.
 
 Sign conventions: estimates are of eta1 - eta2 and omega1 - omega2.
 The exact exponential corrections of the closed-form edge integral are
@@ -44,7 +57,7 @@ import numpy as np
 from . import cgo
 from .geometry import CornerSector
 from .medium import sqrt_im_nonneg
-from .quadrature import arc_integral, edge_u0_integral, sector_area_integral
+from .quadrature import U0Tables, arc_integral, edge_u0_integral, sector_area_integral
 
 
 @dataclass(frozen=True)
@@ -131,21 +144,20 @@ def corner_value(sampler: FieldSampler, sector: CornerSector):
 
 
 def _once_per_grid(fn):
-    """fn(nodes) with a store of the node sets already sampled.
+    """fn(nodes) with a store of the node arrays already sampled.
 
-    A quadrature grid met again (same level, another s or another
-    functional) is answered from the store.  The store lives as long as
-    the returned callable; callers must not write to what it returns.
+    quadrature.py hands out each rule level as one read-only array, so a
+    grid met again (same level, another s or another functional) is the
+    same object and is answered from the store.  The store keeps each
+    array it has seen, so no id is reused while it lives, which is as long
+    as the returned callable; callers must not write to what it returns.
     """
-    seen = []
+    seen = {}
 
     def f(nodes):
-        for known, out in seen:
-            if known.shape == nodes.shape and np.array_equal(known, nodes):
-                return out
-        out = fn(nodes)
-        seen.append((nodes.copy(), out))
-        return out
+        if id(nodes) not in seen:
+            seen[id(nodes)] = (nodes, fn(nodes))
+        return seen[id(nodes)][1]
 
     return f
 
@@ -175,8 +187,9 @@ def _arc_functional(arc, sector: CornerSector, s, tol):
     return arc_integral(F, sector.theta_m, sector.theta_M, tol)
 
 
-def _area_functional(f, sector: CornerSector, s, tol):
-    return sector_area_integral(f, sector.theta_m, sector.theta_M, sector.h, s, tol)
+def _area_functional(f, sector: CornerSector, s, tol, u0_tables=None):
+    return sector_area_integral(f, sector.theta_m, sector.theta_M, sector.h, s, tol,
+                                u0_tables=u0_tables)
 
 
 class _Edge(NamedTuple):
@@ -209,10 +222,10 @@ def _edge_trace(u: FieldSampler, sector: CornerSector, side, grad=False):
     return _once_per_grid(f)
 
 
-def _edge_remainder(edge, u2_0, sector: CornerSector, s, side, tol):
+def _edge_remainder(edge, u2_0, sector: CornerSector, s, side, tol, u0_tables=None):
     """I32: int_0^h (u2 - u2(0)) u0(s.) dr along one edge, from u2's edge values."""
     return edge_u0_integral(_edge(sector, side).theta, s, sector.h,
-                            g=lambda r: edge(r) - u2_0, tol=tol)
+                            g=lambda r: edge(r) - u2_0, tol=tol, u0_tables=u0_tables)
 
 
 class _GridSamples(NamedTuple):
@@ -241,29 +254,31 @@ class _Functionals(NamedTuple):
     quads: tuple
 
 
-def _denominator(sc: ProbeScenario, edges, s, u2_0, tol):
+def _denominator(sc: ProbeScenario, edges, s, u2_0, tol, u0_tables):
     """u2(0) (I31+ + I31-) + (I32+ + I32-); the eta-carrying known side."""
     i31p = cgo.edge_integral_exact(sc.sector.theta_M, s, sc.sector.h)
     i31m = cgo.edge_integral_exact(sc.sector.theta_m, s, sc.sector.h)
-    qp = _edge_remainder(edges["+"], u2_0, sc.sector, s, "+", tol)
-    qm = _edge_remainder(edges["-"], u2_0, sc.sector, s, "-", tol)
+    qp = _edge_remainder(edges["+"], u2_0, sc.sector, s, "+", tol, u0_tables)
+    qm = _edge_remainder(edges["-"], u2_0, sc.sector, s, "-", tol, u0_tables)
     return u2_0 * (i31p + i31m) + (qp.value + qm.value), (qp, qm)
 
 
-def _residual(sc: ProbeScenario, grids: _GridSamples, s, i1, tol):
-    """Identity residual at one s from shared samples and I1; see identity_residual."""
+def _residual(sc: ProbeScenario, grids: _GridSamples, s, i1, tol, u0_tables):
+    """Identity residual at one s from shared samples, u0 tables and I1; see
+    identity_residual."""
     sec = sc.sector
     k2 = sc.k**2
-    lhs_q = _area_functional(grids.u2_area, sec, s, tol)
+    lhs_q = _area_functional(grids.u2_area, sec, s, tol, u0_tables)
     lhs = k2 * (sc.omega2 - sc.omega1) * lhs_q.value
-    rhs_v = _area_functional(lambda p: grids.u1_area(p) - grids.u2_area(p), sec, s, tol)
+    rhs_v = _area_functional(lambda p: grids.u1_area(p) - grids.u2_area(p), sec, s, tol,
+                             u0_tables)
     eta_d = sc.eta1 - sc.eta2
     edge_terms = 0j
     edge_err = 0.0
     quads = [lhs_q, rhs_v]
     for side in ("+", "-"):
         q = edge_u0_integral(_edge(sec, side).theta, s, sec.h, g=grids.u2_edge[side],
-                             tol=tol)
+                             tol=tol, u0_tables=u0_tables)
         edge_terms += eta_d * q.value
         edge_err += abs(eta_d) * q.error
         quads.append(q)
@@ -277,14 +292,16 @@ def _residual(sc: ProbeScenario, grids: _GridSamples, s, i1, tol):
 
 def _functionals(sc: ProbeScenario, grids: _GridSamples, s, u2_0, v0, tol):
     """Numerator I1 + k^2 omega1 I2 (the measurable side), denominator and
-    identity residual at one s; I1 is shared by the numerator and residual."""
+    identity residual at one s; I1 is shared by the numerator and residual,
+    and one set of u0(s .) tables by every area and edge integral."""
     sec = sc.sector
+    tables = U0Tables()
     i1 = _arc_functional(grids.v_arc, sec, s, tol)
     i2 = _area_functional(lambda p: grids.u1_area(p) - grids.u2_area(p) - v0, sec, s,
-                          max(tol, 1e-12))
+                          max(tol, 1e-12), tables)
     num = i1.value + sc.k**2 * sc.omega1 * i2.value
-    den, den_q = _denominator(sc, grids.u2_edge, s, u2_0, tol)
-    (resid, _, _), res_q = _residual(sc, grids, s, i1, tol)
+    den, den_q = _denominator(sc, grids.u2_edge, s, u2_0, tol, tables)
+    (resid, _, _), res_q = _residual(sc, grids, s, i1, tol, tables)
     return _Functionals(num, den, resid, (i1, i2, *den_q, *res_q))
 
 
@@ -375,7 +392,7 @@ def identity_residual(sc: ProbeScenario, s, tol=1e-12):
     """
     grids = _grid_samples(sc)
     i1 = _arc_functional(grids.v_arc, sc.sector, s, tol)
-    return _residual(sc, grids, s, i1, tol)[0]
+    return _residual(sc, grids, s, i1, tol, U0Tables())[0]
 
 
 def admissibility_points(hull):
@@ -501,6 +518,13 @@ def extrapolate_vertex_value(values, sector: CornerSector):
 # manufactured corner scenarios
 
 
+def _distinct(x):
+    """The distinct values of a float array, told apart by their bits (so
+    0.0 and -0.0 stay apart), and the index of each entry among them."""
+    bits, at = np.unique(x.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), at
+
+
 def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | None = None):
     """Exact Helmholtz field sum_n J_n(kappa r)(a_n cos n th + b_n sin n th).
 
@@ -517,30 +541,34 @@ def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | 
 
     def chunk(xy, vals, grads):
         """The series at canonical points xy into vals, and into grads
-        (canonical frame) unless grads is None."""
+        (canonical frame) unless grads is None.  Radial and angular factors
+        are computed on the chunk's distinct radii and angles, then
+        gathered to the points."""
         r = np.hypot(xy[:, 0], xy[:, 1])
-        th = np.arctan2(xy[:, 1], xy[:, 0])
+        th, at_th = _distinct(np.arctan2(xy[:, 1], xy[:, 0]))
         d_r = d_t = 0j  # d_t: (1/r) d/dtheta
         tiny = r < 1e-12
         rs = np.where(tiny, 1.0, r)
-        jn = _bessel_rows(kappa, rs, nmax if grads is None else nmax + 1)
+        ur, at_r = _distinct(rs)
+        jn = _bessel_rows(kappa, ur, nmax if grads is None else nmax + 1)
         vals[:] = 0
         for n in range(nmax):
             cn, sn = np.cos(n * th), np.sin(n * th)
             ang = a[n] * cn + b[n] * sn
-            vals += jn[n] * ang
+            jn_n = jn[n][at_r]
+            vals += jn_n * ang[at_th]
             if grads is not None:
                 # J_n' = (J_{n-1} - J_{n+1}) / 2, with J_{-1} = -J_1
                 djn = 0.5 * kappa * ((jn[n - 1] if n else -jn[1]) - jn[n + 1])
                 dang = n * (-a[n] * sn + b[n] * cn)
-                d_r += djn * ang
-                d_t += jn[n] / rs * dang
+                d_r += djn[at_r] * ang[at_th]
+                d_t += jn_n / rs * dang[at_th]
         # analytic limit at the corner: only the n=0,1 terms survive
         vals[tiny] = a[0]
         if grads is None:
             return
-        rhat = np.column_stack([np.cos(th), np.sin(th)])
-        that = np.column_stack([-np.sin(th), np.cos(th)])
+        rhat = np.column_stack([np.cos(th), np.sin(th)])[at_th]
+        that = np.column_stack([-np.sin(th), np.cos(th)])[at_th]
         grads[:] = d_r[:, None] * rhat + d_t[:, None] * that
         grads[tiny] = (0.5 * kappa * np.array([a[1], b[1]]) if nmax > 1
                        else np.zeros(2, dtype=complex))
@@ -558,10 +586,10 @@ def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | 
                         values_fn=lambda pts: series(pts, False))
 
 
-def _edge_moment(sector: CornerSector, edge: _Edge, s, cauchy, scale=1.0):
+def _edge_moment(sector: CornerSector, edge: _Edge, s, cauchy, u0_tables, scale=1.0):
     """Green moment int_0^h [flux - (dnu u0 / u0) scale trace] u0(s.) dr of the
     edge Cauchy data cauchy(r) -> (trace, flux), scale a constant trace factor,
-    to quadrature tolerance 1e-12."""
+    to quadrature tolerance 1e-12, on the edge factors of u0_tables."""
     m = cgo.mu(edge.theta)
 
     def g(r):
@@ -569,7 +597,7 @@ def _edge_moment(sector: CornerSector, edge: _Edge, s, cauchy, scale=1.0):
         fac = edge.sign * (-0.5j) * np.sqrt(s / r) * m
         return flux - fac * trace * scale
 
-    return edge_u0_integral(edge.theta, s, sector.h, g=g, tol=1e-12)
+    return edge_u0_integral(edge.theta, s, sector.h, g=g, tol=1e-12, u0_tables=u0_tables)
 
 
 DEFAULT_U2_COS = (1.0, 0.25, 0.15, 0.08)
@@ -630,9 +658,11 @@ def manufactured_scenario(sector: CornerSector, k, omega1, omega2, eta1, eta2,
             return cauchy
 
         for s in fit_s:
-            mom_rows.append([_edge_moment(sector, e, s, element(n, d), scale=a)
+            # one u0(s .) factor per edge level serves every moment at this s
+            tables = U0Tables()
+            mom_rows.append([_edge_moment(sector, e, s, element(n, d), tables, scale=a)
                              for (n, _), a, d in zip(basis.labels, ang, dang)])
-            mom_tgt.append(_edge_moment(sector, e, s, target))
+            mom_tgt.append(_edge_moment(sector, e, s, target, tables))
     A = np.vstack(rows)
     y = np.concatenate(rhs)
     fit_quads = [q for row in mom_rows for q in row] + mom_tgt

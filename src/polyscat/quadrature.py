@@ -5,10 +5,22 @@ Radial direction: composite Gauss-Legendre on geometrically graded panels
 toward r = 0 (the integrand has sqrt(r) derivative behaviour there) and out
 through the exponentially decaying tail.  Angular direction: tensor
 Gauss-Legendre, refined by doubling until two successive levels agree.
+
+The rules depend only on the sector (or the edge length h) and the
+refinement level, never on s or the integrand, so each level is built once
+and shared: the area tensor rule per (sector, level), with its weights
+wr (x) wt and canonical points, the radial rule of an edge ray per
+(h, level), and the angular rule per (angles, level).  Their arrays are
+read-only; a grid met again is the same object.  The weight u0(s .) on a
+rule depends on s alone, so integrals that pass one `U0Tables` share it:
+one table per (area rule, s) and one factor per (edge rule, edge angle, s).
+The sums multiply in the order each integral always has, so sharing moves
+no bit of any value.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +35,13 @@ class QuadResult:
 
     def __complex__(self):
         return complex(self.value)
+
+
+def _frozen(*arrays):
+    """The arrays, made read-only: rules are shared between callers."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @lru_cache(maxsize=64)
@@ -57,11 +76,53 @@ def graded_breaks(r_lo, r_hi):
     return np.concatenate(([0.0], pts))
 
 
+@lru_cache(maxsize=64)
 def _theta_rule(theta_m, theta_M, nt):
     x, w = gauss_legendre(nt)
     mid = 0.5 * (theta_m + theta_M)
     half = 0.5 * (theta_M - theta_m)
-    return mid + half * x, half * w
+    return _frozen(mid + half * x, half * w)
+
+
+@lru_cache(maxsize=64)
+def _radial_rule(h, nr):
+    """The graded radial rule on [0, h]: an edge ray's, and an area rule's
+    radial factor."""
+    return _frozen(*panel_rule(graded_breaks(0.0, h), nr))
+
+
+class AreaRule(NamedTuple):
+    """One level of the tensor rule on the sector S_h."""
+    r: np.ndarray       # radial nodes
+    t: np.ndarray       # angular nodes
+    wrt: np.ndarray     # (len(r), len(t)) weights wr (x) wt
+    pts: np.ndarray     # (len(r) * len(t), 2) canonical points, r-major
+
+
+@lru_cache(maxsize=16)
+def _area_rule(theta_m, theta_M, h, nr, nt):
+    r, wr = _radial_rule(h, nr)
+    t, wt = _theta_rule(theta_m, theta_M, nt)
+    pts = np.empty((r.size * t.size, 2))
+    rr = np.repeat(r, t.size)
+    tt = np.tile(t, r.size)
+    pts[:, 0] = rr * np.cos(tt)
+    pts[:, 1] = rr * np.sin(tt)
+    return AreaRule(r, t, *_frozen(wr[:, None] * wt[None, :], pts))
+
+
+class U0Tables:
+    """u0(s .) on the rules that the integrals given this store meet, each
+    (rule, s) computed once.  A caller shares one store between the
+    integrals of one s and drops it when that s is done."""
+
+    def __init__(self):
+        self._made = {}
+
+    def get(self, key, make):
+        if key not in self._made:
+            self._made[key] = make()
+        return self._made[key]
 
 
 def _refine(levels, eval_fn, tol):
@@ -91,35 +152,38 @@ def polar_integral(breaks, theta_m, theta_M, kernel, tol):
     return QuadResult(*_refine([(12, 12), (16, 24), (24, 48), (32, 96)], eval_fn, tol))
 
 
-def edge_u0_integral(theta, s, h, g=None, tol=1e-12):
+def edge_u0_integral(theta, s, h, g=None, tol=1e-12, u0_tables=None):
     """1D integral over an edge ray: int_0^h g(r) exp(-sqrt(s r) mu(theta)) dr.
 
-    g is a vectorized callable of r (default: 1).
+    g is a vectorized callable of r (default: 1); u0_tables, when given,
+    shares the factor exp(-sqrt(s r) mu(theta)) of each level with the other
+    integrals passed the same store.
     """
+    s, theta = float(s), float(theta)
+    tables = U0Tables() if u0_tables is None else u0_tables
 
     def eval_fn(nr):
-        r, wr = panel_rule(graded_breaks(0.0, h), nr)
+        r, wr = _radial_rule(h, nr)
         gv = np.ones_like(r, dtype=complex) if g is None else np.asarray(g(r), dtype=complex)
-        return _kernels.edge_quad_sum(r, wr, gv, float(s), float(theta))
+        e = tables.get(("edge", h, nr, theta, s), lambda: _kernels.edge_u0(r, s, theta))
+        return _kernels.edge_quad_sum(wr, gv, e)
 
     val, err, ok = _refine([10, 16, 24, 32], eval_fn, tol)
     return QuadResult(val, err, ok)
 
 
-def sector_area_integral(f, theta_m, theta_M, h, s, tol=1e-11):
-    """Integral of f(x) u0(s x) over the sector S_h, f vectorized on (n,2) points."""
+def sector_area_integral(f, theta_m, theta_M, h, s, tol=1e-11, u0_tables=None):
+    """Integral of f(x) u0(s x) over the sector S_h, f vectorized on (n,2)
+    points; u0_tables as for edge_u0_integral, one table per level."""
+    s = float(s)
+    tables = U0Tables() if u0_tables is None else u0_tables
 
     def eval_fn(lv):
-        nr, nt = lv
-        r, wr = panel_rule(graded_breaks(0.0, h), nr)
-        t, wt = _theta_rule(theta_m, theta_M, nt)
-        pts = np.empty((r.size * t.size, 2))
-        rr = np.repeat(r, t.size)
-        tt = np.tile(t, r.size)
-        pts[:, 0] = rr * np.cos(tt)
-        pts[:, 1] = rr * np.sin(tt)
-        vals = np.asarray(f(pts), dtype=complex).reshape(r.size, t.size)
-        return _kernels.area_quad_sum(r, wr, t, wt, vals, float(s))
+        rule = _area_rule(theta_m, theta_M, h, *lv)
+        vals = np.asarray(f(rule.pts), dtype=complex).reshape(rule.wrt.shape)
+        u0 = tables.get(("area", theta_m, theta_M, h, lv, s),
+                        lambda: _kernels.u0_polar(rule.r, rule.t, s))
+        return _kernels.area_quad_sum(rule.wrt, vals, u0, rule.r)
 
     val, err, ok = _refine([(10, 12), (14, 24), (20, 48)], eval_fn, tol)
     return QuadResult(val, err, ok)

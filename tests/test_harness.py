@@ -330,6 +330,13 @@ def _nearfield(**edits):
     ("forward", lambda d: d["mesh"].update(nodes_per_edge="12"), [], 1, "mesh.nodes_per_edge"),
     ("forward", lambda d: d["farfield"].update(num_angles=True), [], 1, "farfield.num_angles"),
     ("forward", _nearfield(nx=0), [], 1, "nearfield.nx"),
+    ("probe", None, ["--tol", "0"], 2, "--tol"),
+    ("probe", None, ["--tol=-1"], 2, "--tol"),
+    ("probe", None, ["--tol", "nan"], 2, "--tol"),
+    ("cgo-verify", None, ["--tol", "0"], 2, "--tol"),
+    ("cgo-verify", None, ["--tol=-1"], 2, "--tol"),
+    ("cgo-verify", None, ["--tol", "nan"], 2, "--tol"),
+    ("cgo-verify", None, ["--tol", "inf"], 2, "--tol"),
 ], ids=["magnitudes-flag", "magnitudes-config", "magnitudes-repeated-flag",
         "magnitudes-repeated-config", "s-grid-text", "s-grid-zero",
         "s-grid-negative", "s-grid-repeated", "omega1-missing", "theta_M", "probe-k-zero",
@@ -338,7 +345,9 @@ def _nearfield(**edits):
         "target-number", "magnitudes-string", "mode-pair", "layer-self-intersecting",
         "cell-self-intersecting", "hull-self-intersecting", "nodes_per_edge-negative",
         "nodes_per_edge-zero", "mesh-level-zero", "nodes_per_edge-fraction",
-        "nodes_per_edge-text", "num_angles-bool", "nx-zero"])
+        "nodes_per_edge-text", "num_angles-bool", "nx-zero", "probe-tol-zero",
+        "probe-tol-negative", "probe-tol-nan", "cgo-tol-zero", "cgo-tol-negative",
+        "cgo-tol-nan", "cgo-tol-inf"])
 def test_malformed_input_is_refused_with_its_field(tmp_path, capsys, command, edit, extra,
                                                    code, field):
     """A malformed option is a usage error (exit 2) and a malformed config
@@ -346,8 +355,8 @@ def test_malformed_input_is_refused_with_its_field(tmp_path, capsys, command, ed
     doc = json.loads(json.dumps(PROBE_DOC if command == "probe" else NEST_DOC))
     if edit is not None:
         edit(doc)
-    argv = [command, "--config", write(tmp_path, "c.json", doc), "--out",
-            str(tmp_path / "out"), *extra]
+    config = [] if command == "cgo-verify" else ["--config", write(tmp_path, "c.json", doc)]
+    argv = [command, *config, "--out", str(tmp_path / "out"), *extra]
     if code == 2:
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
@@ -412,7 +421,7 @@ def test_passive_command_and_refusals(tmp_path):
     assert cli_main(["passive", "--config", cfg3, "--out", str(out)]) == 1
 
 
-def test_probe_command_manufactured(tmp_path):
+def test_probe_command_manufactured(tmp_path, capsys):
     cfg = write(tmp_path, "probe.json", PROBE_DOC)
     out = tmp_path / "probe"
     assert cli_main(["probe", "--config", cfg, "--out", str(out),
@@ -429,6 +438,11 @@ def test_probe_command_manufactured(tmp_path):
     assert report["omega_extrapolation_err"] > 0
     assert report["fit_quad_unconverged"] >= 0
     assert report["fit_quad_error_max"] > 0
+    # unconverged fit quadratures are named on stderr; the exit code stays 0
+    assert report["fit_quad_unconverged"] > 0
+    assert (f"{report['fit_quad_unconverged']} scenario-fit edge-moment quadratures did not "
+            f"converge, fit_quad_error_max = {report['fit_quad_error_max']:.3g}"
+            in capsys.readouterr().err)
     # the edge-moment correction closes the fit to rounding
     assert 0 <= report["fit_moment_residual"] < 1e-12
     # the fit's sensitivity to rounding is on record
@@ -447,6 +461,42 @@ def test_probe_command_reports_unconverged_quadrature(tmp_path, capsys):
     assert report["quad_converged"] == [False, False, True, True, True]
     err = capsys.readouterr().err
     assert "did not converge at s = 50, 100;" in err
+
+
+def test_probe_builds_each_rule_once_and_u0_once_per_grid_and_s(tmp_path, monkeypatch):
+    """A probe run builds each quadrature rule level once, one u0(s .) table
+    per (area level, s) and one edge factor per (edge, s, level) of each
+    pass, while every level is still summed per integral."""
+    from polyscat import _kernels, quadrature
+
+    for rule in (quadrature._area_rule, quadrature._radial_rule, quadrature._theta_rule):
+        rule.cache_clear()
+    calls = dict.fromkeys(["panel_rule", "u0_polar", "edge_u0", "area_quad_sum",
+                           "edge_quad_sum"], 0)
+
+    def counted(name, fn):
+        def f(*args):
+            calls[name] += 1
+            return fn(*args)
+        return f
+
+    for name in calls:
+        module = quadrature if name == "panel_rule" else _kernels
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    cfg = write(tmp_path, "probe.json", PROBE_DOC)
+    assert cli_main(["probe", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--s-grid", "50,100"]) == 0
+    # radial levels 10, 14, 20 (area) and 10, 16, 24, 32 (edge), 10 shared;
+    # the three area levels of the one sector
+    assert calls["panel_rule"] == 6
+    assert quadrature._area_rule.cache_info().misses == 3
+    # 2 s x 3 area levels; the fit's 2 edges x 2 s x 4 levels and the
+    # extraction's 2 edges x 2 s x 2 levels
+    assert calls["u0_polar"] == 6
+    assert calls["edge_u0"] == 24
+    # the sums they serve: 2 s x 3 area integrals, 112 edge integrals
+    assert calls["area_quad_sum"] == 16
+    assert calls["edge_quad_sum"] == 240
 
 
 def _blocks_per_solve(monkeypatch):
@@ -526,6 +576,27 @@ def test_cli_entrypoint_runs():
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "validate" in proc.stdout
+
+
+def test_probe_csv_does_not_depend_on_blas_threads(tmp_path):
+    """The README's claim: probe.csv is byte-identical under one and two
+    BLAS threads."""
+    import polyscat
+
+    src = os.path.dirname(os.path.dirname(polyscat.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cfg = write(tmp_path, "probe.json", PROBE_DOC)
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "polyscat.harness.cli", "probe",
+                               "--config", cfg, "--out", str(out), "--s-grid", "50,100"],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path,
+                                   "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        csvs.append((out / "probe.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 CELL_DOC = {

@@ -320,39 +320,66 @@ def test_bessel_rows_match_mpmath():
         assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
 
 
-def test_bessel_sampler_bits_do_not_depend_on_batch():
+def test_bessel_sampler_bits_do_not_depend_on_batch(monkeypatch):
     from scipy.special import jv, jvp
 
-    sector = CornerSector([0.3, -0.2], -2.0, 0.5, 0.7, rotation=2.1)
-    a, b = [0.8, 0.3, -0.2, 0.1j], [0.0, 0.4, 0.1j, -0.05]
-    # an area grid of more points than one Bessel chunk, and the apex
-    rr = sector.h * np.geomspace(1e-3, 1.0, 70)
-    tt = np.linspace(sector.theta_m, sector.theta_M, 66)
+    from polyscat import quadrature
+
+    # an area grid of more points than one Bessel chunk, and the apex, on a
+    # rotated sector off the origin, where few radii or angles repeat
+    rotated = CornerSector([0.3, -0.2], -2.0, 0.5, 0.7, rotation=2.1)
+    rr = rotated.h * np.geomspace(1e-3, 1.0, 70)
+    tt = np.linspace(rotated.theta_m, rotated.theta_M, 66)
     R, T = np.meshgrid(rr, tt, indexing="ij")
-    canon = np.vstack([[0.0, 0.0],
-                       np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])])
-    assert len(canon) > probe._CHUNK
-    pts = sector.to_world(canon)
-    for kappa in (1.4, np.sqrt(3 + 0.2j)):
-        sm = bessel_series_sampler(kappa, a, b, sector)
-        vals, grads = sm(pts)
-        assert sm.values(pts).tobytes() == vals.tobytes()
-        for i, p in enumerate(pts):
-            v, g = sm(p[None, :])
-            assert v.tobytes() == vals[i:i + 1].tobytes()
-            assert g.tobytes() == grads[i:i + 1].tobytes()
-        # the gradient against the series with scipy's jv and jvp
-        r, th = np.hypot(*canon[1:].T), np.arctan2(canon[1:, 1], canon[1:, 0])
-        d_r = d_t = 0j
-        for n in range(len(a)):
-            ang = a[n] * np.cos(n * th) + b[n] * np.sin(n * th)
-            dang = n * (-a[n] * np.sin(n * th) + b[n] * np.cos(n * th))
-            d_r += kappa * jvp(n, kappa * r) * ang
-            d_t += jv(n, kappa * r) / r * dang
-        rhat = np.column_stack([np.cos(th), np.sin(th)])
-        that = np.column_stack([-np.sin(th), np.cos(th)])
-        ref = sector.vec_to_world(d_r[:, None] * rhat + d_t[:, None] * that)
-        assert np.abs(grads[1:] - ref).max() <= 1e-13 * np.abs(ref).max()
+    grid = np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])
+    # and the probe's own first area level on a sector at the origin with
+    # rotation 0, whose chunks repeat radii and angles: there the sampler
+    # evaluates each distinct value once
+    origin = CornerSector([0.0, 0.0], 0.0, np.pi / 2, 1.0)
+    level = quadrature._area_rule(origin.theta_m, origin.theta_M, origin.h, 10, 12).pts
+    rows_radii = []
+    bessel_rows = probe._bessel_rows
+    monkeypatch.setattr(probe, "_bessel_rows",
+                        lambda kappa, r, size: rows_radii.append(len(r))
+                        or bessel_rows(kappa, r, size))
+    a, b = [0.8, 0.3, -0.2, 0.1j], [0.0, 0.4, 0.1j, -0.05]
+    for sector, points in ((rotated, grid), (origin, level)):
+        canon = np.vstack([[0.0, 0.0], points])
+        assert len(canon) > probe._CHUNK
+        pts = sector.to_world(canon)
+        seen = sector.to_canonical(pts)     # the points as the sampler sees them
+        chunks = [seen[lo:lo + probe._CHUNK] for lo in range(0, len(seen), probe._CHUNK)]
+        if sector is origin:
+            for xy in chunks:
+                assert len(np.unique(np.hypot(*xy.T))) < len(xy) / 4
+                assert len(np.unique(np.arctan2(xy[:, 1], xy[:, 0]))) < len(xy) / 4
+        for kappa in (1.4, np.sqrt(3 + 0.2j)):
+            sm = bessel_series_sampler(kappa, a, b, sector)
+            rows_radii.clear()
+            vals, grads = sm(pts)
+            # one Bessel row per distinct radius of each chunk
+            assert rows_radii == [len(np.unique(np.where(np.hypot(*xy.T) < 1e-12, 1.0,
+                                                         np.hypot(*xy.T))))
+                                  for xy in chunks]
+            assert sm.values(pts).tobytes() == vals.tobytes()
+            for i, p in enumerate(pts):
+                v, g = sm(p[None, :])
+                assert v.tobytes() == vals[i:i + 1].tobytes()
+                assert g.tobytes() == grads[i:i + 1].tobytes()
+            if sector is origin:
+                continue
+            # the gradient against the series with scipy's jv and jvp
+            r, th = np.hypot(*canon[1:].T), np.arctan2(canon[1:, 1], canon[1:, 0])
+            d_r = d_t = 0j
+            for n in range(len(a)):
+                ang = a[n] * np.cos(n * th) + b[n] * np.sin(n * th)
+                dang = n * (-a[n] * np.sin(n * th) + b[n] * np.cos(n * th))
+                d_r += kappa * jvp(n, kappa * r) * ang
+                d_t += jv(n, kappa * r) / r * dang
+            rhat = np.column_stack([np.cos(th), np.sin(th)])
+            that = np.column_stack([-np.sin(th), np.cos(th)])
+            ref = sector.vec_to_world(d_r[:, None] * rhat + d_t[:, None] * that)
+            assert np.abs(grads[1:] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def _scalar_reference(sc, s_grid, tol=1e-12):
