@@ -17,7 +17,7 @@ its boundary nodes; every node borders two regions, so the system is
 square.  A region's operator blocks come from one `assemble_block` call per
 source segment, on the stacked nodes of all its bordering segments (14
 calls on a square split in two); each target segment's rows are a slice
-of that block, bitwise equal to a call on the segment's own nodes.
+of that block, bitwise a call on the segment's own nodes by construction.
 
 The solved traces become the layers of a `solver.Solution`: a segment's
 owner A gets (curve, -t, p), an interior owner B gets

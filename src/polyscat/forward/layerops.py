@@ -60,12 +60,11 @@ normal and nodes at rows i * n_gl onward of `normals` and `nodes`.
   of about _NEAR_CHUNK nodes; each sub-interval's ends, midpoint and half
   length are computed once and spread over its _FINE_N Gauss nodes by an
   outer product.
-- `np.add.reduceat` sums each pair's Legendre moments, and
-  `_interp_coeffs` maps them to the panel's nodes in chunks of whole pairs
-  in pair order, each from the pair that holds fine node k * _NEAR_CHUNK
-  when the pairs' nodes are counted in pair order.  BLAS rounds a chunk of
-  one pair differently from a longer one, so this cut, and not the kernel
-  layouts, fixes the bits of each block.
+- `np.add.reduceat` sums each pair's Legendre moments, and `_to_nodes`
+  maps all of them to the panel's nodes once per kind.  No step rounds by
+  batch: each is elementwise or a fixed-order sum over one pair's values,
+  so an entry, and a slice of stacked targets, is the same whatever batch,
+  chunk or neighbours it was computed with; the chunks only bound memory.
 
 In every far chunk and near batch or chunk, `_kernels` evaluates H0 and H1 of each
 wavenumber once and derives all kinds from them.  Hankel functions come
@@ -141,10 +140,10 @@ def _kernels(kappa, kappa2, diff, r, src_nrm, tgt_nrm, plain=False, swap=False):
     with shape (..., 2).  H0 and H1 of each wavenumber are evaluated once,
     on all of r, and shared by every kind.
 
-    `plain` (with kappa2) follows these kinds with the S, K and (with
-    tgt_nrm) Kp of kappa alone, from the same H0 and H1; no caller reads a
-    plain T beside a difference, so none is evaluated.  `swap` (with
-    tgt_nrm) follows each T with the T of the exchanged pair, x and y
+    `plain` (with kappa2) follows these kinds with the S and K of kappa
+    alone, from the same H0 and H1, and with `swap` also its Kp; no caller
+    reads a plain T beside a difference, so none is evaluated.  `swap`
+    (with tgt_nrm) follows each T with the T of the exchanged pair, x and y
     swapped with their normals: that pair's S, K and Kp are S, Kp and K
     here up to the signs of zeros, but its T multiplies t0 by the two dot
     products in the other order, which can round differently.
@@ -166,12 +165,13 @@ def _kernels(kappa, kappa2, diff, r, src_nrm, tgt_nrm, plain=False, swap=False):
     out = []
     for S, kh1, k2 in sets:
         out += [S, 0.25j * kh1 * rhat_dot_sn]
-        if tgt_nrm is None:
+        beside = k2 is None and kappa2 is not None   # the plain set beside a difference
+        if tgt_nrm is None or (beside and not swap):
             continue
         # sign: rhat here is (x-y)/r; both dot products flip, their product does not
         out.append(-0.25j * kh1 * rhat_dot_tn)
-        if k2 is None and kappa2 is not None:
-            continue   # the plain set beside a difference: S, K and Kp
+        if beside:
+            continue   # its Kp, the exchanged pair's K, and no T
         if k2 is None:
             t0 = 0.25j * kappa**2 * h0
         else:
@@ -195,6 +195,15 @@ def _interp_coeffs(n_gl):
     return coeffs
 
 
+def _to_nodes(moments, coeffs):
+    """sum_m moments[m][:, None] * coeffs[m] in fixed order, no BLAS: moments
+    (m, pairs) to node values (pairs, nodes), each row from its pair alone."""
+    out = moments[0][:, None] * coeffs[0]
+    for m, c in zip(moments[1:], coeffs[1:]):
+        out += m[:, None] * c
+    return out
+
+
 def _legendre_table(t, n):
     """Legendre P_0..P_{n-1} (n >= 2) at the points t, as (n, len(t))."""
     P = np.empty((n, len(t)))
@@ -207,7 +216,7 @@ def _legendre_table(t, n):
 
 def _log_moments(t0, m):
     """Integrals of log|t - t0| P_k(t) over [-1, 1] for k < m and t0 in (-1, 1),
-    as (len(t0), m).  With P_k = (P'_{k+1} - P'_{k-1}) / (2k + 1), integration
+    as (m, len(t0)).  With P_k = (P'_{k+1} - P'_{k-1}) / (2k + 1), integration
     by parts gives 2 (Q_{k+1}(t0) - Q_{k-1}(t0)) / (2k + 1) for k >= 1, Q_k
     the Legendre functions of the second kind on the cut."""
     Q = np.empty((m + 1, len(t0)))
@@ -215,10 +224,9 @@ def _log_moments(t0, m):
     Q[1] = t0 * Q[0] - 1.0
     for k in range(1, m):
         Q[k + 1] = ((2 * k + 1) * t0 * Q[k] - k * Q[k - 1]) / (k + 1)
-    out = np.empty((len(t0), m))
-    out[:, 0] = (1 - t0) * np.log(1 - t0) + (1 + t0) * np.log(1 + t0) - 2.0
-    k = np.arange(1, m)[:, None]
-    out[:, 1:] = (2.0 * (Q[2:] - Q[:-2]) / (2 * k + 1)).T
+    out = np.empty((m, len(t0)))
+    out[0] = (1 - t0) * np.log(1 - t0) + (1 + t0) * np.log(1 + t0) - 2.0
+    out[1:] = 2.0 * (Q[2:] - Q[:-2]) / (2 * np.arange(1, m)[:, None] + 1)
     return out
 
 
@@ -359,7 +367,7 @@ def _near_sides(t_star, dist, ell):
 def _chunk_starts(node_off):
     """The first pair of each chunk of whole pairs, and the pair count at the
     end, from the pairs' node offsets (ending with the total): a chunk
-    starts at the pair that holds node k * _NEAR_CHUNK."""
+    starts at the pair that holds node k * _NEAR_CHUNK.  A memory cut only."""
     starts = np.searchsorted(node_off, np.arange(0, node_off[-1], _NEAR_CHUNK), side="right") - 1
     return np.unique(np.concatenate((starts, [len(node_off) - 1])))
 
@@ -369,11 +377,9 @@ def _own_batches(pairs, t_star):
     _OWN_M pairs per batch: (pairs, nodes per pair, t and Gauss weight per
     node, log weight over Gauss weight per node), the _OWN_M Gauss nodes
     tiled once per pair."""
-    if not len(pairs):
-        return
     # log weights: exact moments of log|t - t*| times the Legendre
     # expansion of the _OWN_M-point Lagrange basis
-    wlog = _log_moments(t_star, _OWN_M) @ _interp_coeffs(_OWN_M)
+    wlog = _to_nodes(_log_moments(t_star, _OWN_M), _interp_coeffs(_OWN_M))
     to, wo = gauss_legendre(_OWN_M)
     step = max(1, _NEAR_CHUNK // _OWN_M)
     for b0 in range(0, len(pairs), step):
@@ -384,10 +390,10 @@ def _own_batches(pairs, t_star):
 
 def _geometric_chunks(pairs, t_star, dist, ell):
     """The geometric rules of the other `pairs`, in chunks of whole pairs
-    (`_chunk_starts`): (pairs, nodes per pair, t and weight per node, None).
-    Each sub-interval's ends, from two powers of _FINE_RATIO, and its
-    midpoint and half length are computed once and spread over its _FINE_N
-    Gauss nodes."""
+    (`_chunk_starts`, a memory cut): (pairs, nodes per pair, t and weight
+    per node, None).  Each sub-interval's ends, from two powers of
+    _FINE_RATIO, and its midpoint and half length are computed once and
+    spread over its _FINE_N Gauss nodes."""
     seg_pair, end, levels = _near_sides(t_star, dist, ell)
     n_sub = levels + 1
     # one entry per sub-interval, innermost first along each side
@@ -411,8 +417,10 @@ def _geometric_chunks(pairs, t_star, dist, ell):
 def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out, plain=False):
     """Re-integrate every near (target, panel) pair of the call: own-panel
     pairs by the product rule in batches, the others by sized geometric
-    rules in chunks, one kernel pass per batch or chunk of whole pairs.
-    `out` holds one block per kind, in `_kernels` order with `plain`."""
+    rules in chunks, one kernel pass per batch or chunk of whole pairs, and
+    one `_to_nodes` per kind over the moments of all pairs; no entry depends
+    on another pair.  `out` holds one block per kind, in `_kernels` order
+    with `plain`."""
     n_gl = src.n_gl
     pa, ab, length, normal = src.pa, src.pb - src.pa, src.plen, src.normals[::n_gl]
     ti, pi, t_star, dist = _near_pairs(pa, ab, length, tgt_pts)
@@ -420,15 +428,10 @@ def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out, plain=False):
         return
     own = (dist <= _OWN_TOL * length[pi]) & (np.abs(t_star) < 1.0)
     own_p, geo_p = np.nonzero(own)[0], np.nonzero(~own)[0]
-    pair_n = np.empty(len(ti), dtype=int)   # fine nodes per pair
     moments = np.empty((len(out), n_gl, len(ti)), dtype=complex)   # per kind and pair
-    # the kinds of a difference set; with `plain` the S, K and Kp of kappa
-    # alone follow (see _kernels)
-    n_diff = 2 if tgt_nrm is None else 4
     for p, reps, tf, wf, wratio in chain(
             _own_batches(own_p, t_star[own_p]),
             _geometric_chunks(geo_p, t_star[geo_p], dist[geo_p], length[pi[geo_p]])):
-        pair_n[p] = reps
         pn = pi[p]
         x, a, b, sn = (np.repeat(v, reps, axis=0)
                        for v in (tgt_pts[ti[p]], pa[pn], ab[pn], normal[pn]))
@@ -443,25 +446,19 @@ def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out, plain=False):
             hit = dt <= _HIT_TOL   # node on the target
             vals = np.stack(_kernels(kappa, kappa2, d, np.where(hit, 1.0, r), sn, tn, plain))
             nn = None if tn is None else (sn * tn).sum(axis=1)
-            sets = (zip((kappa2, None), (vals[:n_diff], vals[n_diff:])) if plain
-                    else [(kappa2, vals)])   # views
+            # views; `plain` adds the S and K of kappa alone (_kernels)
+            sets = (zip((kappa2, None), (vals[:-2], vals[-2:])) if plain
+                    else [(kappa2, vals)])
             for kap2, v in sets:
                 _product_rule(kappa, kap2, v, np.where(hit, 0.0, r), dt, wratio, half, nn)
-        vals = vals[:len(out)]
         vals *= wf * half
         table = _legendre_table(tf, n_gl)
         offsets = np.cumsum(reps) - reps
         for m, v in zip(moments, vals):   # one kind at a time keeps peak RSS flat
             m[:, p] = np.add.reduceat(v * table, offsets, axis=1)
-    # the map to the panel's nodes, in chunks of whole pairs in pair order
-    # (module notes), on contiguous moments: BLAS rounds a strided row of
-    # one pair differently
-    cuts = _chunk_starts(np.concatenate(([0], np.cumsum(pair_n))))
-    coeffs = _interp_coeffs(n_gl)
-    for p0, p1 in zip(cuts[:-1], cuts[1:]):
-        rows, cols = ti[p0:p1, None], n_gl * pi[p0:p1, None] + np.arange(n_gl)
-        for blk, m in zip(out, moments):
-            blk[rows, cols] = np.ascontiguousarray(m[:, p0:p1]).T @ coeffs
+    rows, cols = ti[:, None], n_gl * pi[:, None] + np.arange(n_gl)
+    for blk, m in zip(out, moments):
+        blk[rows, cols] = _to_nodes(m, _interp_coeffs(n_gl))
 
 
 def _product_rule(kappa, kappa2, vals, r, dt, wratio, half, nn):

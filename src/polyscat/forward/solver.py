@@ -160,16 +160,15 @@ class Solution:
         if any(lb.kind == "interface" for lb in labels):
             raise ValueError("field evaluation on an interface is not defined")
         regions = np.array([0 if lb.kind == "exterior" else lb.index for lb in labels])
-        out = np.empty(len(pts), dtype=complex)
+        out = np.zeros(len(pts), dtype=complex)
         for reg in np.unique(regions):
-            sel = np.nonzero(regions == reg)[0]
-            val = np.zeros(len(sel), dtype=complex)
+            sel = regions == reg
             if reg == 0:
-                val += incident_eval(self.incident, self.medium.k, pts[sel])[0]
+                out[sel] += incident_eval(self.incident, self.medium.k, pts[sel])[0]
             for curve, phi, psi in self.layers[reg]:
                 sb, kb = assemble_block(self.kappas[reg], curve, pts[sel])
-                val += kb @ phi + sb @ psi
-            out[sel] = val
+                # row sums, not BLAS: no value depends on the other points
+                out[sel] += np.sum(kb * phi, axis=1) + np.sum(sb * psi, axis=1)
         return out if len(out) > 1 else complex(out[0])
 
 

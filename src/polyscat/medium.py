@@ -131,7 +131,7 @@ def incident_eval(f: IncidentField, k, x):
         vals = np.zeros(len(pts), dtype=complex)
         grads = np.zeros((len(pts), 2), dtype=complex)
     elif f.kind == "plane":
-        phase = np.exp(1j * k * (pts @ f.direction))
+        phase = np.exp(1j * k * (pts[:, 0] * f.direction[0] + pts[:, 1] * f.direction[1]))
         vals = f.amplitude * phase
         grads = 1j * k * f.direction[None, :] * vals[:, None]
     else:
