@@ -1,3 +1,4 @@
+from .cellsolver import assemble_cell
 from .diskoracle import disk_series_oracle
 from .mesh import BoundaryMesh, CurveMesh, build_mesh, polygon_edges
 from .solver import (
@@ -15,7 +16,7 @@ from .solver import (
 
 __all__ = [
     "BoundaryMesh", "CurveMesh", "build_mesh", "polygon_edges", "FarFieldPattern",
-    "NestSolveResult", "Solution", "assemble_nest", "farfield_diff", "incident_jumps",
-    "region_wavenumbers",
+    "NestSolveResult", "Solution", "assemble_cell", "assemble_nest", "farfield_diff",
+    "incident_jumps", "region_wavenumbers",
     "solve_assembled", "solve_scatter", "uniform_directions", "disk_series_oracle",
 ]

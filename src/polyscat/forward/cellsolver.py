@@ -19,10 +19,16 @@ source segment, on the stacked nodes of all its bordering segments (14
 calls on a square split in two); each target segment's rows are a slice
 of that block, bitwise a call on the segment's own nodes by construction.
 
-The solved traces become the layers of a `solver.Solution`: a segment's
-owner A gets (curve, -t, p), an interior owner B gets
-(curve, t, -(p - lambda* t)), and the exterior gets the scattered part,
-(curve, t - u_inc, -(p - lambda* t) + dnu u_inc).
+Jump data: one (f, g) per segment, f = u_A - u_B and
+g = dnu u_A - lambda* u_A - dnu u_B; an incident field's are (u_inc, dnu u_inc)
+on the hull and zero inside.  `assemble_cell` builds and factors the system
+once; `solver.solve_assembled` reads the right-hand side off the B owners' rows,
+    b = sum over segments of A[B rows, t cols] f + A[B rows, p cols] (g + lambda* f),
+because those rows read (t, p - lambda* t) as B's traces, and B's identity
+for its true traces (t - f, p - lambda* t - g) moves exactly that term to
+the right.  The solved traces become the layers of a `solver.Solution`: a
+segment's owner A gets (curve, -t, p), its owner B (curve, t - f,
+-(p - lambda* t - g)), the exterior's being the scattered part.
 """
 
 from dataclasses import dataclass
@@ -30,12 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import CellPartition, point_segment_distance
-from ..medium import CellMedium, IncidentField, incident_eval
+from ..medium import CellMedium, IncidentField
+# unused here, but tests count its calls in this module too
+from ..medium import incident_eval  # noqa: F401
 from .layerops import assemble_block
 # unused here, but perfbench/tracing.py wraps it in this module too
 from .layerops import farfield_row  # noqa: F401
-from .mesh import CurveMesh, outward_normal
-from .solver import Solution, _stored, factor_system, region_wavenumbers, solve_factored
+from .mesh import BoundaryMesh, CurveMesh, outward_normal
+from .solver import (CellSolveResult, _stored, factor_system, incident_jumps,
+                     region_wavenumbers, solve_assembled)
 
 
 @dataclass
@@ -89,42 +98,37 @@ def build_skeleton(part: CellPartition):
     return segs
 
 
-class CellSolveResult(Solution):
-    # perfbench/tracing.py wraps field_at in each result class's own __dict__
-    field_at = Solution.field_at
-
-
 def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, grading=3.0,
-               blocks=None):
+               blocks=None) -> CellSolveResult:
     """Assemble and solve the single-trace system for a cell medium; operator
     blocks go through the store `blocks` (see `solver`) when one is given."""
     inc.validate_against(medium.partition.hull)
-    part = medium.partition
-    segs = build_skeleton(part)
+    system = assemble_cell(medium, nodes_per_edge, grading, blocks)
+    return solve_assembled(system, inc, incident_jumps(system, inc))
+
+
+def assemble_cell(medium: CellMedium, nodes_per_edge=32, grading=3.0, blocks=None):
+    """Build and factor the single-trace system once, for `solver.solve_assembled`;
+    beside `assemble_nest`'s keys it holds the skeleton `segments` and each
+    region's `rows`.  Operator blocks go through the store `blocks` if given."""
+    segs = build_skeleton(medium.partition)
     curves = tuple(SegmentCurve(s, nodes_per_edge, grading) for s in segs)
     lam = medium.lambda_star
-    k = medium.k
     kappas = region_wavenumbers(medium)
 
     sizes = [c.n_nodes for c in curves]
     off = np.cumsum([0] + [2 * s for s in sizes])
     ntot = off[-1]
     A = np.zeros((ntot, ntot), dtype=complex)
-    b = np.zeros(ntot, dtype=complex)
 
     # region -> list of (segment index, sign): sign +1 when the region is owner_a
-    nregions = part.n_cells + 1
+    nregions = len(kappas)
     bordering = [[] for _ in range(nregions)]
     for si, seg in enumerate(segs):
         bordering[seg.owner_a].append((si, +1.0))
         bordering[seg.owner_b].append((si, -1.0))
 
-    # incident traces (value, normal derivative) on each hull segment, once
-    incident = {}
-    for si, _ in bordering[0]:
-        ui, gi = incident_eval(inc, k, curves[si].nodes)
-        incident[si] = ui, (gi * curves[si].normals).sum(axis=1)
-
+    region_rows = []
     for reg in range(nregions):
         kap = kappas[reg]
         # a segment's rows: its A owner's equation first, then its B owner's
@@ -135,8 +139,7 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
             rows.append(r)
             # (1/2) u(x0) term on the segment's own Dirichlet trace
             A[r, off[ti]:off[ti] + sizes[ti]] += 0.5 * np.eye(sizes[ti])
-            if reg == 0:
-                b[r] += 0.5 * incident[ti][0]
+        region_rows.append(np.r_[tuple(rows)])
         # one block per source segment, on the nodes of every bordering segment
         x = np.concatenate([curves[ti].nodes for ti, _ in bordering[reg]])
         cuts = np.cumsum([0] + [sizes[ti] for ti, _ in bordering[reg]])
@@ -150,20 +153,11 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
                 A[r, cp] -= s * sb
                 if s < 0:  # region on the B side: dnu u|B = p - lambda* t
                     A[r, ct] += s * lam * sb
-                if reg == 0:
-                    uis, dnu_i = incident[si]
-                    b[r] += s * (kb @ uis) - s * (sb @ dnu_i)
     del sbs, kbs, sb, kb   # no stacked block stays alive through the LU
 
     lu_piv, cond = factor_system(A)
-    traces, resid, converged = solve_factored(A, lu_piv, cond, b, sizes)
-    layers = [[] for _ in range(nregions)]   # the triples of the module notes
-    for si, (seg, curve, (t, p)) in enumerate(zip(segs, curves, traces)):
-        layers[seg.owner_a].append((curve, -t, p))
-        if seg.owner_b:
-            layers[seg.owner_b].append((curve, t, -(p - lam * t)))
-        else:
-            ui, dnu_i = incident[si]
-            layers[0].append((curve, t - ui, -(p - lam * t) + dnu_i))
-    return CellSolveResult(resid, cond, converged, kappas, medium, inc,
-                           tuple(map(tuple, layers)), blocks)
+    return {
+        "A": A, "lu": lu_piv, "cond": cond, "mesh": BoundaryMesh(curves), "kappas": kappas,
+        "medium": medium, "sizes": sizes, "blocks": blocks,
+        "segments": segs, "rows": region_rows,
+    }

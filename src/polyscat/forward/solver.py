@@ -14,7 +14,10 @@ Solved layers: both solvers end as a `Solution`.  In region `reg`
 (0 = exterior) the field is the sum of D phi + S psi over the
 (curve, phi, psi) triples of `layers[reg]`, at `kappas[reg]`, plus the
 incident field in region 0.  A nest region lists its bounding interfaces,
-outer first; a cell medium's triples come from its segment traces.
+outer first; a cell medium's triples come from its segment traces.  Both
+media assemble and factor once (`assemble_nest`, `cellsolver.assemble_cell`)
+and solve per jump data (`solve_assembled`), which is all an incident field
+enters a solve through (`incident_jumps`).
 
 Nest assembly: one `assemble_nest_blocks` call per interface (its self
 blocks) and per pair of neighbouring interfaces (both cross blocks), so
@@ -172,8 +175,12 @@ class Solution:
         return out if len(out) > 1 else complex(out[0])
 
 
+# perfbench/tracing.py wraps field_at in each result class's own __dict__
 class NestSolveResult(Solution):
-    # perfbench/tracing.py wraps field_at in each result class's own __dict__
+    field_at = Solution.field_at
+
+
+class CellSolveResult(Solution):
     field_at = Solution.field_at
 
 
@@ -263,37 +270,62 @@ def _nest_matrix(medium, mesh, kappas, sizes, blocks):
 
 
 def incident_jumps(system, inc: IncidentField):
-    """The jump data of an incident field, one (f_i, g_i) per interface:
-    f_1 = -u_inc and g_1 = -(dnu u_inc + lambda_1 u_inc) on the outermost
-    interface, zero elsewhere."""
-    curve = system["mesh"].curves[0]
-    ui, gi = incident_eval(inc, system["medium"].k, curve.nodes)
-    g1 = -((gi * curve.normals).sum(axis=1) + system["medium"].lam[0] * ui)
-    return [(-ui, g1)] + [(0, 0)] * (len(system["sizes"]) - 1)
+    """The jump data of an incident field (see `solve_assembled`), zero but on
+    the curves that bound the exterior: f = -u_inc, g = -(dnu u_inc + lambda_1
+    u_inc) on a nest's outermost interface, f = u_inc, g = dnu u_inc on a cell
+    medium's hull segments."""
+    medium, segs = system["medium"], system.get("segments")
+    jumps = [(0, 0)] * len(system["sizes"])
+    for i, curve in enumerate(system["mesh"].curves):
+        if (i if segs is None else segs[i].owner_b) == 0:
+            ui, gi = incident_eval(inc, medium.k, curve.nodes)
+            dnu = (gi * curve.normals).sum(axis=1)
+            jumps[i] = (-ui, -(dnu + medium.lam[0] * ui)) if segs is None else (ui, dnu)
+    return jumps
+
+
+def _rhs(system, jumps):
+    """The right-hand side of `jumps`: a nest's Dirichlet and Neumann rows are
+    its (f_i, g_i); a cell medium's B owners read it off their rows (`cellsolver`)."""
+    A, sizes, segs = system["A"], system["sizes"], system.get("segments")
+    off = np.cumsum([0] + [2 * m for m in sizes])
+    b = np.zeros(A.shape[0], dtype=complex)
+    for i, (f, g) in enumerate(jumps):
+        first, second = slice(off[i], off[i] + sizes[i]), slice(off[i] + sizes[i], off[i + 1])
+        if segs is None:
+            b[first], b[second] = f, g
+        elif np.any(f) or np.any(g):
+            r, lam = system["rows"][segs[i].owner_b], system["medium"].lambda_star
+            b[r] += A[r, first] @ f + A[r, second] @ (g + lam * f)
+    return b
 
 
 def solve_assembled(system, inc: IncidentField, jumps):
-    """Solve the assembled nest for the jump data `jumps`, one (f_i, g_i)
-    per interface, outermost first, for the layer-potential fields:
-        u_out - u_in = f_i,   dnu u_out + lambda_i u_out - dnu u_in = g_i.
-    The result adds `inc` to the exterior field; with the jumps of `inc`
-    (incident_jumps) the total field has none."""
-    mesh = system["mesh"]
-    sizes = system["sizes"]
-    b = np.zeros(system["A"].shape[0], dtype=complex)
-    for o, m, (f, g) in zip(np.cumsum([0] + [2 * s for s in sizes]), sizes, jumps):
-        b[o:o + m] = f
-        b[o + m:o + 2 * m] = g
-
-    densities, resid, converged = solve_factored(system["A"], system["lu"], system["cond"],
-                                                 b, sizes)
-    # interface ell bounds regions ell and ell + 1 (region 0 is the exterior)
-    layers = [[] for _ in range(len(densities) + 1)]
-    for ell, (curve, (phi, psi)) in enumerate(zip(mesh.curves, densities)):
-        layers[ell].append((curve, phi, psi))
-        layers[ell + 1].append((curve, phi, psi))
-    return NestSolveResult(resid, system["cond"], converged, system["kappas"],
-                           system["medium"], inc, tuple(map(tuple, layers)), system["blocks"])
+    """Solve an assembled system (`assemble_nest`, `cellsolver.assemble_cell`)
+    for the layer-potential fields with the jump data `jumps`, one (f, g)
+    per interface of a nest, outermost first,
+        u_out - u_in = f,   dnu u_out + lambda_i u_out - dnu u_in = g,
+    or per segment of a cell medium, nu pointing from owner A to owner B,
+        u_A - u_B = f,      dnu u_A - lambda* u_A - dnu u_B = g,
+    (0, 0) where both vanish.  The result adds `inc` to the exterior field;
+    with the jumps of `inc` (incident_jumps) the total field has none."""
+    segs = system.get("segments")
+    pairs, resid, converged = solve_factored(system["A"], system["lu"], system["cond"],
+                                             _rhs(system, jumps), system["sizes"])
+    layers = [[] for _ in system["kappas"]]
+    if segs is None:
+        # interface ell bounds regions ell and ell + 1 (region 0 is the exterior)
+        for ell, (curve, (phi, psi)) in enumerate(zip(system["mesh"].curves, pairs)):
+            layers[ell].append((curve, phi, psi))
+            layers[ell + 1].append((curve, phi, psi))
+    else:
+        lam = system["medium"].lambda_star
+        for seg, curve, (t, p), (f, g) in zip(segs, system["mesh"].curves, pairs, jumps):
+            layers[seg.owner_a].append((curve, -t, p))
+            layers[seg.owner_b].append((curve, t - f, -(p - lam * t - g)))
+    result = NestSolveResult if segs is None else CellSolveResult
+    return result(resid, system["cond"], converged, system["kappas"], system["medium"], inc,
+                  tuple(map(tuple, layers)), system["blocks"])
 
 
 def farfield_diff(p1: FarFieldPattern, p2: FarFieldPattern):
