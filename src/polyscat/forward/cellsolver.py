@@ -37,8 +37,6 @@ import numpy as np
 
 from ..geometry import CellPartition, point_segment_distance
 from ..medium import CellMedium, IncidentField
-# unused here, but tests count its calls in this module too
-from ..medium import incident_eval  # noqa: F401
 from .layerops import assemble_block
 # unused here, but perfbench/tracing.py wraps it in this module too
 from .layerops import farfield_row  # noqa: F401
@@ -102,7 +100,6 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
                blocks=None) -> CellSolveResult:
     """Assemble and solve the single-trace system for a cell medium; operator
     blocks go through the store `blocks` (see `solver`) when one is given."""
-    inc.validate_against(medium.partition.hull)
     system = assemble_cell(medium, nodes_per_edge, grading, blocks)
     return solve_assembled(system, inc, incident_jumps(system, inc))
 

@@ -203,7 +203,6 @@ def solve_scatter(medium, inc: IncidentField, nodes_per_edge=32, grading=3.0, bl
     if not isinstance(medium, NestMedium):
         raise TypeError(f"unsupported medium type {type(medium)!r}")
     mesh = build_mesh(medium.partition.layers, nodes_per_edge, grading)
-    inc.validate_against(medium.partition.layers[0])
     system = assemble_nest(medium, mesh, blocks=blocks)
     return solve_assembled(system, inc, incident_jumps(system, inc))
 
@@ -308,7 +307,9 @@ def solve_assembled(system, inc: IncidentField, jumps):
     or per segment of a cell medium, nu pointing from owner A to owner B,
         u_A - u_B = f,      dnu u_A - lambda* u_A - dnu u_B = g,
     (0, 0) where both vanish.  The result adds `inc` to the exterior field;
-    with the jumps of `inc` (incident_jumps) the total field has none."""
+    with the jumps of `inc` (incident_jumps) the total field has none.  A
+    point source that is not strictly outside the medium is a ValueError."""
+    inc.validate_against(system["medium"].partition.hull)
     segs = system.get("segments")
     pairs, resid, converged = solve_factored(system["A"], system["lu"], system["cond"],
                                              _rhs(system, jumps), system["sizes"])

@@ -161,6 +161,11 @@ class NestPartition:
     def n_layers(self):
         return len(self.layers)
 
+    @property
+    def hull(self):
+        """The outermost layer, the polygon the whole medium fills."""
+        return self.layers[0]
+
     def geo_tol(self):
         return REL_GEO_TOL * self.layers[0].bbox_diag()
 

@@ -15,11 +15,11 @@ import numpy as np
 from .. import cgo, probe as probe_mod
 from ..forward import farfield_diff, solve_scatter, uniform_directions
 from ..forward.solver import TAU_SOLVE
-from ..geometry import (CornerSector, NestPartition, Polygon, corner_sectors,
-                        locate, max_sector_radius, validate_cell, validate_nest)
+from ..geometry import NestPartition, Polygon, corner_sectors, locate, max_sector_radius
 from ..medium import CellMedium, NestMedium
 from . import reports
-from .config import ConfigError, Scenario, _cplx, _number, _object, load_scenario, parse_scenario
+from .config import (ConfigError, Scenario, check_medium, load_scenario, parse_scenario,
+                     parse_target)
 
 EXIT_OK, EXIT_REFUSED, EXIT_NUMERICAL = 0, 1, 2
 PROBE_TOL_CAP = 1e-10   # the loosest extraction quadrature tolerance `probe` takes
@@ -115,28 +115,18 @@ def _load(args) -> Scenario:
         doc["mesh"] = {"nodes_per_edge": args.mesh_level,
                        "grading": sc.mesh.grading}
         sc = parse_scenario(doc)
-    _check_partition(sc.medium, "medium")
-    try:
-        sc.incident.validate_against(_hull_of(sc.medium))
-    except ValueError as exc:
-        raise ConfigError("incident", str(exc)) from None
+    _require_solvable(sc.medium, sc.incident)
     return sc
 
 
-def _partition_report(medium):
-    """The partition's validation report: nesting and convexity of a nest,
-    tiling and disjointness of a cell medium."""
-    if isinstance(medium, NestMedium):
-        return validate_nest(medium.partition)
-    return validate_cell(medium.partition)
-
-
-def _check_partition(medium, path, context=""):
-    """ConfigError at `path` naming every violation of the medium's partition,
-    after `context`."""
-    violations = _partition_report(medium).violations
-    if violations:
-        raise ConfigError(path, context + "; ".join(violations))
+def _require_solvable(medium, incident, path=None, context=""):
+    """ConfigError for the first field `check_medium` faults, naming each of
+    that field's problems after `context`; at `path` if given."""
+    problems, _ = check_medium(medium, incident)
+    if problems:
+        field = problems[0][0]
+        raise ConfigError(path or field,
+                          context + "; ".join(m for f, m in problems if f == field))
 
 
 def cmd_validate(args):
@@ -147,27 +137,15 @@ def cmd_validate(args):
             raise   # no scenario to judge: a config error, as for every command
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    m = sc.medium
-    report = _partition_report(m)
-    for v in report.violations:
-        print(f"violation: {v}")
-    for i in report.info:
-        print(f"info: {i}")
-    try:
-        sc.incident.validate_against(_hull_of(m))
-    except ValueError as exc:
-        print(f"violation: {exc}")
+    problems, info = check_medium(sc.medium, sc.incident)
+    for _, message in problems:
+        print(f"violation: {message}")
+    for note in info:
+        print(f"info: {note}")
+    if problems:
         return EXIT_REFUSED
-    if report.ok:
-        print("ok")
-        return EXIT_OK
-    return EXIT_REFUSED
-
-
-def _hull_of(medium):
-    if isinstance(medium, NestMedium):
-        return medium.partition.layers[0]
-    return medium.partition.hull
+    print("ok")
+    return EXIT_OK
 
 
 def _solve(sc: Scenario, nodes=None, blocks=None):
@@ -189,27 +167,9 @@ def _unknowns(result):
     return 2 * sum(c.n_nodes for c in curves.values())
 
 
-def _nearfield_grid(sc: Scenario):
-    """The (n, 2) points of the config's `nearfield` grid, or None."""
-    near = sc.raw.get("nearfield")
-    if not near:
-        return None
-    near = _object(near, "nearfield")
-    bounds = near.get("bounds")
-    if not isinstance(bounds, list) or len(bounds) != 4:
-        raise ConfigError("nearfield.bounds", f"expected [x0, x1, y0, y1], got {bounds!r}")
-    x0, x1, y0, y1 = (_number(v, f"nearfield.bounds[{i}]") for i, v in enumerate(bounds))
-    nx, ny = (_number(near.get(key), f"nearfield.{key}", int) for key in ("nx", "ny"))
-    for key, n in (("nx", nx), ("ny", ny)):
-        if n < 1:
-            raise ConfigError(f"nearfield.{key}", f"need at least 1 point, got {n}")
-    gx, gy = np.meshgrid(np.linspace(x0, x1, nx), np.linspace(y0, y1, ny))
-    return np.column_stack([gx.ravel(), gy.ravel()])
-
-
 def cmd_forward(args):
     sc = _load(args)
-    pts = _nearfield_grid(sc)
+    pts = sc.nearfield
     t0 = time.perf_counter()
     result = _solve(sc)
     angles = uniform_directions(sc.num_angles)
@@ -335,7 +295,7 @@ def _admissibility(sc: Scenario, result):
     """Vertex field values by midline extrapolation, against the admissibility
     tau, from one field evaluation at the tau circle and every midline."""
     m = sc.medium
-    hull = _hull_of(m)
+    hull = m.partition.hull
     diam = hull.bbox_diag()
     polys = list(m.partition.layers) if isinstance(m, NestMedium) else [hull]
     sectors = []
@@ -352,39 +312,6 @@ def _admissibility(sc: Scenario, result):
         entries.append({"interface": li, "vertex": vi, "value": val,
                         "abs": abs(val), "admissible": bool(abs(val) > tau)})
     return entries, tau
-
-
-def _index(path, value, lo, hi):
-    """`value` as an int in lo..hi, else ConfigError at `path`."""
-    try:
-        idx = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"index {value!r} is not an integer") from None
-    if not lo <= idx <= hi:
-        raise ConfigError(path, f"index {idx} outside {lo}..{hi}")
-    return idx
-
-
-def _parse_target(target, medium):
-    """(kind, layer or cell index, vertex index or None), checked against the medium."""
-    kind, _, rest = target.partition(":")
-    nest = isinstance(medium, NestMedium)
-    n = medium.partition.n_layers if nest else medium.partition.n_cells
-    if kind == "q":
-        return ("q", _index("sweep.target", rest, 1, n), None)
-    if kind == "lambda":
-        # a cell medium has the single lambda*
-        return ("lambda", _index("sweep.target", rest or 1, 1, n if nest else 1), None)
-    if kind == "vertex":
-        if not nest:
-            raise ConfigError("sweep.target", "vertex perturbation applies to nest media")
-        layer, sep, idx = rest.partition(":")
-        if not sep:
-            raise ConfigError("sweep.target", f"vertex target {target!r} needs vertex:L:I")
-        layer = _index("sweep.target", layer, 1, n)
-        n_vertices = medium.partition.layers[layer - 1].n_vertices
-        return ("vertex", layer, _index("sweep.target", idx, 0, n_vertices - 1))
-    raise ConfigError("sweep.target", f"unknown target {target!r}")
 
 
 def _perturbed_medium(m, target, mag):
@@ -422,24 +349,13 @@ def _unconverged(which, nodes, result):
 
 def _run_sweep(args, sc: Scenario):
     t0 = time.perf_counter()
-    spec = _object(sc.raw.get("sweep", {}), "sweep")
-    target = args.target or spec.get("target")
+    target = args.target or sc.sweep_target
     if target is None:
         raise ConfigError("sweep.target", "missing (config sweep.target or --target)")
-    if not isinstance(target, str):
-        raise ConfigError("sweep.target", f"expected a string, got {target!r}")
-    mags = args.magnitudes
-    if mags is None:
-        mags = spec.get("magnitudes", [0.1, 0.01, 0.001])
-        if not isinstance(mags, list) or not mags:
-            raise ConfigError("sweep.magnitudes", f"expected a list of numbers, got {mags!r}")
-        mags = [_number(v, f"sweep.magnitudes[{i}]") for i, v in enumerate(mags)]
-        for i, v in enumerate(mags):
-            if v in mags[:i]:
-                raise ConfigError(f"sweep.magnitudes[{i}]", f"{v!r} repeats "
-                                  f"sweep.magnitudes[{mags.index(v)}]")
-    tgt = _parse_target(target, sc.medium)
-    # every perturbed medium is checked before anything is solved or written
+    mags = sc.sweep_magnitudes if args.magnitudes is None else args.magnitudes
+    tgt = parse_target(target, sc.medium)
+    # every perturbed medium is checked before anything is solved or written,
+    # a point source against its hull too
     media = []
     for mag in mags:
         where = f"magnitude {mag:g} of {target}: "
@@ -447,7 +363,7 @@ def _run_sweep(args, sc: Scenario):
             med = _perturbed_medium(sc.medium, tgt, mag)
         except ValueError as exc:
             raise ConfigError("sweep.magnitudes", where + str(exc)) from None
-        _check_partition(med, "sweep.magnitudes", where)
+        _require_solvable(med, sc.incident, "sweep.magnitudes", where)
         media.append(med)
     n = sc.mesh.nodes_per_edge
 
@@ -530,29 +446,13 @@ def cmd_passive(args):
 
 def cmd_probe(args):
     sc = _load(args)
-    spec = sc.raw.get("probe")
-    if not spec:
+    if sc.probe is None:
         raise ConfigError("probe", "missing probe section")
-    spec = _object(spec, "probe")
     s_grid = args.s_grid
     t0 = time.perf_counter()
-    mode = spec.get("mode", "manufactured")
-    if mode != "manufactured":
-        raise ConfigError("probe.mode", f"unknown mode {mode!r}, expected 'manufactured'")
-    sect = _object(spec.get("sector", {}), "probe.sector")
-    angles = [_number(sect.get(a), f"probe.sector.{a}") for a in ("theta_m", "theta_M")]
-    h = _number(sect.get("h", 1.0), "probe.sector.h")
-    try:
-        sector = CornerSector([0.0, 0.0], *angles, h)
-        cgo.SectorSpec(*angles)   # the CGO function's own limits on the angles
-    except ValueError as exc:
-        raise ConfigError("probe.sector", str(exc)) from None
-    k = _cplx(spec.get("k", 1.0), "probe.k")
-    if k == 0:
-        raise ConfigError("probe.k", "wavenumber must be nonzero")
-    params = [_cplx(spec.get(p), f"probe.{p}") for p in ("omega1", "omega2", "eta1", "eta2")]
-    scen = probe_mod.manufactured_scenario(sector, k, *params, fit_s=s_grid)
-    if abs(probe_mod.corner_value(scen.u2, sector)) < 1e-10:
+    mode = "manufactured"   # the one mode the probe section takes
+    scen = probe_mod.manufactured_scenario(**sc.probe, fit_s=s_grid)
+    if abs(probe_mod.corner_value(scen.u2, scen.sector)) < 1e-10:
         print("refused: manufactured field vanishes at the probed corner", file=sys.stderr)
         return EXIT_REFUSED
     result = probe_mod.extract_both(scen, s_grid, tol=args.tol)

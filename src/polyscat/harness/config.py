@@ -3,7 +3,10 @@
 Complex numbers are [re, im] pairs; geometry is explicit vertex lists
 (outermost layer first for nests).  Parsing is strict: unknown medium
 kinds, malformed vertices, or non-finite numbers are reported with the
-offending field path.
+offending field path.  Every section a command reads (`nearfield`, `sweep`,
+`probe` beside the medium, incident, mesh and far field) is parsed here, and
+`check_medium` decides whether a medium and its incident field can be
+solved, so `validate` and the commands refuse the same inputs.
 """
 
 import hashlib
@@ -13,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry import CellPartition, NestPartition, Polygon
+from ..cgo import SectorSpec
+from ..geometry import (CellPartition, CornerSector, NestPartition, Polygon, validate_cell,
+                        validate_nest)
 from ..medium import CellMedium, IncidentField, NestMedium
 
 SCHEMA_VERSION = 1
@@ -37,6 +42,10 @@ class Scenario:
     incident: IncidentField
     mesh: MeshSpec
     num_angles: int = 256
+    nearfield: np.ndarray | None = None     # (n, 2) grid points
+    sweep_target: str | None = None         # checked against the medium
+    sweep_magnitudes: tuple = (0.1, 0.01, 0.001)
+    probe: dict | None = None               # `probe.manufactured_scenario` arguments
     raw: dict = field(default_factory=dict)
 
     def digest(self):
@@ -145,6 +154,113 @@ def parse_incident(node):
     raise ConfigError("incident.kind", f"unknown incident kind {kind!r}")
 
 
+def check_medium(medium, incident):
+    """Whether `medium` with `incident` can be solved: (field, message) pairs,
+    each partition violation at `medium` (nesting and convexity of a nest,
+    tiling and disjointness of a cell medium) and a point source that is not
+    strictly outside the hull at `incident`, and the partition's info notes."""
+    part = medium.partition
+    report = (validate_nest if isinstance(part, NestPartition) else validate_cell)(part)
+    problems = [("medium", v) for v in report.violations]
+    try:
+        incident.validate_against(part.hull)
+    except ValueError as exc:
+        problems.append(("incident", str(exc)))
+    return problems, report.info
+
+
+def _nearfield_grid(node):
+    """The (n, 2) points of a `nearfield` grid section."""
+    near = _object(node, "nearfield")
+    bounds = near.get("bounds")
+    if not isinstance(bounds, list) or len(bounds) != 4:
+        raise ConfigError("nearfield.bounds", f"expected [x0, x1, y0, y1], got {bounds!r}")
+    x0, x1, y0, y1 = (_number(v, f"nearfield.bounds[{i}]") for i, v in enumerate(bounds))
+    nx, ny = (_number(near.get(key), f"nearfield.{key}", int) for key in ("nx", "ny"))
+    for key, n in (("nx", nx), ("ny", ny)):
+        if n < 1:
+            raise ConfigError(f"nearfield.{key}", f"need at least 1 point, got {n}")
+    gx, gy = np.meshgrid(np.linspace(x0, x1, nx), np.linspace(y0, y1, ny))
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def _index(path, value, lo, hi):
+    """`value` as an int in lo..hi, else ConfigError at `path`."""
+    try:
+        idx = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(path, f"index {value!r} is not an integer") from None
+    if not lo <= idx <= hi:
+        raise ConfigError(path, f"index {idx} outside {lo}..{hi}")
+    return idx
+
+
+def parse_target(target, medium):
+    """A sweep target q:L | lambda:L | vertex:L:I as (kind, layer or cell
+    index, vertex index or None), checked against the medium; ConfigError at
+    `sweep.target` otherwise."""
+    kind, _, rest = target.partition(":")
+    nest = isinstance(medium, NestMedium)
+    n = medium.partition.n_layers if nest else medium.partition.n_cells
+    if kind == "q":
+        return ("q", _index("sweep.target", rest, 1, n), None)
+    if kind == "lambda":
+        # a cell medium has the single lambda*
+        return ("lambda", _index("sweep.target", rest or 1, 1, n if nest else 1), None)
+    if kind == "vertex":
+        if not nest:
+            raise ConfigError("sweep.target", "vertex perturbation applies to nest media")
+        layer, sep, idx = rest.partition(":")
+        if not sep:
+            raise ConfigError("sweep.target", f"vertex target {target!r} needs vertex:L:I")
+        layer = _index("sweep.target", layer, 1, n)
+        n_vertices = medium.partition.layers[layer - 1].n_vertices
+        return ("vertex", layer, _index("sweep.target", idx, 0, n_vertices - 1))
+    raise ConfigError("sweep.target", f"unknown target {target!r}")
+
+
+def _sweep(node, medium):
+    """The `sweep` section's target (a string checked against the medium, or
+    None) and its distinct magnitudes."""
+    spec = _object(node, "sweep")
+    target = spec.get("target")
+    if target is not None:
+        if not isinstance(target, str):
+            raise ConfigError("sweep.target", f"expected a string, got {target!r}")
+        parse_target(target, medium)
+    mags = spec.get("magnitudes", list(Scenario.sweep_magnitudes))
+    if not isinstance(mags, list) or not mags:
+        raise ConfigError("sweep.magnitudes", f"expected a list of numbers, got {mags!r}")
+    mags = [_number(v, f"sweep.magnitudes[{i}]") for i, v in enumerate(mags)]
+    for i, v in enumerate(mags):
+        if v in mags[:i]:
+            raise ConfigError(f"sweep.magnitudes[{i}]", f"{v!r} repeats "
+                              f"sweep.magnitudes[{mags.index(v)}]")
+    return target, tuple(mags)
+
+
+def _probe(node):
+    """The manufactured `probe` section as `probe.manufactured_scenario`
+    keyword arguments: the sector and k, omega1, omega2, eta1, eta2."""
+    spec = _object(node, "probe")
+    mode = spec.get("mode", "manufactured")
+    if mode != "manufactured":
+        raise ConfigError("probe.mode", f"unknown mode {mode!r}, expected 'manufactured'")
+    sect = _object(spec.get("sector", {}), "probe.sector")
+    angles = [_number(sect.get(a), f"probe.sector.{a}") for a in ("theta_m", "theta_M")]
+    h = _number(sect.get("h", 1.0), "probe.sector.h")
+    try:
+        sector = CornerSector([0.0, 0.0], *angles, h)
+        SectorSpec(*angles)   # the CGO function's own limits on the angles
+    except ValueError as exc:
+        raise ConfigError("probe.sector", str(exc)) from None
+    k = _cplx(spec.get("k", 1.0), "probe.k")
+    if k == 0:
+        raise ConfigError("probe.k", "wavenumber must be nonzero")
+    return {"sector": sector, "k": k, **{p: _cplx(spec.get(p), f"probe.{p}")
+                                         for p in ("omega1", "omega2", "eta1", "eta2")}}
+
+
 def parse_scenario(doc) -> Scenario:
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
@@ -166,7 +282,11 @@ def parse_scenario(doc) -> Scenario:
                          "farfield.num_angles", int)
     if num_angles < 2:
         raise ConfigError("farfield.num_angles", "need at least 2 angles")
-    return Scenario(medium, incident, mesh, num_angles, raw=doc)
+    # an absent, null or empty nearfield or probe section means none
+    nearfield = _nearfield_grid(doc["nearfield"]) if doc.get("nearfield") else None
+    target, mags = _sweep(doc.get("sweep", {}), medium)
+    probe = _probe(doc["probe"]) if doc.get("probe") else None
+    return Scenario(medium, incident, mesh, num_angles, nearfield, target, mags, probe, raw=doc)
 
 
 def load_scenario(path) -> Scenario:

@@ -547,7 +547,7 @@ def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | 
         r = np.hypot(xy[:, 0], xy[:, 1])
         th, at_th = _distinct(np.arctan2(xy[:, 1], xy[:, 0]))
         d_r = d_t = 0j  # d_t: (1/r) d/dtheta
-        tiny = r < 1e-12
+        tiny = r == 0
         rs = np.where(tiny, 1.0, r)
         ur, at_r = _distinct(rs)
         jn = _bessel_rows(kappa, ur, nmax if grads is None else nmax + 1)

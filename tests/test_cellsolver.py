@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from polyscat.forward import (assemble_cell, farfield_diff, incident_jumps, region_wavenumbers,
-                              solve_assembled, solve_scatter, uniform_directions)
+from polyscat.forward import (assemble_cell, assemble_nest, build_mesh, farfield_diff,
+                              incident_jumps, region_wavenumbers, solve_assembled, solve_scatter,
+                              uniform_directions)
 from polyscat.forward.cellsolver import SegmentCurve, build_skeleton
 from polyscat.forward.layerops import assemble_block
 from polyscat.forward.solver import _rhs
@@ -166,13 +167,12 @@ def test_interior_conductive_jump(split_square, plane_inc):
 
 def test_incident_field_evaluated_once_per_hull_segment(split_square, plane_inc,
                                                        monkeypatch):
-    from polyscat.forward import cellsolver, solver
+    from polyscat.forward import solver
 
     calls = []
-    incident_eval = cellsolver.incident_eval
-    for module in (cellsolver, solver):
-        monkeypatch.setattr(module, "incident_eval",
-                            lambda *args: calls.append(args) or incident_eval(*args))
+    incident_eval = solver.incident_eval
+    monkeypatch.setattr(solver, "incident_eval",
+                        lambda *args: calls.append(args) or incident_eval(*args))
     med = CellMedium(split_square, q=[2.0, 3.0], lambda_star=0.2j, k=1.0)
     res = solve_scatter(med, plane_inc, nodes_per_edge=16)
     assert len(calls) == 6                     # one per hull segment
@@ -180,6 +180,18 @@ def test_incident_field_evaluated_once_per_hull_segment(split_square, plane_inc,
     calls.clear()
     res.field_at(np.array([[2.0, 0.3], [-1.5, 1.0]]))
     assert len(calls) == 1                     # the incident part at the points
+
+
+def test_every_solve_refuses_a_point_source_inside_the_medium(split_square):
+    """`solve_assembled` checks the incident field against the medium's hull,
+    so a point source inside is refused on every path to a solution, not
+    only through `solve_scatter`."""
+    inc = IncidentField("point", location=[0.2, 0.1])
+    cell = assemble_cell(CellMedium(split_square, q=[2.0, 3.0], lambda_star=0.5j, k=1.0), 16)
+    nest = NestMedium(NestPartition([split_square.hull]), q=[2.0], lam=[0.5j], k=1.0)
+    for system in (cell, assemble_nest(nest, build_mesh(nest.partition.layers, 16))):
+        with pytest.raises(ValueError, match="strictly outside"):
+            solve_assembled(system, inc, incident_jumps(system, inc))
 
 
 def _layer_bytes(result):

@@ -316,6 +316,7 @@ def _nearfield(**edits):
     ("forward", _nearfield(ny="3"), [], 1, "nearfield.ny"),
     ("sweep", lambda d: d["sweep"].update(target=2), [], 1, "sweep.target"),
     ("sweep", lambda d: d["sweep"].update(magnitudes="0.1"), [], 1, "sweep.magnitudes"),
+    ("sweep", lambda d: d["sweep"].update(target="q:9"), [], 1, "sweep.target"),
     ("probe", lambda d: d["probe"].update(mode="pair"), [], 1, "probe.mode"),
     ("forward", lambda d: d["medium"]["layers"].__setitem__(1, BOWTIE), [], 1,
      "medium.layers[1]"),
@@ -342,8 +343,9 @@ def _nearfield(**edits):
         "s-grid-negative", "s-grid-repeated", "omega1-missing", "theta_M", "probe-k-zero",
         "nodes_per_edge", "k-null", "medium-object", "incident-object", "mesh-object",
         "probe-object", "sector-object", "bounds-length", "bounds-text", "nx-fraction", "ny-text",
-        "target-number", "magnitudes-string", "mode-pair", "layer-self-intersecting",
-        "cell-self-intersecting", "hull-self-intersecting", "nodes_per_edge-negative",
+        "target-number", "magnitudes-string", "target-range", "mode-pair",
+        "layer-self-intersecting", "cell-self-intersecting", "hull-self-intersecting",
+        "nodes_per_edge-negative",
         "nodes_per_edge-zero", "mesh-level-zero", "nodes_per_edge-fraction",
         "nodes_per_edge-text", "num_angles-bool", "nx-zero", "probe-tol-zero",
         "probe-tol-negative", "probe-tol-nan", "cgo-tol-zero", "cgo-tol-negative",
@@ -351,7 +353,8 @@ def _nearfield(**edits):
 def test_malformed_input_is_refused_with_its_field(tmp_path, capsys, command, edit, extra,
                                                    code, field):
     """A malformed option is a usage error (exit 2) and a malformed config
-    value a config error (exit 1), each naming the field, never a traceback."""
+    value a config error (exit 1), each naming the field, never a traceback.
+    `validate` refuses a malformed nearfield, sweep or probe value too."""
     doc = json.loads(json.dumps(PROBE_DOC if command == "probe" else NEST_DOC))
     if edit is not None:
         edit(doc)
@@ -365,6 +368,9 @@ def test_malformed_input_is_refused_with_its_field(tmp_path, capsys, command, ed
     else:
         assert cli_main(argv) == 1
         assert f"config error: {field}: " in capsys.readouterr().err
+        if re.match(r"(nearfield|sweep|probe)\b", field):
+            assert cli_main(["validate", *config]) == 1
+            assert f"invalid: {field}: " in capsys.readouterr().err
     assert not list(tmp_path.glob("out/*"))
 
 
@@ -401,6 +407,22 @@ def test_solving_commands_refuse_what_validate_rejects(tmp_path, capsys, command
     out = tmp_path / "out"
     assert cli_main([command, "--config", cfg, "--out", str(out)]) == 1
     assert "config error: medium: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_passive_refuses_a_perturbed_medium_around_the_source(tmp_path, capsys):
+    """A vertex push whose medium encloses the point source is refused at
+    sweep.magnitudes before anything is solved or written."""
+    doc = json.loads(json.dumps(NEST_DOC))
+    doc["incident"] = {"kind": "point", "location": [-1.1, -1.1]}
+    cfg = write(tmp_path, "c.json", doc)
+    out = tmp_path / "passive"
+    assert cli_main(["validate", "--config", cfg]) == 0
+    assert cli_main(["passive", "--config", cfg, "--out", str(out), "--target", "vertex:1:0",
+                     "--magnitudes", "0.3,0.01"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: sweep.magnitudes: magnitude 0.3 of vertex:1:0: point source must lie "
+        "strictly outside the medium\n")
     assert not out.exists()
 
 
@@ -661,7 +683,8 @@ def test_sweep_shares_far_field_rows(tmp_path, monkeypatch, doc, target, rows_bu
     builds them for the base and the fine solve only, and the perturbed far
     fields equal store-free ones bit for bit."""
     from polyscat.forward import solve_scatter, solver, uniform_directions
-    from polyscat.harness.cli import _parse_target, _perturbed_medium
+    from polyscat.harness.cli import _perturbed_medium
+    from polyscat.harness.config import parse_target
 
     rows = []
     farfield_row = solver.farfield_row
@@ -674,7 +697,7 @@ def test_sweep_shares_far_field_rows(tmp_path, monkeypatch, doc, target, rows_bu
     angles = uniform_directions(32)
     store = {}
     solve_scatter(sc.medium, sc.incident, nodes_per_edge=12, blocks=store).far_field(angles)
-    med = _perturbed_medium(sc.medium, _parse_target(target, sc.medium), 0.01)
+    med = _perturbed_medium(sc.medium, parse_target(target, sc.medium), 0.01)
     shared = solve_scatter(med, sc.incident, nodes_per_edge=12, blocks=dict(store))
     fresh = solve_scatter(med, sc.incident, nodes_per_edge=12)
     assert shared.far_field(angles).values.tobytes() == fresh.far_field(angles).values.tobytes()

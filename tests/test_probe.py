@@ -357,8 +357,9 @@ def test_bessel_sampler_bits_do_not_depend_on_batch(monkeypatch):
             sm = bessel_series_sampler(kappa, a, b, sector)
             rows_radii.clear()
             vals, grads = sm(pts)
-            # one Bessel row per distinct radius of each chunk
-            assert rows_radii == [len(np.unique(np.where(np.hypot(*xy.T) < 1e-12, 1.0,
+            # one Bessel row per distinct radius of each chunk, the apex's
+            # r = 0 read as r = 1
+            assert rows_radii == [len(np.unique(np.where(np.hypot(*xy.T) == 0, 1.0,
                                                          np.hypot(*xy.T))))
                                   for xy in chunks]
             assert sm.values(pts).tobytes() == vals.tobytes()
@@ -380,6 +381,38 @@ def test_bessel_sampler_bits_do_not_depend_on_batch(monkeypatch):
             that = np.column_stack([-np.sin(th), np.cos(th)])
             ref = sector.vec_to_world(d_r[:, None] * rhat + d_t[:, None] * that)
             assert np.abs(grads[1:] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kappa", [1.4, np.sqrt(3 + 0.2j)], ids=["real", "complex"])
+def test_bessel_sampler_near_the_apex_is_the_series(kappa):
+    """Off the apex the sampler sums the series, however close: at r = 1e-13,
+    1e-15 and 1e-17 its value and gradient are the series of scipy's jv and
+    jvp, to rounding; only r = 0 takes the limit a_0, (kappa / 2) (a_1, b_1)."""
+    from scipy.special import jv, jvp
+
+    a, b = [0.8, 0.3, -0.2, 0.1j], [0.0, 0.4, 0.1j, -0.05]
+    # the probe's sector, whose apex and frame are the world's: the graded
+    # edge and area rules reach r = 1e-17 there
+    sector = CornerSector([0.0, 0.0], 0.0, np.pi / 2, 1.0)
+    r = np.repeat([1e-13, 1e-15, 1e-17], 3)
+    th = np.tile([0.0, 0.7, np.pi / 2], 3)
+    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    assert sector.to_canonical(pts).tobytes() == pts.tobytes()
+    r, th = np.hypot(*pts.T), np.arctan2(pts[:, 1], pts[:, 0])
+    val = d_r = d_t = 0j
+    for n in range(len(a)):
+        ang = a[n] * np.cos(n * th) + b[n] * np.sin(n * th)
+        dang = n * (-a[n] * np.sin(n * th) + b[n] * np.cos(n * th))
+        val += jv(n, kappa * r) * ang
+        d_r += kappa * jvp(n, kappa * r) * ang
+        d_t += jv(n, kappa * r) / r * dang
+    rhat = np.column_stack([np.cos(th), np.sin(th)])
+    that = np.column_stack([-np.sin(th), np.cos(th)])
+    ref = d_r[:, None] * rhat + d_t[:, None] * that
+    vals, grads = bessel_series_sampler(kappa, a, b, sector)(pts)
+    assert np.abs(vals - val).max() <= 1e-15
+    # the reference's own rounding: at r = 1e-17 the exact limit is 1.1e-15 off it
+    assert np.abs(grads - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _scalar_reference(sc, s_grid, tol=1e-12):
