@@ -15,11 +15,11 @@ import numpy as np
 from .. import cgo, probe as probe_mod
 from ..forward import farfield_diff, solve_scatter, uniform_directions
 from ..forward.solver import TAU_SOLVE
-from ..geometry import NestPartition, Polygon, corner_sectors, locate, max_sector_radius
-from ..medium import CellMedium, NestMedium
+from ..geometry import corner_sectors, locate, max_sector_radius
+from ..medium import NestMedium
 from . import reports
 from .config import (ConfigError, Scenario, check_medium, load_scenario, parse_scenario,
-                     parse_target)
+                     require_solvable, sweep_media)
 
 EXIT_OK, EXIT_REFUSED, EXIT_NUMERICAL = 0, 1, 2
 PROBE_TOL_CAP = 1e-10   # the loosest extraction quadrature tolerance `probe` takes
@@ -115,18 +115,8 @@ def _load(args) -> Scenario:
         doc["mesh"] = {"nodes_per_edge": args.mesh_level,
                        "grading": sc.mesh.grading}
         sc = parse_scenario(doc)
-    _require_solvable(sc.medium, sc.incident)
+    require_solvable(sc.medium, sc.incident)
     return sc
-
-
-def _require_solvable(medium, incident, path=None, context=""):
-    """ConfigError for the first field `check_medium` faults, naming each of
-    that field's problems after `context`; at `path` if given."""
-    problems, _ = check_medium(medium, incident)
-    if problems:
-        field = problems[0][0]
-        raise ConfigError(path or field,
-                          context + "; ".join(m for f, m in problems if f == field))
 
 
 def cmd_validate(args):
@@ -144,6 +134,13 @@ def cmd_validate(args):
         print(f"info: {note}")
     if problems:
         return EXIT_REFUSED
+    if sc.sweep_target is not None:
+        # the media the config's own sweep would solve, refused as `sweep` refuses them
+        try:
+            sweep_media(sc.medium, sc.incident, sc.sweep_target, sc.sweep_magnitudes)
+        except ConfigError as exc:
+            print(f"invalid: {exc}", file=sys.stderr)
+            return EXIT_REFUSED
     print("ok")
     return EXIT_OK
 
@@ -314,32 +311,6 @@ def _admissibility(sc: Scenario, result):
     return entries, tau
 
 
-def _perturbed_medium(m, target, mag):
-    kind, idx, sub = target
-    if isinstance(m, NestMedium):
-        q = list(m.q)
-        lam = list(m.lam)
-        layers = list(m.partition.layers)
-        if kind == "q":
-            q[idx - 1] = q[idx - 1] + mag
-        elif kind == "lambda":
-            lam[idx - 1] = lam[idx - 1] + mag
-        else:
-            poly = layers[idx - 1]
-            v = poly.vertices.copy()
-            out = v[sub] - v.mean(axis=0)
-            v[sub] = v[sub] + mag * out / np.hypot(*out)
-            layers[idx - 1] = Polygon(v)
-        return NestMedium(NestPartition(layers), q, lam, m.k)
-    q = list(m.q)
-    lam = m.lambda_star
-    if kind == "q":
-        q[idx - 1] = q[idx - 1] + mag
-    else:
-        lam = lam + mag
-    return CellMedium(m.partition, q, lam, m.k)
-
-
 def _unconverged(which, nodes, result):
     print(f"{which} solve at {nodes} nodes/edge did not converge (residual "
           f"{result.residual:.3g}, condition estimate {result.cond_estimate:.3g}); "
@@ -353,18 +324,9 @@ def _run_sweep(args, sc: Scenario):
     if target is None:
         raise ConfigError("sweep.target", "missing (config sweep.target or --target)")
     mags = sc.sweep_magnitudes if args.magnitudes is None else args.magnitudes
-    tgt = parse_target(target, sc.medium)
     # every perturbed medium is checked before anything is solved or written,
     # a point source against its hull too
-    media = []
-    for mag in mags:
-        where = f"magnitude {mag:g} of {target}: "
-        try:
-            med = _perturbed_medium(sc.medium, tgt, mag)
-        except ValueError as exc:
-            raise ConfigError("sweep.magnitudes", where + str(exc)) from None
-        _require_solvable(med, sc.incident, "sweep.magnitudes", where)
-        media.append(med)
+    media = sweep_media(sc.medium, sc.incident, target, mags)
     n = sc.mesh.nodes_per_edge
 
     # the base solve fills the block store; each perturbed solve reads it
@@ -478,17 +440,17 @@ def cmd_probe(args):
     unconverged = [s for (s, _), ok in zip(result.eta_estimates, diag["quad_converged"])
                    if not ok]
     if unconverged:
-        print("warning: extraction quadrature did not converge at s = "
+        print("extraction quadrature did not converge at s = "
               + ", ".join(f"{s:g}" for s in unconverged)
               + f"; quad_error in {args.out}/report.json", file=sys.stderr)
     fit_unconverged = scen.meta["fit_quad_unconverged"]
     if fit_unconverged:
-        print(f"warning: {fit_unconverged} scenario-fit edge-moment quadratures did not "
+        print(f"{fit_unconverged} scenario-fit edge-moment quadratures did not "
               f"converge, fit_quad_error_max = {scen.meta['fit_quad_error_max']:.3g}; "
               f"see {args.out}/report.json", file=sys.stderr)
     print(f"eta1-eta2 ~ {result.eta_extrapolated:.6g}, "
           f"omega1-omega2 ~ {result.omega_extrapolated:.6g}")
-    return EXIT_OK
+    return EXIT_NUMERICAL if unconverged or fit_unconverged else EXIT_OK
 
 
 if __name__ == "__main__":

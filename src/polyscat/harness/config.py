@@ -6,7 +6,9 @@ kinds, malformed vertices, or non-finite numbers are reported with the
 offending field path.  Every section a command reads (`nearfield`, `sweep`,
 `probe` beside the medium, incident, mesh and far field) is parsed here, and
 `check_medium` decides whether a medium and its incident field can be
-solved, so `validate` and the commands refuse the same inputs.
+solved, so `validate` and the commands refuse the same inputs.  The
+perturbed media of a sweep are built and checked here too (`sweep_media`),
+for `validate` from the config's own `sweep` section.
 """
 
 import hashlib
@@ -167,6 +169,62 @@ def check_medium(medium, incident):
     except ValueError as exc:
         problems.append(("incident", str(exc)))
     return problems, report.info
+
+
+def require_solvable(medium, incident, path=None, context=""):
+    """ConfigError for the first field `check_medium` faults, naming each of
+    that field's problems after `context`; at `path` if given."""
+    problems, _ = check_medium(medium, incident)
+    if problems:
+        field = problems[0][0]
+        raise ConfigError(path or field,
+                          context + "; ".join(m for f, m in problems if f == field))
+
+
+def _perturbed_medium(m, target, mag):
+    """`m` with the parsed sweep `target` moved by `mag`: a q or lambda shifted,
+    or a nest vertex pushed outward from its polygon's vertex mean."""
+    kind, idx, sub = target
+    if isinstance(m, NestMedium):
+        q = list(m.q)
+        lam = list(m.lam)
+        layers = list(m.partition.layers)
+        if kind == "q":
+            q[idx - 1] = q[idx - 1] + mag
+        elif kind == "lambda":
+            lam[idx - 1] = lam[idx - 1] + mag
+        else:
+            poly = layers[idx - 1]
+            v = poly.vertices.copy()
+            out = v[sub] - v.mean(axis=0)
+            v[sub] = v[sub] + mag * out / np.hypot(*out)
+            layers[idx - 1] = Polygon(v)
+        return NestMedium(NestPartition(layers), q, lam, m.k)
+    q = list(m.q)
+    lam = m.lambda_star
+    if kind == "q":
+        q[idx - 1] = q[idx - 1] + mag
+    else:
+        lam = lam + mag
+    return CellMedium(m.partition, q, lam, m.k)
+
+
+def sweep_media(medium, incident, target, magnitudes):
+    """The perturbed media of a sweep of `target` (a string, as `parse_target`
+    reads it) over `magnitudes`, in order, each refused as `require_solvable`
+    refuses a scenario: a ConfigError at `sweep.magnitudes` names the first
+    magnitude whose medium cannot be built or solved with `incident`."""
+    tgt = parse_target(target, medium)
+    media = []
+    for mag in magnitudes:
+        where = f"magnitude {mag:g} of {target}: "
+        try:
+            med = _perturbed_medium(medium, tgt, mag)
+        except ValueError as exc:
+            raise ConfigError("sweep.magnitudes", where + str(exc)) from None
+        require_solvable(med, incident, "sweep.magnitudes", where)
+        media.append(med)
+    return media
 
 
 def _nearfield_grid(node):

@@ -1,9 +1,11 @@
 """Quadrature rules for sector-domain integrals against the decaying test
 function u0(s x) = exp(-sqrt(s r) e^{i theta/2}).
 
-Radial direction: composite Gauss-Legendre on geometrically graded panels
-toward r = 0 (the integrand has sqrt(r) derivative behaviour there) and out
-through the exponentially decaying tail.  Angular direction: tensor
+Radial direction (edge rays and area rules, `_radial_rule`): composite
+Gauss-Legendre in u = sqrt(r) on panels geometric in u toward u = 0, where
+u0's sqrt(r) behaviour at the apex and the scenario fit's r^(-1/2) edge
+flux are both smooth; `polar_integral` (the CGO cross-checks) keeps its
+own panels in r.  Angular direction: tensor
 Gauss-Legendre, refined by doubling until two successive levels agree.
 
 The rules depend only on the sector (or the edge length h) and the
@@ -84,11 +86,29 @@ def _theta_rule(theta_m, theta_M, nt):
     return _frozen(mid + half * x, half * w)
 
 
+_U_RATIO = 2.0 ** -0.5   # ratio of consecutive radial panel ends in u = sqrt(r)
+_U_PANELS = 28           # the innermost is [0, 2^-13.5 sqrt(h)] = [0, 8.6e-5 sqrt(h)]
+
+
 @lru_cache(maxsize=64)
 def _radial_rule(h, nr):
-    """The graded radial rule on [0, h]: an edge ray's, and an area rule's
-    radial factor."""
-    return _frozen(*panel_rule(graded_breaks(0.0, h), nr))
+    """The radial rule on [0, h]: an edge ray's, and an area rule's radial
+    factor.
+
+    Gauss-Legendre in u = sqrt(r), nodes r = u^2 and weights 2 u w_u, on
+    panels geometric in u toward u = 0.  Under this substitution the apex
+    behaviour of the probe's integrands is smooth: u0(s x) =
+    exp(-sqrt(s) u e^{i theta/2}) is analytic in u, and an r^(-1/2) edge
+    flux times the Jacobian 2u is a constant.  In r, the innermost panel of
+    any finite grading leaves the r^(-1/2) integrals an error of order the
+    square root of its length.  The geometric panels resolve the decay
+    length 1/sqrt(s) of u0 in u for every s with one panel count.  With
+    ratio 1/2 instead of 1/sqrt(2), the edge integrals at theta = 0.9 pi,
+    s = 1e4 and h = 2 stop unconverged at tol 1e-12.
+    """
+    ends = np.sqrt(h) * _U_RATIO ** np.arange(_U_PANELS - 1, -1, -1)
+    u, wu = panel_rule(np.concatenate(([0.0], ends)), nr)
+    return _frozen(u * u, 2.0 * u * wu)
 
 
 class AreaRule(NamedTuple):

@@ -183,13 +183,16 @@ def test_sweep_refuses_a_vanishing_vertex_field(tmp_path, monkeypatch, capsys):
     assert not (out / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("target, magnitudes, violation", [
+INVALID_PERTURBATIONS = pytest.mark.parametrize("target, magnitudes, violation", [
     # pushes inner vertex (-0.5, -0.5) out to (-1.21, -1.21), outside layer 1
     ("vertex:2:0", "1.0,0.01", "magnitude 1 of vertex:2:0: layer 2 not inside layer 1"),
     # pulls inner vertex 0 onto vertex 2: no polygon is left
     ("vertex:2:0", "0.01,-1.4142135623730951", "magnitude -1.41421 of vertex:2:0: "),
     ("q:2", "0.1,-3", "magnitude -3 of q:2: Re q must be positive"),
 ], ids=["vertex-outside", "vertex-degenerate", "q-nonpositive"])
+
+
+@INVALID_PERTURBATIONS
 def test_sweep_refuses_an_invalid_perturbed_medium(tmp_path, monkeypatch, capsys, target,
                                                    magnitudes, violation):
     """Every perturbed medium is checked before the base solve: one that is
@@ -203,6 +206,25 @@ def test_sweep_refuses_an_invalid_perturbed_medium(tmp_path, monkeypatch, capsys
     assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--target", target,
                      "--magnitudes", magnitudes]) == 1
     assert f"config error: sweep.magnitudes: {violation}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@INVALID_PERTURBATIONS
+def test_validate_refuses_the_config_sweep_as_sweep_does(tmp_path, capsys, target,
+                                                         magnitudes, violation):
+    """`validate` builds the perturbed media of the config's own `sweep`
+    section: it refuses a magnitude whose medium `sweep` refuses, with the
+    same message, and `sweep` with no flags solves nothing."""
+    doc = json.loads(json.dumps(NEST_DOC))
+    doc["sweep"] = {"target": target, "magnitudes": [float(m) for m in magnitudes.split(",")]}
+    cfg = write(tmp_path, "c.json", doc)
+    assert cli_main(["validate", "--config", cfg]) == 1
+    refused = capsys.readouterr().err
+    assert refused.startswith("invalid: sweep.magnitudes: ")
+    assert violation in refused
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == refused.replace("invalid: ", "config error: ", 1)
     assert not out.exists()
 
 
@@ -443,11 +465,14 @@ def test_passive_command_and_refusals(tmp_path):
     assert cli_main(["passive", "--config", cfg3, "--out", str(out)]) == 1
 
 
-def test_probe_command_manufactured(tmp_path, capsys):
+def test_probe_command_manufactured(tmp_path, monkeypatch, capsys):
+    from polyscat import probe, quadrature
+
     cfg = write(tmp_path, "probe.json", PROBE_DOC)
     out = tmp_path / "probe"
     assert cli_main(["probe", "--config", cfg, "--out", str(out),
                      "--s-grid", "50,100,200"]) == 0
+    assert capsys.readouterr().err == ""
     lines = (out / "probe.csv").read_text().splitlines()
     header = [ln for ln in lines if not ln.startswith("#")][0]
     assert header == "s,re_eta,im_eta,re_omega,im_omega,residual"
@@ -458,27 +483,43 @@ def test_probe_command_manufactured(tmp_path, capsys):
     assert len(report["quad_error"]) == 3
     assert report["eta_extrapolation_err"] > 0
     assert report["omega_extrapolation_err"] > 0
-    assert report["fit_quad_unconverged"] >= 0
-    assert report["fit_quad_error_max"] > 0
-    # unconverged fit quadratures are named on stderr; the exit code stays 0
-    assert report["fit_quad_unconverged"] > 0
-    assert (f"{report['fit_quad_unconverged']} scenario-fit edge-moment quadratures did not "
-            f"converge, fit_quad_error_max = {report['fit_quad_error_max']:.3g}"
-            in capsys.readouterr().err)
+    assert report["fit_quad_unconverged"] == 0
+    assert 0 < report["fit_quad_error_max"] < 5e-13
     # the edge-moment correction closes the fit to rounding
     assert 0 <= report["fit_moment_residual"] < 1e-12
     # the fit's sensitivity to rounding is on record
     for key in ("fit_cond_pointwise", "fit_cond_moments"):
         assert np.isfinite(report[key]) and report[key] >= 1
 
+    # fit quadratures held to their first level stop unconverged: they are
+    # named on stderr, and the run exits 2 after writing its outputs
+    refine, edge_moment = quadrature._refine, probe._edge_moment
+
+    def one_level(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_refine", lambda levels, fn, tol: refine(levels[:1], fn, tol))
+            return edge_moment(*args, **kwargs)
+
+    monkeypatch.setattr(probe, "_edge_moment", one_level)
+    forced = tmp_path / "forced"
+    assert cli_main(["probe", "--config", cfg, "--out", str(forced),
+                     "--s-grid", "50,100,200"]) == 2
+    assert (forced / "probe.csv").exists()
+    report = json.loads((forced / "report.json").read_text())
+    assert report["fit_quad_unconverged"] > 0
+    assert (f"{report['fit_quad_unconverged']} scenario-fit edge-moment quadratures did not "
+            f"converge, fit_quad_error_max = {report['fit_quad_error_max']:.3g}"
+            in capsys.readouterr().err)
+
 
 def test_probe_command_reports_unconverged_quadrature(tmp_path, capsys):
     # at tol 1e-12 the arc integrals at s = 50 and 100 stop unconverged at
-    # 256 nodes; the exit code stays 0
+    # 256 nodes; the run exits 2 after writing its outputs
     cfg = write(tmp_path, "probe.json", PROBE_DOC)
     out = tmp_path / "probe"
     assert cli_main(["probe", "--config", cfg, "--out", str(out),
-                     "--s-grid", "50,100,200,400,800", "--tol", "1e-12"]) == 0
+                     "--s-grid", "50,100,200,400,800", "--tol", "1e-12"]) == 2
+    assert (out / "probe.csv").exists()
     report = json.loads((out / "report.json").read_text())
     assert report["quad_converged"] == [False, False, True, True, True]
     err = capsys.readouterr().err
@@ -508,17 +549,19 @@ def test_probe_builds_each_rule_once_and_u0_once_per_grid_and_s(tmp_path, monkey
     cfg = write(tmp_path, "probe.json", PROBE_DOC)
     assert cli_main(["probe", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--s-grid", "50,100"]) == 0
-    # radial levels 10, 14, 20 (area) and 10, 16, 24, 32 (edge), 10 shared;
-    # the three area levels of the one sector
-    assert calls["panel_rule"] == 6
+    # radial levels 10, 14, 20 (area) and 10, 16 (edge: every edge integral
+    # converges at its second level), 10 shared; the three area levels of
+    # the one sector
+    assert calls["panel_rule"] == 4
     assert quadrature._area_rule.cache_info().misses == 3
-    # 2 s x 3 area levels; the fit's 2 edges x 2 s x 4 levels and the
-    # extraction's 2 edges x 2 s x 2 levels
+    # 2 s x 3 area levels; the fit's and the extraction's 2 edges x 2 s x 2
+    # levels each
     assert calls["u0_polar"] == 6
-    assert calls["edge_u0"] == 24
-    # the sums they serve: 2 s x 3 area integrals, 112 edge integrals
+    assert calls["edge_u0"] == 16
+    # the sums they serve: 2 s x 3 area integrals, 112 edge integrals of 2
+    # levels each
     assert calls["area_quad_sum"] == 16
-    assert calls["edge_quad_sum"] == 240
+    assert calls["edge_quad_sum"] == 224
 
 
 def _blocks_per_solve(monkeypatch):
@@ -683,8 +726,7 @@ def test_sweep_shares_far_field_rows(tmp_path, monkeypatch, doc, target, rows_bu
     builds them for the base and the fine solve only, and the perturbed far
     fields equal store-free ones bit for bit."""
     from polyscat.forward import solve_scatter, solver, uniform_directions
-    from polyscat.harness.cli import _perturbed_medium
-    from polyscat.harness.config import parse_target
+    from polyscat.harness.config import sweep_media
 
     rows = []
     farfield_row = solver.farfield_row
@@ -697,7 +739,7 @@ def test_sweep_shares_far_field_rows(tmp_path, monkeypatch, doc, target, rows_bu
     angles = uniform_directions(32)
     store = {}
     solve_scatter(sc.medium, sc.incident, nodes_per_edge=12, blocks=store).far_field(angles)
-    med = _perturbed_medium(sc.medium, parse_target(target, sc.medium), 0.01)
+    (med,) = sweep_media(sc.medium, sc.incident, target, [0.01])
     shared = solve_scatter(med, sc.incident, nodes_per_edge=12, blocks=dict(store))
     fresh = solve_scatter(med, sc.incident, nodes_per_edge=12)
     assert shared.far_field(angles).values.tobytes() == fresh.far_field(angles).values.tobytes()
