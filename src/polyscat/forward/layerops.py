@@ -47,24 +47,44 @@ normal and nodes at rows i * n_gl onward of `normals` and `nodes`.
   log|t - t*| against Legendre polynomials (Legendre-Q recurrence).  A
   node on the target takes the r -> 0 limit of B.  Plain T is
   hypersingular there and comes back as NaN.
-- Every other pair gets a geometric rule toward t*: on each nonempty
-  side [t*, end], _FINE_N Gauss points on each of L + 1 sub-intervals of
-  ratio _FINE_RATIO, with L the fewest levels (at most _FINE_LEVELS) that
-  bring the innermost sub-interval below _NEAR_FRAC of the target's
-  distance.  A target on the panel's line at an end gets all the levels.
-- The fine nodes come in two regular layouts, one kernel pass per batch
-  or chunk, each pair's target and panel data gathered once and repeated
-  over its nodes.  Own-panel pairs form batches of at most _NEAR_CHUNK //
-  _OWN_M pairs, the _OWN_M Gauss nodes tiled per pair, and the product
-  rule works on whole rows.  The other pairs form chunks of whole pairs
-  of about _NEAR_CHUNK nodes; each sub-interval's ends, midpoint and half
-  length are computed once and spread over its _FINE_N Gauss nodes by an
-  outer product.
-- `np.add.reduceat` sums each pair's Legendre moments, and `_to_nodes`
-  maps all of them to the panel's nodes once per kind.  No step rounds by
-  batch: each is elementwise or a fixed-order sum over one pair's values,
-  so an entry, and a slice of stacked targets, is the same whatever batch,
-  chunk or neighbours it was computed with; the chunks only bound memory.
+- Every other pair is sized by the Bernstein ellipse through its target
+  (Trefethen, SIAM Rev. 50, 2008; Barnett, SIAM J. Sci. Comput. 36,
+  2014).  With z the target in the panel's coordinate ([-1, 1] along the
+  panel), the integrand is analytic inside the ellipse with foci +-1
+  through z, of parameter rho = |z + sqrt(z - 1) sqrt(z + 1)|, and the
+  n-point Gauss error falls like rho^(-2n).  The pair takes the least size
+  in _SINGLE_SIZES with n >= ln(1/eps) / (2 ln rho), eps = _RULE_EPS, as
+  one Gauss rule on the whole panel.  _RULE_EPS = 1e-15 keeps the entries
+  within 1e-11 of adaptive quadrature; 1e-13 does not, on K, Kp and T (up
+  to 1.9e-11), since the bound leaves out the constant of the kernel and
+  of the degree n_gl - 1 Lagrange basis that multiplies it.  No near pair
+  takes fewer than 12 points: 8 would need rho >= 8.7, beyond NEAR_MULT.
+- A pair that needs more than 32 points, a target beside a corner or a
+  field point just off an edge, keeps a geometric rule toward t*: on each
+  nonempty side [t*, end], _FINE_N Gauss points on each of L + 1
+  sub-intervals of ratio _FINE_RATIO, with L the fewest levels (at most
+  _FINE_LEVELS) that bring the innermost sub-interval below _NEAR_FRAC of
+  the target's distance.  A target on the panel's line at an end gets all
+  the levels.
+- Every node is placed by its offset s = t - t* from the target's closest
+  point c, and x - y is (x - c) - s (b - a) / 2 with x - c formed once per
+  pair: a target 1e-8 panel lengths off keeps its digits, which x - y
+  from two nearby points would lose.
+- The fixed layouts, the product rule and each single rule, form batches
+  of at most _NEAR_CHUNK // n pairs of n nodes, node-major (node k of
+  every pair, then node k + 1), so that each pair's data is tiled, one
+  kernel pass each.  They map the weighted kernel values to the panel's
+  nodes through a cached n x n_gl matrix (`_node_map`: Gauss weight times
+  Lagrange basis).  The geometric pairs form chunks of whole pairs of
+  about _NEAR_CHUNK nodes, pair-major; each sub-interval's ends, midpoint
+  and half length are computed once and spread over its _FINE_N Gauss
+  nodes by an outer product, `np.add.reduceat` sums each pair's Legendre
+  moments, and `_interp_coeffs` maps them all to the panel's nodes once.
+- No step rounds by batch: each is elementwise, or a fixed-order sum over
+  one pair's values (`_to_nodes`, `np.einsum` with no BLAS), so an entry,
+  and a slice of stacked targets, is the same whatever batch, chunk or
+  neighbours it was computed with; the batches and chunks only bound
+  memory.
 
 In every far chunk and near batch or chunk, `_kernels` evaluates H0 and H1 of each
 wavenumber once and derives all kinds from them.  Hankel functions come
@@ -73,8 +93,7 @@ routines j0/y0/j1/y1, an order of magnitude cheaper than `hankel1`, which
 serves every complex wavenumber.
 """
 
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import hankel1, j0, j1, jv, y0, y1
@@ -83,8 +102,10 @@ from ..quadrature import gauss_legendre
 
 _EULER = 0.5772156649015328606
 NEAR_MULT = 1.5
+_RULE_EPS = 1e-15      # Gauss error bound rho^(-2n) that sizes a single rule; 1e-13 is not enough
+_SINGLE_SIZES = (12, 16, 20, 24, 32)   # single Gauss rules on a whole panel, in points
 _FINE_N = 10           # Gauss points per geometric sub-interval
-_FINE_LEVELS = 16      # most geometric levels on one side of t*
+_FINE_LEVELS = 20      # most geometric levels on one side of t*; 16 left K 9e-9 off at 1e-8 panel lengths
 _FINE_RATIO = 0.35     # ratio of consecutive sub-intervals toward t*
 _NEAR_FRAC = 0.25      # innermost sub-interval at most this fraction of the distance
 _OWN_M = 24            # product-rule nodes on a target's own panel
@@ -195,13 +216,17 @@ def _interp_coeffs(n_gl):
     return coeffs
 
 
-def _to_nodes(moments, coeffs):
-    """sum_m moments[m][:, None] * coeffs[m] in fixed order, no BLAS: moments
-    (m, pairs) to node values (pairs, nodes), each row from its pair alone."""
-    out = moments[0][:, None] * coeffs[0]
-    for m, c in zip(moments[1:], coeffs[1:]):
-        out += m[:, None] * c
-    return out
+def _to_nodes(v, node_map):
+    """sum_m v[..., m, :] * node_map[m][:, None]: values or moments (..., m,
+    pairs) to node values (..., nodes, pairs), in a fixed-order sum over m
+    that calls no BLAS (`np.einsum`), so each column comes from its pair
+    alone.  A complex v goes as its real and imaginary parts.  The map is
+    (m, nodes): its m axis outside the node axis keeps einsum's sum over m
+    outside its inner loop, which with m innermost (a map stored as (nodes,
+    m) and one pair) would be a SIMD reduction in another order."""
+    if np.iscomplexobj(v):
+        return np.einsum("...mq,mj->...jq", v.view(float), node_map, order="C").view(complex)
+    return np.einsum("...mq,mj->...jq", v, node_map, order="C")
 
 
 def _legendre_table(t, n):
@@ -346,10 +371,58 @@ def _near_pairs(pa, ab, length, tgt_pts):
     return [np.concatenate(col) for col in zip(*found)]
 
 
+def _single_sizes(d, ab):
+    """The single Gauss rule of each near pair off its own panel: the least
+    size in _SINGLE_SIZES whose bound rho^(-2n) is at most _RULE_EPS, 0 where
+    none is.  d is the target minus the panel's start, ab the panel; the
+    target's panel coordinate z = s + ih has rho = a + sqrt(a^2 - 1), a the
+    semi-major axis (|z - 1| + |z + 1|) / 2 of the Bernstein ellipse
+    through z, so ln rho = arccosh a."""
+    L2 = ab[:, 0] ** 2 + ab[:, 1] ** 2
+    s = 2.0 * (d[:, 0] * ab[:, 0] + d[:, 1] * ab[:, 1]) / L2 - 1.0
+    h = 2.0 * np.abs(d[:, 0] * ab[:, 1] - d[:, 1] * ab[:, 0]) / L2
+    a = np.maximum(0.5 * (np.hypot(s - 1.0, h) + np.hypot(s + 1.0, h)), 1.0)
+    with np.errstate(divide="ignore"):   # a target on the panel: no rule fits
+        n = np.log(1.0 / _RULE_EPS) / (2.0 * np.arccosh(a))
+    return np.append(_SINGLE_SIZES, 0)[np.searchsorted(_SINGLE_SIZES, n)]
+
+
+@lru_cache(maxsize=16)
+def _node_map(n, n_gl):
+    """w_k L_j(t_k), shape (n, n_gl): the n-point Gauss nodes t_k and weights
+    w_k against the Lagrange basis L_j of the n_gl-point panel nodes, which
+    takes a fixed layout's kernel values to the panel's nodes."""
+    t, w = gauss_legendre(n)
+    out = (w[:, None] * np.polynomial.legendre.legvander(t, n_gl - 1)) @ _interp_coeffs(n_gl)
+    out.setflags(write=False)
+    return out
+
+
+def _fixed_batches(own, size, t_star):
+    """The fixed layouts, at most _NEAR_CHUNK // n pairs per batch of n-node
+    rules: (n, pairs, log weight over Gauss weight per node or None), the
+    nodes node-major (node k of every pair, then node k + 1).  Own-panel
+    pairs take the _OWN_M-node product rule, the pairs of each size in
+    _SINGLE_SIZES its single Gauss rule."""
+    groups = [(_OWN_M, np.nonzero(own)[0], True)]
+    groups += [(n, np.nonzero(size == n)[0], False) for n in _SINGLE_SIZES]
+    wo = gauss_legendre(_OWN_M)[1]
+    for n, group, product in groups:
+        step = max(1, _NEAR_CHUNK // n)
+        for b0 in range(0, len(group), step):
+            p = group[b0:b0 + step]
+            wratio = None
+            if product:
+                # exact moments of log|t - t*| times the Legendre expansion
+                # of the _OWN_M-point Lagrange basis, a fixed-order sum
+                wlog = _to_nodes(_log_moments(t_star[p], _OWN_M), _interp_coeffs(_OWN_M))
+                wratio = (wlog / wo[:, None]).ravel()
+            yield n, p, wratio
+
+
 def _near_sides(t_star, dist, ell):
-    """The geometric sides of near pairs off their own panel, ordered by
-    pair: the pair, the end (-1 or 1) and the level count of each nonempty
-    side [t*, end]."""
+    """The geometric sides of near pairs, ordered by pair: the pair, the end
+    (-1 or 1) and the level count of each nonempty side [t*, end]."""
     pair, end, levels = [], [], []
     for e in (-1.0, 1.0):
         side = np.nonzero(np.abs(e - t_star) >= 1e-14)[0]   # t* = e: nothing to do
@@ -372,77 +445,69 @@ def _chunk_starts(node_off):
     return np.unique(np.concatenate((starts, [len(node_off) - 1])))
 
 
-def _own_batches(pairs, t_star):
-    """The product rule of the own-panel `pairs`, at most _NEAR_CHUNK //
-    _OWN_M pairs per batch: (pairs, nodes per pair, t and Gauss weight per
-    node, log weight over Gauss weight per node), the _OWN_M Gauss nodes
-    tiled once per pair."""
-    # log weights: exact moments of log|t - t*| times the Legendre
-    # expansion of the _OWN_M-point Lagrange basis
-    wlog = _to_nodes(_log_moments(t_star, _OWN_M), _interp_coeffs(_OWN_M))
-    to, wo = gauss_legendre(_OWN_M)
-    step = max(1, _NEAR_CHUNK // _OWN_M)
-    for b0 in range(0, len(pairs), step):
-        p = pairs[b0:b0 + step]
-        wf = np.tile(wo, len(p))
-        yield p, np.full(len(p), _OWN_M), np.tile(to, len(p)), wf, wlog[b0:b0 + step].ravel() / wf
-
-
-def _geometric_chunks(pairs, t_star, dist, ell):
-    """The geometric rules of the other `pairs`, in chunks of whole pairs
-    (`_chunk_starts`, a memory cut): (pairs, nodes per pair, t and weight
-    per node, None).  Each sub-interval's ends, from two powers of
-    _FINE_RATIO, and its midpoint and half length are computed once and
+def _geometric_chunks(t_star, dist, ell):
+    """The geometric rules of near pairs, in chunks of whole pairs
+    (`_chunk_starts`, a memory cut): (slice of pairs, nodes per pair, offset
+    t - t* and weight per node).  Each sub-interval's ends, from two powers
+    of _FINE_RATIO, and its midpoint and half length are computed once and
     spread over its _FINE_N Gauss nodes."""
     seg_pair, end, levels = _near_sides(t_star, dist, ell)
     n_sub = levels + 1
     # one entry per sub-interval, innermost first along each side
     seg = np.repeat(np.arange(len(n_sub)), n_sub)
     j = np.arange(len(seg)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-    lv, e, t0 = levels[seg], end[seg], t_star[seg_pair[seg]]
-    inner = np.where(j == 0, 0.0, _FINE_RATIO ** (lv - j + 1.0))
-    lo = t0 + (e - t0) * inner
-    hi = t0 + (e - t0) * _FINE_RATIO ** (lv - j + 0.0)
+    lv, span = levels[seg], end[seg] - t_star[seg_pair[seg]]
+    lo = span * np.where(j == 0, 0.0, _FINE_RATIO ** (lv - j + 1.0))
+    hi = span * _FINE_RATIO ** (lv - j + 0.0)
     mid, half = 0.5 * (lo + hi), 0.5 * np.abs(hi - lo)
-    sub_off = np.concatenate(([0], np.cumsum(np.bincount(seg_pair, n_sub, len(pairs))))).astype(int)
+    sub_off = np.concatenate(([0], np.cumsum(np.bincount(seg_pair, n_sub, len(t_star))))).astype(int)
     node_off = _FINE_N * sub_off
     cuts = _chunk_starts(node_off)
     tg, wg = gauss_legendre(_FINE_N)
     for p0, p1 in zip(cuts[:-1], cuts[1:]):
         u = slice(sub_off[p0], sub_off[p1])
-        yield (pairs[p0:p1], np.diff(node_off[p0:p1 + 1]),
-               (mid[u, None] + half[u, None] * tg).ravel(), (half[u, None] * wg).ravel(), None)
+        yield (slice(p0, p1), np.diff(node_off[p0:p1 + 1]),
+               (mid[u, None] + half[u, None] * tg).ravel(), (half[u, None] * wg).ravel())
 
 
 def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out, plain=False):
     """Re-integrate every near (target, panel) pair of the call: own-panel
-    pairs by the product rule in batches, the others by sized geometric
-    rules in chunks, one kernel pass per batch or chunk of whole pairs, and
-    one `_to_nodes` per kind over the moments of all pairs; no entry depends
-    on another pair.  `out` holds one block per kind, in `_kernels` order
-    with `plain`."""
+    pairs by the product rule and the others by a single Gauss rule, in
+    batches of one layout, and the pairs too close for one by sized
+    geometric rules in chunks; one kernel pass per batch or chunk of whole
+    pairs, and no entry depends on another pair.  `out` holds one block per
+    kind, in `_kernels` order with `plain`."""
     n_gl = src.n_gl
     pa, ab, length, normal = src.pa, src.pb - src.pa, src.plen, src.normals[::n_gl]
     ti, pi, t_star, dist = _near_pairs(pa, ab, length, tgt_pts)
     if not len(ti):
         return
     own = (dist <= _OWN_TOL * length[pi]) & (np.abs(t_star) < 1.0)
-    own_p, geo_p = np.nonzero(own)[0], np.nonzero(~own)[0]
-    moments = np.empty((len(out), n_gl, len(ti)), dtype=complex)   # per kind and pair
-    for p, reps, tf, wf, wratio in chain(
-            _own_batches(own_p, t_star[own_p]),
-            _geometric_chunks(geo_p, t_star[geo_p], dist[geo_p], length[pi[geo_p]])):
+    from_a = tgt_pts[ti] - pa[pi]
+    size = np.where(own, -1, _single_sizes(from_a, ab[pi]))
+    # the target from its closest point, formed once: node offsets s = t - t*
+    # then give x - y without the cancellation of two nearby points
+    from_c = from_a - (0.5 + 0.5 * t_star)[:, None] * ab[pi]
+
+    def write(p, nodes):
+        """nodes (kinds, n_gl, pairs) into the rows and panel columns of the pairs p."""
+        at = (ti[p] * src.n_nodes + n_gl * pi[p]) + np.arange(n_gl)[:, None]
+        for blk, v in zip(out, nodes):
+            np.put(blk, at, v)
+
+    def values(p, spread, s, wratio=None):
+        """Kernel values times the half panel length at the offsets s of the
+        pairs p, whose data `spread` takes from pairs to nodes; with wratio
+        by the product rule (_product_rule)."""
         pn = pi[p]
-        x, a, b, sn = (np.repeat(v, reps, axis=0)
-                       for v in (tgt_pts[ti[p]], pa[pn], ab[pn], normal[pn]))
-        tn = None if tgt_nrm is None else np.repeat(tgt_nrm[ti[p]], reps, axis=0)
-        half = np.repeat(0.5 * length[pn], reps)
-        d = x - (a + (0.5 + 0.5 * tf)[:, None] * b)
+        d = spread(from_c[p]) - (0.5 * s)[:, None] * spread(ab[pn])
         r = np.hypot(d[:, 0], d[:, 1])
+        sn, tn = spread(normal[pn]), None if tgt_nrm is None else spread(tgt_nrm[ti[p]])
+        half = spread(0.5 * length[pn])
         if wratio is None:
             vals = np.stack(_kernels(kappa, kappa2, d, r, sn, tn, plain))
         else:
-            dt = np.abs(tf - np.repeat(t_star[p], reps))
+            dt = np.abs(s)
             hit = dt <= _HIT_TOL   # node on the target
             vals = np.stack(_kernels(kappa, kappa2, d, np.where(hit, 1.0, r), sn, tn, plain))
             nn = None if tn is None else (sn * tn).sum(axis=1)
@@ -451,14 +516,26 @@ def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out, plain=False):
                     else [(kappa2, vals)])
             for kap2, v in sets:
                 _product_rule(kappa, kap2, v, np.where(hit, 0.0, r), dt, wratio, half, nn)
-        vals *= wf * half
-        table = _legendre_table(tf, n_gl)
+        vals *= half
+        return vals
+
+    # fixed layouts, node-major: a pair's data tiled once per node
+    for n, p, wratio in _fixed_batches(own, size, t_star):
+        s = np.repeat(gauss_legendre(n)[0], len(p)) - np.tile(t_star[p], n)
+        vals = values(p, lambda a: np.concatenate([a] * n), s, wratio)
+        write(p, _to_nodes(vals.reshape(len(out), n, len(p)), _node_map(n, n_gl)))
+    # geometric rules, pair-major: a pair's data repeated over its nodes
+    geo = np.nonzero(size == 0)[0]
+    moments = np.empty((len(out), n_gl, len(geo)), dtype=complex)   # per kind and pair
+    for sl, reps, s, wf in _geometric_chunks(t_star[geo], dist[geo], length[pi[geo]]):
+        spread = partial(np.repeat, repeats=reps, axis=0)
+        vals = values(geo[sl], spread, s)
+        vals *= wf
+        table = _legendre_table(spread(t_star[geo[sl]]) + s, n_gl)
         offsets = np.cumsum(reps) - reps
         for m, v in zip(moments, vals):   # one kind at a time keeps peak RSS flat
-            m[:, p] = np.add.reduceat(v * table, offsets, axis=1)
-    rows, cols = ti[:, None], n_gl * pi[:, None] + np.arange(n_gl)
-    for blk, m in zip(out, moments):
-        blk[rows, cols] = _to_nodes(m, _interp_coeffs(n_gl))
+            m[:, sl] = np.add.reduceat(v * table, offsets, axis=1)
+    write(geo, _to_nodes(moments, _interp_coeffs(n_gl)))
 
 
 def _product_rule(kappa, kappa2, vals, r, dt, wratio, half, nn):

@@ -81,9 +81,12 @@ def region_wavenumbers(medium):
 
 def factor_system(A):
     """LU factors of A and the LAPACK gecon estimate of its 1-norm
-    condition number."""
+    condition number.  The 1-norm is the one scan for non-finite entries:
+    it is NaN or inf whenever A holds one, which is refused as scipy would."""
     anorm = np.linalg.norm(A, 1)
-    lu_piv = sla.lu_factor(A)
+    if not np.isfinite(anorm):
+        raise ValueError("array must not contain infs or NaNs")
+    lu_piv = sla.lu_factor(A, check_finite=False)
     gecon = sla.get_lapack_funcs("gecon", (A,))
     rcond, _ = gecon(lu_piv[0], anorm)
     return lu_piv, np.inf if rcond == 0 else 1.0 / rcond
@@ -225,7 +228,8 @@ def assemble_nest(medium: NestMedium, mesh: BoundaryMesh, blocks=None):
 
 def _nest_matrix(medium, mesh, kappas, sizes, blocks):
     """The system matrix: per interface, its self blocks and its pair with
-    the outer neighbour."""
+    the outer neighbour.  Each group is added in a call of its own, so that
+    without a store it is freed before the next one is built."""
     col0 = np.cumsum([0] + [2 * s for s in sizes])
     ntot = col0[-1]
     A = np.zeros((ntot, ntot), dtype=complex)
@@ -234,38 +238,45 @@ def _nest_matrix(medium, mesh, kappas, sizes, blocks):
     span = [(slice(o, o + m), slice(o + m, o + 2 * m)) for o, m in zip(col0, sizes)]
 
     for i, tgt in enumerate(mesh.curves):
-        kout, kin = kappas[i], kappas[i + 1]
-        lam = medium.lam[i]
-        rd, rn = span[i]
-        eye = np.eye(sizes[i])
-        own = _stored(blocks, assemble_nest_blocks, kout, tgt, tgt, kin, lam != 0)
-        sd, kd, kpd, td = own[0]
-        A[rd, rd] = eye + kd
-        A[rd, rn] = sd
-        A[rn, rd] = td
-        A[rn, rn] = -eye + kpd
-        if lam != 0:
-            so, ko = own[1]
-            A[rn, rd] += lam * (0.5 * eye + ko)
-            A[rn, rn] += lam * so
-
+        kout, kin, lam = kappas[i], kappas[i + 1], medium.lam[i]
+        _add_self(A, span[i], lam,
+                  _stored(blocks, assemble_nest_blocks, kout, tgt, tgt, kin, lam != 0))
         if i >= 1:
             # the pair at kout: outer neighbour onto this interface, and this
             # interface onto the inner side of the outer neighbour
-            pair = _stored(blocks, assemble_nest_blocks, kout, mesh.curves[i - 1], tgt,
-                           None, False)
-            (sv, kv, kpv, tv), (sw, kw, kpw, tw) = pair
-            od, on = span[i - 1]
-            A[rd, od] += kv
-            A[rd, on] += sv
-            A[rn, od] += tv + lam * kv
-            A[rn, on] += kpv + lam * sv
-            A[od, rd] -= kw
-            A[od, rn] -= sw
-            A[on, rd] -= tw
-            A[on, rn] -= kpw
-
+            _add_pair(A, span[i], span[i - 1], lam,
+                      _stored(blocks, assemble_nest_blocks, kout, mesh.curves[i - 1], tgt,
+                              None, False))
     return A
+
+
+def _add_self(A, own_span, lam, own):
+    """Add an interface's self group (`assemble_nest_blocks`) to A."""
+    rd, rn = own_span
+    eye = np.eye(rd.stop - rd.start)
+    sd, kd, kpd, td = own[0]
+    A[rd, rd] = eye + kd
+    A[rd, rn] = sd
+    A[rn, rd] = td
+    A[rn, rn] = -eye + kpd
+    if lam != 0:
+        so, ko = own[1]
+        A[rn, rd] += lam * (0.5 * eye + ko)
+        A[rn, rn] += lam * so
+
+
+def _add_pair(A, own_span, outer_span, lam, pair):
+    """Add the cross group of an interface and its outer neighbour to A."""
+    (rd, rn), (od, on) = own_span, outer_span
+    (sv, kv, kpv, tv), (sw, kw, kpw, tw) = pair
+    A[rd, od] += kv
+    A[rd, on] += sv
+    A[rn, od] += tv + lam * kv
+    A[rn, on] += kpv + lam * sv
+    A[od, rd] -= kw
+    A[od, rn] -= sw
+    A[on, rd] -= tw
+    A[on, rn] -= kpw
 
 
 def incident_jumps(system, inc: IncidentField):

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -268,7 +269,15 @@ def test_exact_point_source_transmission_solution(layers, q, lam, sources, pts):
 # ---------------------------------------------------------------- layer operators
 
 
-_Y1_SERIES_K = np.arange(30)
+@lru_cache(maxsize=1)
+def _y1_series():
+    """Powers and coefficients of the 30-term Y1 series in `_y1_regular`."""
+    from scipy.special import digamma, factorial
+
+    k = np.arange(30)
+    return k, (digamma(k + 1) + digamma(k + 2)) / (factorial(k) * factorial(k + 1))
+
+
 KINDS = ("S", "K", "Kp", "T")   # stacking order of assemble_block
 
 
@@ -293,12 +302,11 @@ def _panels(mesh):
 def _y1_regular(z):
     """Y1(z) + 2/(pi z) for scalar z: full ascending series (A&S 9.1.11) for
     |z| < 2, where subtracting the pole from scipy's Y1 would cancel digits."""
-    from scipy.special import digamma, factorial, jv, yv
+    from scipy.special import jv, yv
 
     if abs(z) >= 2.0:
         return yv(1, z) + 2 / (np.pi * z)
-    k = _Y1_SERIES_K
-    coef = (digamma(k + 1) + digamma(k + 2)) / (factorial(k) * factorial(k + 1))
+    k, coef = _y1_series()
     series = coef @ (-(z**2) / 4) ** k
     return 2 / np.pi * np.log(z / 2) * jv(1, z) - z / (2 * np.pi) * series
 
@@ -335,26 +343,47 @@ def _ref_kernel(kind, kap, kap2, x, tn, y, sn):
     return h0 * a * b + h1r * (tn @ sn - 2 * a * b)
 
 
-def _ref_row(kind, kap, kap2, x, tn, panel):
-    """Integral of kernel x Lagrange basis over one panel by adaptive quadrature,
-    split at the parameter of the point closest to the target."""
+def _ref_row(kind, kap, kap2, x, tn, panel, basis=None):
+    """Integral of kernel x Lagrange basis over one panel by adaptive quadrature.
+
+    `kind` and `kap2` may be tuples, for one row per (kind, kap2) from one
+    adaptive quadrature, and `basis` (t -> values) replaces the panel's
+    Lagrange basis.  The integrand is taken in s = t - t*, t* the parameter
+    of the panel point c closest to the target, with x - c formed once, so
+    that x - y stays exact near c.  A target on the panel (within 1e-12 of
+    its length) splits it at t*; any other, at distance delta from c (in
+    units of t), has each side of t* integrated in u with s = +-delta
+    sinh(u), which leaves the near-singular integrand smooth."""
     from scipy.integrate import quad_vec
 
-    tj = panel.t_nodes
+    kinds = [(kind, kap2)] if isinstance(kind, str) else list(zip(kind, kap2))
+    basis = basis or (lambda t: _lagrange_basis(panel.t_nodes, t)[0])
     ab = panel.b - panel.a
-    mid = 0.5 * (panel.a + panel.b)
     t_star = float(np.clip(2 * (x - panel.a) @ ab / (ab @ ab) - 1, -1, 1))
+    xc = x - (0.5 * (panel.a + panel.b) + 0.5 * t_star * ab)
+    delta = 2 * np.hypot(*xc) / panel.length
 
-    def integrand(t):
-        basis = _lagrange_basis(tj, t)[0]
-        y = mid + 0.5 * t * ab
-        val = _ref_kernel(kind, kap, kap2, x, tn, y, panel.normal) * 0.5 * panel.length
-        return np.concatenate([(val * basis).real, (val * basis).imag])
+    def integrand(s):
+        val = np.array([_ref_kernel(k, kap, k2, xc, tn, 0.5 * s * ab, panel.normal)
+                        for k, k2 in kinds])
+        v = np.multiply.outer(0.5 * panel.length * val, basis(t_star + s)).ravel()
+        return np.concatenate([v.real, v.imag])
 
-    pts = [t_star] if -1 < t_star < 1 else None
-    res, _ = quad_vec(integrand, -1.0, 1.0, epsabs=1e-13, epsrel=1e-11, points=pts,
-                      limit=2000)
-    return res[: len(tj)] + 1j * res[len(tj):]
+    opts = dict(epsabs=1e-13, epsrel=1e-11, limit=2000)
+    if delta <= 2e-12:
+        pts = [0.0] if -1 < t_star < 1 else None
+        res = quad_vec(integrand, -1.0 - t_star, 1.0 - t_star, points=pts, **opts)[0]
+    else:
+        res = 0
+        for side in (-1.0, 1.0):
+            span = abs(side - t_star)
+            if span:
+                res = res + quad_vec(
+                    lambda u: integrand(side * delta * np.sinh(u)) * delta * np.cosh(u),
+                    0.0, np.arcsinh(span / delta), **opts)[0]
+    n = len(res) // 2
+    out = (res[:n] + 1j * res[n:]).reshape(len(kinds), -1)
+    return out[0] if isinstance(kind, str) else out
 
 
 @pytest.mark.parametrize("q", [3.0, 3.0 + 0.2j])
@@ -446,11 +475,14 @@ def _own_panel_row(kind, kap, kap2, p, x, tn):
 
 def _near_rows_per_target(kind, kap, kap2, src, x, tn):
     """Near-pass rows one target and one panel at a time: on the target's own
-    panel the product rule, elsewhere the geometric fine rule with its level
-    count sized to the distance, interval by interval, and the Lagrange basis
-    by its product formula."""
+    panel the product rule; elsewhere the least single Gauss rule on the
+    whole panel whose bound rho^(-2n) meets the rule's epsilon, rho =
+    |z + sqrt(z - 1) sqrt(z + 1)| for the target's panel coordinate z, and
+    past the largest size the geometric fine rule with its level count sized
+    to the distance, interval by interval; the Lagrange basis by its product
+    formula."""
     from polyscat.forward.layerops import (_FINE_LEVELS, _FINE_N, _FINE_RATIO, _NEAR_FRAC,
-                                           NEAR_MULT, _kernels)
+                                           _RULE_EPS, _SINGLE_SIZES, NEAR_MULT, _kernels)
     from polyscat.quadrature import gauss_legendre
 
     tg, wg = gauss_legendre(_FINE_N)
@@ -467,21 +499,29 @@ def _near_rows_per_target(kind, kap, kap2, src, x, tn):
                 rows[i, pi] = _own_panel_row(kind, kap, kap2, p, x[i],
                                              None if tn is None else tn[i])
                 continue
-            nodes, wts = [], []
-            for end in (-1.0, 1.0):
-                if abs(end - t_star) < 1e-14:
-                    continue
-                span = 0.5 * p.length * abs(end - t_star)
-                levels = _FINE_LEVELS
-                if dist > 0:
-                    ratio = np.log(_NEAR_FRAC * dist / span) / np.log(_FINE_RATIO)
-                    levels = int(np.clip(np.ceil(ratio), 0, _FINE_LEVELS))
-                fracs = _FINE_RATIO ** np.arange(levels, -1, -1.0)
-                brk = np.concatenate(([t_star], t_star + (end - t_star) * fracs))
-                for lo, hi in zip(brk[:-1], brk[1:]):
-                    nodes.append(0.5 * (lo + hi) + 0.5 * abs(hi - lo) * tg)
-                    wts.append(0.5 * abs(hi - lo) * wg)
-            tf, wf = np.concatenate(nodes), np.concatenate(wts)
+            rel = x[i] - 0.5 * (p.a + p.b)
+            z = complex(rel @ ab, abs(ab[0] * rel[1] - ab[1] * rel[0])) * 2 / (ab @ ab)
+            rho = abs(z + np.sqrt(z - 1) * np.sqrt(z + 1))
+            n = np.ceil(np.log(1 / _RULE_EPS) / (2 * np.log(rho))) if rho > 1 else np.inf
+            fits = [size for size in _SINGLE_SIZES if size >= n]
+            if fits:
+                tf, wf = gauss_legendre(fits[0])
+            else:
+                nodes, wts = [], []
+                for end in (-1.0, 1.0):
+                    if abs(end - t_star) < 1e-14:
+                        continue
+                    span = 0.5 * p.length * abs(end - t_star)
+                    levels = _FINE_LEVELS
+                    if dist > 0:
+                        ratio = np.log(_NEAR_FRAC * dist / span) / np.log(_FINE_RATIO)
+                        levels = int(np.clip(np.ceil(ratio), 0, _FINE_LEVELS))
+                    fracs = _FINE_RATIO ** np.arange(levels, -1, -1.0)
+                    brk = np.concatenate(([t_star], t_star + (end - t_star) * fracs))
+                    for lo, hi in zip(brk[:-1], brk[1:]):
+                        nodes.append(0.5 * (lo + hi) + 0.5 * abs(hi - lo) * tg)
+                        wts.append(0.5 * abs(hi - lo) * wg)
+                tf, wf = np.concatenate(nodes), np.concatenate(wts)
             d = x[i] - (0.5 * (p.a + p.b) + 0.5 * tf[:, None] * ab)
             r = np.hypot(d[:, 0], d[:, 1])
             vals = _kernels(kap, kap2, d, r, np.broadcast_to(p.normal, d.shape),
@@ -489,6 +529,65 @@ def _near_rows_per_target(kind, kap, kap2, src, x, tn):
             rows[i, pi] = (wf * 0.5 * p.length * vals[KINDS.index(kind)]) @ _lagrange_basis(
                 p.t_nodes, tf)
     return rows
+
+
+def _rule_grid(eps, sizes):
+    """Targets around the panel [(0, 0), (1, 0)] (length 1), which ends at a
+    right-angle corner with the edge up to (1, 2): (points, the regime each
+    was placed for: a rule size, 0 for the geometric rule, None for any)."""
+    def on_normal(n):      # through the midpoint, where the rule needs n points
+        return [0.5, 0.5 * np.sinh(np.log(1 / eps) / (2 * n))]
+
+    def on_line(n):        # on the panel's line past its end
+        return [0.5 + 0.5 * np.cosh(np.log(1 / eps) / (2 * n)), 0.0]
+
+    grid = [([0.5, y], None) for y in np.geomspace(1e-8, 1.49, 8)]           # beside the middle
+    grid += [([0.9, 1e-6], 0), ([0.2, 0.02], 0), ([0.8, 0.4], None)]         # beside, off centre
+    grid += [([x, 0.0], None) for x in (-1e-6, -0.4, 1 + 1e-6, 1.3, 2.45)]  # past each end
+    grid += [([1.0, y], None) for y in (1e-6, 0.03, 0.6)]                    # across the corner
+    grid += [([0.99, 0.01], 0), ([1.2, 0.3], None)]
+    for n in sizes:        # just inside each size, and just past the largest
+        grid += [(on_normal(n * (1 - 1e-6)), n), (on_line(n * (1 - 1e-6)), n)]
+    grid += [(on_normal(sizes[-1] * (1 + 1e-6)), 0), (on_line(sizes[-1] * (1 + 1e-6)), 0)]
+    pts, regime = zip(*grid)
+    return np.array(pts, dtype=float), regime
+
+
+@pytest.mark.parametrize("kap", [np.sqrt(3.0), np.sqrt(3 + 0.2j)])
+def test_near_rule_regimes_match_adaptive_quadrature(kap):
+    """Near rows of every rule regime against adaptive quadrature, within 1e-11
+    of the block's largest entry: targets from 1e-8 to 1.49 panel lengths
+    beside one panel, on its line past each end and across its corner, just
+    inside each single-rule size and just past the largest; n_gl = 4, 6, 8;
+    S, K, Kp and the T difference.  The references integrate the kernels
+    against Legendre polynomials once per target, shared by the three n_gl,
+    whose meshes have the same panel."""
+    from polyscat.forward.layerops import (_RULE_EPS, _SINGLE_SIZES, _single_sizes,
+                                           assemble_block)
+    from polyscat.forward.mesh import CurveMesh
+
+    x, regime = _rule_grid(_RULE_EPS, _SINGLE_SIZES)
+    tn = np.broadcast_to([0.6, 0.8], x.shape)
+    edges = [([-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]), ([1.0, 0.0], [1.0, 2.0], [1.0, 0.0])]
+    meshes = [CurveMesh(edges, 2 * n_gl, 3.0) for n_gl in (4, 6, 8)]
+    panel = _panels(meshes[-1])[1]
+    got = _single_sizes(x - panel.a, np.broadcast_to(panel.b - panel.a, x.shape))
+    assert all(want is None or n == want for n, want in zip(got, regime))
+    assert set(got) == {0, *_SINGLE_SIZES}
+    legendre = lambda t: np.polynomial.legendre.legvander(t, 7)[0]   # noqa: E731
+    kinds, kap2 = ("S", "K", "Kp", "T"), (None, None, None, 1.0)
+    ref = np.array([_ref_row(kinds, kap, kap2, xi, ti, panel, legendre)
+                    for xi, ti in zip(x, tn)])                     # (targets, kinds, 8)
+    for mesh in meshes:
+        n_gl = mesh.n_gl
+        p = _panels(mesh)[1]
+        assert np.array_equal(p.a, panel.a) and np.array_equal(p.b, panel.b)
+        # Lagrange basis of the panel nodes in Legendre polynomials
+        coeffs = np.linalg.inv(np.polynomial.legendre.legvander(p.t_nodes, n_gl - 1))
+        blocks = [*assemble_block(kap, mesh, x, tn)[:3], assemble_block(kap, mesh, x, tn, 1.0)[3]]
+        for k, block in enumerate(blocks):
+            err = np.abs(block[:, p.start:p.start + n_gl] - ref[:, k, :n_gl] @ coeffs)
+            assert err.max() <= 1e-11 * np.abs(block).max(), (n_gl, kinds[k], err.argmax())
 
 
 @pytest.mark.parametrize("kap", [np.sqrt(3.0), np.sqrt(3 + 0.2j)])
@@ -581,143 +680,26 @@ def _near_pair_count(src, tgt_pts):
 def test_near_pass_kernel_points_fit_the_distance(nested_squares, monkeypatch):
     """The near pass evaluates at least 3x fewer kernel points than a fixed
     16-level rule (2 sides x 17 sub-intervals x 10 points per near pair) on
-    the 24-nodes/edge nested squares, and exactly the points of the flat
-    layout that `_flat_fix_near` keeps."""
+    the 24-nodes/edge nested squares, at most two thirds of the points of
+    the geometric rule on every off-panel pair (23,872 / 23,360 / 4,000 /
+    23,872), and exactly the points of the rule sized by each pair's
+    Bernstein ellipse."""
     import polyscat.forward.layerops as lo
 
     c0, c1 = build_mesh(list(nested_squares.layers), 24).curves
     points = []
     kernels = lo._kernels
     monkeypatch.setattr(lo, "_kernels", lambda *a: points.append(a[3].size) or kernels(*a))
-    flat = {(0, 0): 23872, (0, 1): 23360, (1, 0): 4000, (1, 1): 23872}
-    for (i, j), count in flat.items():
+    counts = {(0, 0): (14912, 23872), (0, 1): (8832, 23360), (1, 0): (1632, 4000),
+              (1, 1): (14912, 23872)}
+    for (i, j), (count, geometric) in counts.items():
         src, tgt = (c0, c1)[i], (c0, c1)[j]
         points.clear()
         lo.assemble_block(np.sqrt(2.0), src, tgt.nodes, tgt.normals, kappa2=1.0)
         near_points = sum(points) - tgt.n_nodes * src.n_nodes   # minus the far pass
         assert near_points == count, (i, j)
+        assert 3 * near_points <= 2 * geometric, (i, j)
         assert 3 * near_points <= 2 * 170 * _near_pair_count(src, tgt.nodes), (i, j)
-
-
-def _flat_fine_nodes(t_star, end, levels, k):
-    """Node k of a segment, in [-1, 1], with its weight: sub-interval k // _FINE_N
-    of a geometric side (innermost first), or Gauss node k of the product rule
-    (levels = -1)."""
-    from polyscat.forward.layerops import _FINE_N, _FINE_RATIO, _OWN_M
-    from polyscat.quadrature import gauss_legendre
-
-    tg, wg = gauss_legendre(_FINE_N)
-    j, g = np.divmod(k, _FINE_N)
-    inner = np.where(j == 0, 0.0, _FINE_RATIO ** (levels - j + 1.0))
-    lo = t_star + (end - t_star) * inner
-    hi = t_star + (end - t_star) * _FINE_RATIO ** (levels - j + 0.0)
-    half = 0.5 * np.abs(hi - lo)
-    to, wo = gauss_legendre(_OWN_M)
-    prod = levels < 0
-    km = np.where(prod, k, 0)
-    return (np.where(prod, to[km], 0.5 * (lo + hi) + half * tg[g]),
-            np.where(prod, wo[km], half * wg[g]))
-
-
-def _flat_segments(t_star, dist, ell, own):
-    """The fine-rule segments of the near pairs, ordered by pair: the pair,
-    the end (-1 or 1) and the level count of each nonempty geometric side
-    [t*, end], and level -1 for the product rule of an own-panel pair."""
-    from polyscat.forward.layerops import _FINE_LEVELS, _FINE_RATIO, _NEAR_FRAC
-
-    n_own = int(own.sum())
-    pair, end, levels = [np.nonzero(own)[0]], [np.zeros(n_own)], [np.full(n_own, -1)]
-    for e in (-1.0, 1.0):
-        side = np.nonzero(~own & (np.abs(e - t_star) >= 1e-14))[0]
-        span = 0.5 * ell[side] * np.abs(e - t_star[side])
-        with np.errstate(divide="ignore"):
-            lv = np.ceil(np.log(_NEAR_FRAC * dist[side] / span) / np.log(_FINE_RATIO))
-        pair.append(side)
-        end.append(np.full(len(side), e))
-        levels.append(np.clip(lv, 0, _FINE_LEVELS).astype(int))
-    pair = np.concatenate(pair)
-    order = np.argsort(pair, kind="stable")
-    return pair[order], np.concatenate(end)[order], np.concatenate(levels)[order]
-
-
-def _flat_product_rule(kappa, kappa2, vals, q, r, dt, wratio, half, nn):
-    """The product rule on the columns q of `vals`, gathered and scattered."""
-    from polyscat.forward.layerops import _log_split
-
-    (a_s, a_t), (b_s, b_t) = _log_split(kappa, r)
-    if kappa2 is not None:
-        (a_s2, a_t2), (b_s2, b_t2) = _log_split(kappa2, r)
-        a_s, a_t, b_s, b_t = a_s - a_s2, a_t - a_t2, b_s - b_s2, b_t - b_t2
-    on = r == 0
-    log_dt = np.log(np.where(on, 1.0, dt))
-    parts = [(0, a_s, b_s)]
-    if nn is not None and kappa2 is not None:
-        parts.append((3, nn * a_t, nn * b_t))
-    for kind, a, b0 in parts:
-        smooth = np.where(on, b0 + a * np.log(half), vals[kind, q] - a * log_dt)
-        vals[kind, q] = smooth + wratio * a
-    vals[1:3, q] = 0.0
-    if nn is not None and kappa2 is None:
-        vals[3, q] = np.nan
-
-
-def _flat_fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out, plain=False):
-    """The near pass in its former layout: all fine nodes of the call in one
-    ragged flat array ordered by pair, each node's position and weight from
-    `_flat_fine_nodes`, the product rule gathered and scattered by index,
-    and the moments mapped to the nodes by a BLAS product per chunk.  Since
-    `_kernels` gives the plain set of a difference only S and K, the sets
-    split after the first set's kinds, and the plain set has no T."""
-    import polyscat.forward.layerops as lo
-
-    n_gl = src.n_gl
-    pa, ab, length, normal = src.pa, src.pb - src.pa, src.plen, src.normals[::n_gl]
-    ti, pi, t_star, dist = lo._near_pairs(pa, ab, length, tgt_pts)
-    if not len(ti):
-        return
-    own = (dist <= lo._OWN_TOL * length[pi]) & (np.abs(t_star) < 1.0)
-    seg_pair, seg_end, seg_levels = _flat_segments(t_star, dist, length[pi], own)
-    seg_n = np.where(seg_levels >= 0, (seg_levels + 1) * lo._FINE_N, lo._OWN_M)
-    pair_off = np.concatenate(([0], np.cumsum(np.bincount(seg_pair, seg_n, len(ti))))).astype(int)
-    seg_first = np.searchsorted(seg_pair, np.arange(len(ti) + 1))
-    wlog = (lo._log_moments(t_star[own], lo._OWN_M).T @ lo._interp_coeffs(lo._OWN_M)
-            if own.any() else None)
-    own_row = np.cumsum(own) - 1
-    cuts = np.searchsorted(pair_off, np.arange(0, pair_off[-1], lo._NEAR_CHUNK), side="right") - 1
-    cuts = np.unique(np.concatenate((cuts, [len(ti)])))
-    coeffs = lo._interp_coeffs(n_gl)
-    n_diff = 2 if tgt_nrm is None else 4
-    for p0, p1 in zip(cuts[:-1], cuts[1:]):
-        s0, s1 = seg_first[p0], seg_first[p1]
-        n = seg_n[s0:s1]
-        sid = np.repeat(np.arange(s0, s1), n)
-        k = np.arange(pair_off[p1] - pair_off[p0]) - np.repeat(np.cumsum(n) - n, n)
-        pair = seg_pair[sid]
-        pn = pi[pair]
-        tf, wf = _flat_fine_nodes(t_star[pair], seg_end[sid], seg_levels[sid], k)
-        d = tgt_pts[ti[pair]] - (pa[pn] + (0.5 + 0.5 * tf)[:, None] * ab[pn])
-        r = np.hypot(d[:, 0], d[:, 1])
-        prod = seg_levels[sid] < 0
-        hit = prod & (np.abs(tf - t_star[pair]) <= lo._HIT_TOL)
-        tn = None if tgt_nrm is None else tgt_nrm[ti[pair]]
-        vals = np.stack(lo._kernels(kappa, kappa2, d, np.where(hit, 1.0, r), normal[pn], tn,
-                                    plain))
-        if prod.any():
-            q = np.nonzero(prod)[0]
-            nn = None if tn is None else (normal[pn[q]] * tn[q]).sum(axis=1)
-            sets = zip((kappa2, None), np.split(vals, [n_diff]), (nn, None)) if plain else [
-                (kappa2, vals, nn)]
-            for kap2, v, v_nn in sets:
-                _flat_product_rule(kappa, kap2, v, q, np.where(hit[q], 0.0, r[q]),
-                                   np.abs(tf[q] - t_star[pair[q]]),
-                                   wlog[own_row[pair[q]], k[q]] / wf[q], 0.5 * length[pn[q]],
-                                   v_nn)
-        vals *= wf * (0.5 * length[pn])
-        table = lo._legendre_table(tf, n_gl)
-        rows, cols = ti[p0:p1, None], n_gl * pi[p0:p1, None] + np.arange(n_gl)
-        for blk, v in zip(out, vals):
-            moments = np.add.reduceat(v * table, pair_off[p0:p1] - pair_off[p0], axis=1)
-            blk[rows, cols] = moments.T @ coeffs
 
 
 def _near_pass_cases():
@@ -755,31 +737,6 @@ def _near_pass_cases():
     pts = np.array([[1.0, 1.0 + 1e-3], [1.0 + 1e-3, 1.0 + 2e-3], [0.99, 0.3]])
     cases["points"] = (1.0, None, c0, pts, None, 2, False)
     return cases
-
-
-@pytest.mark.parametrize("chunk", [None, 100], ids=["chunk-default", "chunk-100"])
-def test_near_pass_matches_the_flat_layout(monkeypatch, chunk):
-    """The near pass on its two regular layouts (own-panel batches, geometric
-    chunks spread per sub-interval) writes every kind as the flat one-array
-    layout does, NaN positions included, also with the node chunk shrunk so
-    that pairs fall into many chunks and many stand alone.  They differ
-    only in the map from moments to nodes (a fixed-order sum against the
-    flat layout's BLAS product): within 1e-15 of the block's largest entry,
-    2.5e-16 measured."""
-    import polyscat.forward.layerops as lo
-
-    if chunk is not None:
-        monkeypatch.setattr(lo, "_NEAR_CHUNK", chunk)
-    for name, (kap, kap2, src, x, tn, kinds, plain) in _near_pass_cases().items():
-        got, want = (np.zeros((kinds, len(x), src.n_nodes), dtype=complex) for _ in "ab")
-        lo._fix_near(kap, kap2, src, x, tn, got, plain)
-        _flat_fix_near(kap, kap2, src, x, tn, want, plain)
-        assert np.count_nonzero(want) > 0, name
-        nan = np.isnan(want)
-        assert nan.any() == (name == "self-nan"), name
-        assert np.array_equal(np.isnan(got), nan), name
-        err = np.max(np.abs(got[~nan] - want[~nan]))
-        assert err <= 1e-15 * np.max(np.abs(want[~nan])), name
 
 
 def test_near_pass_does_not_depend_on_the_chunk(monkeypatch):
@@ -978,6 +935,48 @@ def test_nest_blocks_match_per_block_assembly_bitwise(monkeypatch, budget):
         for got, want in zip(out, ref):
             assert got.shape == want.shape and np.array_equal(got, want)
     assert np.array_equal(A, _reference_nest_matrix(med, mesh))
+
+
+def test_nest_assembly_frees_each_group_before_the_next(monkeypatch):
+    """Without a store, `assemble_nest` holds no array of an
+    `assemble_nest_blocks` group when the next group's call starts: on a
+    3-interface nest, with lambda = 0 and lambda != 0 interfaces."""
+    import weakref
+
+    import polyscat.forward.solver as solver
+
+    squares = [Polygon([[-a, -a], [a, -a], [a, a], [-a, a]]) for a in (1.0, 0.6, 0.3)]
+    med = NestMedium(NestPartition(squares), q=[2.0, 3.0, 1.5], lam=[0.5j, 0.0, 0.2], k=1.0)
+    held, alive_at_start = [], []
+    nest_blocks = solver.assemble_nest_blocks
+
+    def watched(*args):
+        alive_at_start.append(sum(ref() is not None for ref in held))
+        out = nest_blocks(*args)
+        held.extend(weakref.ref(a) for a in out)
+        return out
+
+    monkeypatch.setattr(solver, "assemble_nest_blocks", watched)
+    assemble_nest(med, build_mesh(squares, 8), blocks=None)
+    assert len(alive_at_start) == 5 and len(held) == 9
+    assert alive_at_start == [0] * 5
+    assert all(ref() is None for ref in held)
+
+
+def test_factor_system_refuses_non_finite_matrices():
+    """A NaN or an inf entry is refused with scipy's ValueError, found by the
+    1-norm scan alone; a finite matrix factors."""
+    from polyscat.forward.solver import factor_system
+
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) + 4 * np.eye(6)
+    (lu, piv), cond = factor_system(A)
+    assert np.all(np.isfinite(lu)) and 1.0 <= cond < 1e3
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+        B = A.copy()
+        B[2, 4] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            factor_system(B)
 
 
 def test_nest_assembly_evaluates_each_far_hankel_value_once(nested_squares, monkeypatch):
