@@ -14,15 +14,19 @@ lambda*, which is the price of the single-jump reading of shared edges.
 
 Each region contributes its Green-identity trace equation collocated at
 its boundary nodes; every node borders two regions, so the system is
-square.  A region's operator blocks come from one `assemble_block` call per
-source segment, on the stacked nodes of all its bordering segments (14
-calls on a square split in two); each target segment's rows are a slice
-of that block, bitwise a call on the segment's own nodes by construction.
+square.  A region's operator blocks come from one `assemble_block` call, with
+one mesh of all its bordering segments as source and that mesh's nodes as
+targets (3 calls on a square split in two).  `CurveMesh` builds each edge
+elementwise, so the mesh's nodes are the segments' own, and each operator
+entry depends only on its own target and source panel (see `layerops`): the
+slice of a (target segment, source segment) pair is bitwise the call from
+that segment to that segment's nodes.  Each region's block is freed before
+the next region's call.
 
 Jump data: one (f, g) per segment, f = u_A - u_B and
 g = dnu u_A - lambda* u_A - dnu u_B; an incident field's are (u_inc, dnu u_inc)
-on the hull and zero inside.  `assemble_cell` builds and factors the system
-once; `solver.solve_assembled` reads the right-hand side off the B owners' rows,
+on the hull and zero inside.  `assemble_cell` builds the system once;
+`solver.solve_assembled` reads the right-hand side off the B owners' rows,
     b = sum over segments of A[B rows, t cols] f + A[B rows, p cols] (g + lambda* f),
 because those rows read (t, p - lambda* t) as B's traces, and B's identity
 for its true traces (t - f, p - lambda* t - g) moves exactly that term to
@@ -41,8 +45,8 @@ from .layerops import assemble_block
 # unused here, but perfbench/tracing.py wraps it in this module too
 from .layerops import farfield_row  # noqa: F401
 from .mesh import BoundaryMesh, CurveMesh, outward_normal
-from .solver import (CellSolveResult, _stored, factor_system, incident_jumps,
-                     region_wavenumbers, solve_assembled)
+from .solver import (CellSolveResult, _stored, incident_jumps, region_wavenumbers,
+                     solve_assembled)
 
 
 @dataclass
@@ -105,7 +109,7 @@ def solve_cell(medium: CellMedium, inc: IncidentField, nodes_per_edge=32, gradin
 
 
 def assemble_cell(medium: CellMedium, nodes_per_edge=32, grading=3.0, blocks=None):
-    """Build and factor the single-trace system once, for `solver.solve_assembled`;
+    """Build the single-trace system once, for `solver.solve_assembled`;
     beside `assemble_nest`'s keys it holds the skeleton `segments` and each
     region's `rows`.  Operator blocks go through the store `blocks` if given."""
     segs = build_skeleton(medium.partition)
@@ -127,7 +131,6 @@ def assemble_cell(medium: CellMedium, nodes_per_edge=32, grading=3.0, blocks=Non
 
     region_rows = []
     for reg in range(nregions):
-        kap = kappas[reg]
         # a segment's rows: its A owner's equation first, then its B owner's
         rows = []
         for ti, tsign in bordering[reg]:
@@ -137,24 +140,24 @@ def assemble_cell(medium: CellMedium, nodes_per_edge=32, grading=3.0, blocks=Non
             # (1/2) u(x0) term on the segment's own Dirichlet trace
             A[r, off[ti]:off[ti] + sizes[ti]] += 0.5 * np.eye(sizes[ti])
         region_rows.append(np.r_[tuple(rows)])
-        # one block per source segment, on the nodes of every bordering segment
-        x = np.concatenate([curves[ti].nodes for ti, _ in bordering[reg]])
-        cuts = np.cumsum([0] + [sizes[ti] for ti, _ in bordering[reg]])
-        for si, s in bordering[reg]:
+        # one block with the region's whole boundary as source and targets,
+        # each (target segment, source segment) pair a slice of it
+        curve = CurveMesh([(segs[si].a, segs[si].b, segs[si].normal) for si, _ in bordering[reg]],
+                          nodes_per_edge, grading)
+        sbs, kbs = _stored(blocks, assemble_block, kappas[reg], curve, curve.nodes)
+        cuts = np.cumsum([0] + [sizes[si] for si, _ in bordering[reg]])
+        for (si, s), c0, c1 in zip(bordering[reg], cuts[:-1], cuts[1:]):
             ct = slice(off[si], off[si] + sizes[si])
             cp = slice(off[si] + sizes[si], off[si] + 2 * sizes[si])
-            sbs, kbs = _stored(blocks, assemble_block, kap, curves[si], x)
             for r, j0, j1 in zip(rows, cuts[:-1], cuts[1:]):
-                sb, kb = sbs[j0:j1], kbs[j0:j1]
+                sb, kb = sbs[j0:j1, c0:c1], kbs[j0:j1, c0:c1]
                 A[r, ct] += s * kb
                 A[r, cp] -= s * sb
                 if s < 0:  # region on the B side: dnu u|B = p - lambda* t
                     A[r, ct] += s * lam * sb
-    del sbs, kbs, sb, kb   # no stacked block stays alive through the LU
+        del sbs, kbs, sb, kb   # no region block stays alive into the next call or the solve
 
-    lu_piv, cond = factor_system(A)
     return {
-        "A": A, "lu": lu_piv, "cond": cond, "mesh": BoundaryMesh(curves), "kappas": kappas,
-        "medium": medium, "sizes": sizes, "blocks": blocks,
-        "segments": segs, "rows": region_rows,
+        "A": A, "mesh": BoundaryMesh(curves), "kappas": kappas, "medium": medium,
+        "sizes": sizes, "blocks": blocks, "segments": segs, "rows": region_rows,
     }

@@ -113,8 +113,9 @@ _OWN_TOL = 1e-14       # a target this many panel lengths from a panel lies on i
 _HIT_TOL = 1e-9        # a product node this close to the target (in t) sits on it
 _NEAR_CHUNK = 2048     # fine nodes per near kernel chunk; 4096 raised peak RSS by up to 3%
 _PAIR_BUDGET = 2**16   # (targets x panels) elements per near-pair search chunk
-_FAR_BUDGET = 2**18    # (kinds x targets x source nodes) entries per far chunk; at 2e6 a
-                       # 256-node cross pair was one chunk with about 15 MB of temporaries
+_FAR_BUDGET = 2**15    # (kinds x targets x source nodes) entries per far chunk; the chunk's
+                       # temporaries stay near a 2 MB L2: a 384-node cell region's far
+                       # pass took 19-20 ms at 2**18 and 13 ms at 2**15 (Xeon, 1 core)
 _TRI_ROWS = 32         # rows per far chunk of a self triangle; diagonal tiles add rows / N
 
 

@@ -15,9 +15,22 @@ Solved layers: both solvers end as a `Solution`.  In region `reg`
 (curve, phi, psi) triples of `layers[reg]`, at `kappas[reg]`, plus the
 incident field in region 0.  A nest region lists its bounding interfaces,
 outer first; a cell medium's triples come from its segment traces.  Both
-media assemble and factor once (`assemble_nest`, `cellsolver.assemble_cell`)
-and solve per jump data (`solve_assembled`), which is all an incident field
+media assemble once (`assemble_nest`, `cellsolver.assemble_cell`) and
+solve per jump data (`solve_assembled`), which is all an incident field
 enters a solve through (`incident_jumps`).
+
+Dense solve: every solve of either medium is one `solve_system(A, b)`, an
+LU of A in complex64 refined in complex128 (LAPACK zcgesv's scheme;
+Langou et al., SC'06, 2006; Carson & Higham, SIAM J. Sci. Comput. 40,
+2018), which halves the O(N^3) factorization and keeps double-precision
+backward error.  Refinement stops when ||b - A x||_inf <= sqrt(N) eps
+||A||_inf ||x||_inf, eps = 2^-53.  A matrix outside complex64's range, a
+refinement step that does not shrink the residual, or more than
+_MAX_STEPS steps fall back to the complex128 LU, the only path for
+systems complex64 cannot reach (condition about 1e8 and beyond).  The
+condition estimate is LAPACK gecon's on the factors used, and a
+`Solution` records the factor dtype and the steps taken.  Each solve
+factors its system, so solves that share an assembly do not share an LU.
 
 Nest assembly: one `assemble_nest_blocks` call per interface (its self
 blocks) and per pair of neighbouring interfaces (both cross blocks), so
@@ -25,8 +38,8 @@ that an assembly evaluates each far kernel value once (see `layerops`).
 
 Block store: both solvers take an optional caller-owned dict `blocks` and
 make every assembly call through it (`_stored`), one entry per call: a
-nest group (`assemble_nest_blocks`), a cell block (`assemble_block`) or a
-result's far-field rows (`farfield_row`).  An entry's key is the build
+nest group (`assemble_nest_blocks`), a cell region's block
+(`assemble_block`) or a result's far-field rows (`farfield_row`).  An entry's key is the build
 function and everything the call reads: the wavenumber(s) and flags, the
 arrays of each mesh (nodes, weights, normals, panel ends and lengths) and
 the exact bytes of the targets.  A moved curve or a changed wavenumber therefore
@@ -39,6 +52,7 @@ far-field rows through it, so solves on the same exterior curves share
 them.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +65,7 @@ from .mesh import BoundaryMesh, CurveMesh, build_mesh
 
 COND_FLAG = 1e12
 TAU_SOLVE = 1e-8
+_MAX_STEPS = 10        # refinement steps before the complex128 fallback
 
 
 @dataclass(frozen=True)
@@ -79,31 +94,73 @@ def region_wavenumbers(medium):
     return [complex(medium.k), *(medium.k * sqrt_im_nonneg(q) for q in medium.q)]
 
 
-def factor_system(A):
-    """LU factors of A and the LAPACK gecon estimate of its 1-norm
-    condition number.  The 1-norm is the one scan for non-finite entries:
-    it is NaN or inf whenever A holds one, which is refused as scipy would."""
-    anorm = np.linalg.norm(A, 1)
+def solve_system(A, b):
+    """Solve A x = b (see the module notes); returns (x, relative residual
+    ||b - A x|| / ||b||, 1-norm condition estimate, refinement steps, factor
+    dtype name).  In the fallback, x is the bits of scipy's
+    lu_solve(lu_factor(A), b).
+
+    The 1-norm is the one scan for non-finite entries: it is NaN or inf
+    whenever A holds one, which is refused as scipy would.  The complex64 LU
+    is of A^T: the cast of a C-ordered A is A^T in Fortran order, which
+    LAPACK factors in place, where a Fortran-ordered cast costs a
+    transposing copy; gecon's infinity norm on those factors is the 1-norm
+    of A.
+    """
+    absA = np.abs(A)
+    anorm = absA.sum(axis=0).max()
     if not np.isfinite(anorm):
         raise ValueError("array must not contain infs or NaNs")
+    anorm_inf = absA.sum(axis=1).max()
+    del absA
+    if max(anorm, anorm_inf) < np.finfo(np.float32).max:
+        with warnings.catch_warnings():
+            # a singular complex64 factor is a fallback, not a warning
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu_piv = sla.lu_factor(np.ascontiguousarray(A, np.complex64).T,
+                                   overwrite_a=True, check_finite=False)
+        x = _solve64(lu_piv, b)
+        bound = np.sqrt(len(b)) * 2.0**-53 * anorm_inf
+        last = np.inf
+        for steps in range(_MAX_STEPS + 1):
+            if x is None:
+                break
+            r = b - A @ x
+            rnorm = np.abs(r).max()
+            if rnorm <= bound * np.abs(x).max():
+                return x, _relative(r, b), _cond(lu_piv, anorm, "I"), steps, "complex64"
+            if rnorm >= last or steps == _MAX_STEPS:
+                break
+            last = rnorm
+            dx = _solve64(lu_piv, r)
+            x = None if dx is None else x + dx
+        del lu_piv
     lu_piv = sla.lu_factor(A, check_finite=False)
-    gecon = sla.get_lapack_funcs("gecon", (A,))
-    rcond, _ = gecon(lu_piv[0], anorm)
-    return lu_piv, np.inf if rcond == 0 else 1.0 / rcond
+    x = sla.lu_solve(lu_piv, b, check_finite=False)
+    return x, _relative(b - A @ x, b), _cond(lu_piv, anorm, "1"), 0, "complex128"
 
 
-def solve_factored(A, lu_piv, cond, b, sizes):
-    """Solve A z = b from the LU factors of A.
+def _solve64(lu_piv, v):
+    """The solve of A y = v from the complex64 factors of A^T, with v scaled
+    into complex64's range and y returned in complex128; None if y is not
+    finite."""
+    scale = np.abs(v).max()
+    if scale == 0:
+        return np.zeros_like(v)
+    y = sla.lu_solve(lu_piv, (v / scale).astype(np.complex64), trans=1, check_finite=False)
+    return scale * y.astype(complex) if np.all(np.isfinite(y)) else None
 
-    z holds one pair of nodal vectors per curve, `sizes` giving each
-    curve's node count.  Returns (pairs, relative residual, converged),
-    converged meaning residual <= TAU_SOLVE and cond < COND_FLAG.
-    """
-    z = sla.lu_solve(lu_piv, b)
-    resid = float(np.linalg.norm(A @ z - b) / max(np.linalg.norm(b), 1e-300))
-    off = np.cumsum([0] + [2 * s for s in sizes])
-    pairs = tuple((z[o:o + s], z[o + s:o + 2 * s]) for o, s in zip(off, sizes))
-    return pairs, resid, resid <= TAU_SOLVE and cond < COND_FLAG
+
+def _cond(lu_piv, anorm, norm):
+    """1 / LAPACK gecon's reciprocal condition, in the 1-norm ("1") or the
+    infinity norm ("I"), of the factored matrix of that norm `anorm`."""
+    gecon = sla.get_lapack_funcs("gecon", (lu_piv[0],))
+    rcond, _ = gecon(lu_piv[0], anorm, norm=norm)
+    return np.inf if rcond == 0 else 1.0 / float(rcond)
+
+
+def _relative(r, b):
+    return float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
 
 
 def _stored(blocks, build, *args):
@@ -139,6 +196,8 @@ class Solution:
     residual: float
     cond_estimate: float
     converged: bool
+    refinement_steps: int     # complex128 refinement steps of the complex64 LU
+    factor_dtype: str         # "complex64", or "complex128" for the fallback
     kappas: list
     medium: object            # NestMedium or CellMedium
     incident: IncidentField
@@ -211,18 +270,17 @@ def solve_scatter(medium, inc: IncidentField, nodes_per_edge=32, grading=3.0, bl
 
 
 def assemble_nest(medium: NestMedium, mesh: BoundaryMesh, blocks=None):
-    """Build and factor the block system once; reusable across incident fields.
+    """Build the block system once; reusable across incident fields.
     Operator blocks go through the store `blocks` when one is given."""
     if len(mesh.curves) != medium.partition.n_layers:
         raise ValueError("mesh does not match the number of interfaces")
     kappas = region_wavenumbers(medium)
     sizes = [c.n_nodes for c in mesh.curves]
-    # built in a call of its own, so no block outlives it into the LU
+    # built in a call of its own, so no block outlives it into the solve
     A = _nest_matrix(medium, mesh, kappas, sizes, blocks)
-    lu_piv, cond = factor_system(A)
     return {
-        "A": A, "lu": lu_piv, "cond": cond, "mesh": mesh, "kappas": kappas,
-        "medium": medium, "sizes": sizes, "blocks": blocks,
+        "A": A, "mesh": mesh, "kappas": kappas, "medium": medium, "sizes": sizes,
+        "blocks": blocks,
     }
 
 
@@ -319,11 +377,14 @@ def solve_assembled(system, inc: IncidentField, jumps):
         u_A - u_B = f,      dnu u_A - lambda* u_A - dnu u_B = g,
     (0, 0) where both vanish.  The result adds `inc` to the exterior field;
     with the jumps of `inc` (incident_jumps) the total field has none.  A
-    point source that is not strictly outside the medium is a ValueError."""
+    point source that is not strictly outside the medium is a ValueError.
+    The result is converged when its residual is at most TAU_SOLVE and its
+    condition estimate below COND_FLAG."""
     inc.validate_against(system["medium"].partition.hull)
-    segs = system.get("segments")
-    pairs, resid, converged = solve_factored(system["A"], system["lu"], system["cond"],
-                                             _rhs(system, jumps), system["sizes"])
+    segs, sizes = system.get("segments"), system["sizes"]
+    z, resid, cond, steps, dtype = solve_system(system["A"], _rhs(system, jumps))
+    off = np.cumsum([0] + [2 * s for s in sizes])
+    pairs = [(z[o:o + s], z[o + s:o + 2 * s]) for o, s in zip(off, sizes)]
     layers = [[] for _ in system["kappas"]]
     if segs is None:
         # interface ell bounds regions ell and ell + 1 (region 0 is the exterior)
@@ -336,8 +397,9 @@ def solve_assembled(system, inc: IncidentField, jumps):
             layers[seg.owner_a].append((curve, -t, p))
             layers[seg.owner_b].append((curve, t - f, -(p - lam * t - g)))
     result = NestSolveResult if segs is None else CellSolveResult
-    return result(resid, system["cond"], converged, system["kappas"], system["medium"], inc,
-                  tuple(map(tuple, layers)), system["blocks"])
+    return result(resid, cond, resid <= TAU_SOLVE and cond < COND_FLAG, steps, dtype,
+                  system["kappas"], system["medium"], inc, tuple(map(tuple, layers)),
+                  system["blocks"])
 
 
 def farfield_diff(p1: FarFieldPattern, p2: FarFieldPattern):

@@ -194,7 +194,9 @@ def cmd_forward(args):
         "scenario": sc.digest(),
         "command": "forward",
         "solver": {"residual": result.residual, "cond_estimate": result.cond_estimate,
-                   "converged": bool(result.converged), "tau_solve": TAU_SOLVE},
+                   "converged": bool(result.converged), "tau_solve": TAU_SOLVE,
+                   "factor_dtype": result.factor_dtype,
+                   "refinement_steps": result.refinement_steps},
         "mesh": {"nodes_per_edge": sc.mesh.nodes_per_edge, "grading": sc.mesh.grading,
                  "built_nodes_per_edge": _built_nodes(result),
                  "unknowns": _unknowns(result)},

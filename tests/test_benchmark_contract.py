@@ -49,9 +49,9 @@ def test_tracer_installs_on_every_name_and_restores():
     assert layers["solver.assemblies"] == 1
     assert tr.times()["solver.lu"][0] == 2
     assert tr.times()["cellsolver.solve"][0] == 1
-    # the cell's 14 blocks, one per (region, source segment); the nest's
-    # groups come from assemble_nest_blocks, which the tracer does not wrap
-    assert layers["layerops.block_calls"] == 14
+    # the cell's 3 blocks, one per region; the nest's groups come from
+    # assemble_nest_blocks, which the tracer does not wrap
+    assert layers["layerops.block_calls"] == 3
 
 
 def test_tracer_sees_every_manufactured_probe_quadrature(tmp_path):

@@ -219,10 +219,11 @@ def test_block_store_reuse_is_bitwise(split_square, plane_inc, q, lam):
 
 @pytest.mark.parametrize("nodes_per_edge", [16, 64])
 def test_stacked_targets_give_the_single_segment_blocks_bitwise(split_square, nodes_per_edge):
-    """`solve_cell` assembles one block per (region, source segment) on the
-    stacked nodes of all the region's segments and slices it per target
-    segment: every slice must be the single-segment block bit for bit,
-    signs of zeros included."""
+    """A block from one segment on the stacked nodes of all a region's
+    segments, sliced per target segment, is the single-segment block bit for
+    bit, signs of zeros included: a block's rows do not depend on the other
+    targets of its call, which `assemble_cell`'s one block per region relies
+    on (its columns: `test_region_blocks_give_the_single_segment_blocks_bitwise`)."""
     med = CellMedium(split_square, q=[2.0, 3.0 + 0.5j], lambda_star=0.2j, k=1.0)
     segs = build_skeleton(split_square)
     curves = [SegmentCurve(s, nodes_per_edge, 3.0) for s in segs]
@@ -237,6 +238,64 @@ def test_stacked_targets_give_the_single_segment_blocks_bitwise(split_square, no
                 single = assemble_block(kap, curves[si], curves[ti].nodes)
                 assert np.array_equal(stacked[:, j0:j1].view(np.uint64), single.view(np.uint64))
                 j0 = j1
+
+
+@pytest.mark.parametrize("nodes_per_edge", [16, 64])
+@pytest.mark.parametrize("cells, turned", [(SPLIT, False), (T_CELLS, False), (BRICK, True),
+                                           (GRID, False)],
+                         ids=["split-square", "t-junction", "brick", "grid-2x2"])
+def test_region_blocks_give_the_single_segment_blocks_bitwise(monkeypatch, cells, turned,
+                                                              nodes_per_edge):
+    """`assemble_cell` makes one block per region, with the region's bordering
+    segments as one source curve and its nodes as targets; the columns of
+    each segment must be the block from that segment alone, bit for bit,
+    signs of zeros included."""
+    import polyscat.forward.cellsolver as cellsolver
+
+    part = _tiling(cells, turned)
+    med = CellMedium(part, q=[2.0, 3.0 + 0.5j, 2.5, 1.5][:part.n_cells], lambda_star=0.2j,
+                     k=1.0)
+    segs = build_skeleton(part)
+    curves = [SegmentCurve(s, nodes_per_edge, 3.0) for s in segs]
+    calls = []
+    block = cellsolver.assemble_block
+    monkeypatch.setattr(cellsolver, "assemble_block",
+                        lambda *a: calls.append((*a, block(*a))) or calls[-1][-1])
+    assemble_cell(med, nodes_per_edge)
+    assert len(calls) == part.n_cells + 1
+    for reg, (kap, curve, x, region_block) in enumerate(calls):
+        assert kap == region_wavenumbers(med)[reg] and x is curve.nodes
+        bordering = [si for si, s in enumerate(segs) if reg in (s.owner_a, s.owner_b)]
+        j0 = 0
+        for si in bordering:
+            j1 = j0 + curves[si].n_nodes
+            single = assemble_block(kap, curves[si], x)
+            assert np.array_equal(region_block[:, :, j0:j1].view(np.uint64),
+                                  single.view(np.uint64))
+            j0 = j1
+        assert j0 == curve.n_nodes
+
+
+def test_cell_assembly_frees_each_region_block_before_the_next(monkeypatch, split_square):
+    """Without a store, `assemble_cell` holds no array of a region's block
+    when the next region's call starts, nor after it returns."""
+    import weakref
+
+    import polyscat.forward.cellsolver as cellsolver
+
+    held, alive_at_start = [], []
+    block = cellsolver.assemble_block
+
+    def watched(*args):
+        alive_at_start.append(sum(ref() is not None for ref in held))
+        out = block(*args)
+        held.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(cellsolver, "assemble_block", watched)
+    assemble_cell(CellMedium(split_square, q=[2.0, 3.0], lambda_star=0.2j, k=1.0), 16)
+    assert alive_at_start == [0, 0, 0]
+    assert all(ref() is None for ref in held)
 
 
 def _per_block_incident_rhs(system, inc):

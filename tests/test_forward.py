@@ -812,7 +812,7 @@ def test_field_values_do_not_depend_on_the_other_points(nested_squares, plane_in
 
 def test_plain_T_is_nan_on_own_panels_and_systems_are_finite(nested_squares, plane_inc,
                                                                monkeypatch):
-    import polyscat.forward.cellsolver as cellsolver
+    import polyscat.forward.solver as solver
     from polyscat.forward.layerops import assemble_block
     from polyscat.geometry import CellPartition
     from polyscat.medium import CellMedium
@@ -828,8 +828,8 @@ def test_plain_T_is_nan_on_own_panels_and_systems_are_finite(nested_squares, pla
     assert np.all(np.isfinite(assemble_nest(med, build_mesh(list(nested_squares.layers),
                                                             12))["A"]))
     systems = []
-    factor = cellsolver.factor_system
-    monkeypatch.setattr(cellsolver, "factor_system", lambda A: systems.append(A) or factor(A))
+    solve = solver.solve_system
+    monkeypatch.setattr(solver, "solve_system", lambda A, b: systems.append(A) or solve(A, b))
     hull = Polygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
     cells = [Polygon([[-0.5, -0.5], [0.0, -0.5], [0.0, 0.5], [-0.5, 0.5]]),
              Polygon([[0.0, -0.5], [0.5, -0.5], [0.5, 0.5], [0.0, 0.5]])]
@@ -963,20 +963,69 @@ def test_nest_assembly_frees_each_group_before_the_next(monkeypatch):
     assert all(ref() is None for ref in held)
 
 
-def test_factor_system_refuses_non_finite_matrices():
+def test_solve_system_refuses_non_finite_matrices():
     """A NaN or an inf entry is refused with scipy's ValueError, found by the
-    1-norm scan alone; a finite matrix factors."""
-    from polyscat.forward.solver import factor_system
+    1-norm scan alone; a finite matrix solves."""
+    from polyscat.forward.solver import solve_system
 
     rng = np.random.default_rng(3)
     A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) + 4 * np.eye(6)
-    (lu, piv), cond = factor_system(A)
-    assert np.all(np.isfinite(lu)) and 1.0 <= cond < 1e3
+    b = np.ones(6, dtype=complex)
+    x, resid, cond, steps, dtype = solve_system(A, b)
+    assert np.all(np.isfinite(x)) and resid < 1e-15 and 1.0 <= cond < 1e3
+    assert dtype == "complex64" and steps <= 3
     for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
         B = A.copy()
         B[2, 4] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            factor_system(B)
+            solve_system(B, b)
+
+
+def _conditioned(n, cond, seed):
+    """A complex n x n matrix of 2-norm condition `cond`: unitary factors
+    around geometric singular values from 1 to 1 / cond."""
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+              for _ in range(2))
+    return (q1 * np.geomspace(1.0, 1.0 / cond, n)) @ q2
+
+
+@pytest.mark.parametrize("case", ["condition-1e10", "entry-1e39"])
+def test_solve_system_falls_back_to_the_complex128_lu(case):
+    """A system complex64 cannot solve, one of condition 1e10 or one with an
+    entry beyond complex64's range, gets the bits of the complex128 LU solve
+    and that LU's gecon estimate, with no warning (warnings are errors)."""
+    import scipy.linalg as sla
+
+    from polyscat.forward.solver import solve_system
+
+    A = _conditioned(60, 1e10 if case == "condition-1e10" else 10.0, 5)
+    if case == "entry-1e39":
+        A[7, 11] = 1e39
+    b = np.random.default_rng(6).standard_normal(60) + 0j
+    x, resid, cond, steps, dtype = solve_system(A, b)
+    lu, piv = sla.lu_factor(A)
+    rcond, _ = sla.get_lapack_funcs("gecon", (lu,))(lu, np.linalg.norm(A, 1))
+    assert dtype == "complex128" and steps == 0
+    assert x.tobytes() == sla.lu_solve((lu, piv), b).tobytes()
+    assert cond == 1.0 / rcond
+
+
+def test_solve_system_refines_to_double_accuracy():
+    """Up to condition 1e6 the complex64 LU refines to the complex128 LU's
+    solution, within the condition times double rounding."""
+    import scipy.linalg as sla
+
+    from polyscat.forward.solver import solve_system
+
+    for cond in (1e2, 1e4, 1e6):
+        A = _conditioned(60, cond, 7)
+        b = np.random.default_rng(8).standard_normal(60) + 0j
+        x, resid, est, steps, dtype = solve_system(A, b)
+        ref = sla.lu_solve(sla.lu_factor(A), b)
+        assert dtype == "complex64" and 1 <= steps <= 5
+        assert np.linalg.norm(x - ref) <= 60 * cond * 2.0**-53 * np.linalg.norm(ref)
+        assert 0.1 * cond <= est <= 100 * cond
 
 
 def test_nest_assembly_evaluates_each_far_hankel_value_once(nested_squares, monkeypatch):

@@ -95,6 +95,8 @@ def test_forward_command_writes_csv(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["solver"]["converged"]
     assert report["solver"]["tau_solve"] == 1e-8
+    assert report["solver"]["factor_dtype"] == "complex64"
+    assert report["solver"]["refinement_steps"] <= 3
     assert report["mesh"]["built_nodes_per_edge"] == 12
     # two curves of 4 edges of 12 nodes, two unknowns per node
     assert report["mesh"]["unknowns"] == 192
@@ -690,6 +692,8 @@ def test_cell_config_validate_and_forward(tmp_path):
     assert cli_main(["forward", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["solver"]["converged"]
+    assert report["solver"]["factor_dtype"] == "complex64"
+    assert report["solver"]["refinement_steps"] <= 3
     # 6 hull segments and 1 interior segment of 10 nodes, two unknowns per node
     assert report["mesh"]["unknowns"] == 140
 
@@ -702,8 +706,9 @@ def test_cell_config_validate_and_forward(tmp_path):
     (NEST_DOC, "q:2", 3, 1),          # the inner self group carries q_2
     (NEST_DOC, "lambda:2", 3, 1),     # the inner self group, now with its plain block
     (NEST_DOC, "vertex:2:0", 3, 2),   # every call with the inner curve as source or target
-    (CELL_DOC, "lambda", 14, 0),      # one block per (region, source segment)
-], ids=["lambda:1", "q:2", "lambda:2", "vertex:2:0", "cell-lambda*"])
+    (CELL_DOC, "lambda", 3, 0),       # one block per region
+    (CELL_DOC, "q:1", 3, 1),          # the block of cell 1, which carries q_1
+], ids=["lambda:1", "q:2", "lambda:2", "vertex:2:0", "cell-lambda*", "cell-q:1"])
 def test_sweep_assembles_only_the_blocks_a_perturbation_changes(tmp_path, monkeypatch,
                                                                  doc, target, base, new):
     per_solve = _blocks_per_solve(monkeypatch)
