@@ -9,6 +9,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from ..forward.solver import TAU_SOLVE
 from ..geometry import corner_sectors, locate, max_sector_radius
 from ..medium import NestMedium
 from . import reports
-from .config import (ConfigError, Scenario, check_medium, load_scenario, parse_scenario,
+from .config import (ConfigError, Scenario, check_medium, load_scenario, parse_mesh,
                      require_solvable, sweep_media)
 
 EXIT_OK, EXIT_REFUSED, EXIT_NUMERICAL = 0, 1, 2
@@ -111,10 +112,9 @@ def _load(args) -> Scenario:
     `validate` rejects it."""
     sc = load_scenario(args.config)
     if args.mesh_level is not None:
-        doc = dict(sc.raw)
-        doc["mesh"] = {"nodes_per_edge": args.mesh_level,
-                       "grading": sc.mesh.grading}
-        sc = parse_scenario(doc)
+        # the scenario of the document with this mesh section
+        node = {"nodes_per_edge": args.mesh_level, "grading": sc.mesh.grading}
+        sc = replace(sc, mesh=parse_mesh(node), raw={**sc.raw, "mesh": node})
     require_solvable(sc.medium, sc.incident)
     return sc
 

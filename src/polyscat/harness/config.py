@@ -319,6 +319,17 @@ def _probe(node):
                                          for p in ("omega1", "omega2", "eta1", "eta2")}}
 
 
+def parse_mesh(node) -> MeshSpec:
+    node = _object(node, "mesh")
+    mesh = MeshSpec(_number(node.get("nodes_per_edge", 32), "mesh.nodes_per_edge", int),
+                    _number(node.get("grading", 3.0), "mesh.grading"))
+    if mesh.nodes_per_edge < 1:
+        raise ConfigError("mesh.nodes_per_edge", "need at least 1 node per edge")
+    if mesh.grading < 2:
+        raise ConfigError("mesh.grading", "grading exponent must be >= 2")
+    return mesh
+
+
 def parse_scenario(doc) -> Scenario:
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
@@ -329,13 +340,7 @@ def parse_scenario(doc) -> Scenario:
         raise ConfigError("medium", "missing section")
     medium = parse_medium(doc["medium"])
     incident = parse_incident(doc.get("incident", {"kind": "none"}))
-    mesh_node = _object(doc.get("mesh", {}), "mesh")
-    mesh = MeshSpec(_number(mesh_node.get("nodes_per_edge", 32), "mesh.nodes_per_edge", int),
-                    _number(mesh_node.get("grading", 3.0), "mesh.grading"))
-    if mesh.nodes_per_edge < 1:
-        raise ConfigError("mesh.nodes_per_edge", "need at least 1 node per edge")
-    if mesh.grading < 2:
-        raise ConfigError("mesh.grading", "grading exponent must be >= 2")
+    mesh = parse_mesh(doc.get("mesh", {}))
     num_angles = _number(_object(doc.get("farfield", {}), "farfield").get("num_angles", 256),
                          "farfield.num_angles", int)
     if num_angles < 2:

@@ -12,11 +12,18 @@ of 1/s.
 
 The area, edge and arc quadrature grids of quadrature.py depend only on
 the sector, never on s; only the weight u0(s x) does.  quadrature.py
-builds each rule level once and hands it out as one read-only object, so
+builds each rule level once and hands it out as read-only objects, so
 one extraction samples u1 and u2 once per grid and refinement level,
 values only except on the arc nodes, where I1 needs the normal
 derivative, and reuses those samples for every s (_once_per_grid knows a
-grid by its identity).  The weight is computed once per grid and s: the
+grid by its identity).  An area level reaches a field as its polar grid
+(r, t) in the sector's canonical frame, and the field returns its
+(len r, len t) table through its grid form (FieldSampler.grid_fn); a
+Bessel series in the sector's own frame evaluates J_n once per radius and
+its angular factors once per angle there.  A field with no grid form (a
+world-frame series, or any other sampler) is sampled at the grid's
+Cartesian points instead.  Edge and arc grids are always sampled at
+their points.  The weight is computed once per grid and s: the
 three area integrals of one s (I2 and the residual's u2 and v integrals)
 share one u0(s .) table per level, and the four edge integrals of one s
 (the remainders and the residual's edge terms) one factor per edge and
@@ -27,21 +34,25 @@ numerator, denominator and identity residual are assembled once per s,
 and the eta and omega estimates are both read off them.  The
 manufactured scenario's fit shares its edge samples the same way: J_n(kappa
 r) and the u2 Cauchy data are taken once per edge grid and serve every fit
-s and every basis element, and the moments of one edge and s (every
-basis element and the target) share one u0(s .) factor per level.
+s and every basis element.  The Green moment integrands of one edge and s
+(every basis element and the target) are one table per edge level, built
+when the first of those moments meets the level; each moment reads its
+row, with the bits it would have alone, and they share one u0(s .)
+factor per level.
 
 The manufactured fields are Fourier-Bessel series
 sum_n J_n(kappa r)(a_n cos n theta + b_n sin n theta).  Every order
 J_0 ... J_{N-1} of a point comes from one backward run of the three-term
 recurrence (Miller's algorithm, normalized by 1 = J_0 + 2 sum_k J_2k; see
 _bessel_rows), and the derivatives from J_n' = (J_{n-1} - J_{n+1}) / 2 on
-the same rows.  The series sampler takes points in chunks of _CHUNK, so
-the row table never spans more than one chunk.  Within a chunk it runs
-the recurrence on the distinct radii only, and evaluates cos n theta,
-sin n theta and the angular factors on the distinct angles only, then
-gathers both back to the points; on a polar grid in a sector at the
-origin with rotation 0 most of them repeat.  Every step is elementwise,
-so each point's bits are those it gets alone.
+the same rows.  On points, the series sampler takes them in chunks of
+_CHUNK, so the row table never spans more than one chunk.  Within a
+chunk it runs the recurrence on the distinct radii only, and evaluates
+cos n theta, sin n theta and the angular factors on the distinct angles
+only, then gathers both back to the points.  Every step is elementwise,
+so each point's bits are those it gets alone.  Its grid form sums the
+same products over n in the same order on the grid's own radii and
+angles, which the points reproduce only to rounding.
 
 Sign conventions: estimates are of eta1 - eta2 and omega1 - omega2.
 The exact exponential corrections of the closed-form edge integral are
@@ -50,6 +61,7 @@ kept on the known side (inside the denominator), not bounded away.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -57,7 +69,8 @@ import numpy as np
 from . import cgo
 from .geometry import CornerSector
 from .medium import sqrt_im_nonneg
-from .quadrature import U0Tables, arc_integral, edge_u0_integral, sector_area_integral
+from .quadrature import (U0Tables, arc_integral, edge_u0_integral, polar_points,
+                         sector_area_integral)
 
 
 @dataclass(frozen=True)
@@ -66,10 +79,15 @@ class FieldSampler:
 
     values_fn, when given, returns the values alone, bit-identical to
     fn(pts)[0] without the gradient work; values() falls back to fn.
+    grid_fn, when given, is the grid form: grid_fn(sector, r, t) returns the
+    (len(r), len(t)) table of values on the polar grid r x t of the
+    sector's canonical frame, or None for a frame it has no form in;
+    on_grid() falls back to the values at the grid's points.
     """
 
     fn: Callable
     values_fn: Callable | None = None
+    grid_fn: Callable | None = None
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -81,6 +99,14 @@ class FieldSampler:
             return self(pts)[0]
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.asarray(self.values_fn(pts), dtype=complex)
+
+    def on_grid(self, sector: CornerSector, r, t):
+        """Values on the polar grid r x t of the sector's canonical frame,
+        as a (len(r), len(t)) table."""
+        table = None if self.grid_fn is None else self.grid_fn(sector, r, t)
+        if table is None:
+            table = self.values(sector.to_world(polar_points(r, t))).reshape(len(r), len(t))
+        return np.asarray(table, dtype=complex)
 
     def __sub__(self, other):
         def diff(pts):
@@ -134,30 +160,27 @@ class Extrapolation(NamedTuple):
     error: float | None   # |degree n-1 fit - degree n-2 fit| at 1/s = 0
 
 
-def _canonical_values(sampler: FieldSampler, sector: CornerSector):
-    return lambda pts: sampler.values(sector.to_world(pts))
-
-
 def corner_value(sampler: FieldSampler, sector: CornerSector):
     """The sampled field at the sector's apex, through the values path."""
     return complex(sampler.values(sector.apex[None, :])[0])
 
 
 def _once_per_grid(fn):
-    """fn(nodes) with a store of the node arrays already sampled.
+    """fn(*nodes) with a store of the node arrays already sampled.
 
-    quadrature.py hands out each rule level as one read-only array, so a
-    grid met again (same level, another s or another functional) is the
-    same object and is answered from the store.  The store keeps each
-    array it has seen, so no id is reused while it lives, which is as long
-    as the returned callable; callers must not write to what it returns.
+    quadrature.py hands out each rule level as read-only arrays, so a grid
+    met again (same level, another s or another functional) is the same
+    objects and is answered from the store.  The store keeps each array it
+    has seen, so no id is reused while it lives, which is as long as the
+    returned callable; callers must not write to what it returns.
     """
     seen = {}
 
-    def f(nodes):
-        if id(nodes) not in seen:
-            seen[id(nodes)] = (nodes, fn(nodes))
-        return seen[id(nodes)][1]
+    def f(*nodes):
+        key = tuple(map(id, nodes))
+        if key not in seen:
+            seen[key] = (nodes, fn(*nodes))
+        return seen[key][1]
 
     return f
 
@@ -230,8 +253,8 @@ def _edge_remainder(edge, u2_0, sector: CornerSector, s, side, tol, u0_tables=No
 
 class _GridSamples(NamedTuple):
     """u1 and u2 on the quadrature grids of one sector, each grid sampled once."""
-    u1_area: Callable     # canonical (n,2) points -> u1 values
-    u2_area: Callable     # canonical (n,2) points -> u2 values
+    u1_area: Callable     # polar grid (r, t) -> table of u1 values
+    u2_area: Callable     # polar grid (r, t) -> table of u2 values
     u2_edge: dict         # side -> (radii -> u2 values on that edge)
     v_arc: Callable       # thetas -> (v, dnu v) on the arc, v = u1 - u2
 
@@ -239,8 +262,8 @@ class _GridSamples(NamedTuple):
 def _grid_samples(sc: ProbeScenario):
     sec = sc.sector
     return _GridSamples(
-        _once_per_grid(_canonical_values(sc.u1, sec)),
-        _once_per_grid(_canonical_values(sc.u2, sec)),
+        _once_per_grid(partial(sc.u1.on_grid, sec)),
+        _once_per_grid(partial(sc.u2.on_grid, sec)),
         {side: _edge_trace(sc.u2, sec, side) for side in ("+", "-")},
         _once_per_grid(_arc_values(sc.u1 - sc.u2, sec)))
 
@@ -270,8 +293,8 @@ def _residual(sc: ProbeScenario, grids: _GridSamples, s, i1, tol, u0_tables):
     k2 = sc.k**2
     lhs_q = _area_functional(grids.u2_area, sec, s, tol, u0_tables)
     lhs = k2 * (sc.omega2 - sc.omega1) * lhs_q.value
-    rhs_v = _area_functional(lambda p: grids.u1_area(p) - grids.u2_area(p), sec, s, tol,
-                             u0_tables)
+    rhs_v = _area_functional(lambda r, t: grids.u1_area(r, t) - grids.u2_area(r, t), sec, s,
+                             tol, u0_tables)
     eta_d = sc.eta1 - sc.eta2
     edge_terms = 0j
     edge_err = 0.0
@@ -297,8 +320,8 @@ def _functionals(sc: ProbeScenario, grids: _GridSamples, s, u2_0, v0, tol):
     sec = sc.sector
     tables = U0Tables()
     i1 = _arc_functional(grids.v_arc, sec, s, tol)
-    i2 = _area_functional(lambda p: grids.u1_area(p) - grids.u2_area(p) - v0, sec, s,
-                          max(tol, 1e-12), tables)
+    i2 = _area_functional(lambda r, t: grids.u1_area(r, t) - grids.u2_area(r, t) - v0, sec,
+                          s, max(tol, 1e-12), tables)
     num = i1.value + sc.k**2 * sc.omega1 * i2.value
     den, den_q = _denominator(sc, grids.u2_edge, s, u2_0, tol, tables)
     (resid, _, _), res_q = _residual(sc, grids, s, i1, tol, tables)
@@ -582,22 +605,49 @@ def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | 
             chunk(xy[part], vals[part], None if grads is None else grads[part])
         return (vals, vec_to_world(grads)) if grad else vals
 
+    def grid(sec, r, t):
+        """The series on the polar grid r x t of sec, if sec's canonical
+        frame is the series' own: J_n once per radius times the angular
+        factor once per angle, summed over n as the points are."""
+        if sec.rotation != sector.rotation or (sec.apex != sector.apex).any():
+            return None
+        jn = _bessel_rows(kappa, r, nmax)
+        table = np.zeros((len(r), len(t)), dtype=complex)
+        for n in range(nmax):
+            table += jn[n][:, None] * (a[n] * np.cos(n * t) + b[n] * np.sin(n * t))[None, :]
+        return table
+
     return FieldSampler(lambda pts: series(pts, True),
-                        values_fn=lambda pts: series(pts, False))
+                        values_fn=lambda pts: series(pts, False),
+                        grid_fn=None if sector is None else grid)
 
 
-def _edge_moment(sector: CornerSector, edge: _Edge, s, cauchy, u0_tables, scale=1.0):
-    """Green moment int_0^h [flux - (dnu u0 / u0) scale trace] u0(s.) dr of the
-    edge Cauchy data cauchy(r) -> (trace, flux), scale a constant trace factor,
-    to quadrature tolerance 1e-12, on the edge factors of u0_tables."""
-    m = cgo.mu(edge.theta)
-
-    def g(r):
-        trace, flux = cauchy(r)
-        fac = edge.sign * (-0.5j) * np.sqrt(s / r) * m
-        return flux - fac * trace * scale
-
+def _edge_moment(sector: CornerSector, edge: _Edge, s, g, u0_tables):
+    """Green moment int_0^h g(r) u0(s.) dr of one integrand g, to quadrature
+    tolerance 1e-12, on the edge factors of u0_tables."""
     return edge_u0_integral(edge.theta, s, sector.h, g=g, tol=1e-12, u0_tables=u0_tables)
+
+
+def _edge_moments(sector: CornerSector, edge: _Edge, fit_s, cauchy, scale):
+    """Per fit s, the Green moments, integrands flux - (dnu u0 / u0) scale
+    trace, of every row of the edge Cauchy data cauchy(r) -> (trace, flux),
+    (m, len(r)) tables, with scale an (m, 1) column of constant trace
+    factors.  The integrands of one s are one table per edge level, made
+    when a moment first meets that level; each moment reads its row, and
+    one u0(s .) factor per level serves them all."""
+    m = cgo.mu(edge.theta)
+    moments = []
+    for s in fit_s:
+        @_once_per_grid
+        def rows(r, s=s):
+            trace, flux = cauchy(r)
+            fac = edge.sign * (-0.5j) * np.sqrt(s / r) * m
+            return flux - fac * trace * scale
+
+        tables = U0Tables()
+        moments.append([_edge_moment(sector, edge, s, lambda r, i=i, rows=rows: rows(r)[i],
+                                     tables) for i in range(len(scale))])
+    return moments
 
 
 DEFAULT_U2_COS = (1.0, 0.25, 0.15, 0.08)
@@ -631,6 +681,7 @@ def manufactured_scenario(sector: CornerSector, k, omega1, omega2, eta1, eta2,
         fit_s = [50.0 * 2**j for j in range(5)]
 
     basis = _BesselBasis(kap1, 13)
+    orders = [n for n, _ in basis.labels]
     # J_n(kap1 r) once per edge grid; the grids are the same on both edges
     bessel = _once_per_grid(basis.bessel)
 
@@ -647,22 +698,19 @@ def manufactured_scenario(sector: CornerSector, k, omega1, omega2, eta1, eta2,
         rows += [basis.columns(jn, ang), wn * basis.columns(e.sign * jn / rr, dang)]
         rhs += [v2, wn * (dnu2 + eta_diff * v2)]
 
-        def target(r):
+        def cauchy(r):
+            """Every basis element's Cauchy data, then the target's: u2's
+            trace and its flux plus the prescribed jump."""
+            jn = bessel(r)[orders]
             vals, dnu = u2_edge(r)
-            return vals, dnu + eta_diff * vals
+            return (np.vstack([jn, vals]),
+                    np.vstack([e.sign * (jn / r) * np.array(dang)[:, None],
+                               dnu + eta_diff * vals]))
 
-        def element(n, d):
-            def cauchy(r):
-                jn = bessel(r)[n]
-                return jn, e.sign * (jn / r) * d
-            return cauchy
-
-        for s in fit_s:
-            # one u0(s .) factor per edge level serves every moment at this s
-            tables = U0Tables()
-            mom_rows.append([_edge_moment(sector, e, s, element(n, d), tables, scale=a)
-                             for (n, _), a, d in zip(basis.labels, ang, dang)])
-            mom_tgt.append(_edge_moment(sector, e, s, target, tables))
+        for row in _edge_moments(sector, e, fit_s, _once_per_grid(cauchy),
+                                 np.r_[ang, 1.0][:, None]):
+            mom_rows.append(row[:-1])
+            mom_tgt.append(row[-1])
     A = np.vstack(rows)
     y = np.concatenate(rhs)
     fit_quads = [q for row in mom_rows for q in row] + mom_tgt

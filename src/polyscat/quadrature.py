@@ -11,9 +11,13 @@ Gauss-Legendre, refined by doubling until two successive levels agree.
 The rules depend only on the sector (or the edge length h) and the
 refinement level, never on s or the integrand, so each level is built once
 and shared: the area tensor rule per (sector, level), with its weights
-wr (x) wt and canonical points, the radial rule of an edge ray per
-(h, level), and the angular rule per (angles, level).  Their arrays are
-read-only; a grid met again is the same object.  The weight u0(s .) on a
+wr (x) wt, the radial rule of an edge ray per (h, level), and the angular
+rule per (angles, level).  Their arrays are read-only; a grid met again is
+the same object.  An area integrand is handed the radial and angular nodes
+of each level and returns its table on that polar grid, so a field with a
+form in polar coordinates is evaluated once per radius and once per angle;
+`polar_points` gives the grid's Cartesian points to an integrand without
+one.  The weight u0(s .) on a
 rule depends on s alone, so integrals that pass one `U0Tables` share it:
 one table per (area rule, s) and one factor per (edge rule, edge angle, s).
 The sums multiply in the order each integral always has, so sharing moves
@@ -116,19 +120,24 @@ class AreaRule(NamedTuple):
     r: np.ndarray       # radial nodes
     t: np.ndarray       # angular nodes
     wrt: np.ndarray     # (len(r), len(t)) weights wr (x) wt
-    pts: np.ndarray     # (len(r) * len(t), 2) canonical points, r-major
 
 
 @lru_cache(maxsize=16)
 def _area_rule(theta_m, theta_M, h, nr, nt):
     r, wr = _radial_rule(h, nr)
     t, wt = _theta_rule(theta_m, theta_M, nt)
+    return AreaRule(r, t, *_frozen(wr[:, None] * wt[None, :]))
+
+
+def polar_points(r, t):
+    """The (len(r) * len(t), 2) Cartesian points of the polar grid r x t,
+    r-major: for an integrand that has no form on the grid itself."""
     pts = np.empty((r.size * t.size, 2))
     rr = np.repeat(r, t.size)
     tt = np.tile(t, r.size)
     pts[:, 0] = rr * np.cos(tt)
     pts[:, 1] = rr * np.sin(tt)
-    return AreaRule(r, t, *_frozen(wr[:, None] * wt[None, :], pts))
+    return pts
 
 
 class U0Tables:
@@ -193,14 +202,16 @@ def edge_u0_integral(theta, s, h, g=None, tol=1e-12, u0_tables=None):
 
 
 def sector_area_integral(f, theta_m, theta_M, h, s, tol=1e-11, u0_tables=None):
-    """Integral of f(x) u0(s x) over the sector S_h, f vectorized on (n,2)
-    points; u0_tables as for edge_u0_integral, one table per level."""
+    """Integral of f(x) u0(s x) over the sector S_h.  f(r, t) takes each
+    level's radial and angular nodes and returns the (len(r), len(t)) table
+    of f on the polar grid r x t (`polar_points` gives its points);
+    u0_tables as for edge_u0_integral, one table per level."""
     s = float(s)
     tables = U0Tables() if u0_tables is None else u0_tables
 
     def eval_fn(lv):
         rule = _area_rule(theta_m, theta_M, h, *lv)
-        vals = np.asarray(f(rule.pts), dtype=complex).reshape(rule.wrt.shape)
+        vals = np.asarray(f(rule.r, rule.t), dtype=complex).reshape(rule.wrt.shape)
         u0 = tables.get(("area", theta_m, theta_M, h, lv, s),
                         lambda: _kernels.u0_polar(rule.r, rule.t, s))
         return _kernels.area_quad_sum(rule.wrt, vals, u0, rule.r)

@@ -418,7 +418,7 @@ def test_exact_point_source_cell_solution(cells, turned, measured):
         assert errs[n][0] / errs[2 * n][0] >= measured[n][0] / measured[2 * n][0] / 2
 
 
-def test_cell_reciprocity_from_one_factorization(t_junction):
+def test_cell_reciprocity_on_one_assembly(t_junction):
     """u_inf(xhat; d) = u_inf(-d; -xhat) for pairs of plane waves solved from
     one assembled cell system."""
     med = CellMedium(t_junction, q=[2.0, 3.0, 2.5], lambda_star=0.5j, k=1.0)

@@ -110,6 +110,21 @@ def test_forward_determinism(tmp_path):
     assert (out1 / "farfield.csv").read_bytes() == (out2 / "farfield.csv").read_bytes()
 
 
+@pytest.mark.parametrize("doc", [NEST_DOC, PROBE_DOC], ids=["mesh-section", "no-mesh-section"])
+def test_mesh_level_gives_the_scenario_of_the_overridden_document(tmp_path, doc):
+    """--mesh-level replaces the parsed scenario's mesh section: its mesh,
+    raw document and digest are those of the document with that section."""
+    from types import SimpleNamespace
+
+    from polyscat.harness.cli import _load
+
+    sc = _load(SimpleNamespace(config=write(tmp_path, "c.json", doc), mesh_level=7))
+    ref = parse_scenario({**doc, "mesh": {"nodes_per_edge": 7, "grading": 3.0}})
+    assert sc.mesh == ref.mesh
+    assert sc.raw == ref.raw
+    assert sc.digest() == ref.digest()
+
+
 def test_forward_nearfield_grid(tmp_path):
     """nearfield.csv: NaN on the interfaces, and elsewhere the total field of
     the solved medium at each grid point."""

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def I1(v, sector, s, tol=1e-12):
 
 def I2(dv, sector, s, tol=1e-11):
     """The area functional int_{S_h} dv(x) u0(s x) dx."""
-    return probe._area_functional(probe._canonical_values(dv, sector), sector, s, tol)
+    return probe._area_functional(partial(dv.on_grid, sector), sector, s, tol)
 
 
 def I3(u2, sector, s, side, tol=1e-12):
@@ -254,18 +255,24 @@ def test_richardson_error_estimate_sees_degree_n_minus_1():
     assert one.limit == 1 + 1j and one.error is None
 
 
-def _counting(sm, name, log):
-    """sm with every evaluation logged as (name, with gradients?, points)."""
+def _counting(sm, name, log, grid=True):
+    """sm with every evaluation logged as (name, kind, nodes): kind "grad"
+    or "values" with the points, or "grid" with the (r, t) of a table.
+    Without grid, the sampler has no grid form."""
 
     def fn(pts):
-        log.append((name, True, pts.copy()))
+        log.append((name, "grad", pts.copy()))
         return sm(pts)
 
     def values_fn(pts):
-        log.append((name, False, pts.copy()))
+        log.append((name, "values", pts.copy()))
         return sm.values(pts)
 
-    return FieldSampler(fn, values_fn=values_fn)
+    def grid_fn(sector, r, t):
+        log.append((name, "grid", (r, t)))
+        return sm.grid_fn(sector, r, t)
+
+    return FieldSampler(fn, values_fn=values_fn, grid_fn=grid_fn if grid else None)
 
 
 def _is_area_grid(pts, apex):
@@ -276,21 +283,78 @@ def _is_area_grid(pts, apex):
 
 @pytest.mark.parametrize("s_grid", [[100.0], S_GRID])
 def test_extraction_samples_each_grid_once(eta_scenario, s_grid):
-    log = []
-    sc = replace(eta_scenario, u1=_counting(eta_scenario.u1, "u1", log),
-                 u2=_counting(eta_scenario.u2, "u2", log))
-    probe.extract_both(sc, s_grid)
-    apex = sc.sector.apex
-    for name in ("u1", "u2"):
-        area = [pts for n, _, pts in log if n == name and _is_area_grid(pts, apex)]
-        # sector_area_integral refines over three levels
-        assert 1 <= len(area) <= 3
-        assert len({len(p) for p in area}) == len(area)
-    # gradients are taken on the arc r = h only
-    grad_pts = [pts for _, grad, pts in log if grad]
-    assert grad_pts
-    for pts in grad_pts:
-        assert np.allclose(np.hypot(*(pts - apex).T), sc.sector.h, rtol=0, atol=1e-12)
+    """Each area level is tabulated once per field through the grid form, or
+    sampled once per field at its points when there is none."""
+    apex = eta_scenario.sector.apex
+    for grid in (True, False):
+        log = []
+        sc = replace(eta_scenario, u1=_counting(eta_scenario.u1, "u1", log, grid),
+                     u2=_counting(eta_scenario.u2, "u2", log, grid))
+        probe.extract_both(sc, s_grid)
+        for name in ("u1", "u2"):
+            tables = [rt for n, kind, rt in log if n == name and kind == "grid"]
+            area = [pts for n, kind, pts in log
+                    if n == name and kind != "grid" and _is_area_grid(pts, apex)]
+            # sector_area_integral refines over three levels
+            sizes = [len(r) * len(t) for r, t in tables] if grid else [len(p) for p in area]
+            assert not (area if grid else tables)
+            assert 1 <= len(sizes) <= 3
+            assert len(set(sizes)) == len(sizes)
+        # gradients are taken on the arc r = h only
+        grad_pts = [pts for _, kind, pts in log if kind == "grad"]
+        assert grad_pts
+        for pts in grad_pts:
+            assert np.allclose(np.hypot(*(pts - apex).T), sc.sector.h, rtol=0, atol=1e-12)
+
+
+AREA_LEVELS = ((10, 12), (14, 24), (20, 48))   # the levels of sector_area_integral
+ROTATED = CornerSector([0.3, -0.2], -2.0, 0.5, 0.7, rotation=2.1)
+
+
+@pytest.mark.parametrize("kappa", [1.4, np.sqrt(3 + 0.2j)], ids=["real", "complex"])
+def test_series_grid_form_is_its_values_at_the_grid_points(quarter_sector, kappa):
+    """On every area level of the quarter sector and of a rotated sector off
+    the origin, the series sampler's table is its values at the grid's
+    points to rounding; it has no table in another frame, nor as a
+    world-frame series."""
+    from polyscat import quadrature
+
+    a, b = [0.8, 0.3, -0.2, 0.1j], [0.0, 0.4, 0.1j, -0.05]
+    for sector in (quarter_sector, ROTATED):
+        sm = bessel_series_sampler(kappa, a, b, sector)
+        for lv in AREA_LEVELS:
+            rule = quadrature._area_rule(sector.theta_m, sector.theta_M, sector.h, *lv)
+            table = sm.grid_fn(sector, rule.r, rule.t)
+            pts = quadrature.polar_points(rule.r, rule.t)
+            vals = sm.values(sector.to_world(pts)).reshape(len(rule.r), len(rule.t))
+            assert table.shape == vals.shape
+            assert np.abs(table - vals).max() <= 1e-15 * np.abs(vals).max()
+            assert sm.on_grid(sector, rule.r, rule.t).tobytes() == table.tobytes()
+        other = quarter_sector if sector is ROTATED else ROTATED
+        assert sm.grid_fn(other, rule.r, rule.t) is None
+    assert bessel_series_sampler(kappa, a, b).grid_fn is None
+
+
+def test_area_integrals_without_grid_form_sample_the_grid_points(quarter_sector):
+    """A sampler with no grid form is sampled at the r-major points of each
+    area level, rr cos tt and rr sin tt, and its area integrals are bitwise
+    those of that point integrand."""
+    from polyscat import quadrature
+
+    for sector in (quarter_sector, ROTATED):
+        series = bessel_series_sampler(1.4, [0.8, 0.3, -0.2], [0.0, 0.4, 0.1j], sector)
+        for sm in (power_sampler(0.5), FieldSampler(series.fn, series.values_fn)):
+            def on_points(r, t):
+                rr, tt = np.repeat(r, len(t)), np.tile(t, len(r))
+                pts = np.column_stack([rr * np.cos(tt), rr * np.sin(tt)])
+                return sm.values(sector.to_world(pts)).reshape(len(r), len(t))
+
+            for s in (50.0, 800.0):
+                got = I2(sm, sector, s)
+                ref = quadrature.sector_area_integral(on_points, sector.theta_m, sector.theta_M,
+                                                      sector.h, s, 1e-11)
+                assert np.array([got.value, got.error]).tobytes() == \
+                    np.array([ref.value, ref.error]).tobytes()
 
 
 def test_values_path_is_bit_identical(quarter_sector):
@@ -336,7 +400,8 @@ def test_bessel_sampler_bits_do_not_depend_on_batch(monkeypatch):
     # a sector at the origin with rotation 0, whose chunks repeat radii and
     # angles: there the sampler evaluates each distinct value once
     origin = CornerSector([0.0, 0.0], 0.0, np.pi / 2, 1.0)
-    level = quadrature._area_rule(origin.theta_m, origin.theta_M, origin.h, 14, 24).pts
+    rule = quadrature._area_rule(origin.theta_m, origin.theta_M, origin.h, 14, 24)
+    level = quadrature.polar_points(rule.r, rule.t)
     rows_radii = []
     bessel_rows = probe._bessel_rows
     monkeypatch.setattr(probe, "_bessel_rows",
@@ -420,15 +485,18 @@ def test_bessel_sampler_near_the_apex_is_the_series(kappa):
 
 def _scalar_reference(sc, s_grid, tol=1e-12):
     """extract_both assembled per s from the scalar functionals, fields
-    evaluated through their gradient path."""
+    evaluated through their gradient path, except on the area grids, which
+    both sample through the fields' grid form."""
     sec = sc.sector
-    sc = replace(sc, u1=FieldSampler(sc.u1.fn), u2=FieldSampler(sc.u2.fn))
+    sc = replace(sc, u1=FieldSampler(sc.u1.fn, grid_fn=sc.u1.grid_fn),
+                 u2=FieldSampler(sc.u2.fn, grid_fn=sc.u2.grid_fn))
     u1_0, u2_0 = probe.corner_value(sc.u1, sec), probe.corner_value(sc.u2, sec)
     v = sc.u1 - sc.u2
     nums, dens, resid = [], [], []
     for s in s_grid:
         dv = probe._area_functional(
-            lambda p: probe._canonical_values(v, sec)(p) - (u1_0 - u2_0), sec, s,
+            lambda r, t: sc.u1.on_grid(sec, r, t) - sc.u2.on_grid(sec, r, t) - (u1_0 - u2_0),
+            sec, s,
             max(tol, 1e-12))
         nums.append(I1(v, sec, s, tol).value + sc.k**2 * sc.omega1 * dv.value)
         (p31, p32), (m31, m32) = (I3(sc.u2, sec, s, side, tol) for side in ("+", "-"))
@@ -572,6 +640,52 @@ def test_probe_result_requires_increasing_s(quarter_sector, eta_scenario):
 
     with pytest.raises(ValueError):
         ProbeResult(((100.0, 0j), (50.0, 0j)), (), None, None, (), {})
+
+
+def test_fit_moment_rows_are_the_per_element_integrands(quarter_sector, monkeypatch):
+    """Each fit moment reads its row of one integrand table per edge, s and
+    level; the row, and so the moment, is bitwise that of the basis
+    element's (or the target's) own integrand."""
+    from polyscat import quadrature
+    from polyscat.medium import sqrt_im_nonneg
+
+    calls = []
+    edge_moment = probe._edge_moment
+
+    def logged(sector, edge, s, g, u0_tables):
+        q = edge_moment(sector, edge, s, g, u0_tables)
+        calls.append((edge, s, g, q))
+        return q
+
+    monkeypatch.setattr(probe, "_edge_moment", logged)
+    k, omega1, omega2, eta_diff = 1.0, 2.5, 2.0, 0.3 + 0.1j
+    manufactured_scenario(quarter_sector, k, omega1, omega2, 0.5 + 0.1j, 0.2,
+                          fit_s=[50.0, 400.0])
+    basis = probe._BesselBasis(k * sqrt_im_nonneg(omega1), 13)
+    u2 = bessel_series_sampler(k * sqrt_im_nonneg(omega2), probe.DEFAULT_U2_COS,
+                               probe.DEFAULT_U2_SIN, quarter_sector)
+    m = len(basis.labels) + 1
+    assert len(calls) == 2 * 2 * m
+    for j, (edge, s, g, q) in enumerate(calls):
+        side, i = ("+" if j < 2 * m else "-"), j % m
+        assert edge.theta == probe._edge(quarter_sector, side).theta
+        ang, dang = basis.angular(edge.theta)
+        trace_u2 = probe._edge_trace(u2, quarter_sector, side, grad=True)
+
+        def element(r):
+            fac = edge.sign * (-0.5j) * np.sqrt(s / r) * cgo.mu(edge.theta)
+            if i < m - 1:
+                jn = basis.bessel(r)[basis.labels[i][0]]
+                return edge.sign * (jn / r) * dang[i] - fac * jn * ang[i]
+            vals, dnu = trace_u2(r)
+            return dnu + eta_diff * vals - fac * vals * 1.0
+
+        for nr in (10, 16):
+            r = quadrature._radial_rule(quarter_sector.h, nr)[0]
+            assert g(r).tobytes() == element(r).tobytes()
+        ref = quadrature.edge_u0_integral(edge.theta, s, quarter_sector.h, g=element, tol=1e-12)
+        assert np.array([q.value, q.error]).tobytes() == \
+            np.array([ref.value, ref.error]).tobytes()
 
 
 def test_scenario_samples_u2_gradients_once_per_edge_grid(quarter_sector, monkeypatch):

@@ -52,7 +52,7 @@ def test_sector_area_integral_of_one():
     sec = cgo.SectorSpec(0.0, np.pi / 2)
     s = 40.0
     full = cgo.sector_integral_exact(sec, s)
-    res = sector_area_integral(lambda pts: np.ones(len(pts), complex),
+    res = sector_area_integral(lambda r, t: np.ones((len(r), len(t)), complex),
                                0.0, np.pi / 2, 1.0, s, tol=1e-12)
     tail = cgo.tail_bound_sharp(sec, s, 1.0)
     assert abs(res.value - full) <= tail + 1e-10
@@ -89,7 +89,7 @@ def test_radial_rule_against_closed_forms(s, h):
         if s == 1e4 and h == 2.0 and sec.theta_m != 0.0:
             continue
         full = cgo.sector_integral_exact(sec, s)
-        res = sector_area_integral(lambda pts: np.ones(len(pts), complex),
+        res = sector_area_integral(lambda r, t: np.ones((len(r), len(t)), complex),
                                    sec.theta_m, sec.theta_M, h, s, tol=1e-12)
         assert res.converged
         assert abs(res.value - full) <= cgo.tail_bound_sharp(sec, s, h) + 1e-12 * abs(full)
