@@ -20,8 +20,9 @@ targets (3 calls on a square split in two).  `CurveMesh` builds each edge
 elementwise, so the mesh's nodes are the segments' own, and each operator
 entry depends only on its own target and source panel (see `layerops`): the
 slice of a (target segment, source segment) pair is bitwise the call from
-that segment to that segment's nodes.  Each region's block is freed before
-the next region's call.
+that segment to that segment's nodes.  Since its targets are its source's
+own nodes, the call evaluates one triangle of far pairs.  Each region's
+block is freed before the next region's call.
 
 Jump data: one (f, g) per segment, f = u_A - u_B and
 g = dnu u_A - lambda* u_A - dnu u_B; an incident field's are (u_inc, dnu u_inc)

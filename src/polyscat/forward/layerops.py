@@ -20,14 +20,21 @@ catastrophic cancellation.
 
 An `assemble_block` call makes one far pass over all (target, source
 node) pairs, in chunks of at most _FAR_BUDGET entries over all kinds, and
-one near pass.  A nest assembly builds its blocks in groups through
-`assemble_nest_blocks`, which evaluates each far kernel value once: a
-self block's far pass covers one triangle of pairs (S and T are symmetric
-in the pair, and Kp is K of the exchanged pair), the two cross blocks
-between neighbouring curves share one far pass, and the plain (S, K) self
-block that lambda != 0 adds shares the difference block's H0 and H1 and
-its near pass.  Each block equals its own `assemble_block` call bit for
-bit, except for the signs of zeros.
+one near pass.  Every self block, a nest group's or a cell region's,
+evaluates one triangle of far pairs through the same
+`_far_chunks(tri=True)` loop, in chunks of at most _TRI_ROWS rows, and
+writes the other triangle from the exchanged pairs.  A nest assembly
+builds its blocks in groups through `assemble_nest_blocks`, which
+evaluates each far kernel value once: S and T are symmetric in the pair
+and Kp is K of the exchanged pair, the two cross blocks between
+neighbouring curves share one far pass, and the plain (S, K) self block
+that lambda != 0 adds shares the difference block's H0 and H1 and its
+near pass.  Each block equals its own `assemble_block` call bit for bit,
+except for the signs of zeros.  An `assemble_block` call whose targets
+are its source's own nodes (equal bytes) with no target normals, a cell
+region's block, takes with S and K the K of each exchanged pair from
+that pair's own difference y - x, so it is bit for bit the block of
+every pair in both orders, signs of zeros included.
 
 The near pass re-integrates every near (target, panel) pair, the target
 within NEAR_MULT panel lengths of the panel, with the density carried by
@@ -71,11 +78,16 @@ normal and nodes at rows i * n_gl onward of `normals` and `nodes`.
   pair: a target 1e-8 panel lengths off keeps its digits, which x - y
   from two nearby points would lose.
 - The fixed layouts, the product rule and each single rule, form batches
-  of at most _NEAR_CHUNK // n pairs of n nodes, node-major (node k of
-  every pair, then node k + 1), so that each pair's data is tiled, one
-  kernel pass each.  They map the weighted kernel values to the panel's
-  nodes through a cached n x n_gl matrix (`_node_map`: Gauss weight times
-  Lagrange basis).  The geometric pairs form chunks of whole pairs of
+  of at most _NEAR_CHUNK // n pairs of n nodes, one kernel pass each, on
+  (nodes, pairs) planes: the Gauss nodes as a column and each pair's data
+  as a row, so no pair's data is copied per node, and C order is
+  node-major (node k of every pair, then node k + 1).  The product rule's
+  log weights depend on t* alone, so they are computed once per distinct
+  t* (by its bits) of a call's own-panel pairs and gathered; on a regular
+  polygon's self block many pairs share one.  The fixed layouts map the
+  weighted kernel values to the panel's nodes through a cached n x n_gl
+  matrix (`_node_map`: Gauss weight times Lagrange basis).  The geometric
+  pairs form chunks of whole pairs of
   about _NEAR_CHUNK nodes, pair-major; each sub-interval's ends, midpoint
   and half length are computed once and spread over its _FINE_N Gauss
   nodes by an outer product, `np.add.reduceat` sums each pair's Legendre
@@ -87,9 +99,12 @@ normal and nodes at rows i * n_gl onward of `normals` and `nodes`.
   memory.
 
 In every far chunk and near batch or chunk, `_kernels` evaluates H0 and H1 of each
-wavenumber once and derives all kinds from them.  Hankel functions come
-from `_hankel`: for a real positive wavenumber it combines the Bessel
-routines j0/y0/j1/y1, an order of magnitude cheaper than `hankel1`, which
+wavenumber once and derives all kinds from them, on coordinate planes:
+x - y as (dx, dy), and normal components that broadcast as rows (the far
+pass's sources, a fixed layout's pairs) or columns (the far pass's
+targets).  Hankel functions come from `_hankel`: for a real positive
+wavenumber it writes the Bessel routines j0/y0/j1/y1 into the real and
+imaginary parts, an order of magnitude cheaper than `hankel1`, which
 serves every complex wavenumber.
 """
 
@@ -129,9 +144,11 @@ def _hankel(order, kappa, r):
     kappa = complex(kappa)
     if kappa.imag == 0.0 and kappa.real > 0.0:
         x = kappa.real * r
-        if order == 0:
-            return j0(x) + 1j * y0(x)
-        return j1(x) + 1j * y1(x)
+        # J and Y written straight into the parts: the bits of J + 1j * Y
+        h = np.empty(np.shape(x), dtype=complex)
+        (j0 if order == 0 else j1)(x, out=h.real)
+        (y0 if order == 0 else y1)(x, out=h.imag)
+        return h
     return hankel1(order, kappa * r)
 
 
@@ -157,10 +174,14 @@ def _kh1_reg(kappa, r, h1):
     return out
 
 
-def _kernels(kappa, kappa2, diff, r, src_nrm, tgt_nrm, plain=False, swap=False):
-    """Pointwise (S, K), or (S, K, Kp, T) when tgt_nrm is given; diff = x - y
-    with shape (..., 2).  H0 and H1 of each wavenumber are evaluated once,
-    on all of r, and shared by every kind.
+def _kernels(kappa, kappa2, diff, r, src_nrm, tgt_nrm, plain=False, swap=False,
+             exchanged=None):
+    """Pointwise (S, K), or (S, K, Kp, T) when tgt_nrm is given, on
+    coordinate planes: diff = (dx, dy) of x - y, r of the same shape, and
+    the normal components (nx, ny) of the sources and of the targets, each
+    broadcasting against r (as rows, columns or scalars).  H0 and H1 of
+    each wavenumber are evaluated once, on all of r, and shared by every
+    kind.
 
     `plain` (with kappa2) follows these kinds with the S and K of kappa
     alone, from the same H0 and H1, and with `swap` also its Kp; no caller
@@ -169,8 +190,15 @@ def _kernels(kappa, kappa2, diff, r, src_nrm, tgt_nrm, plain=False, swap=False):
     swapped with their normals: that pair's S, K and Kp are S, Kp and K
     here up to the signs of zeros, but its T multiplies t0 by the two dot
     products in the other order, which can round differently.
+
+    `exchanged`, the planes (dx, dy) of y - x, serves an (S, K) block whose
+    targets are its source nodes: each set's S and K are followed by the K
+    of the exchanged pair as that pair's own evaluation gives it, signs of
+    zeros included (its S is S: hypot is even), with tgt_nrm its source
+    normals, and by no Kp or T.
     """
-    rhat_dot_sn = (diff[..., 0] * src_nrm[..., 0] + diff[..., 1] * src_nrm[..., 1]) / r
+    (dx, dy), (snx, sny) = diff, src_nrm
+    rhat_dot_sn = (dx * snx + dy * sny) / r
     h0, h1 = _hankel(0, kappa, r), _hankel(1, kappa, r)
     sets = []   # (S, kappa H1 term, second wavenumber or None) per set
     if kappa2 is not None:
@@ -181,12 +209,20 @@ def _kernels(kappa, kappa2, diff, r, src_nrm, tgt_nrm, plain=False, swap=False):
     if kappa2 is None or plain:
         sets.append((0.25j * h0, kappa * h1, None))
     if tgt_nrm is not None:
-        rhat_dot_tn = (diff[..., 0] * tgt_nrm[..., 0] + diff[..., 1] * tgt_nrm[..., 1]) / r
-        nn = src_nrm[..., 0] * tgt_nrm[..., 0] + src_nrm[..., 1] * tgt_nrm[..., 1]
-        ang = nn - 2.0 * rhat_dot_sn * rhat_dot_tn
+        tnx, tny = tgt_nrm
+        if exchanged is not None:
+            ex, ey = exchanged
+            rhat_dot_xn = (ex * tnx + ey * tny) / r
+        else:
+            rhat_dot_tn = (dx * tnx + dy * tny) / r
+            ang = (snx * tnx + sny * tny) - 2.0 * rhat_dot_sn * rhat_dot_tn
     out = []
     for S, kh1, k2 in sets:
-        out += [S, 0.25j * kh1 * rhat_dot_sn]
+        k_fac = 0.25j * kh1
+        out += [S, k_fac * rhat_dot_sn]
+        if exchanged is not None:
+            out.append(k_fac * rhat_dot_xn)
+            continue
         beside = k2 is None and kappa2 is not None   # the plain set beside a difference
         if tgt_nrm is None or (beside and not swap):
             continue
@@ -282,24 +318,42 @@ def _log_split(kappa, r):
     return (a_s, a_t), (b_s, b_t)
 
 
-def _far_chunks(kappa, kappa2, src, tgt_pts, tgt_nrm, kinds, tri=False, **options):
+def _far_chunks(kappa, kappa2, src, tgt_pts, tgt_nrm, kinds, tri=False, exchanged=False,
+                **options):
     """(i0, i1, j0, values) per chunk of targets: the unweighted `_kernels`
     values (with `options`) between targets i0:i1 and source nodes j0:,
     at most _FAR_BUDGET entries over the `kinds` the caller fills.  j0 is
     0, or with `tri` (the targets are the source nodes) i0, in chunks of
-    at most _TRI_ROWS rows: one triangle of pairs and the diagonal tiles."""
+    at most _TRI_ROWS rows: one triangle of pairs and the diagonal tiles.
+    `exchanged` hands `_kernels` the planes of y - x too."""
     nt, ns = len(tgt_pts), src.n_nodes
     step = max(1, _FAR_BUDGET // (kinds * max(ns, 1)))
     if tri:
         step = min(step, _TRI_ROWS)
+    (tx, ty), (sx, sy), (snx, sny) = tgt_pts.T, src.nodes.T, src.normals.T
     for i0 in range(0, nt, step):
         i1, j0 = min(nt, i0 + step), i0 if tri else 0
-        d = tgt_pts[i0:i1, None, :] - src.nodes[None, j0:, :]
-        r = np.hypot(d[..., 0], d[..., 1])
+        # (rows, cols) planes; the normals broadcast as source rows and target columns
+        dx, dy = tx[i0:i1, None] - sx[j0:], ty[i0:i1, None] - sy[j0:]
+        r = np.hypot(dx, dy)
         r = np.where(r == 0.0, 1.0, r)  # self nodes fixed below by near pass
-        sn = np.broadcast_to(src.normals[None, j0:, :], d.shape)
-        tn = None if tgt_nrm is None else np.broadcast_to(tgt_nrm[i0:i1, None, :], d.shape)
-        yield i0, i1, j0, _kernels(kappa, kappa2, d, r, sn, tn, **options)
+        tn = None if tgt_nrm is None else (tgt_nrm[i0:i1, 0, None], tgt_nrm[i0:i1, 1, None])
+        ex = {}
+        if exchanged:
+            ex["exchanged"] = (sx[j0:] - tx[i0:i1, None], sy[j0:] - ty[i0:i1, None])
+        yield i0, i1, j0, _kernels(kappa, kappa2, (dx, dy), r, (snx[j0:], sny[j0:]), tn,
+                                   **options, **ex)
+
+
+def _far_pass(chunks, src_w, fwd, kf, back=(), kb=(), tgt_w=None):
+    """Write the far values of `chunks` (`_far_chunks`) times the weights:
+    value kind kf[m] of each chunk into fwd[m] at (targets, sources), and
+    kind kb[m], transposed, into back[m] at (sources, targets)."""
+    for i0, i1, j0, vals in chunks:
+        for blk, k in zip(fwd, kf):
+            blk[i0:i1, j0:] = vals[k] * src_w[j0:]
+        for blk, k in zip(back, kb):
+            blk[j0:, i0:i1] = vals[k].T * tgt_w[i0:i1]
 
 
 def assemble_block(kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
@@ -312,14 +366,25 @@ def assemble_block(kappa, src, tgt_pts, tgt_nrm=None, kappa2=None):
     panel, so its entries on that panel are NaN; every other entry is
     finite.  A target inside a panel is taken to have the panel's normal:
     K and Kp vanish there.
+
+    Targets that are the source's own nodes (equal bytes) with no normals,
+    a cell region's block, take one triangle of far pairs, each with the S
+    and K of its exchanged pair (`_kernels` with `exchanged`), so the block
+    is bit for bit the one every pair in both orders gives.
     """
     tgt_pts = np.atleast_2d(np.asarray(tgt_pts, dtype=float))
     if tgt_nrm is not None:
         tgt_nrm = np.atleast_2d(np.asarray(tgt_nrm, dtype=float))
     out = np.empty((2 if tgt_nrm is None else 4, len(tgt_pts), src.n_nodes), dtype=complex)
-    for i0, i1, _, vals in _far_chunks(kappa, kappa2, src, tgt_pts, tgt_nrm, len(out)):
-        for blk, v in zip(out, vals):
-            blk[i0:i1] = v * src.weights[None, :]
+    w = src.weights
+    if tgt_nrm is None and tgt_pts.shape == src.nodes.shape and (
+            tgt_pts.tobytes() == src.nodes.tobytes()):
+        _far_pass(_far_chunks(kappa, kappa2, src, src.nodes, src.normals, 3,
+                              tri=True, exchanged=True),
+                  w, out, (0, 1), out, (0, 2), w)
+    else:
+        _far_pass(_far_chunks(kappa, kappa2, src, tgt_pts, tgt_nrm, len(out)),
+                  w, out, range(len(out)))
     if len(tgt_pts):
         _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out)
     return out
@@ -345,12 +410,9 @@ def assemble_nest_blocks(kappa, src, tgt, kappa2=None, plain=False):
     # the kind in the values of each block of fwd and of back: the
     # exchanged pair's S, K, Kp and T are S, Kp, K and T' (see _kernels)
     kf, kb = (0, 1, 2, 3, 5, 6), (0, 2, 1, 4, 5, 7)
-    for i0, i1, j0, vals in _far_chunks(kappa, kappa2, src, tgt.nodes, tgt.normals,
-                                        sum(map(len, blocks)), tri, plain=plain, swap=True):
-        for blk, k in zip(fwd, kf):
-            blk[i0:i1, j0:] = vals[k] * src.weights[j0:]
-        for blk, k in zip(back, kb):
-            blk[j0:, i0:i1] = vals[k].T * tgt.weights[i0:i1]
+    _far_pass(_far_chunks(kappa, kappa2, src, tgt.nodes, tgt.normals, sum(map(len, blocks)),
+                          tri, plain=plain, swap=True),
+              src.weights, fwd, kf, back, kb, tgt.weights)
     _fix_near(kappa, kappa2, src, tgt.nodes, tgt.normals, fwd, plain)
     if not tri:
         _fix_near(kappa, kappa2, tgt, src.nodes, src.normals, back)
@@ -401,24 +463,23 @@ def _node_map(n, n_gl):
 
 def _fixed_batches(own, size, t_star):
     """The fixed layouts, at most _NEAR_CHUNK // n pairs per batch of n-node
-    rules: (n, pairs, log weight over Gauss weight per node or None), the
-    nodes node-major (node k of every pair, then node k + 1).  Own-panel
-    pairs take the _OWN_M-node product rule, the pairs of each size in
-    _SINGLE_SIZES its single Gauss rule."""
-    groups = [(_OWN_M, np.nonzero(own)[0], True)]
-    groups += [(n, np.nonzero(size == n)[0], False) for n in _SINGLE_SIZES]
-    wo = gauss_legendre(_OWN_M)[1]
-    for n, group, product in groups:
+    rules: (n, pairs, log weight over Gauss weight as (nodes, pairs) or
+    None).  Own-panel pairs take the _OWN_M-node product rule, the pairs of
+    each size in _SINGLE_SIZES its single Gauss rule.  A pair's log weights
+    depend on its t* alone, so they are computed once per distinct t* (by
+    its bits) and gathered."""
+    p = np.nonzero(own)[0]
+    # exact moments of log|t - t*| times the Legendre expansion of the
+    # _OWN_M-point Lagrange basis, a fixed-order sum per column
+    bits, inverse = np.unique(t_star[p].view(np.int64), return_inverse=True)
+    wlog = _to_nodes(_log_moments(bits.view(float), _OWN_M), _interp_coeffs(_OWN_M))
+    wratio = (wlog / gauss_legendre(_OWN_M)[1][:, None])[:, inverse]
+    groups = [(_OWN_M, p, wratio)]
+    groups += [(n, np.nonzero(size == n)[0], None) for n in _SINGLE_SIZES]
+    for n, group, wr in groups:
         step = max(1, _NEAR_CHUNK // n)
         for b0 in range(0, len(group), step):
-            p = group[b0:b0 + step]
-            wratio = None
-            if product:
-                # exact moments of log|t - t*| times the Legendre expansion
-                # of the _OWN_M-point Lagrange basis, a fixed-order sum
-                wlog = _to_nodes(_log_moments(t_star[p], _OWN_M), _interp_coeffs(_OWN_M))
-                wratio = (wlog / wo[:, None]).ravel()
-            yield n, p, wratio
+            yield n, group[b0:b0 + step], None if wr is None else wr[:, b0:b0 + step]
 
 
 def _near_sides(t_star, dist, ell):
@@ -488,7 +549,8 @@ def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out, plain=False):
     size = np.where(own, -1, _single_sizes(from_a, ab[pi]))
     # the target from its closest point, formed once: node offsets s = t - t*
     # then give x - y without the cancellation of two nearby points
-    from_c = from_a - (0.5 + 0.5 * t_star)[:, None] * ab[pi]
+    from_c = (from_a - (0.5 + 0.5 * t_star)[:, None] * ab[pi]).T
+    tn_pair = None if tgt_nrm is None else tgt_nrm[ti].T
 
     def write(p, nodes):
         """nodes (kinds, n_gl, pairs) into the rows and panel columns of the pairs p."""
@@ -498,12 +560,13 @@ def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out, plain=False):
 
     def values(p, spread, s, wratio=None):
         """Kernel values times the half panel length at the offsets s of the
-        pairs p, whose data `spread` takes from pairs to nodes; with wratio
-        by the product rule (_product_rule)."""
+        pairs p, whose per-pair data `spread` takes to the layout of s; with
+        wratio by the product rule (_product_rule)."""
         pn = pi[p]
-        d = spread(from_c[p]) - (0.5 * s)[:, None] * spread(ab[pn])
-        r = np.hypot(d[:, 0], d[:, 1])
-        sn, tn = spread(normal[pn]), None if tgt_nrm is None else spread(tgt_nrm[ti[p]])
+        d = [spread(f[p]) - (0.5 * s) * spread(a[pn]) for f, a in zip(from_c, ab.T)]
+        r = np.hypot(*d)
+        sn = [spread(c[pn]) for c in normal.T]
+        tn = None if tn_pair is None else [spread(c[p]) for c in tn_pair]
         half = spread(0.5 * length[pn])
         if wratio is None:
             vals = np.stack(_kernels(kappa, kappa2, d, r, sn, tn, plain))
@@ -511,7 +574,7 @@ def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out, plain=False):
             dt = np.abs(s)
             hit = dt <= _HIT_TOL   # node on the target
             vals = np.stack(_kernels(kappa, kappa2, d, np.where(hit, 1.0, r), sn, tn, plain))
-            nn = None if tn is None else (sn * tn).sum(axis=1)
+            nn = None if tn is None else sn[0] * tn[0] + sn[1] * tn[1]
             # views; `plain` adds the S and K of kappa alone (_kernels)
             sets = (zip((kappa2, None), (vals[:-2], vals[-2:])) if plain
                     else [(kappa2, vals)])
@@ -520,16 +583,16 @@ def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out, plain=False):
         vals *= half
         return vals
 
-    # fixed layouts, node-major: a pair's data tiled once per node
+    # fixed layouts: (nodes, pairs) planes from per-pair rows, node-major in C order
     for n, p, wratio in _fixed_batches(own, size, t_star):
-        s = np.repeat(gauss_legendre(n)[0], len(p)) - np.tile(t_star[p], n)
-        vals = values(p, lambda a: np.concatenate([a] * n), s, wratio)
-        write(p, _to_nodes(vals.reshape(len(out), n, len(p)), _node_map(n, n_gl)))
+        s = gauss_legendre(n)[0][:, None] - t_star[p]
+        vals = values(p, lambda a: a[None, :], s, wratio)
+        write(p, _to_nodes(vals, _node_map(n, n_gl)))
     # geometric rules, pair-major: a pair's data repeated over its nodes
     geo = np.nonzero(size == 0)[0]
     moments = np.empty((len(out), n_gl, len(geo)), dtype=complex)   # per kind and pair
     for sl, reps, s, wf in _geometric_chunks(t_star[geo], dist[geo], length[pi[geo]]):
-        spread = partial(np.repeat, repeats=reps, axis=0)
+        spread = partial(np.repeat, repeats=reps)
         vals = values(geo[sl], spread, s)
         vals *= wf
         table = _legendre_table(spread(t_star[geo[sl]]) + s, n_gl)
@@ -540,7 +603,7 @@ def _fix_near(kappa, kappa2, src, tgt_pts, tgt_nrm, out, plain=False):
 
 
 def _product_rule(kappa, kappa2, vals, r, dt, wratio, half, nn):
-    """Turn the kernel values `vals` (kinds x nodes) at the product-rule
+    """Turn the kernel values `vals` (kinds, nodes, pairs) at the product-rule
     nodes of own-panel pairs into values that the nodes' Gauss weights
     integrate with the product rule.
 

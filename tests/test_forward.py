@@ -461,8 +461,7 @@ def _own_panel_row(kind, kap, kap2, p, x, tn):
     to, wo = gauss_legendre(_OWN_M)
     d = x - (0.5 * (p.a + p.b) + 0.5 * to[:, None] * ab)
     r = np.hypot(d[:, 0], d[:, 1])
-    vals = _kernels(kap, kap2, d, r, np.broadcast_to(p.normal, d.shape),
-                    None if tn is None else np.broadcast_to(tn, d.shape))[KINDS.index(kind)]
+    vals = _kernels(kap, kap2, d.T, r, p.normal, tn)[KINDS.index(kind)]
     k2 = 0.0 if kap2 is None else kap2
     if kind == "S":
         a = -(jv(0, kap * r) - (0.0 if kap2 is None else jv(0, k2 * r))) / (2 * np.pi)
@@ -524,8 +523,7 @@ def _near_rows_per_target(kind, kap, kap2, src, x, tn):
                 tf, wf = np.concatenate(nodes), np.concatenate(wts)
             d = x[i] - (0.5 * (p.a + p.b) + 0.5 * tf[:, None] * ab)
             r = np.hypot(d[:, 0], d[:, 1])
-            vals = _kernels(kap, kap2, d, r, np.broadcast_to(p.normal, d.shape),
-                            None if tn is None else np.broadcast_to(tn[i], d.shape))
+            vals = _kernels(kap, kap2, d.T, r, p.normal, None if tn is None else tn[i])
             rows[i, pi] = (wf * 0.5 * p.length * vals[KINDS.index(kind)]) @ _lagrange_basis(
                 p.t_nodes, tf)
     return rows
@@ -661,8 +659,9 @@ def test_hankel_values_shared_by_all_kinds(monkeypatch):
         near = passes[1:]
         assert passes[0] == (tgt.n_nodes, src.n_nodes) and near
         # near batches and chunks hold whole pairs: each at most one pair (2 x 170 nodes)
-        # past the chunk size
-        assert all(len(shape) == 1 and shape[0] < lo._NEAR_CHUNK + 340 for shape in near)
+        # past the chunk size; fixed layouts are (nodes, pairs) planes, geometric ones flat
+        assert all(len(shape) in (1, 2) and np.prod(shape) < lo._NEAR_CHUNK + 340
+                   for shape in near)
         assert sorted(orders) == [0] * len(passes) + [1] * len(passes), src is tgt
 
 
@@ -1028,15 +1027,46 @@ def test_solve_system_refines_to_double_accuracy():
         assert 0.1 * cond <= est <= 100 * cond
 
 
+def _hankel_points(monkeypatch):
+    """Count the Hankel points that `layerops` evaluates, as {"far": ...,
+    "near": ...}: a point is near while `_fix_near` runs, far otherwise."""
+    import polyscat.forward.layerops as lo
+
+    points, in_near = {"far": 0, "near": 0}, []
+    hankel, fix_near = lo._hankel, lo._fix_near
+
+    def counted(order, kappa, r):
+        points["near" if in_near else "far"] += r.size
+        return hankel(order, kappa, r)
+
+    def near(*args):
+        in_near.append(True)
+        try:
+            return fix_near(*args)
+        finally:
+            in_near.pop()
+
+    monkeypatch.setattr(lo, "_hankel", counted)
+    monkeypatch.setattr(lo, "_fix_near", near)
+    return points
+
+
+def _triangle(n, rows):
+    """The pairs of one triangle of an n x n self block with the diagonal
+    tiles of its chunks of `rows` rows."""
+    return sum((min(i0 + rows, n) - i0) * (n - i0) for i0 in range(0, n, rows))
+
+
 def test_nest_assembly_evaluates_each_far_hankel_value_once(nested_squares, monkeypatch):
     """On a 2-interface nest with lambda_1 != 0, per (target, source node)
-    pair the far passes of one assembly take 6 Hankel values, against 14 for
-    one `assemble_block` call per block: H0 and H1 of kappa_0 and kappa_1 on
-    one triangle of the outer self pairs (shared with the plain block), of
-    kappa_1 once for both cross blocks, and of kappa_1 and kappa_2 on one
-    triangle of the inner self pairs.  Only the diagonal tiles of the
-    triangle's row chunks are extra.  The plain block's near pass adds no
-    Hankel value either."""
+    pair the far passes of one assembly take 6 Hankel values, against 12
+    for one `assemble_block` call per block plus H0 and H1 of kappa_0 on one
+    triangle for the plain self block (its targets are its own nodes): H0
+    and H1 of kappa_0 and kappa_1 on one triangle of the outer self pairs
+    (shared with the plain block), of kappa_1 once for both cross blocks,
+    and of kappa_1 and kappa_2 on one triangle of the inner self pairs.
+    Only the diagonal tiles of the triangle's row chunks are extra.  The
+    plain block's near pass adds no Hankel value either."""
     import polyscat.forward.layerops as lo
     from polyscat.forward.solver import region_wavenumbers
 
@@ -1045,31 +1075,118 @@ def test_nest_assembly_evaluates_each_far_hankel_value_once(nested_squares, monk
     (c0, c1), (k0, k1, k2) = mesh.curves, region_wavenumbers(med)
     n = c0.n_nodes
     assert c1.n_nodes == n
-    points = {1: 0, 2: 0}   # Hankel points of the near (flat) and far (2-D) passes
-    hankel = lo._hankel
-
-    def counted(order, kappa, r):
-        points[r.ndim] += r.size
-        return hankel(order, kappa, r)
-
-    monkeypatch.setattr(lo, "_hankel", counted)
+    points = _hankel_points(monkeypatch)
     for block in ((k0, c0, c0.nodes, c0.normals, k1), (k0, c0, c0.nodes, None, None),
                   (k1, c0, c1.nodes, c1.normals, None), (k1, c1, c0.nodes, c0.normals, None),
                   (k1, c1, c1.nodes, c1.normals, k2)):
         lo.assemble_block(*block[:4], kappa2=block[4])
-    assert points[2] == 14 * n * n
+    assert points["far"] == 12 * n * n + 2 * _triangle(n, lo._TRI_ROWS)
     for rows in (1, lo._TRI_ROWS):
         monkeypatch.setattr(lo, "_TRI_ROWS", rows)
-        points.update({1: 0, 2: 0})
+        points.update(far=0, near=0)
         assemble_nest(med, mesh)
-        # the pairs of one self triangle with the diagonal tiles of its chunks
-        tri = sum((min(i0 + rows, n) - i0) * (n - i0) for i0 in range(0, n, rows))
-        assert points[2] == 2 * 4 * tri + 2 * n * n, rows
-        assert rows > 1 or points[2] == 6 * n * n + 4 * n
+        tri = _triangle(n, rows)
+        assert points["far"] == 2 * 4 * tri + 2 * n * n, rows
+        assert rows > 1 or points["far"] == 6 * n * n + 4 * n
     # the plain block's near pass rides on the difference block's
-    points.update({1: 0, 2: 0})
+    points.update(far=0, near=0)
     lo.assemble_nest_blocks(k0, c0, c0, k1, True)
-    shared = points[1]
-    points.update({1: 0, 2: 0})
+    shared = points["near"]
+    points.update(far=0, near=0)
     lo.assemble_block(k0, c0, c0.nodes, c0.normals, kappa2=k1)
-    assert shared == points[1] > 0
+    assert shared == points["near"] > 0
+
+
+def _cell_regions(nodes_per_edge):
+    """(kappa, source curve, targets) of each `assemble_cell` region block of
+    a split square (q = 2, 3 + 0.1i) and of a T-junction (q = 2, 3 + 0.2i,
+    1.5), both with lambda* = 0.5i and k = 1."""
+    from unittest import mock
+
+    import polyscat.forward.cellsolver as cs
+    from polyscat.forward.cellsolver import assemble_cell
+    from polyscat.geometry import CellPartition
+    from polyscat.medium import CellMedium
+
+    sq = lambda a, b, c, d: Polygon([[a, b], [c, b], [c, d], [a, d]])   # noqa: E731
+    hull = sq(-0.5, -0.5, 0.5, 0.5)
+    split = CellPartition([sq(-0.5, -0.5, 0.0, 0.5), sq(0.0, -0.5, 0.5, 0.5)], hull)
+    tee = CellPartition([sq(-0.5, -0.5, 0.0, 0.5), sq(0.0, 0.0, 0.5, 0.5),
+                         sq(0.0, -0.5, 0.5, 0.0)], hull)
+    calls = []
+    block = cs.assemble_block
+    with mock.patch.object(cs, "assemble_block", lambda *a: calls.append(a) or block(*a)):
+        for part, q in ((split, [2.0, 3.0 + 0.1j]), (tee, [2.0, 3.0 + 0.2j, 1.5])):
+            assemble_cell(CellMedium(part, q=q, lambda_star=0.5j, k=1.0), nodes_per_edge)
+    assert len(calls) == 7
+    return calls
+
+
+def test_cell_region_far_pass_evaluates_one_triangle(monkeypatch):
+    """A cell region's block takes the region's own nodes as targets, so its
+    far pass evaluates H0 and H1 on one triangle of pairs and the diagonal
+    tiles of its row chunks, counted as in
+    `test_nest_assembly_evaluates_each_far_hankel_value_once`, and its near
+    pass is that of the same targets in two halves."""
+    import polyscat.forward.layerops as lo
+
+    regions = _cell_regions(16)
+    points = _hankel_points(monkeypatch)
+    for rows in (1, 7, lo._TRI_ROWS):
+        monkeypatch.setattr(lo, "_TRI_ROWS", rows)
+        for kap, src, x in regions:
+            n = src.n_nodes
+            assert x is src.nodes and 3 * n * lo._TRI_ROWS <= lo._FAR_BUDGET
+            points.update(far=0, near=0)
+            lo.assemble_block(kap, src, x)
+            far, near = points["far"], points["near"]
+            points.update(far=0, near=0)
+            for half in (x[:n // 2], x[n // 2:]):
+                lo.assemble_block(kap, src, half)
+            assert far == 2 * _triangle(n, rows) < points["far"] == 2 * n * n, (rows, n)
+            assert near == points["near"] > 0
+
+
+@pytest.mark.parametrize("kap", [np.sqrt(2.0), np.sqrt(3 + 0.2j)], ids=["sqrt2", "complex"])
+@pytest.mark.parametrize("budget", [None, 3000], ids=["default-chunks", "uneven-chunks"])
+def test_own_node_blocks_equal_the_rectangle_bitwise(monkeypatch, kap, budget):
+    """With targets equal to its own nodes and no target normals,
+    `assemble_block` (one triangle of far pairs) equals the rectangle bit
+    for bit, signs of zeros included, on every region of a split square and
+    of a T-junction, with and without kappa2.  The reference passes the
+    targets in two halves, which takes the rectangle, since a row does not
+    depend on the other targets of its call."""
+    import polyscat.forward.layerops as lo
+
+    regions = _cell_regions(16)
+    if budget is not None:
+        monkeypatch.setattr(lo, "_FAR_BUDGET", budget)
+        monkeypatch.setattr(lo, "_TRI_ROWS", 7)
+    for _, src, x in regions:
+        h = src.n_nodes // 2 + 1
+        for kap2 in (None, 1.0):
+            got = lo.assemble_block(kap, src, x, kappa2=kap2)
+            ref = np.concatenate([lo.assemble_block(kap, src, x[:h], kappa2=kap2),
+                                  lo.assemble_block(kap, src, x[h:], kappa2=kap2)], axis=1)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), kap2
+
+
+def test_self_block_rows_with_shared_t_star_equal_per_target_rows():
+    """On a 32-gon self block, where many own-panel pairs share the closest
+    point t* (by bits) and so share one column of product-rule log weights,
+    every row equals its own single-target `assemble_block` row bit for bit:
+    with target normals and kappa2, and on own nodes without normals."""
+    from polyscat.forward.layerops import _OWN_TOL, _near_pairs, assemble_block
+
+    th = 2 * np.pi * np.arange(32) / 32
+    c = build_mesh([Polygon(np.column_stack([np.cos(th), np.sin(th)]))], 8).curves[0]
+    ti, pi, t_star, dist = _near_pairs(c.pa, c.pb - c.pa, c.plen, c.nodes)
+    own = (dist <= _OWN_TOL * c.plen[pi]) & (np.abs(t_star) < 1.0)
+    assert own.sum() == c.n_nodes
+    assert 2 * len(np.unique(t_star[own].view(np.int64))) <= own.sum()
+    kap = np.sqrt(3 + 0.2j)
+    for tn, kap2 in ((c.normals, 1.7), (None, None)):
+        block = assemble_block(kap, c, c.nodes, tn, kappa2=kap2)
+        for i in range(c.n_nodes):
+            one = assemble_block(kap, c, c.nodes[i], None if tn is None else tn[i], kappa2=kap2)
+            assert one.tobytes() == block[:, i:i + 1].tobytes(), (i, kap2)
