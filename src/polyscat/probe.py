@@ -23,22 +23,19 @@ Bessel series in the sector's own frame evaluates J_n once per radius and
 its angular factors once per angle there.  A field with no grid form (a
 world-frame series, or any other sampler) is sampled at the grid's
 Cartesian points instead.  Edge and arc grids are always sampled at
-their points.  The weight is computed once per grid and s: the
-three area integrals of one s (I2 and the residual's u2 and v integrals)
-share one u0(s .) table per level, and the four edge integrals of one s
-(the remainders and the residual's edge terms) one factor per edge and
-level, through one quadrature.U0Tables that lives while that s is
-processed.  Each integral still refines and stops exactly as it would
-alone, and every sum multiplies in the same order, so no bit moves.  The
-numerator, denominator and identity residual are assembled once per s,
-and the eta and omega estimates are both read off them.  The
-manufactured scenario's fit shares its edge samples the same way: J_n(kappa
-r) and the u2 Cauchy data are taken once per edge grid and serve every fit
-s and every basis element.  The Green moment integrands of one edge and s
-(every basis element and the target) are one table per edge level, built
-when the first of those moments meets the level; each moment reads its
-row, with the bits it would have alone, and they share one u0(s .)
-factor per level.
+their points, an edge grid on both edges in one call.  The integrals of
+one s that share a rule are rows of one refinement (quadrature._refine):
+one area refinement covers I2 and the identity residual's u2 and v
+integrals, and one edge refinement per edge the remainder I32 and the
+residual's edge term.  Each row stops at the level it would reach alone,
+with the same bits, and each level's u0(s .) weight is built once for
+all its rows.  The numerator, denominator and identity residual are
+assembled once per s, and the eta and omega estimates are both read off
+them.  The manufactured scenario's fit shares its edge samples the same
+way: J_n(kappa r) and the u2 Cauchy data are taken once per edge grid and
+serve every fit s and every basis element, and the Green moments of one
+edge and s (every basis element and the target) are the rows of one edge
+refinement.
 
 The manufactured fields are Fourier-Bessel series
 sum_n J_n(kappa r)(a_n cos n theta + b_n sin n theta).  Every order
@@ -49,10 +46,11 @@ the same rows.  On points, the series sampler takes them in chunks of
 _CHUNK, so the row table never spans more than one chunk.  Within a
 chunk it runs the recurrence on the distinct radii only, and evaluates
 cos n theta, sin n theta and the angular factors on the distinct angles
-only, then gathers both back to the points.  Every step is elementwise,
-so each point's bits are those it gets alone.  Its grid form sums the
-same products over n in the same order on the grid's own radii and
-angles, which the points reproduce only to rounding.
+only, then gathers both back to the points; a chunk of apex points alone
+(a corner value) takes the r -> 0 limit and runs no recurrence.  Every
+step is elementwise, so each point's bits are those it gets alone.  Its
+grid form sums the same products over n in the same order on the grid's
+own radii and angles, which the points reproduce only to rounding.
 
 Sign conventions: estimates are of eta1 - eta2 and omega1 - omega2.
 The exact exponential corrections of the closed-form edge integral are
@@ -61,7 +59,6 @@ kept on the known side (inside the denominator), not bounded away.
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,8 +66,7 @@ import numpy as np
 from . import cgo
 from .geometry import CornerSector
 from .medium import sqrt_im_nonneg
-from .quadrature import (U0Tables, arc_integral, edge_u0_integral, polar_points,
-                         sector_area_integral)
+from .quadrature import arc_integral, edge_u0_integral, polar_points, sector_area_integral
 
 
 @dataclass(frozen=True)
@@ -210,9 +206,8 @@ def _arc_functional(arc, sector: CornerSector, s, tol):
     return arc_integral(F, sector.theta_m, sector.theta_M, tol)
 
 
-def _area_functional(f, sector: CornerSector, s, tol, u0_tables=None):
-    return sector_area_integral(f, sector.theta_m, sector.theta_M, sector.h, s, tol,
-                                u0_tables=u0_tables)
+def _area_functional(f, sector: CornerSector, s, tol):
+    return sector_area_integral(f, sector.theta_m, sector.theta_M, sector.h, s, tol)
 
 
 class _Edge(NamedTuple):
@@ -222,110 +217,112 @@ class _Edge(NamedTuple):
     normal: np.ndarray      # outward unit normal in the world frame
 
 
+_SIDES = ("+", "-")
+
+
 def _edge(sector: CornerSector, side):
-    if side not in ("+", "-"):
+    if side not in _SIDES:
         raise ValueError("side must be '+' or '-'")
     theta, sign = (sector.theta_M, 1.0) if side == "+" else (sector.theta_m, -1.0)
     return _Edge(theta, sign, np.array([math.cos(theta), math.sin(theta)]),
                  sector.vec_to_world(sign * np.array([-math.sin(theta), math.cos(theta)])))
 
 
-def _edge_trace(u: FieldSampler, sector: CornerSector, side, grad=False):
-    """radii -> u on one edge, each grid sampled once: its values, or with
-    grad the pair (values, dnu u)."""
-    e = _edge(sector, side)
+def _edge_traces(u: FieldSampler, sector: CornerSector, grad=False):
+    """radii -> u on both edges, rows '+' then '-': the (2, len(r)) table of
+    values, or with grad the pair (values, dnu u), both edges sampled in
+    one call."""
+    edges = [_edge(sector, side) for side in _SIDES]
 
     def f(r):
-        pts = sector.to_world(np.asarray(r)[:, None] * e.direction[None, :])
+        r = np.asarray(r)
+        pts = sector.to_world(np.concatenate([r[:, None] * e.direction[None, :]
+                                              for e in edges]))
         if not grad:
-            return u.values(pts)
+            return u.values(pts).reshape(2, len(r))
         vals, grads = u(pts)
-        return vals, grads @ e.normal
+        grads = grads.reshape(2, len(r), 2)
+        return vals.reshape(2, len(r)), np.stack([g @ e.normal for g, e in zip(grads, edges)])
 
-    return _once_per_grid(f)
-
-
-def _edge_remainder(edge, u2_0, sector: CornerSector, s, side, tol, u0_tables=None):
-    """I32: int_0^h (u2 - u2(0)) u0(s.) dr along one edge, from u2's edge values."""
-    return edge_u0_integral(_edge(sector, side).theta, s, sector.h,
-                            g=lambda r: edge(r) - u2_0, tol=tol, u0_tables=u0_tables)
+    return f
 
 
 class _GridSamples(NamedTuple):
-    """u1 and u2 on the quadrature grids of one sector, each grid sampled once."""
-    u1_area: Callable     # polar grid (r, t) -> table of u1 values
-    u2_area: Callable     # polar grid (r, t) -> table of u2 values
-    u2_edge: dict         # side -> (radii -> u2 values on that edge)
+    """The extraction's integrands on the quadrature grids of one sector,
+    each grid sampled and tabulated once for every s."""
+    area: Callable        # polar grid (r, t) -> (3, len(r), len(t)): v - v(0), u2, v
+    edges: Callable       # radii -> (2, 2, len(r)): per edge, '+' then '-', u2 - u2(0), u2
     v_arc: Callable       # thetas -> (v, dnu v) on the arc, v = u1 - u2
 
 
-def _grid_samples(sc: ProbeScenario):
+def _grid_samples(sc: ProbeScenario, u2_0, v0):
     sec = sc.sector
-    return _GridSamples(
-        _once_per_grid(partial(sc.u1.on_grid, sec)),
-        _once_per_grid(partial(sc.u2.on_grid, sec)),
-        {side: _edge_trace(sc.u2, sec, side) for side in ("+", "-")},
-        _once_per_grid(_arc_values(sc.u1 - sc.u2, sec)))
+    u2_edges = _edge_traces(sc.u2, sec)
+
+    def area(r, t):
+        u2 = sc.u2.on_grid(sec, r, t)
+        v = sc.u1.on_grid(sec, r, t) - u2
+        return np.stack([v - v0, u2, v])
+
+    def edges(r):
+        u2 = u2_edges(r)
+        return np.stack([u2 - u2_0, u2], axis=1)
+
+    return _GridSamples(_once_per_grid(area), _once_per_grid(edges),
+                        _once_per_grid(_arc_values(sc.u1 - sc.u2, sec)))
 
 
 class _Functionals(NamedTuple):
     """Everything one s contributes: both sides of the extraction and the
-    identity residual, with the quadratures behind them."""
+    identity residual (relative residual, quadrature error estimate,
+    scale), with the quadratures behind them."""
     num: complex
     den: complex
-    residual: float
+    residual: tuple
     quads: tuple
 
 
-def _denominator(sc: ProbeScenario, edges, s, u2_0, tol, u0_tables):
-    """u2(0) (I31+ + I31-) + (I32+ + I32-); the eta-carrying known side."""
-    i31p = cgo.edge_integral_exact(sc.sector.theta_M, s, sc.sector.h)
-    i31m = cgo.edge_integral_exact(sc.sector.theta_m, s, sc.sector.h)
-    qp = _edge_remainder(edges["+"], u2_0, sc.sector, s, "+", tol, u0_tables)
-    qm = _edge_remainder(edges["-"], u2_0, sc.sector, s, "-", tol, u0_tables)
-    return u2_0 * (i31p + i31m) + (qp.value + qm.value), (qp, qm)
-
-
-def _residual(sc: ProbeScenario, grids: _GridSamples, s, i1, tol, u0_tables):
-    """Identity residual at one s from shared samples, u0 tables and I1; see
-    identity_residual."""
-    sec = sc.sector
+def _residual(sc: ProbeScenario, i1, lhs_q, rhs_v, edge_qs):
+    """Identity residual from I1, the area integrals of u2 and v and the edge
+    integrals of u2; see identity_residual."""
     k2 = sc.k**2
-    lhs_q = _area_functional(grids.u2_area, sec, s, tol, u0_tables)
     lhs = k2 * (sc.omega2 - sc.omega1) * lhs_q.value
-    rhs_v = _area_functional(lambda r, t: grids.u1_area(r, t) - grids.u2_area(r, t), sec, s,
-                             tol, u0_tables)
     eta_d = sc.eta1 - sc.eta2
     edge_terms = 0j
     edge_err = 0.0
-    quads = [lhs_q, rhs_v]
-    for side in ("+", "-"):
-        q = edge_u0_integral(_edge(sec, side).theta, s, sec.h, g=grids.u2_edge[side],
-                             tol=tol, u0_tables=u0_tables)
+    for q in edge_qs:
         edge_terms += eta_d * q.value
         edge_err += abs(eta_d) * q.error
-        quads.append(q)
     term_v = k2 * sc.omega1 * rhs_v.value
     rhs = term_v + edge_terms + i1.value
     scale = max(abs(lhs), abs(term_v), abs(edge_terms), abs(i1.value), 1e-300)
     qerr = (abs(k2 * (sc.omega2 - sc.omega1)) * lhs_q.error
             + abs(k2 * sc.omega1) * rhs_v.error + i1.error + edge_err)
-    return (abs(lhs - rhs) / scale, qerr / scale, scale), tuple(quads)
+    return abs(lhs - rhs) / scale, qerr / scale, scale
 
 
-def _functionals(sc: ProbeScenario, grids: _GridSamples, s, u2_0, v0, tol):
-    """Numerator I1 + k^2 omega1 I2 (the measurable side), denominator and
-    identity residual at one s; I1 is shared by the numerator and residual,
-    and one set of u0(s .) tables by every area and edge integral."""
+def _functionals(sc: ProbeScenario, grids: _GridSamples, s, u2_0, tol):
+    """Numerator I1 + k^2 omega1 I2 (the measurable side), denominator
+    u2(0) (I31+ + I31-) + (I32+ + I32-) and identity residual at one s.
+
+    I1 is shared by the numerator and the residual.  One area refinement
+    covers I2 and the residual's integrals of u2 and v, and one edge
+    refinement per edge the remainder I32 and the residual's integral of
+    u2: each integral is a row of its refinement's table, which stops and
+    rounds as it would alone."""
     sec = sc.sector
-    tables = U0Tables()
     i1 = _arc_functional(grids.v_arc, sec, s, tol)
-    i2 = _area_functional(lambda r, t: grids.u1_area(r, t) - grids.u2_area(r, t) - v0, sec,
-                          s, max(tol, 1e-12), tables)
+    i2, lhs_q, rhs_v = _area_functional(grids.area, sec, s, (max(tol, 1e-12), tol, tol))
+    (rem_p, edge_p), (rem_m, edge_m) = (
+        edge_u0_integral(_edge(sec, side).theta, s, sec.h, g=lambda r, j=j: grids.edges(r)[j],
+                         tol=tol)
+        for j, side in enumerate(_SIDES))
     num = i1.value + sc.k**2 * sc.omega1 * i2.value
-    den, den_q = _denominator(sc, grids.u2_edge, s, u2_0, tol, tables)
-    (resid, _, _), res_q = _residual(sc, grids, s, i1, tol, tables)
-    return _Functionals(num, den, resid, (i1, i2, *den_q, *res_q))
+    i31p = cgo.edge_integral_exact(sec.theta_M, s, sec.h)
+    i31m = cgo.edge_integral_exact(sec.theta_m, s, sec.h)
+    den = u2_0 * (i31p + i31m) + (rem_p.value + rem_m.value)
+    return _Functionals(num, den, _residual(sc, i1, lhs_q, rhs_v, (edge_p, edge_m)),
+                        (i1, i2, rem_p, rem_m, lhs_q, rhs_v, edge_p, edge_m))
 
 
 def richardson_extrapolate(s_vals, estimates) -> Extrapolation:
@@ -356,8 +353,8 @@ def _extract(sc: ProbeScenario, s_grid, tol, eta, omega, eta_diff=None) -> Probe
     if omega and abs(u1_0) < 1e-12:
         raise ValueError("u1 vanishes at the corner; omega extraction undefined")
     v0 = u1_0 - u2_0
-    grids = _grid_samples(sc)
-    rows = [_functionals(sc, grids, s, u2_0, v0, tol) for s in s_grid]
+    grids = _grid_samples(sc, u2_0, v0)
+    rows = [_functionals(sc, grids, s, u2_0, tol) for s in s_grid]
     # per s: did every quadrature behind it converge, and its worst error estimate
     diag = {"u1_0": u1_0, "u2_0": u2_0, "v0": v0,
             "quad_converged": tuple(all(q.converged for q in f.quads) for f in rows),
@@ -381,7 +378,7 @@ def _extract(sc: ProbeScenario, s_grid, tol, eta, omega, eta_diff=None) -> Probe
             s_grid, [e for _, e in omega_ests])
         diag["eta_diff_input"] = eta_diff
     return ProbeResult(eta_ests, omega_ests, eta_x, omega_x,
-                       tuple(f.residual for f in rows), diag)
+                       tuple(f.residual[0] for f in rows), diag)
 
 
 def extract_eta_diff(sc: ProbeScenario, s_grid, tol=1e-12) -> ProbeResult:
@@ -411,11 +408,12 @@ def identity_residual(sc: ProbeScenario, s, tol=1e-12):
       RHS = k^2 omega1 int_{S_h} v u0 + (eta1-eta2) int_{edges} u2 u0 + I1
     Returns (relative residual, quadrature error estimate, scale), where
     the scale is the largest individual term so the relative residual is
-    meaningful even when one side vanishes.
+    meaningful even when one side vanishes.  Computed as the extraction
+    computes it, by _functionals.
     """
-    grids = _grid_samples(sc)
-    i1 = _arc_functional(grids.v_arc, sc.sector, s, tol)
-    return _residual(sc, grids, s, i1, tol, U0Tables())[0]
+    u2_0 = corner_value(sc.u2, sc.sector)
+    v0 = corner_value(sc.u1, sc.sector) - u2_0
+    return _functionals(sc, _grid_samples(sc, u2_0, v0), s, u2_0, tol).residual
 
 
 def admissibility_points(hull):
@@ -553,6 +551,8 @@ def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | 
 
     Coordinates are the sector's canonical frame when a sector is given
     (sampler still takes world points), otherwise the world frame itself.
+    At the apex it takes the r -> 0 limits, without the recurrence when a
+    call's points are all there (a corner value).
     """
     nmax = max(len(cos_coeffs), len(sin_coeffs))
     a, b = (np.pad(np.asarray(c, dtype=complex), (0, nmax - len(c)))
@@ -561,16 +561,24 @@ def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | 
         to_canon, vec_to_world = np.atleast_2d, lambda vecs: vecs
     else:
         to_canon, vec_to_world = sector.to_canonical, sector.vec_to_world
+    # the limits at the apex, where only the n = 0, 1 terms survive
+    apex_grad = 0.5 * kappa * np.array([a[1], b[1]]) if nmax > 1 else np.zeros(2, dtype=complex)
 
     def chunk(xy, vals, grads):
         """The series at canonical points xy into vals, and into grads
         (canonical frame) unless grads is None.  Radial and angular factors
         are computed on the chunk's distinct radii and angles, then
-        gathered to the points."""
+        gathered to the points.  A chunk of apex points alone takes the
+        limit without running the recurrence."""
         r = np.hypot(xy[:, 0], xy[:, 1])
+        tiny = r == 0
+        if tiny.all():
+            vals[:] = a[0]
+            if grads is not None:
+                grads[:] = apex_grad
+            return
         th, at_th = _distinct(np.arctan2(xy[:, 1], xy[:, 0]))
         d_r = d_t = 0j  # d_t: (1/r) d/dtheta
-        tiny = r == 0
         rs = np.where(tiny, 1.0, r)
         ur, at_r = _distinct(rs)
         jn = _bessel_rows(kappa, ur, nmax if grads is None else nmax + 1)
@@ -586,15 +594,13 @@ def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | 
                 dang = n * (-a[n] * sn + b[n] * cn)
                 d_r += djn[at_r] * ang[at_th]
                 d_t += jn_n / rs * dang[at_th]
-        # analytic limit at the corner: only the n=0,1 terms survive
         vals[tiny] = a[0]
         if grads is None:
             return
         rhat = np.column_stack([np.cos(th), np.sin(th)])[at_th]
         that = np.column_stack([-np.sin(th), np.cos(th)])[at_th]
         grads[:] = d_r[:, None] * rhat + d_t[:, None] * that
-        grads[tiny] = (0.5 * kappa * np.array([a[1], b[1]]) if nmax > 1
-                       else np.zeros(2, dtype=complex))
+        grads[tiny] = apex_grad
 
     def series(pts, grad):
         xy = to_canon(pts)
@@ -622,32 +628,24 @@ def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | 
                         grid_fn=None if sector is None else grid)
 
 
-def _edge_moment(sector: CornerSector, edge: _Edge, s, g, u0_tables):
-    """Green moment int_0^h g(r) u0(s.) dr of one integrand g, to quadrature
-    tolerance 1e-12, on the edge factors of u0_tables."""
-    return edge_u0_integral(edge.theta, s, sector.h, g=g, tol=1e-12, u0_tables=u0_tables)
-
-
 def _edge_moments(sector: CornerSector, edge: _Edge, fit_s, cauchy, scale):
     """Per fit s, the Green moments, integrands flux - (dnu u0 / u0) scale
     trace, of every row of the edge Cauchy data cauchy(r) -> (trace, flux),
     (m, len(r)) tables, with scale an (m, 1) column of constant trace
-    factors.  The integrands of one s are one table per edge level, made
-    when a moment first meets that level; each moment reads its row, and
-    one u0(s .) factor per level serves them all."""
+    factors.  The m integrands of one s are one table per edge level and
+    one edge refinement, to quadrature tolerance 1e-12; each moment is its
+    row's QuadResult, with the bits it has refined alone."""
     m = cgo.mu(edge.theta)
-    moments = []
-    for s in fit_s:
-        @_once_per_grid
-        def rows(r, s=s):
+
+    def moments(s):
+        def rows(r):
             trace, flux = cauchy(r)
             fac = edge.sign * (-0.5j) * np.sqrt(s / r) * m
             return flux - fac * trace * scale
 
-        tables = U0Tables()
-        moments.append([_edge_moment(sector, edge, s, lambda r, i=i, rows=rows: rows(r)[i],
-                                     tables) for i in range(len(scale))])
-    return moments
+        return edge_u0_integral(edge.theta, s, sector.h, g=rows, tol=1e-12)
+
+    return [moments(s) for s in fit_s]
 
 
 DEFAULT_U2_COS = (1.0, 0.25, 0.15, 0.08)
@@ -689,11 +687,12 @@ def manufactured_scenario(sector: CornerSector, k, omega1, omega2, eta1, eta2,
     rr = h * np.geomspace(1e-6, 1.0, 64)
     wn = 0.3 * h
     rows, rhs, mom_rows, mom_tgt = [], [], [], []
-    for side in ("+", "-"):
+    # u2's Cauchy data on both edges, one sampler call per grid
+    u2_edges = _once_per_grid(_edge_traces(u2, sector, grad=True))
+    for j, side in enumerate(_SIDES):
         e = _edge(sector, side)
-        u2_edge = _edge_trace(u2, sector, side, grad=True)
         ang, dang = basis.angular(e.theta)
-        v2, dnu2 = u2_edge(rr)
+        v2, dnu2 = (x[j] for x in u2_edges(rr))
         jn = bessel(rr)
         rows += [basis.columns(jn, ang), wn * basis.columns(e.sign * jn / rr, dang)]
         rhs += [v2, wn * (dnu2 + eta_diff * v2)]
@@ -702,7 +701,7 @@ def manufactured_scenario(sector: CornerSector, k, omega1, omega2, eta1, eta2,
             """Every basis element's Cauchy data, then the target's: u2's
             trace and its flux plus the prescribed jump."""
             jn = bessel(r)[orders]
-            vals, dnu = u2_edge(r)
+            vals, dnu = (x[j] for x in u2_edges(r))
             return (np.vstack([jn, vals]),
                     np.vstack([e.sign * (jn / r) * np.array(dang)[:, None],
                                dnu + eta_diff * vals]))

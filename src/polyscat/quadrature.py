@@ -17,11 +17,16 @@ the same object.  An area integrand is handed the radial and angular nodes
 of each level and returns its table on that polar grid, so a field with a
 form in polar coordinates is evaluated once per radius and once per angle;
 `polar_points` gives the grid's Cartesian points to an integrand without
-one.  The weight u0(s .) on a
-rule depends on s alone, so integrals that pass one `U0Tables` share it:
-one table per (area rule, s) and one factor per (edge rule, edge angle, s).
-The sums multiply in the order each integral always has, so sharing moves
-no bit of any value.
+one.
+
+Integrals that share a rule and an s are refined as rows of one table:
+an edge or area integrand may return one row per integral, and each level
+builds the weight u0(s .) once and sums every row along the grid in one
+kernel call.  `_refine` is the one refinement loop.  Each row stops at the
+first level that agrees with its previous one within half its own
+tolerance, keeping that level's value and difference, so a row is bit for
+bit the integral refined alone; its third return value is one flag, every
+row converged.
 """
 
 from dataclasses import dataclass
@@ -140,32 +145,36 @@ def polar_points(r, t):
     return pts
 
 
-class U0Tables:
-    """u0(s .) on the rules that the integrals given this store meet, each
-    (rule, s) computed once.  A caller shares one store between the
-    integrals of one s and drops it when that s is done."""
-
-    def __init__(self):
-        self._made = {}
-
-    def get(self, key, make):
-        if key not in self._made:
-            self._made[key] = make()
-        return self._made[key]
-
-
 def _refine(levels, eval_fn, tol):
-    """Run eval_fn at increasing refinement levels until agreement < tol/2."""
+    """Run eval_fn at increasing refinement levels until agreement <= tol/2.
+
+    eval_fn(level) returns one value, or a table of rows: a 1-D array of one
+    value per row, refined together.  Each row stops at the first level
+    that agrees with its previous level within half its own tolerance (tol
+    a scalar, or one per row) and keeps that level's value and difference;
+    a row that never does keeps the last level's.  The table is evaluated
+    until every row has stopped, so each row has the bits it has refined
+    alone.  Returns (value, error, converged) for one value, and (values,
+    errors, every row converged) for a table; a row's own flag is
+    error <= tol/2.
+    """
     prev = None
-    err = np.inf
     for lv in levels:
-        val = eval_fn(lv)
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= 0.5 * tol:
-                return val, err, True
-        prev = val
-    return prev, err, False
+        out = eval_fn(lv)
+        cur = np.ravel(out).tolist()
+        if prev is None:
+            rows = np.ndim(out) > 0
+            half = (0.5 * np.broadcast_to(tol, len(cur))).tolist()
+            val, err, live = list(cur), [np.inf] * len(cur), range(len(cur))
+        else:
+            for i in live:
+                val[i], err[i] = cur[i], abs(cur[i] - prev[i])
+            live = [i for i in live if not err[i] <= half[i]]
+            if not live:
+                break
+        prev = cur
+    ok = not live
+    return (val, err, ok) if rows else (val[0], err[0], ok)
 
 
 def polar_integral(breaks, theta_m, theta_M, kernel, tol):
@@ -181,43 +190,49 @@ def polar_integral(breaks, theta_m, theta_M, kernel, tol):
     return QuadResult(*_refine([(12, 12), (16, 24), (24, 48), (32, 96)], eval_fn, tol))
 
 
-def edge_u0_integral(theta, s, h, g=None, tol=1e-12, u0_tables=None):
+def _results(refined, tol):
+    """The QuadResult of a refinement of one value, or one per row of a
+    refined table, each row's flag error <= tol/2."""
+    val, err, ok = refined
+    if not isinstance(val, list):
+        return QuadResult(val, err, ok)
+    half = 0.5 * np.broadcast_to(tol, len(val))
+    return tuple(QuadResult(v, e, bool(e <= t)) for v, e, t in zip(val, err, half))
+
+
+def edge_u0_integral(theta, s, h, g=None, tol=1e-12):
     """1D integral over an edge ray: int_0^h g(r) exp(-sqrt(s r) mu(theta)) dr.
 
-    g is a vectorized callable of r (default: 1); u0_tables, when given,
-    shares the factor exp(-sqrt(s r) mu(theta)) of each level with the other
-    integrals passed the same store.
+    g is a vectorized callable of r (default: 1).  It may return a table,
+    one row of values per integrand, which is refined as one (tol a scalar
+    or one per row) and gives one QuadResult per row; a 1-D g is one
+    integrand and gives one QuadResult.
     """
     s, theta = float(s), float(theta)
-    tables = U0Tables() if u0_tables is None else u0_tables
 
     def eval_fn(nr):
         r, wr = _radial_rule(h, nr)
         gv = np.ones_like(r, dtype=complex) if g is None else np.asarray(g(r), dtype=complex)
-        e = tables.get(("edge", h, nr, theta, s), lambda: _kernels.edge_u0(r, s, theta))
-        return _kernels.edge_quad_sum(wr, gv, e)
+        return _kernels.edge_quad_sum(wr, gv, _kernels.edge_u0(r, s, theta))
 
-    val, err, ok = _refine([10, 16, 24, 32], eval_fn, tol)
-    return QuadResult(val, err, ok)
+    return _results(_refine([10, 16, 24, 32], eval_fn, tol), tol)
 
 
-def sector_area_integral(f, theta_m, theta_M, h, s, tol=1e-11, u0_tables=None):
+def sector_area_integral(f, theta_m, theta_M, h, s, tol=1e-11):
     """Integral of f(x) u0(s x) over the sector S_h.  f(r, t) takes each
     level's radial and angular nodes and returns the (len(r), len(t)) table
-    of f on the polar grid r x t (`polar_points` gives its points);
-    u0_tables as for edge_u0_integral, one table per level."""
+    of f on the polar grid r x t (`polar_points` gives its points), or an
+    (m, len(r), len(t)) stack of m integrands' tables, refined as one with
+    one QuadResult per integrand, as for edge_u0_integral."""
     s = float(s)
-    tables = U0Tables() if u0_tables is None else u0_tables
 
     def eval_fn(lv):
         rule = _area_rule(theta_m, theta_M, h, *lv)
-        vals = np.asarray(f(rule.r, rule.t), dtype=complex).reshape(rule.wrt.shape)
-        u0 = tables.get(("area", theta_m, theta_M, h, lv, s),
-                        lambda: _kernels.u0_polar(rule.r, rule.t, s))
+        vals = np.asarray(f(rule.r, rule.t), dtype=complex)
+        u0 = _kernels.u0_polar(rule.r, rule.t, s)
         return _kernels.area_quad_sum(rule.wrt, vals, u0, rule.r)
 
-    val, err, ok = _refine([(10, 12), (14, 24), (20, 48)], eval_fn, tol)
-    return QuadResult(val, err, ok)
+    return _results(_refine([(10, 12), (14, 24), (20, 48)], eval_fn, tol), tol)
 
 
 def arc_integral(F, theta_m, theta_M, tol=1e-12):
@@ -227,5 +242,4 @@ def arc_integral(F, theta_m, theta_M, tol=1e-12):
         t, wt = _theta_rule(theta_m, theta_M, nt)
         return complex(np.sum(wt * np.asarray(F(t), dtype=complex)))
 
-    val, err, ok = _refine([16, 32, 64, 128, 256], eval_fn, tol)
-    return QuadResult(val, err, ok)
+    return QuadResult(*_refine([16, 32, 64, 128, 256], eval_fn, tol))

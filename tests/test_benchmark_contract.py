@@ -78,7 +78,8 @@ def test_tracer_sees_every_manufactured_probe_quadrature(tmp_path):
     assert rc == 0
     assert tr.times()["probe.scenario"][0] == 1
     layers = tracing.summarize(tr)
-    # 2 edges x 2 fit s x (25 basis elements + 1 target) fit moments, plus
-    # 2 remainders and 2 residual edge terms per extraction s
-    assert layers["quadrature.integrals_edge"] == 112
+    # one edge refinement per edge and s: 2 edges x 2 fit s, each of the
+    # fit's 25 basis elements + 1 target, plus 2 edges x 2 extraction s,
+    # each of a remainder and a residual edge term
+    assert layers["quadrature.integrals_edge"] == 8
     assert layers["quadrature.level_evals"] > layers["quadrature.integrals_edge"]

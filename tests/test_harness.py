@@ -510,14 +510,14 @@ def test_probe_command_manufactured(tmp_path, monkeypatch, capsys):
 
     # fit quadratures held to their first level stop unconverged: they are
     # named on stderr, and the run exits 2 after writing its outputs
-    refine, edge_moment = quadrature._refine, probe._edge_moment
+    refine, edge_moments = quadrature._refine, probe._edge_moments
 
     def one_level(*args, **kwargs):
         with monkeypatch.context() as m:
             m.setattr(quadrature, "_refine", lambda levels, fn, tol: refine(levels[:1], fn, tol))
-            return edge_moment(*args, **kwargs)
+            return edge_moments(*args, **kwargs)
 
-    monkeypatch.setattr(probe, "_edge_moment", one_level)
+    monkeypatch.setattr(probe, "_edge_moments", one_level)
     forced = tmp_path / "forced"
     assert cli_main(["probe", "--config", cfg, "--out", str(forced),
                      "--s-grid", "50,100,200"]) == 2
@@ -546,7 +546,7 @@ def test_probe_command_reports_unconverged_quadrature(tmp_path, capsys):
 def test_probe_builds_each_rule_once_and_u0_once_per_grid_and_s(tmp_path, monkeypatch):
     """A probe run builds each quadrature rule level once, one u0(s .) table
     per (area level, s) and one edge factor per (edge, s, level) of each
-    pass, while every level is still summed per integral."""
+    pass, and sums each level once per table of integrands."""
     from polyscat import _kernels, quadrature
 
     for rule in (quadrature._area_rule, quadrature._radial_rule, quadrature._theta_rule):
@@ -575,10 +575,12 @@ def test_probe_builds_each_rule_once_and_u0_once_per_grid_and_s(tmp_path, monkey
     # levels each
     assert calls["u0_polar"] == 6
     assert calls["edge_u0"] == 16
-    # the sums they serve: 2 s x 3 area integrals, 112 edge integrals of 2
-    # levels each
-    assert calls["area_quad_sum"] == 16
-    assert calls["edge_quad_sum"] == 224
+    # one sum per table they serve: per s one area table (I2 and the
+    # residual's u2 and v integrals) of 3 levels; per edge and s one edge
+    # table of 2 levels in the fit (its 26 moments) and one in the
+    # extraction (remainder and residual edge term)
+    assert calls["area_quad_sum"] == 6
+    assert calls["edge_quad_sum"] == 16
 
 
 def _blocks_per_solve(monkeypatch):

@@ -9,6 +9,7 @@ from polyscat.geometry import CornerSector
 from polyscat.probe import (FieldSampler, ProbeScenario, bessel_series_sampler,
                             extract_eta_diff, extract_omega_diff, identity_residual,
                             manufactured_scenario, richardson_extrapolate)
+from polyscat.quadrature import edge_u0_integral
 
 S_GRID = [50.0, 100.0, 200.0, 400.0, 800.0]
 
@@ -46,10 +47,12 @@ def I2(dv, sector, s, tol=1e-11):
 def I3(u2, sector, s, side, tol=1e-12):
     """(I31, I32) on one edge: the exact edge integral, which u2(0) multiplies,
     and the integral of the remainder u2 - u2(0)."""
-    i31 = cgo.edge_integral_exact(probe._edge(sector, side).theta, s, sector.h)
-    edge = probe._edge_trace(u2, sector, side)
+    theta = probe._edge(sector, side).theta
+    i31 = cgo.edge_integral_exact(theta, s, sector.h)
+    edges, row = probe._edge_traces(u2, sector), probe._SIDES.index(side)
     u2_0 = probe.corner_value(u2, sector)
-    return i31, probe._edge_remainder(edge, u2_0, sector, s, side, tol).value
+    return i31, edge_u0_integral(theta, s, sector.h, g=lambda r: edges(r)[row] - u2_0,
+                                 tol=tol).value
 
 
 def test_I1_zero_field(quarter_sector):
@@ -276,9 +279,10 @@ def _counting(sm, name, log, grid=True):
 
 
 def _is_area_grid(pts, apex):
+    """Points that spread in r over more angles than the two edges have."""
     r = np.hypot(*(pts - apex).T)
     ang = np.arctan2(*(pts - apex).T[::-1])
-    return np.ptp(r) > 1e-9 and np.ptp(ang) > 1e-9
+    return np.ptp(r) > 1e-9 and np.unique(np.round(ang, 9)).size > 2
 
 
 @pytest.mark.parametrize("s_grid", [[100.0], S_GRID])
@@ -527,7 +531,10 @@ def test_extract_both_matches_scalar_assembly(name, request):
 
 
 def _record_refinements(monkeypatch):
-    """Log (kind, levels evaluated, converged) for every quadrature refined."""
+    """Log (kind, levels evaluated, converged, error) for every quadrature
+    refined, one entry per row of a refined table, with the level that row
+    stopped at: the first that agrees with the one before within half the
+    row's tolerance."""
     import polyscat.quadrature as quad
 
     kinds = {3: "area", 4: "edge", 5: "arc"}
@@ -535,14 +542,22 @@ def _record_refinements(monkeypatch):
     orig = quad._refine
 
     def refine(levels, eval_fn, tol):
-        n = [0]
+        seen = []
 
         def counted(lv):
-            n[0] += 1
-            return eval_fn(lv)
+            out = eval_fn(lv)
+            seen.append(np.ravel(out).tolist())
+            return out
 
         val, err, ok = orig(levels, counted, tol)
-        log.append((kinds[len(levels)], n[0], ok, err))
+        kind = kinds[len(levels)]
+        if not isinstance(val, list):
+            log.append((kind, len(seen), ok, err))
+            return val, err, ok
+        for i, half in enumerate(0.5 * np.broadcast_to(tol, len(val))):
+            stop = next((n + 1 for n in range(1, len(seen))
+                         if abs(seen[n][i] - seen[n - 1][i]) <= half), len(seen))
+            log.append((kind, stop, err[i] <= half, err[i]))
         return val, err, ok
 
     monkeypatch.setattr(quad, "_refine", refine)
@@ -581,7 +596,8 @@ def test_scenario_records_fit_quadrature_convergence(quarter_sector, monkeypatch
     log = _record_refinements(monkeypatch)
     sc = manufactured_scenario(quarter_sector, 1.0, 2.0, 2.0, 0.5 + 0.1j, 0.2)
     edges = [(ok, err) for kind, _, ok, err in log if kind == "edge"]
-    assert len(edges) == len(log)
+    # 2 edges x 5 fit s x (25 basis elements + 1 target) moments
+    assert len(edges) == len(log) == 2 * 5 * 26
     assert sc.meta["fit_quad_unconverged"] == sum(not ok for ok, _ in edges)
     assert sc.meta["fit_quad_error_max"] == max(err for _, err in edges)
 
@@ -643,21 +659,22 @@ def test_probe_result_requires_increasing_s(quarter_sector, eta_scenario):
 
 
 def test_fit_moment_rows_are_the_per_element_integrands(quarter_sector, monkeypatch):
-    """Each fit moment reads its row of one integrand table per edge, s and
-    level; the row, and so the moment, is bitwise that of the basis
-    element's (or the target's) own integrand."""
+    """The fit makes one edge refinement per edge and s, whose table has one
+    row per basis element and one for the target.  Each row is bitwise the
+    element's own integrand, on u2 sampled on its edge alone, and its
+    QuadResult is bitwise that of the element's lone refinement."""
     from polyscat import quadrature
     from polyscat.medium import sqrt_im_nonneg
 
     calls = []
-    edge_moment = probe._edge_moment
+    edge_u0 = probe.edge_u0_integral
 
-    def logged(sector, edge, s, g, u0_tables):
-        q = edge_moment(sector, edge, s, g, u0_tables)
-        calls.append((edge, s, g, q))
-        return q
+    def logged(theta, s, h, g=None, tol=1e-12):
+        qs = edge_u0(theta, s, h, g=g, tol=tol)
+        calls.append((theta, s, g, qs))
+        return qs
 
-    monkeypatch.setattr(probe, "_edge_moment", logged)
+    monkeypatch.setattr(probe, "edge_u0_integral", logged)
     k, omega1, omega2, eta_diff = 1.0, 2.5, 2.0, 0.3 + 0.1j
     manufactured_scenario(quarter_sector, k, omega1, omega2, 0.5 + 0.1j, 0.2,
                           fit_s=[50.0, 400.0])
@@ -665,27 +682,34 @@ def test_fit_moment_rows_are_the_per_element_integrands(quarter_sector, monkeypa
     u2 = bessel_series_sampler(k * sqrt_im_nonneg(omega2), probe.DEFAULT_U2_COS,
                                probe.DEFAULT_U2_SIN, quarter_sector)
     m = len(basis.labels) + 1
-    assert len(calls) == 2 * 2 * m
-    for j, (edge, s, g, q) in enumerate(calls):
-        side, i = ("+" if j < 2 * m else "-"), j % m
-        assert edge.theta == probe._edge(quarter_sector, side).theta
+    assert [s for _, s, _, _ in calls] == [50.0, 400.0] * 2
+    for j, (theta, s, g, qs) in enumerate(calls):
+        edge = probe._edge(quarter_sector, "+" if j < 2 else "-")
+        assert theta == edge.theta
+        assert len(qs) == m
         ang, dang = basis.angular(edge.theta)
-        trace_u2 = probe._edge_trace(u2, quarter_sector, side, grad=True)
 
-        def element(r):
-            fac = edge.sign * (-0.5j) * np.sqrt(s / r) * cgo.mu(edge.theta)
-            if i < m - 1:
-                jn = basis.bessel(r)[basis.labels[i][0]]
-                return edge.sign * (jn / r) * dang[i] - fac * jn * ang[i]
-            vals, dnu = trace_u2(r)
-            return dnu + eta_diff * vals - fac * vals * 1.0
+        def trace_u2(r):
+            vals, grads = u2(quarter_sector.to_world(r[:, None] * edge.direction[None, :]))
+            return vals, grads @ edge.normal
 
-        for nr in (10, 16):
-            r = quadrature._radial_rule(quarter_sector.h, nr)[0]
-            assert g(r).tobytes() == element(r).tobytes()
-        ref = quadrature.edge_u0_integral(edge.theta, s, quarter_sector.h, g=element, tol=1e-12)
-        assert np.array([q.value, q.error]).tobytes() == \
-            np.array([ref.value, ref.error]).tobytes()
+        for i, q in enumerate(qs):
+            def element(r):
+                fac = edge.sign * (-0.5j) * np.sqrt(s / r) * cgo.mu(edge.theta)
+                if i < m - 1:
+                    jn = basis.bessel(r)[basis.labels[i][0]]
+                    return edge.sign * (jn / r) * dang[i] - fac * jn * ang[i]
+                vals, dnu = trace_u2(r)
+                return dnu + eta_diff * vals - fac * vals * 1.0
+
+            for nr in (10, 16):
+                r = quadrature._radial_rule(quarter_sector.h, nr)[0]
+                assert g(r)[i].tobytes() == element(r).tobytes()
+            ref = quadrature.edge_u0_integral(edge.theta, s, quarter_sector.h, g=element,
+                                              tol=1e-12)
+            assert np.array([q.value, q.error]).tobytes() == \
+                np.array([ref.value, ref.error]).tobytes()
+            assert q.converged is ref.converged
 
 
 def test_scenario_samples_u2_gradients_once_per_edge_grid(quarter_sector, monkeypatch):
@@ -698,13 +722,85 @@ def test_scenario_samples_u2_gradients_once_per_edge_grid(quarter_sector, monkey
 
     monkeypatch.setattr(FieldSampler, "__call__", logged)
     manufactured_scenario(quarter_sector, 1.0, 2.0, 2.0, 0.5 + 0.1j, 0.2)
-    # per edge the pointwise fit grid and the levels of edge_u0_integral, at
-    # least two and at most four, shared by every fit s and basis element
-    # (the apex goes through the values path)
-    assert 2 * (1 + 2) <= len(log) <= 2 * (1 + 4)
-    for i, pts in enumerate(log):
-        assert not any(p.shape == pts.shape and np.array_equal(p, pts) for p in log[:i])
-        on_edge = np.isclose(pts[:, 1], 0.0, atol=1e-15) | np.isclose(pts[:, 0], 0.0,
-                                                                       atol=1e-15)
-        assert on_edge.all()
+    # one call per grid for both edges: the pointwise fit grid of 64 radii,
+    # then the two levels of edge_u0_integral (28 panels of 10 and 16
+    # nodes) at which every fit moment stops, shared by every fit s and
+    # basis element (the apex goes through the values path)
+    assert [len(p) for p in log] == [2 * 64, 2 * 28 * 10, 2 * 28 * 16]
+    for pts in log:
+        n = len(pts) // 2
+        plus, minus = pts[:n], pts[n:]
+        assert np.abs(plus[:, 0]).max() <= 1e-15 * np.abs(plus[:, 1]).max()
+        assert (minus[:, 1] == 0.0).all()
+        assert plus[:, 1].tobytes() == minus[:, 0].tobytes()
 
+
+
+def test_benchmark_probe_run_counts(tmp_path, monkeypatch):
+    """The manufactured probe run of the benchmark (quarter sector, h = 1,
+    s-grid 50-800, default --tol), counted twice in one process: 30
+    refinements (the fit's one per edge and s, and per extraction s one
+    arc, one area and two edge refinements), one kernel sum per table and
+    level, 18 Bessel recurrences and the same sampler calls each time."""
+    import collections
+    import json
+
+    from polyscat import _kernels, quadrature
+    from polyscat.harness.cli import main as cli_main
+
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def f(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return f
+
+    for module, name in ((quadrature, "_refine"), (probe, "_bessel_rows"),
+                         (_kernels, "edge_quad_sum"), (_kernels, "area_quad_sum"),
+                         (FieldSampler, "__call__"), (FieldSampler, "values")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "medium": {"kind": "nest", "layers": [[[-1, -1], [1, -1], [1, 1], [-1, 1]]],
+                   "q": [[2.0, 0.0]], "lambda": [[0.0, 0.0]], "k": 1.0},
+        "incident": {"kind": "none"},
+        "probe": {"mode": "manufactured",
+                  "sector": {"theta_m": 0.0, "theta_M": np.pi / 2, "h": 1.0},
+                  "k": [1.0, 0.0], "omega1": [2.5, 0.0], "omega2": [2.0, 0.0],
+                  "eta1": [0.3, 0.0], "eta2": [0.3, 0.0]}}))
+    runs = []
+    for run in range(2):
+        counts.clear()
+        assert cli_main(["probe", "--config", str(cfg), "--out", str(tmp_path / f"out{run}"),
+                         "--s-grid", "50,100,200,400,800"]) == 0
+        runs.append(dict(counts))
+    # edge sums: the fit's 2 edges x 5 s x 2 levels, the extraction's 5 s x
+    # 2 edges x 2 levels; area sums: 5 s, at 3, 3, 3, 3 and 2 levels
+    assert runs == [{"_refine": 30, "_bessel_rows": 18, "edge_quad_sum": 40,
+                     "area_quad_sum": 14, "__call__": 9, "values": 6}] * 2
+
+
+def test_apex_values_run_no_recurrence(monkeypatch):
+    """A call whose points are all at the apex takes the limit a_0, and the
+    gradient (kappa / 2) (a_1, b_1), without a Bessel recurrence."""
+    calls = []
+    bessel_rows = probe._bessel_rows
+    monkeypatch.setattr(probe, "_bessel_rows",
+                        lambda *args: calls.append(args) or bessel_rows(*args))
+    a, b = [0.8 - 0.1j, 0.3, -0.2], [0.0, 0.4, 0.1j]
+    for sector in (CornerSector([0.0, 0.0], 0.0, np.pi / 2, 1.0), ROTATED):
+        sm = bessel_series_sampler(np.sqrt(3 + 0.2j), a, b, sector)
+        apex = np.repeat(sector.apex[None, :], 3, axis=0)
+        assert (sm.values(apex) == a[0]).all()
+        assert probe.corner_value(sm, sector) == a[0]
+        vals, grads = sm(apex)
+        assert (vals == a[0]).all()
+        ref = sector.vec_to_world(0.5 * np.sqrt(3 + 0.2j) * np.array([[a[1], b[1]]]))
+        assert grads.tobytes() == np.repeat(ref, 3, axis=0).tobytes()
+        assert calls == []
+        # a chunk with a point off the apex runs it
+        sm.values(np.vstack([sector.apex, sector.to_world([[0.1, 0.0]])]))
+        assert len(calls) == 1
+        calls.clear()
