@@ -1,14 +1,16 @@
 """Hot numeric kernels: oscillatory-exponential sums over quadrature grids.
 
 Each kernel is one numpy path over the tensor grid; `IMPL` names it.
-`sector_quad_sum` calls the u0 grid as `_u0_polar`, so a wrapper installed
-on the public `u0_polar` sees only outside calls.  The edge and area sums
-take their u0 factor from the caller (`edge_u0`, `u0_polar`), which
-computes it once per rule level and s, and sum along the grid, the last
-axis, so a table of integrands is one call.  The grid-sized kernels take
-their products in place on one array, in the order of the expression they
-compute, so the bits are the expression's: on grids of tens of thousands
-of points a fresh temporary per factor costs more than the product.
+The sector sums take one level of quadrature's area rule, with its weights
+wr (x) wt.  `sector_quad_sum` calls the u0 grid as `_u0_polar`, so a
+wrapper installed on the public `u0_polar` sees only outside calls.  The
+edge and area sums take their u0 factor from the caller (`edge_u0`,
+`u0_polar`), which computes it once per rule level and s, and sum along
+the grid, the last axis, so a table of integrands is one call.  The
+grid-sized kernels take their products in place on one array, in the
+order of the expression they compute, so the bits are the expression's:
+on grids of tens of thousands of points a fresh temporary per factor
+costs more than the product.
 
 All kernels work in the polar frame of a corner sector: a point is
 (r, theta) with theta measured from the positive x1-axis, and the decaying
@@ -31,16 +33,16 @@ def u0_polar(r, theta, s):
 _u0_polar = u0_polar
 
 
-def sector_quad_sum(r, wr, theta, wt, s):
-    vals = _u0_polar(r, theta, s) * r[:, None]
-    return complex((wr[:, None] * wt[None, :] * vals).sum())
+def sector_quad_sum(rule, s):
+    vals = _u0_polar(rule.r, rule.t, s) * rule.r[:, None]
+    return complex((rule.wrt * vals).sum())
 
 
-def sector_abs_quad_sum(r, wr, theta, wt, s, alpha):
-    sq = np.sqrt(s * r)[:, None]
-    dec = np.cos(0.5 * theta)[None, :]
-    vals = np.exp(-sq * dec) * (r ** (1.0 + alpha))[:, None]
-    return float((wr[:, None] * wt[None, :] * vals).sum())
+def sector_abs_quad_sum(rule, s, alpha):
+    sq = np.sqrt(s * rule.r)[:, None]
+    dec = np.cos(0.5 * rule.t)[None, :]
+    vals = np.exp(-sq * dec) * (rule.r ** (1.0 + alpha))[:, None]
+    return float((rule.wrt * vals).sum())
 
 
 def edge_u0(r, s, theta):

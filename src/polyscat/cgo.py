@@ -3,8 +3,8 @@
 The function u0(x) = exp(-sqrt(r) e^{i theta/2}) (polar x, arg branch on
 (-pi, pi)) is harmonic off the cut {x1 <= 0, x2 = 0} and decays inside any
 sector bounded away from the cut.  This module provides its closed-form
-sector/edge integrals and decay bounds, together with independent adaptive
-quadratures used to cross-check every closed form.
+sector/edge integrals and decay bounds, together with adaptive quadratures,
+on the corner probe's own radial rule, used to cross-check every closed form.
 
 Note on `tail_bound`: the returned expression
     6 (theta_M - theta_m) / delta_W^4 * s^-2 * exp(-delta_W sqrt(h s) / 2)
@@ -22,7 +22,7 @@ from scipy.special import gamma as _gamma
 from scipy.special import gammaincc as _gammaincc
 
 from . import _kernels
-from .quadrature import QuadResult, graded_breaks, polar_integral
+from .quadrature import QuadResult, polar_integral
 
 _CUT_TOL = 1e-14
 
@@ -135,17 +135,22 @@ def edge_integral_exact(theta, s, h):
     return 2.0 / s * (m**-2 - m**-2 * e - m**-1 * math.sqrt(s * h) * e)
 
 
-def default_rmax(sec: SectorSpec, s, tol):
-    """Truncation radius with tail below tol/10 (published and sharp bounds)."""
-    d = sec.delta_w
-    tau = 1.0
-    target = 0.1 * tol
+def _truncation(sec: SectorSpec, s, tail, tol, tau):
+    """(h, tail(tau, h)) at the first of tau, 1.25 tau, ... below 4000 whose
+    tail is at most tol/10, with the radius h = (tau / delta_W)^2 / s."""
     while tau < 4000.0:
-        h = (tau / d) ** 2 / s
-        if tail_bound(sec, s, h) <= target and tail_bound_sharp(sec, s, h) <= target:
-            return h
+        h = (tau / sec.delta_w) ** 2 / s
+        t = tail(tau, h)
+        if t <= 0.1 * tol:
+            return h, t
         tau *= 1.25
     raise ValueError("could not find a truncation radius for the requested tolerance")
+
+
+def default_rmax(sec: SectorSpec, s, tol):
+    """Truncation radius with tail below tol/10 (published and sharp bounds)."""
+    return _truncation(sec, s, lambda tau, h: max(tail_bound(sec, s, h),
+                                                  tail_bound_sharp(sec, s, h)), tol, 1.0)[0]
 
 
 def sector_integral_quad(sec: SectorSpec, s, rmax=None, tol=1e-10):
@@ -157,8 +162,8 @@ def sector_integral_quad(sec: SectorSpec, s, rmax=None, tol=1e-10):
     """
     if rmax is None:
         rmax = default_rmax(sec, s, tol)
-    res = polar_integral(graded_breaks(0.0, rmax), sec.theta_m, sec.theta_M,
-                         lambda *rule: _kernels.sector_quad_sum(*rule, float(s)), tol)
+    res = polar_integral(sec.theta_m, sec.theta_M, rmax,
+                         lambda rule: _kernels.sector_quad_sum(rule, float(s)), tol)
     trunc = min(tail_bound(sec, s, rmax), tail_bound_sharp(sec, s, rmax))
     err = res.error + trunc
     return QuadResult(res.value, err, res.converged and err <= tol)
@@ -166,19 +171,13 @@ def sector_integral_quad(sec: SectorSpec, s, rmax=None, tol=1e-10):
 
 def weighted_lhs_quad(sec: SectorSpec, alpha, s, tol=1e-10):
     """Quadrature of the left side of the weighted bound (oracle for weighted_bound)."""
-    d = sec.delta_w
-    tau, target = 4.0, 0.1 * tol
-    while tau < 4000.0:
-        tail = (
-            2.0 * sec.opening / (s ** (alpha + 2) * d ** (2 * alpha + 4))
-        ) * float(_gammaincc(2 * alpha + 4, tau) * _gamma(2 * alpha + 4))
-        if tail <= target:
-            break
-        tau *= 1.25
-    rmax = (tau / d) ** 2 / s
-    res = polar_integral(
-        graded_breaks(0.0, rmax), sec.theta_m, sec.theta_M,
-        lambda *rule: _kernels.sector_abs_quad_sum(*rule, float(s), float(alpha)), tol)
+    a = 2 * alpha + 4
+    scale = 2.0 * sec.opening / (s ** (alpha + 2) * sec.delta_w ** a)
+    rmax, tail = _truncation(
+        sec, s, lambda tau, h: scale * float(_gammaincc(a, tau) * _gamma(a)), tol, 4.0)
+    res = polar_integral(sec.theta_m, sec.theta_M, rmax,
+                         lambda rule: _kernels.sector_abs_quad_sum(rule, float(s), float(alpha)),
+                         tol)
     return QuadResult(res.value, res.error + tail, res.converged)
 
 
@@ -192,6 +191,6 @@ def tail_lhs_quad(sec: SectorSpec, s, h, tol=1e-10):
     # exp(-d sqrt(s r)) <= 1e-16 * exp(-d sqrt(s h)); rmax > h always
     sq = d * math.sqrt(s * h) - math.log(1e-16)
     rmax = max((sq / d) ** 2 / s, 4.0 * h)
-    return polar_integral(graded_breaks(h, rmax), sec.theta_m, sec.theta_M,
-                          lambda *rule: _kernels.sector_abs_quad_sum(*rule, float(s), 0.0),
-                          tol)
+    return polar_integral(sec.theta_m, sec.theta_M, rmax,
+                          lambda rule: _kernels.sector_abs_quad_sum(rule, float(s), 0.0),
+                          tol, lo=h)

@@ -55,7 +55,8 @@ def _tolerance(text):
     return value
 
 
-def main(argv=None):
+def build_parser():
+    """The `polyscat` argument parser: one subparser per command."""
     p = argparse.ArgumentParser(prog="polyscat",
                                 description="conductive polygonal scattering toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -70,25 +71,29 @@ def main(argv=None):
     sp.add_argument("--config", required=True, help="scenario JSON path")
     common(sub.add_parser("forward", help="solve and write the far-field pattern"))
     sp = sub.add_parser("cgo-verify", help="verify test-function identities and bounds")
-    sp.add_argument("--out", default="out")
-    sp.add_argument("--tol", type=_tolerance, default=1e-10)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out", default="out", help="output directory")
+    sp.add_argument("--tol", type=_tolerance, default=1e-10, help="quadrature tolerance")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the edge-identity triples")
     sp.add_argument("--corrupt", action="store_true",
                     help="negative control: perturb a constant and expect detection")
-    sp = sub.add_parser("sweep", help="far-field discrepancy under parameter perturbations")
-    common(sp)
-    sp.add_argument("--target", default=None, help="q:L | lambda:L | vertex:L:I")
-    sp.add_argument("--magnitudes", type=_numbers(False), default=None,
-                    help="comma-separated magnitudes")
+    for name, text in (("sweep", "far-field discrepancy under parameter perturbations"),
+                       ("passive", "the sweep, refusing all but a point-source excitation")):
+        sp = sub.add_parser(name, help=text)
+        common(sp)
+        sp.add_argument("--target", default=None, help="q:L | lambda:L | vertex:L:I")
+        sp.add_argument("--magnitudes", type=_numbers(False), default=None,
+                        help="comma-separated magnitudes")
     sp = sub.add_parser("probe", help="corner extraction of parameter differences")
     common(sp)
-    sp.add_argument("--s-grid", type=_numbers(True), default="50,100,200,400,800")
-    sp.add_argument("--tol", type=_tolerance, default=PROBE_TOL_CAP)
-    sp = sub.add_parser("passive", help="uniqueness sweep with point-source excitation")
-    common(sp)
-    sp.add_argument("--target", default=None)
-    sp.add_argument("--magnitudes", type=_numbers(False), default=None)
+    sp.add_argument("--s-grid", type=_numbers(True), default="50,100,200,400,800",
+                    help="comma-separated s values")
+    sp.add_argument("--tol", type=_tolerance, default=PROBE_TOL_CAP,
+                    help=f"extraction quadrature tolerance, at most {PROBE_TOL_CAP:g}")
+    return p
 
+
+def main(argv=None):
+    p = build_parser()
     args = p.parse_args(argv)
     if args.command == "probe" and not args.tol <= PROBE_TOL_CAP:
         p.error(f"--tol {args.tol!r} is above the extraction quadrature cap {PROBE_TOL_CAP!r}")

@@ -1,12 +1,12 @@
 """Quadrature rules for sector-domain integrals against the decaying test
 function u0(s x) = exp(-sqrt(s r) e^{i theta/2}).
 
-Radial direction (edge rays and area rules, `_radial_rule`): composite
-Gauss-Legendre in u = sqrt(r) on panels geometric in u toward u = 0, where
-u0's sqrt(r) behaviour at the apex and the scenario fit's r^(-1/2) edge
-flux are both smooth; `polar_integral` (the CGO cross-checks) keeps its
-own panels in r.  Angular direction: tensor
-Gauss-Legendre, refined by doubling until two successive levels agree.
+Radial direction: one rule, `_radial_rule`, for the probe's edge rays and
+area rules and the CGO cross-checks (`polar_integral`) alike: composite
+Gauss-Legendre in u = sqrt(r) on panels geometric in u toward the lower end,
+u = 0 from the apex, where u0's sqrt(r) behaviour and the fit's r^(-1/2) edge
+flux are both smooth.  Angular direction: tensor Gauss-Legendre, refined by
+doubling until two successive levels agree.
 
 The rules depend only on the sector (or the edge length h) and the
 refinement level, never on s or the integrand, so each level is built once
@@ -44,9 +44,6 @@ class QuadResult:
     error: float
     converged: bool
 
-    def __complex__(self):
-        return complex(self.value)
-
 
 def _frozen(*arrays):
     """The arrays, made read-only: rules are shared between callers."""
@@ -75,18 +72,6 @@ def panel_rule(breaks, n):
     return nodes, weights
 
 
-def graded_breaks(r_lo, r_hi):
-    """Breakpoints from r_hi down toward r_lo: log-uniform when r_lo > 1e-16 r_hi,
-    otherwise halving from r_hi until below 1e-16 r_hi, then 0."""
-    if r_lo > 1e-16 * r_hi:
-        # log-uniform between r_lo and r_hi
-        m = max(8, int(np.ceil(np.log(r_hi / r_lo) / np.log(2.0))) * 2)
-        return r_lo * (r_hi / r_lo) ** (np.arange(m + 1) / m)
-    levels = int(np.ceil(np.log(1e-16) / np.log(0.5)))
-    pts = r_hi * 0.5 ** np.arange(levels, -1, -1)
-    return np.concatenate(([0.0], pts))
-
-
 @lru_cache(maxsize=64)
 def _theta_rule(theta_m, theta_M, nt):
     x, w = gauss_legendre(nt)
@@ -100,12 +85,12 @@ _U_PANELS = 28           # the innermost is [0, 2^-13.5 sqrt(h)] = [0, 8.6e-5 sq
 
 
 @lru_cache(maxsize=64)
-def _radial_rule(h, nr):
-    """The radial rule on [0, h]: an edge ray's, and an area rule's radial
-    factor.
+def _radial_rule(h, nr, lo=0.0):
+    """The radial rule on [lo, h]: an edge ray's, and an area rule's radial
+    factor.  The rule from the apex is called without lo: one cache entry.
 
     Gauss-Legendre in u = sqrt(r), nodes r = u^2 and weights 2 u w_u, on
-    panels geometric in u toward u = 0.  Under this substitution the apex
+    panels geometric in u toward u = sqrt(lo).  Under this substitution the apex
     behaviour of the probe's integrands is smooth: u0(s x) =
     exp(-sqrt(s) u e^{i theta/2}) is analytic in u, and an r^(-1/2) edge
     flux times the Jacobian 2u is a constant.  In r, the innermost panel of
@@ -115,21 +100,23 @@ def _radial_rule(h, nr):
     ratio 1/2 instead of 1/sqrt(2), the edge integrals at theta = 0.9 pi,
     s = 1e4 and h = 2 stop unconverged at tol 1e-12.
     """
-    ends = np.sqrt(h) * _U_RATIO ** np.arange(_U_PANELS - 1, -1, -1)
-    u, wu = panel_rule(np.concatenate(([0.0], ends)), nr)
+    a = np.sqrt(lo)
+    ends = a + (np.sqrt(h) - a) * _U_RATIO ** np.arange(_U_PANELS - 1, -1, -1)
+    u, wu = panel_rule(np.concatenate(([a], ends)), nr)
     return _frozen(u * u, 2.0 * u * wu)
 
 
 class AreaRule(NamedTuple):
-    """One level of the tensor rule on the sector S_h."""
+    """One level of the tensor rule on the sector S_h (or on its part
+    beyond radius lo)."""
     r: np.ndarray       # radial nodes
     t: np.ndarray       # angular nodes
     wrt: np.ndarray     # (len(r), len(t)) weights wr (x) wt
 
 
 @lru_cache(maxsize=16)
-def _area_rule(theta_m, theta_M, h, nr, nt):
-    r, wr = _radial_rule(h, nr)
+def _area_rule(theta_m, theta_M, h, nr, nt, lo=0.0):
+    r, wr = _radial_rule(h, nr, lo) if lo else _radial_rule(h, nr)
     t, wt = _theta_rule(theta_m, theta_M, nt)
     return AreaRule(r, t, *_frozen(wr[:, None] * wt[None, :]))
 
@@ -177,17 +164,12 @@ def _refine(levels, eval_fn, tol):
     return (val, err, ok) if rows else (val[0], err[0], ok)
 
 
-def polar_integral(breaks, theta_m, theta_M, kernel, tol):
-    """Tensor rule of radial panels over `breaks` times angular Gauss nodes,
-    summed by kernel(r, wr, theta, wt) and refined over one level list."""
-
-    def eval_fn(lv):
-        nr, nt = lv
-        r, wr = panel_rule(breaks, nr)
-        t, wt = _theta_rule(theta_m, theta_M, nt)
-        return kernel(r, wr, t, wt)
-
-    return QuadResult(*_refine([(12, 12), (16, 24), (24, 48), (32, 96)], eval_fn, tol))
+def polar_integral(theta_m, theta_M, h, kernel, tol, lo=0.0):
+    """kernel(rule) of the area rule between radii lo and h, refined over
+    one level list."""
+    return QuadResult(*_refine([(12, 12), (16, 24), (24, 48), (32, 96)],
+                               lambda lv: kernel(_area_rule(theta_m, theta_M, h, *lv, lo)),
+                               tol))
 
 
 def _results(refined, tol):

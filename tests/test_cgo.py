@@ -166,6 +166,37 @@ def test_published_tail_bound_fails_at_small_arguments():
     assert lhs <= cgo.tail_bound_sharp(sec, 1.0, 0.5)
 
 
+# (sector, h, s) of criterion 2's grid where the quadrature of the left side
+# exceeds the published tail bound: every (h, s) with s <= 10, and h = 0.5
+# at s = 100; h = 1 at s = 100 too on the two sectors with the smaller
+# delta_W.  All have delta_W sqrt(h s) below 14.
+PUBLISHED_TAIL_FAILS = sorted(
+    [(sec, h, s) for sec in SECTORS for s in (1.0, 10.0) for h in (0.5, 1.0, 2.0)]
+    + [(sec, 0.5, 100.0) for sec in SECTORS] + [(sec, 1.0, 100.0) for sec in SECTORS[1:]])
+
+
+def test_criterion_2_fails_at_exactly_the_known_tail_points():
+    """Criterion 2's known limitation, pinned: on its (sector, alpha, s) and
+    (sector, h, s) grid at its tolerance, the weighted bound holds
+    everywhere and the published tail bound fails at exactly these 23
+    points, so a change of the quadrature cannot move the set unseen."""
+    weighted, tail = [], []
+    for angles in SECTORS:
+        sec = cgo.SectorSpec(*angles)
+        for s in (1.0, 10.0, 100.0):
+            for alpha in (0.25, 0.5, 0.75):
+                if not cgo.weighted_lhs_quad(sec, alpha, s, tol=1e-9).value \
+                        <= cgo.weighted_bound(sec, alpha, s):
+                    weighted.append((angles, alpha, s))
+            for h in (0.5, 1.0, 2.0):
+                if not cgo.tail_lhs_quad(sec, s, h, tol=1e-9).value <= cgo.tail_bound(sec, s, h):
+                    assert sec.delta_w * np.sqrt(h * s) < 14.0
+                    tail.append((angles, h, s))
+    assert weighted == []
+    assert len(PUBLISHED_TAIL_FAILS) == 23
+    assert sorted(tail) == PUBLISHED_TAIL_FAILS
+
+
 @pytest.mark.parametrize("angles", SECTORS)
 def test_tail_bounds_hold_in_validity_regimes(angles):
     sec = cgo.SectorSpec(*angles)

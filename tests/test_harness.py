@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -648,6 +649,20 @@ def test_cli_option_sets(tmp_path, capsys):
         cli_main(["probe", "--config", cfg, "--tol", "1e-8"])
     assert exc.value.code == 2
     assert "--tol 1e-08 is above the extraction quadrature cap 1e-10" in capsys.readouterr().err
+
+
+def test_every_cli_option_has_help():
+    """Every option of every subcommand says in --help what it does, and
+    passive, the sweep under a point source, says what sweep says."""
+    from polyscat.harness.cli import build_parser
+
+    sub, = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(OPTIONS)
+    helps = {name: {a.option_strings[-1]: a.help for a in sp._actions if a.option_strings}
+             for name, sp in sub.choices.items()}
+    assert [(name, opt) for name, opts in helps.items() for opt, text in opts.items()
+            if not text] == []
+    assert helps["passive"] == helps["sweep"]
 
 
 def test_cli_entrypoint_runs():

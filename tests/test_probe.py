@@ -712,6 +712,24 @@ def test_fit_moment_rows_are_the_per_element_integrands(quarter_sector, monkeypa
             assert q.converged is ref.converged
 
 
+def test_probe_reads_the_cached_radial_rule(quarter_sector, monkeypatch):
+    """Every radius grid on which the fit and the extraction weight with u0,
+    along edges and over the area, is the very array `_radial_rule(h, nr)`
+    hands out, so the probe's per-grid stores meet each rule once."""
+    from polyscat import _kernels, quadrature
+
+    radii = []
+    for name in ("u0_polar", "edge_u0"):
+        fn = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name,
+                            lambda r, *a, fn=fn: radii.append(r) or fn(r, *a))
+    scen = manufactured_scenario(quarter_sector, 1.0, 2.5, 2.0, 0.5 + 0.1j, 0.2,
+                                 fit_s=[50.0, 100.0])
+    probe.extract_both(scen, [50.0, 100.0], tol=1e-10)
+    cached = {id(quadrature._radial_rule(quarter_sector.h, nr)[0]) for nr in (10, 14, 16, 20)}
+    assert radii and {id(r) for r in radii} <= cached
+
+
 def test_scenario_samples_u2_gradients_once_per_edge_grid(quarter_sector, monkeypatch):
     log = []
     call = FieldSampler.__call__

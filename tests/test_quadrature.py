@@ -1,10 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from polyscat import _kernels, quadrature
 from polyscat.quadrature import (arc_integral, edge_u0_integral, gauss_legendre,
-                                 graded_breaks, panel_rule, sector_area_integral)
+                                 panel_rule, sector_area_integral)
 
 
 def test_gauss_legendre_cached_and_exact():
@@ -20,16 +23,32 @@ def test_panel_rule_integrates_smooth():
     assert np.dot(w, np.exp(-r)) == pytest.approx(1 - np.exp(-2.5), rel=1e-12)
 
 
-def test_graded_breaks_reach_zero():
-    b = graded_breaks(0.0, 2.0)
-    assert b[0] == 0.0 and b[-1] == 2.0
-    assert b[1] < 1e-15 * 2.0
+def callers(text, name):
+    """The top-level functions (or "<module>") of a module that call `name`,
+    as a plain or an attribute call."""
+    found = set()
+    for top in ast.parse(text).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)):
+                found.add(where)
+    return found
 
 
-def test_graded_breaks_log_uniform():
-    b = graded_breaks(0.5, 8.0)
-    ratios = b[1:] / b[:-1]
-    assert np.allclose(ratios, ratios[0])
+def test_scan_finds_callers():
+    text = "def f():\n    g(1)\n\nclass C:\n    def m(self):\n        q.g()\n\ng()\n"
+    assert callers(text, "g") == {"f", "C", "<module>"}
+
+
+def test_one_radial_rule():
+    """Every radial node in src/ comes from `_radial_rule`: it is the only
+    caller of `panel_rule`, the composite Gauss rule a second radial rule
+    would be built from."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    found = {(path.name, f) for path in sorted(src.rglob("*.py"))
+             for f in callers(path.read_text(), "panel_rule")}
+    assert found == {("quadrature.py", "_radial_rule")}
 
 
 def test_edge_integral_handles_sqrt_singularity():
@@ -67,16 +86,19 @@ H_VALUES = (0.3, 1.0, 2.0)
 @pytest.mark.parametrize("h", H_VALUES)
 @pytest.mark.parametrize("s", S_VALUES)
 def test_radial_rule_against_closed_forms(s, h):
-    """The radial rule of edge rays and area rules against closed forms: on
-    each edge ray, u0 (sqrt(r) at the apex) and r^(-1/2) u0 (the behaviour
-    of the fit's edge flux), whose integral over [0, h] is
-    2 (1 - e^(-sqrt(s h) mu)) / (sqrt(s) mu); over sectors with these edges,
-    the area integral of u0, with the tail beyond h bounded by
-    tail_bound_sharp.  Left out: s >= 1e5 at theta = 0.99 pi, where neither
-    this rule nor one graded in r converges, and s = 1e4, h = 2 on the
-    sectors with an edge at 0.9 pi, where the angular levels do not."""
+    """The one radial rule, of edge rays and area rules, against closed
+    forms: on each edge ray, u0 (sqrt(r) at the apex) and r^(-1/2) u0 (the
+    behaviour of the fit's edge flux), whose integral over [0, h] is
+    2 (1 - e^(-sqrt(s h) mu)) / (sqrt(s) mu), and u0 on [h/4, h], the form
+    with a lower end that the CGO tail quadrature uses; over sectors with
+    these edges, the area integral of u0, with the tail beyond h bounded by
+    tail_bound_sharp.  Left out: s >= 1e5 at theta = 0.99 pi, where the
+    rule's outermost u-panel holds too many oscillations to converge, and
+    s = 1e4, h = 2 on the sectors with an edge at 0.9 pi, where the angular
+    levels do not."""
     from polyscat import cgo
 
+    lo = h / 4
     for theta in EDGE_ANGLES:
         mu = cgo.mu(theta)
         for g, exact in ((None, cgo.edge_integral_exact(theta, s, h)),
@@ -85,6 +107,19 @@ def test_radial_rule_against_closed_forms(s, h):
             res = edge_u0_integral(theta, s, h, g=g, tol=1e-12)
             assert res.converged
             assert abs(res.value - exact) <= 1e-12 * abs(exact)
+        # [lo, h]: the exact value is a difference of two closed forms, so
+        # it is known to rounding of the whole ray's integral, not its own
+        full = cgo.edge_integral_exact(theta, s, h)
+        exact = full - cgo.edge_integral_exact(theta, s, lo)
+
+        def part(nr):
+            r, wr = quadrature._radial_rule(h, nr, lo)
+            assert lo < r.min() and r.max() < h
+            return complex(np.sum(wr * _kernels.edge_u0(r, s, theta)))
+
+        value, _, ok = quadrature._refine([10, 16, 24, 32], part, 1e-12 * abs(full))
+        assert ok
+        assert abs(value - exact) <= 1e-12 * abs(full)
     for sec in (cgo.SectorSpec(0.0, np.pi / 2), cgo.SectorSpec(-0.9 * np.pi, 0.0),
                 cgo.SectorSpec(np.pi / 2, 0.9 * np.pi)):
         if s == 1e4 and h == 2.0 and sec.theta_m != 0.0:
@@ -94,6 +129,20 @@ def test_radial_rule_against_closed_forms(s, h):
                                    sec.theta_m, sec.theta_M, h, s, tol=1e-12)
         assert res.converged
         assert abs(res.value - full) <= cgo.tail_bound_sharp(sec, s, h) + 1e-12 * abs(full)
+
+
+def test_radial_rule_from_the_apex_is_one_cache_entry():
+    """lo = 0 is the rule from the apex, bitwise, and an area rule from the
+    apex reads the edge rays' cached arrays, not a copy under a second key."""
+    r, wr = quadrature._radial_rule(0.7, 16)
+    assert quadrature._radial_rule(0.7, 16) is quadrature._radial_rule(0.7, 16)
+    r0, wr0 = quadrature._radial_rule(0.7, 16, 0.0)
+    assert r.tobytes() == r0.tobytes() and wr.tobytes() == wr0.tobytes()
+    rule = quadrature._area_rule(0.0, 1.0, 0.7, 16, 24)
+    assert rule.r is r and rule.t is quadrature._theta_rule(0.0, 1.0, 24)[0]
+    assert quadrature._area_rule(0.0, 1.0, 0.7, 16, 24, 0.0).r is r
+    assert quadrature._area_rule(0.0, 1.0, 0.7, 16, 24, 0.2).r is \
+        quadrature._radial_rule(0.7, 16, 0.2)[0]
 
 
 # (integrand, tolerance) rows, and the number of levels each refines to alone
