@@ -5,8 +5,9 @@ The sector sums take one level of quadrature's area rule, with its weights
 wr (x) wt.  `sector_quad_sum` calls the u0 grid as `_u0_polar`, so a
 wrapper installed on the public `u0_polar` sees only outside calls.  The
 edge and area sums take their u0 factor from the caller (`edge_u0`,
-`u0_polar`), which computes it once per rule level and s, and sum along
-the grid, the last axis, so a table of integrands is one call.  The
+`u0_polar`), which computes it once per rule level and s (`edge_u0` for
+an array of them at once), and sum along the grid, the last axis, so a
+table of integrands is one call.  The
 grid-sized kernels take their products in place on one array, in the
 order of the expression they compute, so the bits are the expression's:
 on grids of tens of thousands of points a fresh temporary per factor
@@ -46,17 +47,26 @@ def sector_abs_quad_sum(rule, s, alpha):
 
 
 def edge_u0(r, s, theta):
-    """u0(s*x) at the radii r along the ray at angle theta."""
-    mu = complex(np.cos(0.5 * theta), np.sin(0.5 * theta))
-    return np.exp(-np.sqrt(s * r) * mu)
+    """u0(s*x) at the radii r along the ray at angle theta; arrays s and
+    theta broadcast together, the radii on a new last axis."""
+    half = 0.5 * np.asarray(theta, dtype=float)[..., None]
+    mu = np.cos(half) + 1j * np.sin(half)
+    return np.exp(-np.sqrt(np.asarray(s, dtype=float)[..., None] * r) * mu)
 
 
 def edge_quad_sum(wr, g, e):
     """sum wr g e along the last axis: e the edge factor `edge_u0` on the
-    nodes of wr, g one integrand or a table of one per row."""
-    terms = wr * g
-    terms *= e
-    return terms.sum(axis=-1)
+    nodes of wr, g one integrand or a table of one per row, the two
+    broadcast together.  A table is summed one block of its last two axes
+    at a time, so no temporary is larger than a block."""
+    shape = np.broadcast_shapes(np.shape(g), np.shape(e))
+    g, e = np.broadcast_to(g, shape), np.broadcast_to(e, shape)
+    out = np.empty(shape[:-1], dtype=complex)
+    for block in np.ndindex(shape[:-2]):
+        terms = wr * g[block]
+        terms *= e[block]
+        out[block] = terms.sum(axis=-1)
+    return out
 
 
 def area_quad_sum(wrt, vals, u0, r):

@@ -421,9 +421,6 @@ def cmd_probe(args):
     t0 = time.perf_counter()
     mode = "manufactured"   # the one mode the probe section takes
     scen = probe_mod.manufactured_scenario(**sc.probe, fit_s=s_grid)
-    if abs(probe_mod.corner_value(scen.u2, scen.sector)) < 1e-10:
-        print("refused: manufactured field vanishes at the probed corner", file=sys.stderr)
-        return EXIT_REFUSED
     result = probe_mod.extract_both(scen, s_grid, tol=args.tol)
     diag = result.diagnostics
     reports.write_probe_csv(

@@ -9,6 +9,8 @@ scipy versions, the BLAS each was built with and the BLAS/OpenMP thread
 settings.
 """
 
+import csv
+import io
 import json
 import os
 
@@ -46,11 +48,11 @@ def write_probe_csv(path, result, comments=()):
 
 
 def write_table_csv(path, header, rows, comments=()):
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    _write(path, lines)
+    """A field that holds a comma or a quote is quoted, as RFC 4180 says."""
+    table = io.StringIO()
+    csv.writer(table, lineterminator="\n").writerows(
+        [header, *([_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows)])
+    _write(path, [f"# {c}" for c in comments] + [table.getvalue().removesuffix("\n")])
 
 
 def _environment():

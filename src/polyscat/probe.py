@@ -11,31 +11,28 @@ measurable side at each s on a grid and extrapolate the limit in powers
 of 1/s.
 
 The area, edge and arc quadrature grids of quadrature.py depend only on
-the sector, never on s; only the weight u0(s x) does.  quadrature.py
-builds each rule level once and hands it out as read-only objects, so
-one extraction samples u1 and u2 once per grid and refinement level,
-values only except on the arc nodes, where I1 needs the normal
-derivative, and reuses those samples for every s (_once_per_grid knows a
-grid by its identity).  An area level reaches a field as its polar grid
-(r, t) in the sector's canonical frame, and the field returns its
-(len r, len t) table through its grid form (FieldSampler.grid_fn); a
+the sector, never on s; only the weight u0(s x) does.  So every s of a
+grid is a row of one refinement (quadrature._refine), and each level's
+grid is sampled once for all of them by construction: an extraction makes
+three refinements, the arc (I1, the one grid where the fields' normal
+derivatives are sampled), the area (I2 and the identity residual's
+integrals of u2 and v) and one edge refinement over both edges (the
+remainder I32 and the residual's edge term).  Each row stops at the level
+it would reach alone, with the same bits, and each level's u0(s .) weights
+are built once for all its rows.  An area level reaches a field as its
+polar grid (r, t) in the sector's canonical frame, and the field returns
+its (len r, len t) table through its grid form (FieldSampler.grid_fn); a
 Bessel series in the sector's own frame evaluates J_n once per radius and
 its angular factors once per angle there.  A field with no grid form (a
 world-frame series, or any other sampler) is sampled at the grid's
 Cartesian points instead.  Edge and arc grids are always sampled at
-their points, an edge grid on both edges in one call.  The integrals of
-one s that share a rule are rows of one refinement (quadrature._refine):
-one area refinement covers I2 and the identity residual's u2 and v
-integrals, and one edge refinement per edge the remainder I32 and the
-residual's edge term.  Each row stops at the level it would reach alone,
-with the same bits, and each level's u0(s .) weight is built once for
-all its rows.  The numerator, denominator and identity residual are
-assembled once per s, and the eta and omega estimates are both read off
-them.  The manufactured scenario's fit shares its edge samples the same
-way: J_n(kappa r) and the u2 Cauchy data are taken once per edge grid and
-serve every fit s and every basis element, and the Green moments of one
-edge and s (every basis element and the target) are the rows of one edge
-refinement.
+their points, an edge grid on both edges in one call.  The numerator,
+denominator and identity residual are assembled per s from the rows, and
+the eta and omega estimates are both read off them.  The manufactured
+scenario's fit makes one edge refinement the same way: its rows are the
+Green moments of both edges, every fit s and every basis element and the
+target, so J_n(kappa r) and the u2 Cauchy data are taken once per edge
+grid.
 
 The manufactured fields are Fourier-Bessel series
 sum_n J_n(kappa r)(a_n cos n theta + b_n sin n theta).  Every order
@@ -161,44 +158,16 @@ def corner_value(sampler: FieldSampler, sector: CornerSector):
     return complex(sampler.values(sector.apex[None, :])[0])
 
 
-def _once_per_grid(fn):
-    """fn(*nodes) with a store of the node arrays already sampled.
-
-    quadrature.py hands out each rule level as read-only arrays, so a grid
-    met again (same level, another s or another functional) is the same
-    objects and is answered from the store.  The store keeps each array it
-    has seen, so no id is reused while it lives, which is as long as the
-    returned callable; callers must not write to what it returns.
-    """
-    seen = {}
-
-    def f(*nodes):
-        key = tuple(map(id, nodes))
-        if key not in seen:
-            seen[key] = (nodes, fn(*nodes))
-        return seen[key][1]
-
-    return f
-
-
-def _arc_values(v: FieldSampler, sector: CornerSector):
-    """thetas -> (v, dnu v) on the arc r = h, the one grid that needs gradients."""
-    h = sector.h
-
-    def f(thetas):
-        rad = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        vals, grads = v(sector.to_world(h * rad))
-        return vals, (grads * sector.vec_to_world(rad)).sum(axis=1)
-
-    return f
-
-
-def _arc_functional(arc, sector: CornerSector, s, tol):
-    """I1 from arc samples (v, dnu v)."""
+def _arc_functional(v: FieldSampler, sector: CornerSector, s, tol):
+    """I1 of v: the arc r = h, the one grid that needs gradients, sampled
+    for (v, dnu v) once per level.  A column of s values, shape (m, 1),
+    gives one row per s of the table arc_integral refines."""
     h = sector.h
 
     def F(thetas):
-        vals, dnu = arc(thetas)
+        rad = np.column_stack([np.cos(thetas), np.sin(thetas)])
+        vals, grads = v(sector.to_world(h * rad))
+        dnu = (grads * sector.vec_to_world(rad)).sum(axis=1)
         u0 = cgo.u0_polar(h, thetas, s)
         du0 = cgo.u0_radial_deriv(h, thetas, s)
         return (dnu * u0 - du0 * vals) * h
@@ -247,41 +216,6 @@ def _edge_traces(u: FieldSampler, sector: CornerSector, grad=False):
     return f
 
 
-class _GridSamples(NamedTuple):
-    """The extraction's integrands on the quadrature grids of one sector,
-    each grid sampled and tabulated once for every s."""
-    area: Callable        # polar grid (r, t) -> (3, len(r), len(t)): v - v(0), u2, v
-    edges: Callable       # radii -> (2, 2, len(r)): per edge, '+' then '-', u2 - u2(0), u2
-    v_arc: Callable       # thetas -> (v, dnu v) on the arc, v = u1 - u2
-
-
-def _grid_samples(sc: ProbeScenario, u2_0, v0):
-    sec = sc.sector
-    u2_edges = _edge_traces(sc.u2, sec)
-
-    def area(r, t):
-        u2 = sc.u2.on_grid(sec, r, t)
-        v = sc.u1.on_grid(sec, r, t) - u2
-        return np.stack([v - v0, u2, v])
-
-    def edges(r):
-        u2 = u2_edges(r)
-        return np.stack([u2 - u2_0, u2], axis=1)
-
-    return _GridSamples(_once_per_grid(area), _once_per_grid(edges),
-                        _once_per_grid(_arc_values(sc.u1 - sc.u2, sec)))
-
-
-class _Functionals(NamedTuple):
-    """Everything one s contributes: both sides of the extraction and the
-    identity residual (relative residual, quadrature error estimate,
-    scale), with the quadratures behind them."""
-    num: complex
-    den: complex
-    residual: tuple
-    quads: tuple
-
-
 def _residual(sc: ProbeScenario, i1, lhs_q, rhs_v, edge_qs):
     """Identity residual from I1, the area integrals of u2 and v and the edge
     integrals of u2; see identity_residual."""
@@ -301,28 +235,46 @@ def _residual(sc: ProbeScenario, i1, lhs_q, rhs_v, edge_qs):
     return abs(lhs - rhs) / scale, qerr / scale, scale
 
 
-def _functionals(sc: ProbeScenario, grids: _GridSamples, s, u2_0, tol):
-    """Numerator I1 + k^2 omega1 I2 (the measurable side), denominator
-    u2(0) (I31+ + I31-) + (I32+ + I32-) and identity residual at one s.
+def _functionals(sc: ProbeScenario, s_grid, u2_0, v0, tol):
+    """Per s of s_grid: the numerator I1 + k^2 omega1 I2 (the measurable
+    side), the denominator u2(0) (I31+ + I31-) + (I32+ + I32-), the identity
+    residual and the quadratures behind them.
 
-    I1 is shared by the numerator and the residual.  One area refinement
-    covers I2 and the residual's integrals of u2 and v, and one edge
-    refinement per edge the remainder I32 and the residual's integral of
-    u2: each integral is a row of its refinement's table, which stops and
-    rounds as it would alone."""
+    Every s is a row of three refinements, so each grid is sampled once
+    per level for all of them: the arc refinement of I1, which the
+    numerator and the residual share; the area refinement of I2 and the
+    residual's integrals of u2 and v; and one edge refinement over both
+    edges of the remainder I32 and the residual's integral of u2.  Each row
+    stops and rounds as it would alone."""
     sec = sc.sector
-    i1 = _arc_functional(grids.v_arc, sec, s, tol)
-    i2, lhs_q, rhs_v = _area_functional(grids.area, sec, s, (max(tol, 1e-12), tol, tol))
-    (rem_p, edge_p), (rem_m, edge_m) = (
-        edge_u0_integral(_edge(sec, side).theta, s, sec.h, g=lambda r, j=j: grids.edges(r)[j],
-                         tol=tol)
-        for j, side in enumerate(_SIDES))
-    num = i1.value + sc.k**2 * sc.omega1 * i2.value
-    i31p = cgo.edge_integral_exact(sec.theta_M, s, sec.h)
-    i31m = cgo.edge_integral_exact(sec.theta_m, s, sec.h)
-    den = u2_0 * (i31p + i31m) + (rem_p.value + rem_m.value)
-    return _Functionals(num, den, _residual(sc, i1, lhs_q, rhs_v, (edge_p, edge_m)),
-                        (i1, i2, rem_p, rem_m, lhs_q, rhs_v, edge_p, edge_m))
+    s = np.array(s_grid)
+    u2_edges = _edge_traces(sc.u2, sec)
+
+    def area(r, t):
+        u2 = sc.u2.on_grid(sec, r, t)
+        v = sc.u1.on_grid(sec, r, t) - u2
+        return np.stack([v - v0, u2, v])
+
+    def edges(r):
+        """(2, 1, 2, len(r)): per edge, '+' then '-', u2 - u2(0) and u2."""
+        u2 = u2_edges(r)
+        return np.stack([u2 - u2_0, u2], axis=1)[:, None]
+
+    i1 = _arc_functional(sc.u1 - sc.u2, sec, s[:, None], tol)
+    area_qs = _area_functional(area, sec, s, (max(tol, 1e-12), tol, tol))
+    thetas = np.array([_edge(sec, side).theta for side in _SIDES])
+    edge_qs = edge_u0_integral(thetas[:, None, None], s[:, None], sec.h, g=edges, tol=tol)
+    out = []
+    for j, sj in enumerate(s_grid):
+        i2, lhs_q, rhs_v = area_qs[j]
+        (rem_p, edge_p), (rem_m, edge_m) = edge_qs[:, j]
+        num = i1[j].value + sc.k**2 * sc.omega1 * i2.value
+        i31p = cgo.edge_integral_exact(sec.theta_M, sj, sec.h)
+        i31m = cgo.edge_integral_exact(sec.theta_m, sj, sec.h)
+        den = u2_0 * (i31p + i31m) + (rem_p.value + rem_m.value)
+        out.append((num, den, _residual(sc, i1[j], lhs_q, rhs_v, (edge_p, edge_m)),
+                    (i1[j], i2, rem_p, rem_m, lhs_q, rhs_v, edge_p, edge_m)))
+    return out
 
 
 def richardson_extrapolate(s_vals, estimates) -> Extrapolation:
@@ -343,7 +295,7 @@ def richardson_extrapolate(s_vals, estimates) -> Extrapolation:
 
 def _extract(sc: ProbeScenario, s_grid, tol, eta, omega, eta_diff=None) -> ProbeResult:
     """The eta and/or omega pass, both read off one set of per-s functionals
-    computed from one set of grid samples.  The omega pass uses eta_diff,
+    computed for every s at once.  The omega pass uses eta_diff,
     or the eta pass's extrapolated limit when eta_diff is None."""
     s_grid = sorted(float(s) for s in s_grid)
     u1_0 = corner_value(sc.u1, sc.sector)
@@ -353,32 +305,31 @@ def _extract(sc: ProbeScenario, s_grid, tol, eta, omega, eta_diff=None) -> Probe
     if omega and abs(u1_0) < 1e-12:
         raise ValueError("u1 vanishes at the corner; omega extraction undefined")
     v0 = u1_0 - u2_0
-    grids = _grid_samples(sc, u2_0, v0)
-    rows = [_functionals(sc, grids, s, u2_0, tol) for s in s_grid]
+    nums, dens, residuals, quads = zip(*_functionals(sc, s_grid, u2_0, v0, tol))
     # per s: did every quadrature behind it converge, and its worst error estimate
     diag = {"u1_0": u1_0, "u2_0": u2_0, "v0": v0,
-            "quad_converged": tuple(all(q.converged for q in f.quads) for f in rows),
-            "quad_error": tuple(max(q.error for q in f.quads) for f in rows)}
+            "quad_converged": tuple(all(q.converged for q in qs) for qs in quads),
+            "quad_error": tuple(max(q.error for q in qs) for qs in quads)}
     eta_ests = omega_ests = ()
     eta_x = omega_x = None
     if eta:
-        for s, f in zip(s_grid, rows):
-            if abs(f.den) < 1e-12 * abs(u2_0) / s:
+        for s, den in zip(s_grid, dens):
+            if abs(den) < 1e-12 * abs(u2_0) / s:
                 raise ValueError(f"degenerate extraction denominator at s={s}")
-        eta_ests = tuple((s, -f.num / f.den) for s, f in zip(s_grid, rows))
+        eta_ests = tuple((s, -num / den) for s, num, den in zip(s_grid, nums, dens))
         eta_x, diag["eta_extrapolation_err"] = richardson_extrapolate(
             s_grid, [e for _, e in eta_ests])
         eta_diff = eta_x if eta_diff is None else eta_diff
     if omega:
         sec = cgo.SectorSpec(sc.sector.theta_m, sc.sector.theta_M)
         lead = [sc.k**2 * u1_0 * cgo.sector_integral_exact(sec, s) for s in s_grid]
-        omega_ests = tuple((s, -((f.num + eta_diff * f.den) / ld))
-                           for s, f, ld in zip(s_grid, rows, lead))
+        omega_ests = tuple((s, -((num + eta_diff * den) / ld))
+                           for s, num, den, ld in zip(s_grid, nums, dens, lead))
         omega_x, diag["omega_extrapolation_err"] = richardson_extrapolate(
             s_grid, [e for _, e in omega_ests])
         diag["eta_diff_input"] = eta_diff
     return ProbeResult(eta_ests, omega_ests, eta_x, omega_x,
-                       tuple(f.residual[0] for f in rows), diag)
+                       tuple(r[0] for r in residuals), diag)
 
 
 def extract_eta_diff(sc: ProbeScenario, s_grid, tol=1e-12) -> ProbeResult:
@@ -409,11 +360,12 @@ def identity_residual(sc: ProbeScenario, s, tol=1e-12):
     Returns (relative residual, quadrature error estimate, scale), where
     the scale is the largest individual term so the relative residual is
     meaningful even when one side vanishes.  Computed as the extraction
-    computes it, by _functionals.
+    computes it, by _functionals on the one-s grid.
     """
     u2_0 = corner_value(sc.u2, sc.sector)
     v0 = corner_value(sc.u1, sc.sector) - u2_0
-    return _functionals(sc, _grid_samples(sc, u2_0, v0), s, u2_0, tol).residual
+    ((_, _, residual, _),) = _functionals(sc, [float(s)], u2_0, v0, tol)
+    return residual
 
 
 def admissibility_points(hull):
@@ -628,24 +580,28 @@ def bessel_series_sampler(kappa, cos_coeffs, sin_coeffs, sector: CornerSector | 
                         grid_fn=None if sector is None else grid)
 
 
-def _edge_moments(sector: CornerSector, edge: _Edge, fit_s, cauchy, scale):
-    """Per fit s, the Green moments, integrands flux - (dnu u0 / u0) scale
-    trace, of every row of the edge Cauchy data cauchy(r) -> (trace, flux),
-    (m, len(r)) tables, with scale an (m, 1) column of constant trace
-    factors.  The m integrands of one s are one table per edge level and
-    one edge refinement, to quadrature tolerance 1e-12; each moment is its
-    row's QuadResult, with the bits it has refined alone."""
-    m = cgo.mu(edge.theta)
+def _edge_moments(sector: CornerSector, edges, fit_s, cauchy, scale):
+    """The Green moments, integrands flux - (dnu u0 / u0) scale trace, of
+    every row of the Cauchy data cauchy(r) -> (trace, flux) on the two
+    edges, (2, m, len(r)) tables in the order of edges, with scale a
+    (2, m, 1) array of constant trace factors.  Every edge, fit s and row
+    is a row of one edge refinement, to quadrature tolerance 1e-12; the
+    result is the (2, len(fit_s), m) array of their QuadResults, each with
+    the bits it has refined alone."""
+    # the table's axes: edge, fit s, row, radius
+    theta = np.array([e.theta for e in edges])[:, None, None]
+    sign = np.array([e.sign for e in edges])[:, None, None, None]
+    m = np.array([cgo.mu(e.theta) for e in edges])[:, None, None, None]
+    s = np.array(fit_s, dtype=float)[:, None]
 
-    def moments(s):
-        def rows(r):
-            trace, flux = cauchy(r)
-            fac = edge.sign * (-0.5j) * np.sqrt(s / r) * m
-            return flux - fac * trace * scale
+    def rows(r):
+        trace, flux = cauchy(r)
+        fac = sign * (-0.5j) * np.sqrt(s[:, :, None] / r) * m
+        table = fac * trace[:, None]
+        table *= scale[:, None]
+        return np.subtract(flux[:, None], table, out=table)
 
-        return edge_u0_integral(edge.theta, s, sector.h, g=rows, tol=1e-12)
-
-    return [moments(s) for s in fit_s]
+    return edge_u0_integral(theta, s, sector.h, g=rows, tol=1e-12)
 
 
 DEFAULT_U2_COS = (1.0, 0.25, 0.15, 0.08)
@@ -680,42 +636,39 @@ def manufactured_scenario(sector: CornerSector, k, omega1, omega2, eta1, eta2,
 
     basis = _BesselBasis(kap1, 13)
     orders = [n for n, _ in basis.labels]
-    # J_n(kap1 r) once per edge grid; the grids are the same on both edges
-    bessel = _once_per_grid(basis.bessel)
+    edges = [_edge(sector, side) for side in _SIDES]
+    angular = [basis.angular(e.theta) for e in edges]
+    # u2's Cauchy data and J_n(kap1 r) on both edges, once per grid
+    u2_edges = _edge_traces(u2, sector, grad=True)
 
     h = sector.h
     rr = h * np.geomspace(1e-6, 1.0, 64)
     wn = 0.3 * h
-    rows, rhs, mom_rows, mom_tgt = [], [], [], []
-    # u2's Cauchy data on both edges, one sampler call per grid
-    u2_edges = _once_per_grid(_edge_traces(u2, sector, grad=True))
-    for j, side in enumerate(_SIDES):
-        e = _edge(sector, side)
-        ang, dang = basis.angular(e.theta)
-        v2, dnu2 = (x[j] for x in u2_edges(rr))
-        jn = bessel(rr)
+    rows, rhs = [], []
+    (v2, dnu2), jn = u2_edges(rr), basis.bessel(rr)
+    for j, (e, (ang, dang)) in enumerate(zip(edges, angular)):
         rows += [basis.columns(jn, ang), wn * basis.columns(e.sign * jn / rr, dang)]
-        rhs += [v2, wn * (dnu2 + eta_diff * v2)]
+        rhs += [v2[j], wn * (dnu2[j] + eta_diff * v2[j])]
 
-        def cauchy(r):
-            """Every basis element's Cauchy data, then the target's: u2's
-            trace and its flux plus the prescribed jump."""
-            jn = bessel(r)[orders]
-            vals, dnu = (x[j] for x in u2_edges(r))
-            return (np.vstack([jn, vals]),
-                    np.vstack([e.sign * (jn / r) * np.array(dang)[:, None],
-                               dnu + eta_diff * vals]))
+    def cauchy(r):
+        """Per edge, every basis element's Cauchy data, then the target's:
+        u2's trace and its flux plus the prescribed jump."""
+        jn = basis.bessel(r)[orders]
+        vals, dnu = u2_edges(r)
+        return (np.stack([np.vstack([jn, v]) for v in vals]),
+                np.stack([np.vstack([e.sign * (jn / r) * np.array(dang)[:, None],
+                                     dn + eta_diff * v])
+                          for e, (_, dang), v, dn in zip(edges, angular, vals, dnu)]))
 
-        for row in _edge_moments(sector, e, fit_s, _once_per_grid(cauchy),
-                                 np.r_[ang, 1.0][:, None]):
-            mom_rows.append(row[:-1])
-            mom_tgt.append(row[-1])
+    moments = _edge_moments(sector, edges, fit_s, cauchy,
+                            np.stack([np.r_[ang, 1.0][:, None] for ang, _ in angular]))
     A = np.vstack(rows)
     y = np.concatenate(rhs)
-    fit_quads = [q for row in mom_rows for q in row] + mom_tgt
-    M = np.array([[q.value for q in row] for row in mom_rows])
-    t = np.array([q.value for q in mom_tgt])
-
+    fit_quads = moments.ravel()
+    # one row per edge and fit s: every basis element's moment, then the target's
+    per_s = moments.reshape(-1, moments.shape[-1])
+    M = np.array([[q.value for q in row[:-1]] for row in per_s])
+    t = np.array([q.value for q in per_s[:, -1]])
     # pin the first coefficient, (n=0, cos), so that u1(0) = u2(0) exactly
     free = np.arange(1, len(basis.labels))
     Af, yf = A[:, free], y - u2_0 * A[:, 0]

@@ -56,7 +56,9 @@ def test_tracer_installs_on_every_name_and_restores():
 
 def test_tracer_sees_every_manufactured_probe_quadrature(tmp_path):
     """A fit or extraction that reaches the quadrature under another name
-    than probe.edge_u0_integral would read 0 here, not only in a benchmark."""
+    than the probe's own would read 0 here, not only in a benchmark.  The
+    counts are refinements, each over every s, so they do not grow with
+    the s grid."""
     tracing = load_tracing()
     cfg = tmp_path / "probe.json"
     cfg.write_text(json.dumps({
@@ -68,18 +70,20 @@ def test_tracer_sees_every_manufactured_probe_quadrature(tmp_path):
                   "sector": {"theta_m": 0.0, "theta_M": 1.5707963267948966, "h": 1.0},
                   "k": [1.0, 0.0], "omega1": [2.5, 0.0], "omega2": [2.0, 0.0],
                   "eta1": [0.3, 0.0], "eta2": [0.3, 0.0]}}))
-    tr = tracing.Tracer()
-    try:
-        tracing.install(tr)
-        rc = cli_main(["probe", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                       "--s-grid", "50,100"])
-    finally:
-        tr.restore()
-    assert rc == 0
-    assert tr.times()["probe.scenario"][0] == 1
-    layers = tracing.summarize(tr)
-    # one edge refinement per edge and s: 2 edges x 2 fit s, each of the
-    # fit's 25 basis elements + 1 target, plus 2 edges x 2 extraction s,
-    # each of a remainder and a residual edge term
-    assert layers["quadrature.integrals_edge"] == 8
-    assert layers["quadrature.level_evals"] > layers["quadrature.integrals_edge"]
+    for s_grid in ("50,100", "50,100,200,400,800"):
+        tr = tracing.Tracer()
+        try:
+            tracing.install(tr)
+            rc = cli_main(["probe", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                           "--s-grid", s_grid])
+        finally:
+            tr.restore()
+        assert rc == 0
+        assert tr.times()["probe.scenario"][0] == 1
+        layers = tracing.summarize(tr)
+        # the fit's edge refinement (2 edges x every s x 25 basis elements +
+        # 1 target) and the extraction's (2 edges x every s x a remainder
+        # and a residual edge term); its arc and area refinements
+        assert (layers["quadrature.integrals_edge"], layers["quadrature.integrals_area"],
+                layers["quadrature.integrals_arc"]) == (2, 1, 1)
+        assert layers["quadrature.level_evals"] > layers["quadrature.integrals_edge"]

@@ -546,8 +546,9 @@ def test_probe_command_reports_unconverged_quadrature(tmp_path, capsys):
 
 def test_probe_builds_each_rule_once_and_u0_once_per_grid_and_s(tmp_path, monkeypatch):
     """A probe run builds each quadrature rule level once, one u0(s .) table
-    per (area level, s) and one edge factor per (edge, s, level) of each
-    pass, and sums each level once per table of integrands."""
+    per (area level, s) and one edge factor per level of each pass for
+    both edges and every s, and sums each area level once per s and each
+    edge level once per table of integrands."""
     from polyscat import _kernels, quadrature
 
     for rule in (quadrature._area_rule, quadrature._radial_rule, quadrature._theta_rule):
@@ -572,16 +573,15 @@ def test_probe_builds_each_rule_once_and_u0_once_per_grid_and_s(tmp_path, monkey
     # the one sector
     assert calls["panel_rule"] == 4
     assert quadrature._area_rule.cache_info().misses == 3
-    # 2 s x 3 area levels; the fit's and the extraction's 2 edges x 2 s x 2
-    # levels each
+    # 2 s x 3 area levels; the fit's and the extraction's 2 levels each
     assert calls["u0_polar"] == 6
-    assert calls["edge_u0"] == 16
-    # one sum per table they serve: per s one area table (I2 and the
-    # residual's u2 and v integrals) of 3 levels; per edge and s one edge
-    # table of 2 levels in the fit (its 26 moments) and one in the
-    # extraction (remainder and residual edge term)
+    assert calls["edge_u0"] == 4
+    # per s and area level one sum of its three integrands (I2 and the
+    # residual's u2 and v integrals); per level one sum of the fit's edge
+    # table (26 moments per edge and s) and one of the extraction's
+    # (remainder and residual edge term per edge and s), 2 levels each
     assert calls["area_quad_sum"] == 6
-    assert calls["edge_quad_sum"] == 16
+    assert calls["edge_quad_sum"] == 4
 
 
 def _blocks_per_solve(monkeypatch):
@@ -618,6 +618,31 @@ def test_cgo_verify_and_negative_control(tmp_path):
     rows = (out / "cgo_verify.csv").read_text().splitlines()
     assert any("sector_integral" in r for r in rows)
     assert cli_main(["cgo-verify", "--out", str(tmp_path / "bad"), "--corrupt"]) == 2
+
+
+def test_every_csv_row_has_the_header_field_count(tmp_path):
+    """Every CSV a command writes parses with csv.reader, after its '#'
+    comment lines, into rows of as many fields as its header: a field that
+    holds a comma, as cgo_verify.csv's sector parameters do, is quoted."""
+    import csv
+
+    near = json.loads(json.dumps(NEST_DOC))
+    near["nearfield"] = {"bounds": [-1.5, 1.5, -1.0, 1.0], "nx": 3, "ny": 3}
+    point = json.loads(json.dumps(NEST_DOC))
+    point["incident"] = {"kind": "point", "location": [3.0, 1.5], "amplitude": [1.0, 0.0]}
+    runs = [("forward", near, []), ("sweep", NEST_DOC, []), ("passive", point, []),
+            ("probe", PROBE_DOC, ["--s-grid", "50,100,200"]), ("cgo-verify", None, [])]
+    for command, doc, extra in runs:
+        config = [] if doc is None else ["--config", write(tmp_path, f"{command}.json", doc)]
+        assert cli_main([command, *config, "--out", str(tmp_path / command), *extra]) == 0
+    paths = sorted(tmp_path.glob("*/*.csv"))
+    assert {p.name for p in paths} == {"farfield.csv", "nearfield.csv", "sweep.csv",
+                                       "probe.csv", "cgo_verify.csv"}
+    for path in paths:
+        with open(path, newline="") as f:
+            header, *rows = csv.reader(line for line in f if not line.startswith("#"))
+        assert rows, path.name
+        assert {len(row) for row in rows} == {len(header)}, path.name
 
 
 OPTIONS = {

@@ -36,7 +36,7 @@ def power_sampler(alpha):
 
 def I1(v, sector, s, tol=1e-12):
     """The arc functional int_{Lambda_h} (dnu v u0 - dnu u0 v) dsigma."""
-    return probe._arc_functional(probe._arc_values(v, sector), sector, s, tol)
+    return probe._arc_functional(v, sector, s, tol)
 
 
 def I2(dv, sector, s, tol=1e-11):
@@ -531,10 +531,10 @@ def test_extract_both_matches_scalar_assembly(name, request):
 
 
 def _record_refinements(monkeypatch):
-    """Log (kind, levels evaluated, converged, error) for every quadrature
-    refined, one entry per row of a refined table, with the level that row
-    stopped at: the first that agrees with the one before within half the
-    row's tolerance."""
+    """Log (kind, levels evaluated, converged, error, index) for every
+    quadrature refined, one entry per row of a refined table, with the
+    level that row stopped at (the first that agrees with the one before
+    within half the row's tolerance) and the row's index in the table."""
     import polyscat.quadrature as quad
 
     kinds = {3: "area", 4: "edge", 5: "arc"}
@@ -542,22 +542,23 @@ def _record_refinements(monkeypatch):
     orig = quad._refine
 
     def refine(levels, eval_fn, tol):
-        seen = []
+        seen, shape = [], []
 
         def counted(lv):
             out = eval_fn(lv)
             seen.append(np.ravel(out).tolist())
+            shape[:] = np.shape(out)
             return out
 
         val, err, ok = orig(levels, counted, tol)
         kind = kinds[len(levels)]
         if not isinstance(val, list):
-            log.append((kind, len(seen), ok, err))
+            log.append((kind, len(seen), ok, err, ()))
             return val, err, ok
-        for i, half in enumerate(0.5 * np.broadcast_to(tol, len(val))):
+        for i, half in enumerate(0.5 * np.broadcast_to(tol, shape).ravel()):
             stop = next((n + 1 for n in range(1, len(seen))
                          if abs(seen[n][i] - seen[n - 1][i]) <= half), len(seen))
-            log.append((kind, stop, err[i] <= half, err[i]))
+            log.append((kind, stop, err[i] <= half, err[i], np.unravel_index(i, shape)))
         return val, err, ok
 
     monkeypatch.setattr(quad, "_refine", refine)
@@ -576,17 +577,22 @@ def test_extraction_stop_levels_and_convergence(name, tol, expected, converged,
                                                 request, monkeypatch):
     """Every integral stops at the refinement level it reached when each
     functional sampled its own fields (counts of that code on this grid),
-    and per-s convergence reaches the diagnostics."""
+    and per-s convergence reaches the diagnostics.  Every s is a row of
+    three refinements: the arc's, the area's (3 rows per s) and the edges'
+    (2 edges x 2 rows per s)."""
     import collections
 
     sc = request.getfixturevalue(name)
     log = _record_refinements(monkeypatch)
     res = probe.extract_both(sc, S_GRID, tol=tol)
-    assert collections.Counter((k, n) for k, n, _, _ in log) == expected
+    assert collections.Counter((k, n) for k, n, *_ in log) == expected
+    assert [k for k, *_ in log] == ["arc"] * 5 + ["area"] * 15 + ["edge"] * 20
     assert res.diagnostics["quad_converged"] == converged
     assert len(res.diagnostics["quad_error"]) == len(S_GRID)
-    # 8 quadratures per s, in s order: the worst error estimate of each block
-    worst = [max(e for *_, e in log[8 * j:8 * j + 8]) for j in range(len(S_GRID))]
+    # the s index of a row: its first axis, but the second of the edge table
+    # (edge, s, row); the worst error estimate of the 8 quadratures of each s
+    worst = [max(e for k, _, _, e, at in log if at[k == "edge"] == j)
+             for j in range(len(S_GRID))]
     assert res.diagnostics["quad_error"] == tuple(worst)
     for key in ("eta_extrapolation_err", "omega_extrapolation_err"):
         assert res.diagnostics[key] > 0
@@ -595,7 +601,7 @@ def test_extraction_stop_levels_and_convergence(name, tol, expected, converged,
 def test_scenario_records_fit_quadrature_convergence(quarter_sector, monkeypatch):
     log = _record_refinements(monkeypatch)
     sc = manufactured_scenario(quarter_sector, 1.0, 2.0, 2.0, 0.5 + 0.1j, 0.2)
-    edges = [(ok, err) for kind, _, ok, err in log if kind == "edge"]
+    edges = [(ok, err) for kind, _, ok, err, _ in log if kind == "edge"]
     # 2 edges x 5 fit s x (25 basis elements + 1 target) moments
     assert len(edges) == len(log) == 2 * 5 * 26
     assert sc.meta["fit_quad_unconverged"] == sum(not ok for ok, _ in edges)
@@ -659,10 +665,11 @@ def test_probe_result_requires_increasing_s(quarter_sector, eta_scenario):
 
 
 def test_fit_moment_rows_are_the_per_element_integrands(quarter_sector, monkeypatch):
-    """The fit makes one edge refinement per edge and s, whose table has one
-    row per basis element and one for the target.  Each row is bitwise the
-    element's own integrand, on u2 sampled on its edge alone, and its
-    QuadResult is bitwise that of the element's lone refinement."""
+    """The fit makes one edge refinement, whose table has one row per edge,
+    fit s and basis element, and one per edge and fit s for the target.
+    Each row is bitwise the element's own integrand, on u2 sampled on its
+    edge alone, and its QuadResult is bitwise that of the element's lone
+    refinement."""
     from polyscat import quadrature
     from polyscat.medium import sqrt_im_nonneg
 
@@ -676,58 +683,44 @@ def test_fit_moment_rows_are_the_per_element_integrands(quarter_sector, monkeypa
 
     monkeypatch.setattr(probe, "edge_u0_integral", logged)
     k, omega1, omega2, eta_diff = 1.0, 2.5, 2.0, 0.3 + 0.1j
-    manufactured_scenario(quarter_sector, k, omega1, omega2, 0.5 + 0.1j, 0.2,
-                          fit_s=[50.0, 400.0])
+    fit_s = [50.0, 400.0]
+    manufactured_scenario(quarter_sector, k, omega1, omega2, 0.5 + 0.1j, 0.2, fit_s=fit_s)
     basis = probe._BesselBasis(k * sqrt_im_nonneg(omega1), 13)
     u2 = bessel_series_sampler(k * sqrt_im_nonneg(omega2), probe.DEFAULT_U2_COS,
                                probe.DEFAULT_U2_SIN, quarter_sector)
     m = len(basis.labels) + 1
-    assert [s for _, s, _, _ in calls] == [50.0, 400.0] * 2
-    for j, (theta, s, g, qs) in enumerate(calls):
-        edge = probe._edge(quarter_sector, "+" if j < 2 else "-")
-        assert theta == edge.theta
-        assert len(qs) == m
+    ((theta, s, g, qs),) = calls
+    assert qs.shape == (2, len(fit_s), m)
+    assert np.broadcast_shapes(np.shape(theta), np.shape(s)) == (2, len(fit_s), 1)
+    tables = {nr: g(quadrature._radial_rule(quarter_sector.h, nr)[0]) for nr in (10, 16)}
+    for j, side in enumerate(probe._SIDES):
+        edge = probe._edge(quarter_sector, side)
+        assert np.broadcast_to(theta, qs.shape)[j, 0, 0] == edge.theta
         ang, dang = basis.angular(edge.theta)
 
         def trace_u2(r):
             vals, grads = u2(quarter_sector.to_world(r[:, None] * edge.direction[None, :]))
             return vals, grads @ edge.normal
 
-        for i, q in enumerate(qs):
-            def element(r):
-                fac = edge.sign * (-0.5j) * np.sqrt(s / r) * cgo.mu(edge.theta)
-                if i < m - 1:
-                    jn = basis.bessel(r)[basis.labels[i][0]]
-                    return edge.sign * (jn / r) * dang[i] - fac * jn * ang[i]
-                vals, dnu = trace_u2(r)
-                return dnu + eta_diff * vals - fac * vals * 1.0
+        for n, fs in enumerate(fit_s):
+            assert np.broadcast_to(s, qs.shape)[j, n, 0] == fs
+            for i, q in enumerate(qs[j, n]):
+                def element(r):
+                    fac = edge.sign * (-0.5j) * np.sqrt(fs / r) * cgo.mu(edge.theta)
+                    if i < m - 1:
+                        jn = basis.bessel(r)[basis.labels[i][0]]
+                        return edge.sign * (jn / r) * dang[i] - fac * jn * ang[i]
+                    vals, dnu = trace_u2(r)
+                    return dnu + eta_diff * vals - fac * vals * 1.0
 
-            for nr in (10, 16):
-                r = quadrature._radial_rule(quarter_sector.h, nr)[0]
-                assert g(r)[i].tobytes() == element(r).tobytes()
-            ref = quadrature.edge_u0_integral(edge.theta, s, quarter_sector.h, g=element,
-                                              tol=1e-12)
-            assert np.array([q.value, q.error]).tobytes() == \
-                np.array([ref.value, ref.error]).tobytes()
-            assert q.converged is ref.converged
-
-
-def test_probe_reads_the_cached_radial_rule(quarter_sector, monkeypatch):
-    """Every radius grid on which the fit and the extraction weight with u0,
-    along edges and over the area, is the very array `_radial_rule(h, nr)`
-    hands out, so the probe's per-grid stores meet each rule once."""
-    from polyscat import _kernels, quadrature
-
-    radii = []
-    for name in ("u0_polar", "edge_u0"):
-        fn = getattr(_kernels, name)
-        monkeypatch.setattr(_kernels, name,
-                            lambda r, *a, fn=fn: radii.append(r) or fn(r, *a))
-    scen = manufactured_scenario(quarter_sector, 1.0, 2.5, 2.0, 0.5 + 0.1j, 0.2,
-                                 fit_s=[50.0, 100.0])
-    probe.extract_both(scen, [50.0, 100.0], tol=1e-10)
-    cached = {id(quadrature._radial_rule(quarter_sector.h, nr)[0]) for nr in (10, 14, 16, 20)}
-    assert radii and {id(r) for r in radii} <= cached
+                for nr, table in tables.items():
+                    r = quadrature._radial_rule(quarter_sector.h, nr)[0]
+                    assert table[j, n, i].tobytes() == element(r).tobytes()
+                ref = quadrature.edge_u0_integral(edge.theta, fs, quarter_sector.h,
+                                                  g=element, tol=1e-12)
+                assert np.array([q.value, q.error]).tobytes() == \
+                    np.array([ref.value, ref.error]).tobytes()
+                assert q.converged is ref.converged
 
 
 def test_scenario_samples_u2_gradients_once_per_edge_grid(quarter_sector, monkeypatch):
@@ -756,10 +749,13 @@ def test_scenario_samples_u2_gradients_once_per_edge_grid(quarter_sector, monkey
 
 def test_benchmark_probe_run_counts(tmp_path, monkeypatch):
     """The manufactured probe run of the benchmark (quarter sector, h = 1,
-    s-grid 50-800, default --tol), counted twice in one process: 30
-    refinements (the fit's one per edge and s, and per extraction s one
-    arc, one area and two edge refinements), one kernel sum per table and
-    level, 18 Bessel recurrences and the same sampler calls each time."""
+    s-grid 50-800, default --tol), counted twice in one process: 4
+    refinements (the fit's one over both edges and every s, and the
+    extraction's arc, area and edge refinements over every s), one edge
+    sum per table and level and one area sum per s and level, 18 Bessel
+    recurrences and the same sampler
+    calls each time.  On s grids of 2 and 9 values the run still makes 4
+    refinements."""
     import collections
     import json
 
@@ -788,16 +784,24 @@ def test_benchmark_probe_run_counts(tmp_path, monkeypatch):
                   "sector": {"theta_m": 0.0, "theta_M": np.pi / 2, "h": 1.0},
                   "k": [1.0, 0.0], "omega1": [2.5, 0.0], "omega2": [2.0, 0.0],
                   "eta1": [0.3, 0.0], "eta2": [0.3, 0.0]}}))
-    runs = []
-    for run in range(2):
+
+    def run(s_grid, tag):
         counts.clear()
-        assert cli_main(["probe", "--config", str(cfg), "--out", str(tmp_path / f"out{run}"),
-                         "--s-grid", "50,100,200,400,800"]) == 0
-        runs.append(dict(counts))
-    # edge sums: the fit's 2 edges x 5 s x 2 levels, the extraction's 5 s x
-    # 2 edges x 2 levels; area sums: 5 s, at 3, 3, 3, 3 and 2 levels
-    assert runs == [{"_refine": 30, "_bessel_rows": 18, "edge_quad_sum": 40,
-                     "area_quad_sum": 14, "__call__": 9, "values": 6}] * 2
+        rc = cli_main(["probe", "--config", str(cfg), "--out", str(tmp_path / tag),
+                       "--s-grid", ",".join(map(repr, s_grid))])
+        return rc, dict(counts)
+
+    runs = [run([50.0, 100.0, 200.0, 400.0, 800.0], f"out{j}") for j in range(2)]
+    # edge sums: the fit's and the extraction's refinement, 2 levels each;
+    # area sums: one per s at each of 3 levels (s = 800 alone would stop at 2)
+    assert runs == [(0, {"_refine": 4, "_bessel_rows": 18, "edge_quad_sum": 4,
+                         "area_quad_sum": 15, "__call__": 9, "values": 5})] * 2
+    rc, two = run([50.0, 100.0], "two")
+    assert rc == 0 and two["_refine"] == 4
+    # the 9-point grid of 50 sqrt(2)^j exits 2: its extraction at s = 50 stops
+    # unconverged
+    rc, nine = run([50.0 * 2 ** (j / 2) for j in range(9)], "nine")
+    assert rc == 2 and nine["_refine"] == 4
 
 
 def test_apex_values_run_no_recurrence(monkeypatch):

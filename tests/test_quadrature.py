@@ -194,8 +194,34 @@ def test_stacked_refinement_rows_are_lone_refinements(integral, rows, levels):
     stacked = integral(lambda *x: n.append(1) or np.stack([f(*x) for f, _ in rows]),
                        [tol for _, tol in rows])
     assert len(n) == max(levels)
-    assert isinstance(stacked, tuple) and len(stacked) == len(rows)
+    assert stacked.shape == (len(rows),)
     assert [_bits(q) for q in stacked] == [_bits(q) for q in lone]
+
+
+def test_theta_and_s_rows_are_lone_refinements():
+    """Edge angles, s values and integrands broadcast into the rows of one
+    refinement, each row with the bits of its lone refinement: an edge
+    table over 2 angles x 3 s x 2 integrands and an area table over 3 s x 2
+    integrands, each evaluated once per level for all its rows."""
+    thetas, svals = np.array([0.3, -2.0]), np.array([50.0, 200.0, 800.0])
+    edge_fs = (lambda r: np.cos(30.0 * r), lambda r: r**-0.5)
+    n = []
+    stacked = edge_u0_integral(thetas[:, None, None], svals[:, None], 1.0,
+                               g=lambda r: n.append(1) or np.stack([f(r) for f in edge_fs]),
+                               tol=1e-12)
+    assert stacked.shape == (2, 3, 2) and len(n) == 3
+    for (i, j, k), q in np.ndenumerate(stacked):
+        lone = edge_u0_integral(thetas[i], svals[j], 1.0, g=edge_fs[k], tol=1e-12)
+        assert _bits(q) == _bits(lone)
+    area_fs, tols = AREA_ROWS[1:3], [tol for _, tol in AREA_ROWS[1:3]]
+    n = []
+    stacked = sector_area_integral(
+        lambda r, t: n.append(1) or np.stack([f(r, t) for f, _ in area_fs]),
+        *QUARTER, 1.0, svals, tols)
+    assert stacked.shape == (3, 2) and len(n) == 3
+    for (j, k), q in np.ndenumerate(stacked):
+        lone = sector_area_integral(area_fs[k][0], *QUARTER, 1.0, svals[j], tols[k])
+        assert _bits(q) == _bits(lone)
 
 
 def test_one_integrand_is_the_scalar_refinement():
